@@ -9,7 +9,6 @@ import (
 
 	"schemr/internal/index"
 	"schemr/internal/match"
-	"schemr/internal/model"
 	"schemr/internal/query"
 	"schemr/internal/tightness"
 )
@@ -98,15 +97,44 @@ func (e *Engine) matchThreshold() float64 {
 	return tightness.DefaultMatchThreshold
 }
 
-// popularity returns the exact popularity multiplier of one schema —
-// computed up front on the cascade path because it scales the bound just
-// like it scales the final score.
+// popularity returns the exact popularity multiplier of one schema. The
+// cascade reads it once per candidate, up front, and scales both the bound
+// and the final score with that one value: a selection recorded while the
+// candidate is being matched must not lift the score above its own bound.
 func (e *Engine) popularity(id string) float64 {
 	if e.opts.PopularityBoost <= 0 {
 		return 1
 	}
 	sel := float64(e.repo.Usage(id).Selections)
 	return 1 + e.opts.PopularityBoost*sel/(sel+5)
+}
+
+// eachCandidate calls fn(i) for every i in [0, n) on up to workers
+// goroutines, the caller's being one of them, so a lone worker spawns
+// nothing. Indices are handed out in ascending order — candidates start in
+// descending phase-1 order — until ctx is done; calls already started
+// drain, and eachCandidate returns once they have.
+func eachCandidate(ctx context.Context, n, workers int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // cascadeBound turns per-column and per-row cell upper bounds into an
@@ -182,134 +210,116 @@ func (e *Engine) cascadeRank(ctx context.Context, q *query.Query, ensemble, shad
 		shadowIns = make([]*shadowInput, len(hits))
 	}
 	var elements, matchersSkipped, abandoned, tightNanos atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.opts.Parallelism)
-dispatch:
-	for i, h := range hits {
-		// Cancellation gate, as on the exhaustive path: stop dispatching
-		// promptly; in-flight candidates drain.
-		if ctx.Err() != nil {
-			break
-		}
+	eachCandidate(ctx, len(hits), e.opts.Parallelism, func(i int) {
+		h := hits[i]
 		s := e.repo.Get(h.ID)
 		if s == nil {
-			continue // deleted between index snapshot and now
+			return // deleted between index snapshot and now
 		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
+		pop := e.popularity(s.ID)
+		var prog *match.Progressive
+		var profile *match.Profile
+		if qa != nil {
+			profile = e.profiles.get(s.ID, s)
+			prog = ensemble.NewProgressiveProfiled(qa, profile)
+		} else {
+			prog = ensemble.NewProgressive(q, s)
 		}
-		wg.Add(1)
-		go func(i int, h index.Hit, s *model.Schema) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			pop := e.popularity(s.ID)
-			var prog *match.Progressive
-			var profile *match.Profile
-			if qa != nil {
-				profile = e.profiles.get(s.ID, s)
-				prog = ensemble.NewProgressiveProfiled(qa, profile)
-			} else {
-				prog = ensemble.NewProgressive(q, s)
-			}
-			colUB := make([]float64, prog.Cols())
-			rowUB := make([]float64, prog.Rows())
-			// Bounds are checked BEFORE every Step, including the first:
-			// the matchers' declared score bounds alone (ScoreBounds) often
-			// disqualify a weak candidate before even the cheapest expensive
-			// matcher — the name matcher's n-gram walk — has run.
-			for {
-				prog.Bounds(colUB, rowUB)
-				ub := cascadeBound(colUB, rowUB, thr, e.opts.CoverageExponent, pop)
-				if ub == 0 || ub < top.Floor()-cascadeSlack {
-					matchersSkipped.Add(int64(prog.Remaining()))
-					abandoned.Add(1)
-					return
-				}
-				prog.Step()
-				if prog.Remaining() == 0 {
-					break
-				}
-			}
-			m := prog.Combine()
-			elements.Add(int64(len(m.Schema)))
-
-			// Exact-matrix bound before the tightness pass: tightness can
-			// not exceed the mean matched best score (penalties are
-			// non-negative), and coverage is exact now.
-			best, argmax := m.ElementBest()
-			sumS, matched := 0.0, 0
-			for si := range m.Schema {
-				if argmax[si] >= 0 && best[si] >= thr {
-					matched++
-					sumS += best[si]
-				}
-			}
-			if matched == 0 {
-				// No matched element means tightness 0 and a final score
-				// of 0: the exhaustive path drops this candidate too.
+		colUB := make([]float64, prog.Cols())
+		rowUB := make([]float64, prog.Rows())
+		// Bounds are checked BEFORE every Step, including the first:
+		// the matchers' declared score bounds alone (ScoreBounds) often
+		// disqualify a weak candidate before even the cheapest expensive
+		// matcher — the name matcher's n-gram walk — has run.
+		for {
+			prog.Bounds(colUB, rowUB)
+			ub := cascadeBound(colUB, rowUB, thr, e.opts.CoverageExponent, pop)
+			if ub == 0 || ub < top.Floor()-cascadeSlack {
+				matchersSkipped.Add(int64(prog.Remaining()))
 				abandoned.Add(1)
 				return
 			}
-			cov := e.coverage(m)
-			ubPre := sumS / float64(matched)
-			if e.opts.CoverageExponent > 0 {
-				ubPre *= math.Pow(cov, e.opts.CoverageExponent)
+			prog.Step()
+			if prog.Remaining() == 0 {
+				break
 			}
-			ubPre *= pop
-			if ubPre < top.Floor()-cascadeSlack {
-				abandoned.Add(1)
-				return // tightness pass skipped
-			}
+		}
+		m := prog.Combine()
+		elements.Add(int64(len(m.Schema)))
 
-			tstart := time.Now()
-			var t tightness.Result
-			if profile != nil {
-				t = tightness.ScoreProfiled(profile, m, e.opts.Tightness)
-			} else {
-				t = tightness.Score(s, m, e.opts.Tightness)
+		// Exact-matrix bound before the tightness pass: tightness can
+		// not exceed the mean matched best score (penalties are
+		// non-negative), and coverage is exact now.
+		best, argmax := m.ElementBest()
+		sumS, matched := 0.0, 0
+		for si := range m.Schema {
+			if argmax[si] >= 0 && best[si] >= thr {
+				matched++
+				sumS += best[si]
 			}
-			tightNanos.Add(int64(time.Since(tstart)))
-			final := t.Score
-			if e.opts.CoverageExponent > 0 {
-				final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
+		}
+		if matched == 0 {
+			// No matched element means tightness 0 and a final score
+			// of 0: the exhaustive path drops this candidate too.
+			abandoned.Add(1)
+			return
+		}
+		cov := e.coverage(m)
+		ubPre := sumS / float64(matched)
+		if e.opts.CoverageExponent > 0 {
+			ubPre *= math.Pow(cov, e.opts.CoverageExponent)
+		}
+		ubPre *= pop
+		if ubPre < top.Floor()-cascadeSlack {
+			abandoned.Add(1)
+			return // tightness pass skipped
+		}
+
+		tstart := time.Now()
+		var t tightness.Result
+		if profile != nil {
+			t = tightness.ScoreProfiled(profile, m, e.opts.Tightness)
+		} else {
+			t = tightness.Score(s, m, e.opts.Tightness)
+		}
+		tightNanos.Add(int64(time.Since(tstart)))
+		final := t.Score
+		if e.opts.CoverageExponent > 0 {
+			final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
+		}
+		if e.opts.PopularityBoost > 0 {
+			final *= pop
+		}
+		if final <= 0 {
+			return
+		}
+		out[i] = Result{
+			ID:          s.ID,
+			Name:        s.Name,
+			Description: s.Description,
+			Score:       final,
+			Tightness:   t.Score,
+			Coverage:    cov,
+			Coarse:      h.Score,
+			Anchor:      t.Anchor,
+			Matched:     t.Matched,
+			Entities:    s.NumEntities(),
+			Attributes:  s.NumAttributes(),
+		}
+		done[i] = true
+		if shadowIns != nil {
+			qe, se := prog.Elements()
+			shadowIns[i] = &shadowInput{
+				mats:    prog.Matrices(),
+				qe:      qe,
+				se:      se,
+				profile: profile,
+				schema:  s,
 			}
-			if e.opts.PopularityBoost > 0 {
-				sel := float64(e.repo.Usage(s.ID).Selections)
-				final *= 1 + e.opts.PopularityBoost*sel/(sel+5)
-			}
-			if final <= 0 {
-				return
-			}
-			out[i] = Result{
-				ID:          s.ID,
-				Name:        s.Name,
-				Description: s.Description,
-				Score:       final,
-				Tightness:   t.Score,
-				Coverage:    cov,
-				Coarse:      h.Score,
-				Anchor:      t.Anchor,
-				Matched:     t.Matched,
-				Entities:    s.NumEntities(),
-				Attributes:  s.NumAttributes(),
-			}
-			done[i] = true
-			if shadowIns != nil {
-				qe, se := prog.Elements()
-				shadowIns[i] = &shadowInput{
-					mats:    prog.Matrices(),
-					qe:      qe,
-					se:      se,
-					profile: profile,
-					schema:  s,
-				}
-			}
-			top.Offer(final)
-		}(i, h, s)
-	}
-	wg.Wait()
+		}
+		top.Offer(final)
+	})
+	e.profiles.observeMemo(qa)
 
 	stats.ElementsScored = int(elements.Load())
 	stats.MatchersSkipped = int(matchersSkipped.Load())

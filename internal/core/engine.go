@@ -68,7 +68,7 @@ type Options struct {
 	PopularityBoost float64
 	// DisableProfileCache turns off the per-schema match-profile cache and
 	// the profiled matching path, recomputing every schema-side artifact
-	// (normalized names, n-gram multisets, context sets, entity graph, BFS
+	// (normalized names, n-gram vectors, context sets, entity graph, BFS
 	// distances) per candidate per search — the pre-cache behavior. Escape
 	// hatch and benchmarking aid; off (cache enabled) by default.
 	DisableProfileCache bool
@@ -534,9 +534,11 @@ func (e *Engine) Sync() (updated, deleted int, err error) {
 }
 
 // CachedProfiles returns the number of schemas with a cached match profile —
-// an observability hook for capacity planning (each profile costs roughly
-// the schema's text blown up into n-gram multisets plus an entity-distance
-// table; see DESIGN.md "Match profile cache").
+// an observability hook for capacity planning (a profile costs a few KB:
+// the element list, name IDs and context index sets, and an
+// entity-distance table; the n-gram vectors live once per distinct name in
+// the match package's name dictionary — see DESIGN.md "Match profile
+// cache").
 func (e *Engine) CachedProfiles() int { return e.profiles.count() }
 
 // IndexedDocs returns the number of live documents across every tenant's
@@ -988,59 +990,43 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		qa = match.NewQueryArtifacts(q)
 	}
 	cands := make([]scored, len(hits))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, e.opts.Parallelism)
 	var elements atomic.Int64
-dispatch:
-	for i, h := range hits {
-		// Cancellation gate: check before dispatching each candidate so an
-		// abandoned search stops matching promptly instead of burning the
-		// worker pool on all CandidateN candidates.
-		if ctx.Err() != nil {
-			break
-		}
-		s := e.repo.Get(h.ID)
+	// Cancellation gate: eachCandidate checks ctx before handing out each
+	// candidate, so an abandoned search stops matching promptly instead of
+	// burning the worker pool on all CandidateN candidates.
+	eachCandidate(ctx, len(hits), e.opts.Parallelism, func(i int) {
+		s := e.repo.Get(hits[i].ID)
 		if s == nil {
-			continue // deleted between index snapshot and now
+			return // deleted between index snapshot and now
 		}
-		cands[i] = scored{hit: h, schema: s}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			break dispatch
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// With shadow scoring on, the per-matcher matrices are kept and
-			// combined explicitly — CombineMatrices over MatchMatrices is
-			// exactly what Match/MatchProfiled do internally, so the served
-			// scores are byte-identical either way; only retention differs.
-			var m *match.Matrix
-			var mats []*match.Matrix
-			if qa != nil {
-				p := e.profiles.get(cands[i].schema.ID, cands[i].schema)
-				cands[i].profile = p
-				if shadowEns != nil {
-					mats = ensemble.MatchMatricesProfiled(qa, p)
-				} else {
-					m = ensemble.MatchProfiled(qa, p)
-				}
-			} else if shadowEns != nil {
-				mats = ensemble.MatchMatrices(q, cands[i].schema)
+		cands[i] = scored{hit: hits[i], schema: s}
+		// With shadow scoring on, the per-matcher matrices are kept and
+		// combined explicitly — CombineMatrices over MatchMatrices is
+		// exactly what Match/MatchProfiled do internally, so the served
+		// scores are byte-identical either way; only retention differs.
+		var m *match.Matrix
+		var mats []*match.Matrix
+		if qa != nil {
+			p := e.profiles.get(s.ID, s)
+			cands[i].profile = p
+			if shadowEns != nil {
+				mats = ensemble.MatchMatricesProfiled(qa, p)
 			} else {
-				m = ensemble.Match(q, cands[i].schema)
+				m = ensemble.MatchProfiled(qa, p)
 			}
-			if mats != nil {
-				m = ensemble.CombineMatrices(mats[0].Query, mats[0].Schema, mats)
-				cands[i].mats = mats
-			}
-			cands[i].matrix = m
-			elements.Add(int64(len(m.Schema)))
-		}(i)
-	}
-	wg.Wait()
+		} else if shadowEns != nil {
+			mats = ensemble.MatchMatrices(q, s)
+		} else {
+			m = ensemble.Match(q, s)
+		}
+		if mats != nil {
+			m = ensemble.CombineMatrices(mats[0].Query, mats[0].Schema, mats)
+			cands[i].mats = mats
+		}
+		cands[i].matrix = m
+		elements.Add(int64(len(m.Schema)))
+	})
+	e.profiles.observeMemo(qa)
 	stats.PhaseMatch = time.Since(start)
 	stats.ElementsScored = int(elements.Load())
 	if err := ctx.Err(); err != nil {

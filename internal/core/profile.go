@@ -33,12 +33,17 @@ type profileCache struct {
 	// Observability instruments (nil-safe; nil when metrics are disabled).
 	// hits/misses measure the lookup economics on the search path; evicts
 	// counts change-feed invalidations and resets; build is the latency of
-	// match.NewProfile, the one-time cost a miss pays.
-	hits   *obs.Counter
-	misses *obs.Counter
-	evicts *obs.Counter
-	size   *obs.Gauge
-	build  *obs.Histogram
+	// match.NewProfile, the one-time cost a miss pays. names mirrors the
+	// size of the name dictionary the profiles share; memoHits/memoMisses
+	// count the name-pair lookups searches' memos answered or had to score.
+	hits       *obs.Counter
+	misses     *obs.Counter
+	evicts     *obs.Counter
+	size       *obs.Gauge
+	build      *obs.Histogram
+	names      *obs.Gauge
+	memoHits   *obs.Counter
+	memoMisses *obs.Counter
 }
 
 type profilePart struct {
@@ -71,6 +76,20 @@ func (c *profileCache) instrument(reg *obs.Registry) {
 	c.evicts = reg.Counter("schemr_profile_cache_evictions_total", "Match profiles evicted via the change feed or reset.", nil)
 	c.size = reg.Gauge("schemr_profile_cache_size", "Match profiles currently cached.", nil)
 	c.build = reg.Histogram("schemr_profile_build_seconds", "Latency of building one match profile (cache-miss cost).", nil, nil)
+	c.names = reg.Gauge("schemr_match_names_interned", "Distinct normalized names in the match name dictionary (process-wide, append-only).", nil)
+	c.memoHits = reg.Counter("schemr_match_memo_hits_total", "Name-pair lookups answered by a search's similarity memo.", nil)
+	c.memoMisses = reg.Counter("schemr_match_memo_misses_total", "Name-pair lookups a search's similarity memo had to score.", nil)
+}
+
+// observeMemo publishes one finished search's memo counts (qa is nil on the
+// unprofiled path, which has no memo).
+func (c *profileCache) observeMemo(qa *match.QueryArtifacts) {
+	if qa == nil {
+		return
+	}
+	hits, misses := qa.MemoStats()
+	c.memoHits.Add(hits)
+	c.memoMisses.Add(misses)
 }
 
 // get returns the profile for (id, s), building and caching one when the
@@ -106,6 +125,7 @@ func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
 	}
 	pt.mu.Unlock()
 	c.size.Set(c.total.Load())
+	c.names.Set(int64(match.InternedNames()))
 	return p
 }
 
@@ -119,6 +139,7 @@ func (c *profileCache) put(id string, p *match.Profile) {
 	pt.m[id] = p
 	pt.mu.Unlock()
 	c.size.Set(c.total.Load())
+	c.names.Set(int64(match.InternedNames()))
 }
 
 // drop evicts the given IDs (missing IDs are ignored).

@@ -3,7 +3,6 @@ package match
 import (
 	"schemr/internal/model"
 	"schemr/internal/query"
-	"schemr/internal/text"
 )
 
 // ContextMatcher builds, for each element, the set of terms of its
@@ -93,92 +92,52 @@ func contextSetsWith(g *model.EntityGraph, s *model.Schema) map[model.ElementRef
 	return out
 }
 
-// simCache memoizes name-pair similarities on normalized forms; context
-// terms repeat heavily across elements of one schema. Read-only gram sources
-// (precomputed query and schema profiles) are consulted before the cache's
-// own map, so the profiled path never recomputes a profiled term's grams.
-type simCache struct {
-	nm    *NameMatcher
-	grams map[string]map[string]int
-	sims  map[[2]string]float64
-	ro    []map[string]map[string]int
-}
-
-func newSimCache(nm *NameMatcher, readonly ...map[string]map[string]int) *simCache {
-	return &simCache{
-		nm:    nm,
-		grams: make(map[string]map[string]int),
-		sims:  make(map[[2]string]float64),
-		ro:    readonly,
+// addSchema indexes a schema's element names and neighbor-term sets: each
+// element's name index and its context set as name indices, both aligned
+// with elems.
+func (ix *nameIndex) addSchema(g *model.EntityGraph, s *model.Schema, elems []model.Element) (elemName []int32, ctx [][]int32) {
+	sets := contextSetsWith(g, s)
+	elemName = make([]int32, len(elems))
+	ctx = make([][]int32, len(elems))
+	for i, el := range elems {
+		elemName[i] = ix.add(el.Name)
+		ctx[i] = ix.addAll(sets[el.Ref])
 	}
+	return elemName, ctx
 }
 
-func (c *simCache) gramsOf(term string) map[string]int {
-	return c.gramsOfNormalized(text.Normalize(term))
-}
-
-// gramsOfNormalized is the cache lookup for a term that is already
-// normalized — each term is normalized exactly once, in sim or gramsOf.
-func (c *simCache) gramsOfNormalized(n string) map[string]int {
-	for _, src := range c.ro {
-		if g, ok := src[n]; ok {
-			return g
+// addQuery is addSchema for a query: fragment elements take their context
+// from their own fragment, keywords have none (nil).
+func (ix *nameIndex) addQuery(q *query.Query, elems []query.Element) (elemName []int32, ctx [][]int32) {
+	sets := make([]map[model.ElementRef][]string, len(q.Fragments))
+	for i, frag := range q.Fragments {
+		sets[i] = contextSets(frag)
+	}
+	elemName = make([]int32, len(elems))
+	ctx = make([][]int32, len(elems))
+	for i, el := range elems {
+		elemName[i] = ix.add(el.Name)
+		if !el.IsKeyword() {
+			ctx[i] = ix.addAll(sets[el.Fragment][el.Ref])
 		}
 	}
-	if g, ok := c.grams[n]; ok {
-		return g
-	}
-	g := c.nm.gramsNormalized(n)
-	c.grams[n] = g
-	return g
-}
-
-func (c *simCache) sim(a, b string) float64 {
-	return c.simNormalized(text.Normalize(a), text.Normalize(b))
-}
-
-func (c *simCache) simNormalized(na, nb string) float64 {
-	if na > nb {
-		na, nb = nb, na
-	}
-	key := [2]string{na, nb}
-	if v, ok := c.sims[key]; ok {
-		return v
-	}
-	v := c.nm.gramSim(c.gramsOfNormalized(na), c.gramsOfNormalized(nb))
-	c.sims[key] = v
-	return v
+	return elemName, ctx
 }
 
 // softJaccard scores two term sets in [0,1]: for each term the best
 // similarity to any term of the other set (zeroed below the threshold),
-// summed both ways and divided by the total term count.
-func (cm *ContextMatcher) softJaccard(cache *simCache, a, b []string) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	na := make([]string, len(a))
-	for i, t := range a {
-		na[i] = text.Normalize(t)
-	}
-	nb := make([]string, len(b))
-	for i, t := range b {
-		nb[i] = text.Normalize(t)
-	}
-	return cm.softJaccardNormalized(cache, na, nb)
-}
-
-// softJaccardNormalized is softJaccard over pre-normalized term sets — the
-// profiled path holds both sides normalized already.
-func (cm *ContextMatcher) softJaccardNormalized(cache *simCache, a, b []string) float64 {
+// summed both ways and divided by the total term count. Terms are name
+// indices; sim(a[i], b[j]) is tab[a[i]*stride+b[j]].
+func (cm *ContextMatcher) softJaccard(tab []float64, stride int, a, b []int32) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
 	total := 0.0
 	for _, ta := range a {
+		row := tab[int(ta)*stride : (int(ta)+1)*stride]
 		best := 0.0
 		for _, tb := range b {
-			if v := cache.simNormalized(ta, tb); v > best {
+			if v := row[tb]; v > best {
 				best = v
 			}
 		}
@@ -189,7 +148,7 @@ func (cm *ContextMatcher) softJaccardNormalized(cache *simCache, a, b []string) 
 	for _, tb := range b {
 		best := 0.0
 		for _, ta := range a {
-			if v := cache.simNormalized(ta, tb); v > best {
+			if v := tab[int(ta)*stride+int(tb)]; v > best {
 				best = v
 			}
 		}
@@ -200,60 +159,55 @@ func (cm *ContextMatcher) softJaccardNormalized(cache *simCache, a, b []string) 
 	return total / float64(len(a)+len(b))
 }
 
-// Match implements Matcher.
-func (cm *ContextMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
-	qe := q.Elements()
-	se := s.Elements()
+// match fills the context matrix from both sides' context sets and the
+// similarity table over their distinct names (unread, so nil will do, for
+// a query without fragments).
+func (cm *ContextMatcher) match(qe []query.Element, se []model.Element, qctx, sctx [][]int32, tab []float64, stride int) *Matrix {
 	m := NewMatrix(qe, se)
-
-	sCtx := contextSets(s)
-	fragCtx := make([]map[model.ElementRef][]string, len(q.Fragments))
-	for i, frag := range q.Fragments {
-		fragCtx[i] = contextSets(frag)
-	}
-	cache := newSimCache(cm.nm)
-
 	for qi, qel := range qe {
 		if qel.IsKeyword() {
 			continue // row stays NotApplicable
 		}
-		qctx := fragCtx[qel.Fragment][qel.Ref]
+		row := m.Scores[qi]
 		for si, sel := range se {
 			// Contexts only compare like with like: entity neighborhoods
 			// against entity neighborhoods, attribute siblings against
 			// attribute siblings.
 			if qel.Kind != sel.Kind {
-				m.Set(qi, si, 0)
-				continue
+				row[si] = 0
+			} else {
+				row[si] = cm.softJaccard(tab, stride, qctx[qi], sctx[si])
 			}
-			m.Set(qi, si, cm.softJaccard(cache, qctx, sCtx[sel.Ref]))
 		}
 	}
 	return m
 }
 
-// MatchProfiled implements ProfiledMatcher: neighbor-term sets and their
-// gram multisets come pre-normalized from the query artifacts and the schema
-// profile; only the cross-side pair similarities are computed here (memoized
-// per candidate in the sim cache).
+// Match implements Matcher, scoring each distinct term pair once on
+// throwaway entries.
+func (cm *ContextMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
+	qe := q.Elements()
+	se := s.Elements()
+	var qix, six nameIndex
+	_, qctx := qix.addQuery(q, qe)
+	_, sctx := six.addSchema(model.NewEntityGraph(s), s, se)
+	var tab []float64
+	if len(q.Fragments) > 0 {
+		tab = simTable(qix.throwaway(cm.nm.maxGram), six.throwaway(cm.nm.maxGram))
+	}
+	return cm.match(qe, se, qctx, sctx, tab, len(six.norms))
+}
+
+// MatchProfiled implements ProfiledMatcher: neighbor-term sets come indexed
+// from the query artifacts and the schema profile, and the term-pair
+// similarities from the per-search memo the name matcher also fills.
 func (cm *ContextMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	if cm.nm.maxGram != qa.maxGram || cm.nm.maxGram != p.maxGram {
+	if cm.nm.maxGram != defaultMaxGram {
 		return cm.Match(qa.query, p.schema)
 	}
-	m := NewMatrix(qa.elems, p.elems)
-	cache := newSimCache(cm.nm, qa.gramsByNorm, p.gramsByNorm)
-	for qi, qel := range qa.elems {
-		if qel.IsKeyword() {
-			continue // row stays NotApplicable
-		}
-		qctx := qa.fragCtxNorm[qel.Fragment][qel.Ref]
-		for si, sel := range p.elems {
-			if qel.Kind != sel.Kind {
-				m.Set(qi, si, 0)
-				continue
-			}
-			m.Set(qi, si, cm.softJaccardNormalized(cache, qctx, p.ctxNorm[sel.Ref]))
-		}
+	var tab []float64
+	if len(qa.query.Fragments) > 0 {
+		tab = qa.sims.table(qa.names, p.names)
 	}
-	return m
+	return cm.match(qa.elems, p.elems, qa.ctx, p.ctx, tab, len(p.names))
 }

@@ -48,13 +48,15 @@ func (em *ExactMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	return m
 }
 
-// MatchProfiled implements ProfiledMatcher using the precomputed normalized
-// names on both sides.
+// MatchProfiled implements ProfiledMatcher using the normalized names both
+// sides' name entries already hold.
 func (em *ExactMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	m := NewMatrix(qa.elems, p.elems)
+	sNames := names.resolve(p.names)
 	for i := range qa.elems {
+		qn := qa.names[qa.elemName[i]].norm
 		for j := range p.elems {
-			if qa.norm[i] != "" && qa.norm[i] == p.norm[j] {
+			if qn != "" && qn == sNames[p.elemName[j]].norm {
 				m.Set(i, j, 1)
 			} else {
 				m.Set(i, j, 0)

@@ -36,6 +36,11 @@ func NewMatrix(q []query.Element, s []model.Element) *Matrix {
 	for i := range flat {
 		flat[i] = NotApplicable
 	}
+	return matrixOver(q, s, flat)
+}
+
+// matrixOver wraps a row-major len(q)×len(s) score array as a Matrix.
+func matrixOver(q []query.Element, s []model.Element, flat []float64) *Matrix {
 	scores := make([][]float64, len(q))
 	for i := range scores {
 		scores[i] = flat[i*len(s) : (i+1)*len(s) : (i+1)*len(s)]

@@ -22,8 +22,8 @@ type NameMatcher struct {
 }
 
 // defaultMaxGram is the n-gram cap used by NewNameMatcher and by the
-// precomputed profiles; a matcher with a different cap falls back to
-// computing grams itself rather than reusing profile grams.
+// interned name dictionary; a matcher with a different cap falls back to
+// building throwaway entries itself rather than reusing interned ones.
 const defaultMaxGram = 32
 
 // NewNameMatcher returns a name matcher with the default n-gram cap (32).
@@ -32,7 +32,8 @@ func NewNameMatcher() *NameMatcher { return &NameMatcher{maxGram: defaultMaxGram
 // Name implements Matcher.
 func (nm *NameMatcher) Name() string { return "name" }
 
-// Cost implements CostTiered: each cell walks two n-gram multisets.
+// Cost implements CostTiered: each distinct name pair merges two n-gram
+// vectors.
 func (nm *NameMatcher) Cost() int { return CostNGrams }
 
 // nameStats are the cheap per-name artifacts ScoreBounds derives bounds
@@ -82,13 +83,11 @@ func gramMass(l, maxGram int) int {
 }
 
 func (nm *NameMatcher) nameStats(name string) nameStats {
-	return nm.nameStatsNormalized(text.Normalize(name))
+	return statsOf(text.Normalize(name), nm.maxGram)
 }
 
-// nameStatsNormalized builds the bound artifacts of an already-normalized
-// name; the precomputed profiles hold normalized forms and use this to
-// avoid normalizing twice.
-func (nm *NameMatcher) nameStatsNormalized(n string) nameStats {
+// statsOf builds the bound artifacts of an already-normalized name.
+func statsOf(n string, maxGram int) nameStats {
 	var st nameStats
 	runes := []rune(n)
 	for _, r := range runes {
@@ -107,7 +106,7 @@ func (nm *NameMatcher) nameStatsNormalized(n string) nameStats {
 			st.bmask[pc>>6] |= 1 << (pc & 63)
 		}
 	}
-	st.mass = gramMass(len(runes), nm.maxGram)
+	st.mass = gramMass(len(runes), maxGram)
 	return st
 }
 
@@ -198,21 +197,6 @@ func (nm *NameMatcher) ScoreBounds(qe []query.Element, se []model.Element, out [
 	for j, el := range se {
 		sStats[j] = nm.nameStats(el.Name)
 	}
-	nm.fillBounds(qStats, sStats, out)
-}
-
-// ScoreBoundsProfiled implements ProfiledBoundedMatcher: both sides' bound
-// artifacts are read from the precomputed profiles instead of being rebuilt
-// per candidate.
-func (nm *NameMatcher) ScoreBoundsProfiled(qa *QueryArtifacts, p *Profile, out []float64) {
-	if nm.maxGram != qa.maxGram || nm.maxGram != p.maxGram {
-		nm.ScoreBounds(qa.elems, p.elems, out)
-		return
-	}
-	nm.fillBounds(qa.stats, p.stats, out)
-}
-
-func (nm *NameMatcher) fillBounds(qStats, sStats []nameStats, out []float64) {
 	for i := range qStats {
 		row := out[i*len(sStats) : (i+1)*len(sStats)]
 		for j := range sStats {
@@ -221,78 +205,68 @@ func (nm *NameMatcher) fillBounds(qStats, sStats []nameStats, out []float64) {
 	}
 }
 
+// ScoreBoundsProfiled implements ProfiledBoundedMatcher: each distinct
+// (query name, schema name) bound comes from the per-search memo, so a pair
+// repeated across cells, candidates and workers is bounded once.
+func (nm *NameMatcher) ScoreBoundsProfiled(qa *QueryArtifacts, p *Profile, out []float64) {
+	if nm.maxGram != defaultMaxGram {
+		nm.ScoreBounds(qa.elems, p.elems, out)
+		return
+	}
+	scatter(qa.bounds.table(qa.names, p.names), len(p.names), qa.elemName, p.elemName, out)
+}
+
+// scatter expands a table over distinct names (row-major, stride columns)
+// into the row-major element×element matrix out.
+func scatter(tab []float64, stride int, rows, cols []int32, out []float64) {
+	for i, r := range rows {
+		src := tab[int(r)*stride : (int(r)+1)*stride]
+		dst := out[i*len(cols) : (i+1)*len(cols)]
+		for j, c := range cols {
+			dst[j] = src[c]
+		}
+	}
+}
+
 // Similarity scores two raw element names in [0,1]: 1 for identical
 // normalized forms, 0 for no shared character n-grams. Exported because the
-// context matcher and evaluation harness reuse it.
+// evaluation harness reuses it.
 func (nm *NameMatcher) Similarity(a, b string) float64 {
-	return nm.gramSim(nm.grams(a), nm.grams(b))
-}
-
-func (nm *NameMatcher) grams(s string) map[string]int {
-	return nm.gramsNormalized(text.Normalize(s))
-}
-
-// gramsNormalized builds the n-gram multiset of an already-normalized name;
-// callers that hold normalized forms (the sim cache, profiles) use it to
-// avoid normalizing twice.
-func (nm *NameMatcher) gramsNormalized(n string) map[string]int {
-	max := len([]rune(n))
-	if max > nm.maxGram {
-		max = nm.maxGram
-	}
-	return text.NGramSet(n, 1, max)
-}
-
-// gramSim blends two views of n-gram overlap: the Dice coefficient, which
-// rewards morphological and delimiter variants of similar length, and a
-// down-weighted overlap coefficient, which rewards containment and so keeps
-// abbreviations ("qty" ⊂ "quantity", "pt hght" ⊂ "patient height") from
-// being drowned by the expansion's extra grams. Taking the max keeps both
-// regimes in [0,1] with identical names still scoring exactly 1.
-func (nm *NameMatcher) gramSim(a, b map[string]int) float64 {
-	dice := text.DiceOverlap(a, b)
-	if overlap := 0.8 * text.OverlapCoefficient(a, b); overlap > dice {
-		return overlap
-	}
-	return dice
+	return gramSim(newNameEntry(text.Normalize(a), nm.maxGram), newNameEntry(text.Normalize(b), nm.maxGram))
 }
 
 // Match implements Matcher: every query element (keywords included — a
-// keyword is just a name) is scored against every schema element.
+// keyword is just a name) is scored against every schema element, each
+// distinct name pair once, on throwaway entries.
 func (nm *NameMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	qe := q.Elements()
 	se := s.Elements()
-	m := NewMatrix(qe, se)
-
-	qGrams := make([]map[string]int, len(qe))
+	var qix, six nameIndex
+	qName := make([]int32, len(qe))
 	for i, el := range qe {
-		qGrams[i] = nm.grams(el.Name)
+		qName[i] = qix.add(el.Name)
 	}
-	// Candidate names repeat rarely, but normalize+grams is the hot loop;
-	// compute once per schema element.
-	sGrams := make([]map[string]int, len(se))
+	sName := make([]int32, len(se))
 	for j, el := range se {
-		sGrams[j] = nm.grams(el.Name)
+		sName[j] = six.add(el.Name)
 	}
-	for i := range qe {
-		for j := range se {
-			m.Set(i, j, nm.gramSim(qGrams[i], sGrams[j]))
-		}
-	}
-	return m
+	tab := simTable(qix.throwaway(nm.maxGram), six.throwaway(nm.maxGram))
+	return nameMatrix(qe, se, tab, len(six.norms), qName, sName)
 }
 
-// MatchProfiled implements ProfiledMatcher: both sides' n-gram multisets are
-// read from the precomputed artifacts instead of being rebuilt per call.
+// MatchProfiled implements ProfiledMatcher: schema names resolve to interned
+// entries and every distinct pair's similarity comes from the per-search
+// memo instead of being recomputed per cell and per candidate.
 func (nm *NameMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	if nm.maxGram != qa.maxGram || nm.maxGram != p.maxGram {
+	if nm.maxGram != defaultMaxGram {
 		return nm.Match(qa.query, p.schema)
 	}
-	m := NewMatrix(qa.elems, p.elems)
-	for i := range qa.elems {
-		for j := range p.elems {
-			m.Set(i, j, nm.gramSim(qa.grams[i], p.grams[j]))
-		}
-	}
-	return m
+	return nameMatrix(qa.elems, p.elems, qa.sims.table(qa.names, p.names), len(p.names), qa.elemName, p.elemName)
+}
+
+// nameMatrix lays a distinct-name similarity table out as the element matrix.
+func nameMatrix(qe []query.Element, se []model.Element, tab []float64, stride int, qName, sName []int32) *Matrix {
+	flat := make([]float64, len(qe)*len(se))
+	scatter(tab, stride, qName, sName, flat)
+	return matrixOver(qe, se, flat)
 }

@@ -1,0 +1,294 @@
+package match
+
+import (
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"schemr/internal/text"
+)
+
+// gram is one distinct character n-gram of a name with its multiplicity.
+type gram struct {
+	s string // substring of the owning entry's norm; no bytes of its own
+	n int32
+}
+
+// compareGrams orders grams by byte length, then bytes — any total order
+// works for the merge in sharedMass, and this one settles most comparisons
+// on the length alone.
+func compareGrams(a, b string) int {
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	return strings.Compare(a, b)
+}
+
+// nameEntry holds everything the name and context matchers derive from one
+// normalized name: its n-gram multiset (every substring of 1..maxGram
+// runes) as a vector sorted by compareGrams, and the score-bound artifacts.
+// Entries are immutable once built.
+type nameEntry struct {
+	norm  string
+	grams []gram
+	stats nameStats
+}
+
+// newNameEntry builds the entry of an already-normalized name. Interned
+// entries (nameTable) and throwaway ones (unprofiled matching, query names
+// the corpus has never seen) come from here, so there is one gram kernel.
+func newNameEntry(n string, maxGram int) *nameEntry {
+	e := &nameEntry{norm: n, stats: statsOf(n, maxGram)}
+	if e.stats.mass == 0 {
+		return e
+	}
+	offs := make([]int, 0, len(n)+1) // byte offset of each rune, then len(n)
+	for i := range n {
+		offs = append(offs, i)
+	}
+	offs = append(offs, len(n))
+	runes := len(offs) - 1
+	gs := make([]gram, 0, e.stats.mass)
+	for l := 1; l <= runes && l <= maxGram; l++ {
+		for i := 0; i+l <= runes; i++ {
+			gs = append(gs, gram{s: n[offs[i]:offs[i+l]], n: 1})
+		}
+	}
+	slices.SortFunc(gs, func(a, b gram) int { return compareGrams(a.s, b.s) })
+	k := 0
+	for _, g := range gs[1:] {
+		if g.s == gs[k].s {
+			gs[k].n++
+		} else {
+			k++
+			gs[k] = g
+		}
+	}
+	e.grams = gs[:k+1]
+	return e
+}
+
+// sharedMass returns the size of the multiset intersection of two sorted
+// gram vectors in one merge pass.
+func sharedMass(a, b []gram) int {
+	inter, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := compareGrams(a[i].s, b[j].s); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			inter += int(min(a[i].n, b[j].n))
+			i++
+			j++
+		}
+	}
+	return inter
+}
+
+// gramSim blends two views of n-gram overlap: the Dice coefficient
+// 2·|A∩B|/(|A|+|B|), which rewards morphological and delimiter variants of
+// similar length, and a down-weighted overlap coefficient |A∩B|/min(|A|,|B|),
+// which rewards containment and so keeps abbreviations ("qty" ⊂ "quantity",
+// "pt hght" ⊂ "patient height") from being drowned by the expansion's extra
+// grams. Taking the max keeps both regimes in [0,1] with identical names
+// still scoring exactly 1; an empty name scores 0 against everything.
+func gramSim(a, b *nameEntry) float64 {
+	ma, mb := a.stats.mass, b.stats.mass
+	if ma == 0 || mb == 0 {
+		return 0
+	}
+	inter := float64(sharedMass(a.grams, b.grams))
+	dice := 2 * inter / float64(ma+mb)
+	if overlap := 0.8 * (inter / float64(min(ma, mb))); overlap > dice {
+		return overlap
+	}
+	return dice
+}
+
+// nameBound is boundPair on two entries built with the default cap — the
+// bound half of the per-search memo.
+func nameBound(a, b *nameEntry) float64 {
+	return boundPair(&a.stats, &b.stats, defaultMaxGram)
+}
+
+// nameID identifies one interned normalized name.
+type nameID uint32
+
+// nameTable is the corpus-wide name dictionary: one nameEntry per distinct
+// normalized name any profiled schema has used, so every schema with an
+// "id" column shares one gram vector. It is derived in-memory state,
+// filled lazily by NewProfile and append-only: an entry outlives the
+// schemas that used it, which bounds the table by the vocabulary ever
+// imported rather than by the live corpus. Query names are looked up but
+// never inserted, so serving searches cannot grow it.
+type nameTable struct {
+	mu      sync.RWMutex
+	ids     map[string]nameID
+	entries []*nameEntry
+}
+
+var names = &nameTable{ids: make(map[string]nameID)}
+
+// InternedNames returns the number of distinct normalized names in the
+// dictionary.
+func InternedNames() int {
+	names.mu.RLock()
+	defer names.mu.RUnlock()
+	return len(names.entries)
+}
+
+// intern returns the ID of a normalized name, adding its entry on first
+// sight. The entry is built outside the write lock.
+func (t *nameTable) intern(n string) nameID {
+	t.mu.RLock()
+	id, ok := t.ids[n]
+	t.mu.RUnlock()
+	if ok {
+		return id
+	}
+	e := newNameEntry(n, defaultMaxGram)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := t.ids[n]; ok {
+		return id
+	}
+	id = nameID(len(t.entries))
+	t.entries = append(t.entries, e)
+	t.ids[n] = id
+	return id
+}
+
+// lookup returns the entry of a normalized name, or nil when it is not
+// interned.
+func (t *nameTable) lookup(n string) *nameEntry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if id, ok := t.ids[n]; ok {
+		return t.entries[id]
+	}
+	return nil
+}
+
+// resolve returns the entries of the given IDs.
+func (t *nameTable) resolve(ids []nameID) []*nameEntry {
+	out := make([]*nameEntry, len(ids))
+	t.mu.RLock()
+	for i, id := range ids {
+		out[i] = t.entries[id]
+	}
+	t.mu.RUnlock()
+	return out
+}
+
+// nameIndex assigns dense local indices to the distinct normalized names of
+// one side of a match (a schema, or a query), so element names and context
+// term sets become small integers indexing one similarity table.
+type nameIndex struct {
+	norms  []string // distinct normalized names, in first-seen order
+	byRaw  map[string]int32
+	byNorm map[string]int32
+}
+
+// add returns the local index of a raw name, normalizing each distinct raw
+// spelling once.
+func (ix *nameIndex) add(raw string) int32 {
+	if i, ok := ix.byRaw[raw]; ok {
+		return i
+	}
+	if ix.byRaw == nil {
+		ix.byRaw, ix.byNorm = make(map[string]int32), make(map[string]int32)
+	}
+	n := text.Normalize(raw)
+	i, ok := ix.byNorm[n]
+	if !ok {
+		i = int32(len(ix.norms))
+		ix.norms = append(ix.norms, n)
+		ix.byNorm[n] = i
+	}
+	ix.byRaw[raw] = i
+	return i
+}
+
+func (ix *nameIndex) addAll(raw []string) []int32 {
+	out := make([]int32, len(raw))
+	for i, r := range raw {
+		out[i] = ix.add(r)
+	}
+	return out
+}
+
+// throwaway builds non-interned entries for the index's names — the
+// unprofiled matchers' side of the kernel.
+func (ix *nameIndex) throwaway(maxGram int) []*nameEntry {
+	out := make([]*nameEntry, len(ix.norms))
+	for i, n := range ix.norms {
+		out[i] = newNameEntry(n, maxGram)
+	}
+	return out
+}
+
+// simTable returns gramSim(q, s) for every pair, row-major len(qs)×len(ss).
+func simTable(qs, ss []*nameEntry) []float64 {
+	out := make([]float64, 0, len(qs)*len(ss))
+	for _, q := range qs {
+		for _, s := range ss {
+			out = append(out, gramSim(q, s))
+		}
+	}
+	return out
+}
+
+// pairMemo remembers score(query name, schema name) for one search, keyed
+// by the query name's local index and the schema name's ID, so each
+// distinct pair is scored once across all candidates and all phase-2
+// workers however many matrix cells and context-term comparisons repeat it.
+// Workers racing on the same missing pair both compute it; the value is a
+// pure function of the pair, so either store is correct.
+type pairMemo struct {
+	score func(q, s *nameEntry) float64
+
+	mu sync.RWMutex
+	m  map[uint64]float64
+
+	hits, misses atomic.Uint64
+}
+
+// table returns score(qs[i], entry of ids[j]) for every pair, row-major
+// len(qs)×len(ids), taking each lock once per call rather than per cell.
+func (pm *pairMemo) table(qs []*nameEntry, ids []nameID) []float64 {
+	out := make([]float64, len(qs)*len(ids))
+	var missing []int // cells absent from the memo
+	pm.mu.RLock()
+	for qi := range qs {
+		row := out[qi*len(ids) : (qi+1)*len(ids)]
+		for j, id := range ids {
+			v, ok := pm.m[uint64(qi)<<32|uint64(id)]
+			if !ok {
+				missing = append(missing, qi*len(ids)+j)
+			}
+			row[j] = v
+		}
+	}
+	pm.mu.RUnlock()
+	pm.hits.Add(uint64(len(out) - len(missing)))
+	if len(missing) == 0 {
+		return out
+	}
+	pm.misses.Add(uint64(len(missing)))
+	ss := names.resolve(ids)
+	for _, c := range missing {
+		out[c] = pm.score(qs[c/len(ids)], ss[c%len(ids)])
+	}
+	pm.mu.Lock()
+	if pm.m == nil {
+		pm.m = make(map[uint64]float64)
+	}
+	for _, c := range missing {
+		pm.m[uint64(c/len(ids))<<32|uint64(ids[c%len(ids)])] = out[c]
+	}
+	pm.mu.Unlock()
+	return out
+}

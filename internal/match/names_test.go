@@ -1,0 +1,315 @@
+package match
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"schemr/internal/model"
+	"schemr/internal/query"
+	"schemr/internal/text"
+)
+
+// The oracle: the map-based gram kernel the sorted-vector one replaced —
+// n-gram frequency maps, Dice coefficient against down-weighted overlap
+// coefficient. Kept here only, as the reference the kernel and the memoised
+// paths must equal bit for bit.
+
+func oracleGrams(norm string, maxGram int) map[string]int {
+	set := map[string]int{}
+	for _, g := range text.NGrams(norm, 1, min(len([]rune(norm)), maxGram)) {
+		set[g]++
+	}
+	return set
+}
+
+func oracleSim(na, nb string, maxGram int) float64 {
+	a, b := oracleGrams(na, maxGram), oracleGrams(nb, maxGram)
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	inter, sizeA, sizeB := 0, 0, 0
+	for _, c := range a {
+		sizeA += c
+	}
+	for g, cb := range b {
+		sizeB += cb
+		inter += min(a[g], cb)
+	}
+	dice := 2 * float64(inter) / float64(sizeA+sizeB)
+	if overlap := 0.8 * (float64(inter) / float64(min(sizeA, sizeB))); overlap > dice {
+		return overlap
+	}
+	return dice
+}
+
+// oracleSoftJaccard is the context matcher's set similarity over raw term
+// strings, scored by oracleSim.
+func oracleSoftJaccard(a, b []string, minTermSim float64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	sim := func(x, y string) float64 {
+		return oracleSim(text.Normalize(x), text.Normalize(y), defaultMaxGram)
+	}
+	total := 0.0
+	for _, ta := range a {
+		best := 0.0
+		for _, tb := range b {
+			best = max(best, sim(ta, tb))
+		}
+		if best >= minTermSim {
+			total += best
+		}
+	}
+	for _, tb := range b {
+		best := 0.0
+		for _, ta := range a {
+			best = max(best, sim(ta, tb))
+		}
+		if best >= minTermSim {
+			total += best
+		}
+	}
+	return total / float64(len(a)+len(b))
+}
+
+// oracleMatrices scores q against s the slow way: the name matrix and the
+// context matrix, cell by cell, from raw strings.
+func oracleMatrices(q *query.Query, s *model.Schema) (name, ctx *Matrix) {
+	qe, se := q.Elements(), s.Elements()
+	name, ctx = NewMatrix(qe, se), NewMatrix(qe, se)
+	sCtx := contextSets(s)
+	for qi, qel := range qe {
+		for si, sel := range se {
+			name.Set(qi, si, oracleSim(text.Normalize(qel.Name), text.Normalize(sel.Name), defaultMaxGram))
+			switch {
+			case qel.IsKeyword():
+			case qel.Kind != sel.Kind:
+				ctx.Set(qi, si, 0)
+			default:
+				qCtx := contextSets(q.Fragments[qel.Fragment])[qel.Ref]
+				ctx.Set(qi, si, oracleSoftJaccard(qCtx, sCtx[sel.Ref], NewContextMatcher().minTermSim))
+			}
+		}
+	}
+	return name, ctx
+}
+
+// nameGen draws element names that stress the kernel: a small shared
+// vocabulary (so names repeat within and across schemas), delimiter and case
+// variants, empty and all-delimiter names, non-ASCII runes, runs of one
+// character, and names well past the 32-rune gram cap.
+type nameGen struct{ rng *rand.Rand }
+
+var genVocab = []string{"id", "patient", "pt_hght", "patientHeight", "height", "diagnosis",
+	"diagnoses", "order date", "ORDER_DATE", "qty", "quantity", "größe", "名前", "naïve_café", "", "__", "a"}
+
+func (g nameGen) name() string {
+	switch g.rng.Intn(10) {
+	case 0, 1, 2, 3:
+		return genVocab[g.rng.Intn(len(genVocab))]
+	case 4:
+		return genVocab[g.rng.Intn(len(genVocab))] + "_" + genVocab[g.rng.Intn(len(genVocab))]
+	case 5:
+		n := 1 + g.rng.Intn(50)
+		r := []rune("aab日")[g.rng.Intn(4)]
+		out := make([]rune, n)
+		for i := range out {
+			out[i] = r
+		}
+		return string(out)
+	}
+	alphabet := []rune("abcdeéß日xyz019_ -")
+	n := g.rng.Intn(12)
+	if g.rng.Intn(6) == 0 {
+		n = 33 + g.rng.Intn(40) // longer than the gram cap
+	}
+	out := make([]rune, n)
+	for i := range out {
+		out[i] = alphabet[g.rng.Intn(len(alphabet))]
+	}
+	return string(out)
+}
+
+func (g nameGen) schema(id string) *model.Schema {
+	s := &model.Schema{ID: id, Name: id}
+	for e := 0; e < 1+g.rng.Intn(3); e++ {
+		ent := &model.Entity{Name: fmt.Sprintf("%s%d", g.name(), e)}
+		for a := 0; a < g.rng.Intn(6); a++ {
+			ent.Attributes = append(ent.Attributes, &model.Attribute{Name: g.name()})
+		}
+		s.Entities = append(s.Entities, ent)
+	}
+	for e := 1; e < len(s.Entities); e++ {
+		if g.rng.Intn(2) == 0 {
+			s.ForeignKeys = append(s.ForeignKeys, model.ForeignKey{FromEntity: s.Entities[e].Name, ToEntity: s.Entities[e-1].Name})
+		}
+	}
+	return s
+}
+
+func (g nameGen) query() *query.Query {
+	q := &query.Query{}
+	for k := 0; k < g.rng.Intn(4); k++ {
+		q.Keywords = append(q.Keywords, g.name())
+	}
+	if len(q.Keywords) == 0 || g.rng.Intn(2) == 0 {
+		q.Fragments = append(q.Fragments, g.schema("frag"))
+	}
+	return q
+}
+
+// TestGramKernelMatchesOracle: the sorted-vector kernel equals the map
+// oracle bit for bit, at the default cap and at caps small enough to bite.
+func TestGramKernelMatchesOracle(t *testing.T) {
+	g := nameGen{rand.New(rand.NewSource(41))}
+	for _, maxGram := range []int{defaultMaxGram, 3, 1} {
+		nm := &NameMatcher{maxGram: maxGram}
+		for i := 0; i < 1500; i++ {
+			a, b := g.name(), g.name()
+			na, nb := text.Normalize(a), text.Normalize(b)
+			want := oracleSim(na, nb, maxGram)
+			if got := gramSim(newNameEntry(na, maxGram), newNameEntry(nb, maxGram)); got != want {
+				t.Fatalf("cap %d: gramSim(%q, %q) = %v, oracle %v", maxGram, na, nb, got, want)
+			}
+			if got := nm.Similarity(a, b); got != want {
+				t.Fatalf("cap %d: Similarity(%q, %q) = %v, oracle %v", maxGram, a, b, got, want)
+			}
+		}
+	}
+}
+
+func sameMatrix(t *testing.T, label string, got, want *Matrix) {
+	t.Helper()
+	for i := range want.Scores {
+		for j := range want.Scores[i] {
+			if got.Scores[i][j] != want.Scores[i][j] {
+				t.Fatalf("%s cell (%d,%d) %q × %q: %v, oracle %v", label, i, j,
+					want.Query[i].Name, want.Schema[j].Name, got.Scores[i][j], want.Scores[i][j])
+			}
+		}
+	}
+}
+
+// TestMemoisedMatchMatchesOracle: the profiled name and context matrices —
+// interned entries, memoised pairs, each query scored against several
+// schemas so the memo is cold, then warm — and the unprofiled ones on
+// throwaway entries all equal the oracle bit for bit.
+func TestMemoisedMatchMatchesOracle(t *testing.T) {
+	g := nameGen{rand.New(rand.NewSource(43))}
+	nm, cm := NewNameMatcher(), NewContextMatcher()
+	var profiles []*Profile
+	for i := 0; i < 12; i++ {
+		profiles = append(profiles, NewProfile(g.schema(fmt.Sprintf("s%d", i))))
+	}
+	for qi := 0; qi < 25; qi++ {
+		q := g.query()
+		qa := NewQueryArtifacts(q)
+		for pass := 0; pass < 2; pass++ {
+			for _, p := range profiles {
+				wantName, wantCtx := oracleMatrices(q, p.Schema())
+				label := fmt.Sprintf("q%d %s pass %d", qi, p.Schema().ID, pass)
+				sameMatrix(t, label+" name profiled", nm.MatchProfiled(qa, p), wantName)
+				sameMatrix(t, label+" context profiled", cm.MatchProfiled(qa, p), wantCtx)
+				if pass == 0 {
+					sameMatrix(t, label+" name", nm.Match(q, p.Schema()), wantName)
+					sameMatrix(t, label+" context", cm.Match(q, p.Schema()), wantCtx)
+				}
+			}
+		}
+		if hits, misses := qa.MemoStats(); hits == 0 || misses == 0 {
+			t.Fatalf("q%d: memo hits %d misses %d; both passes should register", qi, hits, misses)
+		}
+	}
+}
+
+// TestMemoisedBoundsEqualBoundPair: the memoised bound matrix is boundPair
+// on the two names' stats, cell for cell.
+func TestMemoisedBoundsEqualBoundPair(t *testing.T) {
+	g := nameGen{rand.New(rand.NewSource(47))}
+	nm := NewNameMatcher()
+	for i := 0; i < 30; i++ {
+		q, p := g.query(), NewProfile(g.schema("b"))
+		qa := NewQueryArtifacts(q)
+		qe, se := qa.Elements(), p.Elements()
+		for pass := 0; pass < 2; pass++ {
+			got := make([]float64, len(qe)*len(se))
+			nm.ScoreBoundsProfiled(qa, p, got)
+			want := make([]float64, len(qe)*len(se))
+			nm.ScoreBounds(qe, se, want)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("pass %d cell %d: memoised bound %v, direct %v", pass, c, got[c], want[c])
+				}
+			}
+		}
+	}
+}
+
+// TestInternSharesAndLooksUp: two schemas using one name share one entry,
+// and query artifacts reuse interned entries without adding any.
+func TestInternSharesAndLooksUp(t *testing.T) {
+	a := NewProfile(&model.Schema{ID: "a", Entities: []*model.Entity{{Name: "Shared_Intern_Probe"}}})
+	before := InternedNames()
+	b := NewProfile(&model.Schema{ID: "b", Entities: []*model.Entity{{Name: "sharedInternProbe"}}})
+	if a.names[0] != b.names[0] {
+		t.Fatalf("one normalized name interned twice: %d and %d", a.names[0], b.names[0])
+	}
+	qa := NewQueryArtifacts(&query.Query{Keywords: []string{"shared intern probe", "never-interned-probe-zqx"}})
+	if qa.names[0] != names.resolve(a.names)[0] {
+		t.Fatal("query artifacts rebuilt an interned name's entry")
+	}
+	if got := InternedNames(); got != before {
+		t.Fatalf("interned names grew %d -> %d without a new schema name", before, got)
+	}
+}
+
+// TestInternConcurrent hammers intern, lookup and the memo from many
+// goroutines (meaningful under -race): IDs must be stable and unique.
+func TestInternConcurrent(t *testing.T) {
+	q := &query.Query{Keywords: []string{"concurrent", "intern"}}
+	qa := NewQueryArtifacts(q)
+	var wg sync.WaitGroup
+	ids := make([][]nameID, 8)
+	for w := range ids {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s := &model.Schema{ID: "c", Entities: []*model.Entity{{Name: fmt.Sprintf("concurrent_intern_%d", i)}}}
+				p := NewProfile(s)
+				ids[w] = append(ids[w], p.names[0])
+				NewNameMatcher().MatchProfiled(qa, p)
+				NewQueryArtifacts(q)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < len(ids); w++ {
+		for i := range ids[w] {
+			if ids[w][i] != ids[0][i] {
+				t.Fatalf("worker %d saw ID %d for name %d, worker 0 saw %d", w, ids[w][i], i, ids[0][i])
+			}
+		}
+	}
+}
+
+// TestMatchProfiledWarmAllocs: a warm profiled name match allocates the
+// matrix and the distinct-name table, nothing per cell.
+func TestMatchProfiledWarmAllocs(t *testing.T) {
+	q, err := query.Parse(query.Input{Keywords: "patient height gender diagnosis",
+		DDL: "CREATE TABLE patient (height FLOAT, gender VARCHAR(8), diagnosis VARCHAR(32));"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nm := NewNameMatcher()
+	qa, p := NewQueryArtifacts(q), NewProfile(clinicCandidate())
+	nm.MatchProfiled(qa, p) // fill the memo
+	const ceiling = 6       // table, flat scores, row headers, Matrix; slack for the runtime
+	if allocs := testing.AllocsPerRun(100, func() { nm.MatchProfiled(qa, p) }); allocs > ceiling {
+		t.Fatalf("warm NameMatcher.MatchProfiled allocates %v times per run (%d cells), ceiling %d",
+			allocs, len(qa.Elements())*len(p.Elements()), ceiling)
+	}
+}

@@ -5,16 +5,15 @@ import (
 
 	"schemr/internal/model"
 	"schemr/internal/query"
-	"schemr/internal/text"
 )
 
 // Profile holds every query-independent artifact the fine-grained phases
-// derive from one candidate schema: its element list, normalized names,
-// name n-gram multisets, context neighbor-term sets (pre-normalized, with
-// their gram multisets), coarse type classes, and the entity graph with the
-// BFS distance map of every anchor. Building one costs about as much as a
-// single unprofiled Ensemble.Match + tightness.Score against that schema;
-// every subsequent search reuses it, which is what makes the engine's
+// derive from one candidate schema: its element list, the IDs of its
+// distinct names in the name dictionary (gram vectors and bound artifacts
+// live there, shared by every schema that uses the name), element names and
+// context neighbor-term sets as indices into that ID list, coarse type
+// classes, and the entity graph with the BFS distance map of every anchor.
+// Every subsequent search reuses it, which is what makes the engine's
 // profile cache pay off.
 //
 // A Profile is immutable after construction and safe for concurrent use. It
@@ -22,64 +21,34 @@ import (
 // callers cache profiles keyed by schema identity so a replaced schema is
 // never scored through a stale profile.
 type Profile struct {
-	schema  *model.Schema
-	elems   []model.Element
-	norm    []string         // normalized element names, aligned with elems
-	grams   []map[string]int // name n-gram multisets, aligned with elems
-	stats   []nameStats      // name score-bound artifacts, aligned with elems
-	class   []typeClass      // coarse type classes, aligned with elems
-	maxGram int              // n-gram cap the gram multisets were built with
+	schema *model.Schema
+	elems  []model.Element
+	class  []typeClass // coarse type classes, aligned with elems
 
-	ctxNorm     map[model.ElementRef][]string // normalized neighbor-term sets
-	gramsByNorm map[string]map[string]int     // normalized term → gram multiset
+	names    []nameID  // the schema's distinct names (elements and context terms)
+	elemName []int32   // index into names of each element's name, aligned with elems
+	ctx      [][]int32 // neighbor-term sets as indices into names, aligned with elems
 
 	graph   *model.EntityGraph
 	anchors []string                  // sorted entity names
 	dists   map[string]map[string]int // anchor → entity → FK hops
 }
 
-// NewProfile precomputes the match profile of a schema. The gram multisets
-// use the default name-matcher cap; a NameMatcher configured differently
-// detects the mismatch and recomputes rather than reusing them.
+// NewProfile precomputes the match profile of a schema, interning its names
+// in the name dictionary.
 func NewProfile(s *model.Schema) *Profile {
-	nm := NewNameMatcher()
 	elems := s.Elements()
 	p := &Profile{
-		schema:      s,
-		elems:       elems,
-		norm:        make([]string, len(elems)),
-		grams:       make([]map[string]int, len(elems)),
-		stats:       make([]nameStats, len(elems)),
-		class:       schemaTypeClasses(elems),
-		maxGram:     nm.maxGram,
-		gramsByNorm: make(map[string]map[string]int, len(elems)),
+		schema: s,
+		elems:  elems,
+		class:  schemaTypeClasses(elems),
+		graph:  model.NewEntityGraph(s),
 	}
-	for i, el := range elems {
-		n := text.Normalize(el.Name)
-		p.norm[i] = n
-		p.stats[i] = nm.nameStatsNormalized(n)
-		if g, ok := p.gramsByNorm[n]; ok {
-			p.grams[i] = g
-		} else {
-			g = nm.gramsNormalized(n)
-			p.grams[i] = g
-			p.gramsByNorm[n] = g
-		}
-	}
-
-	p.graph = model.NewEntityGraph(s)
-	ctx := contextSetsWith(p.graph, s)
-	p.ctxNorm = make(map[model.ElementRef][]string, len(ctx))
-	for ref, terms := range ctx {
-		normed := make([]string, len(terms))
-		for i, t := range terms {
-			n := text.Normalize(t)
-			normed[i] = n
-			if _, ok := p.gramsByNorm[n]; !ok {
-				p.gramsByNorm[n] = nm.gramsNormalized(n)
-			}
-		}
-		p.ctxNorm[ref] = normed
+	var ix nameIndex
+	p.elemName, p.ctx = ix.addSchema(p.graph, s, elems)
+	p.names = make([]nameID, len(ix.norms))
+	for i, n := range ix.norms {
+		p.names[i] = names.intern(n)
 	}
 
 	p.anchors = make([]string, 0, len(s.Entities))
@@ -112,66 +81,52 @@ func (p *Profile) Anchors() []string { return p.anchors }
 func (p *Profile) AnchorDistances(anchor string) map[string]int { return p.dists[anchor] }
 
 // QueryArtifacts holds the query-side computations shared across every
-// candidate of one search: elements, normalized names, gram multisets, type
-// classes and per-fragment context sets. Built once per search, read-only
-// afterwards, safe for concurrent use by the parallel match workers.
+// candidate of one search: elements, the entries of the query's distinct
+// names, element names and per-fragment context sets as indices into them,
+// type classes, and the memo of name-pair similarities and bounds. Built
+// once per search and safe for concurrent use by the parallel match workers;
+// only the memo changes afterwards.
 type QueryArtifacts struct {
-	query   *query.Query
-	elems   []query.Element
-	norm    []string
-	grams   []map[string]int
-	stats   []nameStats
-	class   []typeClass
-	maxGram int
+	query *query.Query
+	elems []query.Element
+	class []typeClass
 
-	fragCtxNorm []map[model.ElementRef][]string
-	gramsByNorm map[string]map[string]int
+	// names holds one entry per distinct query-side name: the interned one
+	// when the corpus knows the name, a throwaway otherwise.
+	names    []*nameEntry
+	elemName []int32   // index into names, aligned with elems
+	ctx      [][]int32 // context term sets as indices into names; nil for keywords
+
+	sims, bounds pairMemo
 }
 
 // NewQueryArtifacts precomputes the query side of the matcher ensemble.
 func NewQueryArtifacts(q *query.Query) *QueryArtifacts {
-	nm := NewNameMatcher()
 	elems := q.Elements()
 	qa := &QueryArtifacts{
-		query:       q,
-		elems:       elems,
-		norm:        make([]string, len(elems)),
-		grams:       make([]map[string]int, len(elems)),
-		stats:       make([]nameStats, len(elems)),
-		class:       queryTypeClasses(q, elems),
-		maxGram:     nm.maxGram,
-		gramsByNorm: make(map[string]map[string]int, len(elems)),
+		query:  q,
+		elems:  elems,
+		class:  queryTypeClasses(q, elems),
+		sims:   pairMemo{score: gramSim},
+		bounds: pairMemo{score: nameBound},
 	}
-	for i, el := range elems {
-		n := text.Normalize(el.Name)
-		qa.norm[i] = n
-		qa.stats[i] = nm.nameStatsNormalized(n)
-		if g, ok := qa.gramsByNorm[n]; ok {
-			qa.grams[i] = g
-		} else {
-			g = nm.gramsNormalized(n)
-			qa.grams[i] = g
-			qa.gramsByNorm[n] = g
+	var ix nameIndex
+	qa.elemName, qa.ctx = ix.addQuery(q, elems)
+	qa.names = make([]*nameEntry, len(ix.norms))
+	for i, n := range ix.norms {
+		e := names.lookup(n)
+		if e == nil {
+			e = newNameEntry(n, defaultMaxGram)
 		}
-	}
-	qa.fragCtxNorm = make([]map[model.ElementRef][]string, len(q.Fragments))
-	for fi, frag := range q.Fragments {
-		ctx := contextSets(frag)
-		normed := make(map[model.ElementRef][]string, len(ctx))
-		for ref, terms := range ctx {
-			nt := make([]string, len(terms))
-			for i, t := range terms {
-				n := text.Normalize(t)
-				nt[i] = n
-				if _, ok := qa.gramsByNorm[n]; !ok {
-					qa.gramsByNorm[n] = nm.gramsNormalized(n)
-				}
-			}
-			normed[ref] = nt
-		}
-		qa.fragCtxNorm[fi] = normed
+		qa.names[i] = e
 	}
 	return qa
+}
+
+// MemoStats reports how many name-pair lookups of this search the memo
+// answered (hits) and how many it had to score (misses).
+func (qa *QueryArtifacts) MemoStats() (hits, misses uint64) {
+	return qa.sims.hits.Load() + qa.bounds.hits.Load(), qa.sims.misses.Load() + qa.bounds.misses.Load()
 }
 
 // Query returns the query the artifacts were built from.

@@ -151,25 +151,3 @@ func TestProfileGraphArtifacts(t *testing.T) {
 		}
 	}
 }
-
-// TestSimCacheSingleNormalization pins the satellite fix: gramsOf and sim
-// must agree with the name matcher on raw and pre-normalized inputs.
-func TestSimCacheSingleNormalization(t *testing.T) {
-	nm := NewNameMatcher()
-	c := newSimCache(nm)
-	for _, pair := range [][2]string{
-		{"Patient_Height", "pt hght"},
-		{"orderQty", "order quantity"},
-		{"HTTPServer", "httpserver"},
-		{"addr2line", "ADDR-2-LINE"},
-	} {
-		want := nm.Similarity(pair[0], pair[1])
-		if got := c.sim(pair[0], pair[1]); got != want {
-			t.Errorf("sim(%q,%q) = %v, want %v", pair[0], pair[1], got, want)
-		}
-		// Cached second call must return the identical value.
-		if got := c.sim(pair[1], pair[0]); got != want {
-			t.Errorf("sim(%q,%q) cached = %v, want %v", pair[1], pair[0], got, want)
-		}
-	}
-}

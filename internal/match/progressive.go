@@ -16,7 +16,7 @@ const (
 	// CostTrivial: per-cell work is a hash lookup or equality test on
 	// precomputed artifacts (exact, type).
 	CostTrivial = 0
-	// CostNGrams: per-cell work walks two n-gram multisets (name).
+	// CostNGrams: work merges two n-gram vectors per distinct name pair (name).
 	CostNGrams = 1
 	// CostSets: per-cell work intersects small derived sets (synonym).
 	CostSets = 2

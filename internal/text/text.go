@@ -162,80 +162,6 @@ func NGrams(s string, min, max int) []string {
 	return out
 }
 
-// NGramSet returns the deduplicated n-grams of s with a count for each,
-// i.e. the n-gram multiset as a frequency map.
-func NGramSet(s string, min, max int) map[string]int {
-	grams := NGrams(s, min, max)
-	if grams == nil {
-		return nil
-	}
-	set := make(map[string]int, len(grams))
-	for _, g := range grams {
-		set[g]++
-	}
-	return set
-}
-
-// DiceOverlap computes the Dice coefficient between two n-gram frequency
-// maps: 2·|A∩B| / (|A|+|B|) counting multiplicities. It is symmetric and
-// always in [0,1]; two empty sets score 0.
-func DiceOverlap(a, b map[string]int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sizeA, sizeB, inter := 0, 0, 0
-	for _, c := range a {
-		sizeA += c
-	}
-	for g, cb := range b {
-		sizeB += cb
-		if ca, ok := a[g]; ok {
-			if ca < cb {
-				inter += ca
-			} else {
-				inter += cb
-			}
-		}
-	}
-	if sizeA+sizeB == 0 {
-		return 0
-	}
-	return 2 * float64(inter) / float64(sizeA+sizeB)
-}
-
-// OverlapCoefficient computes |A∩B| / min(|A|,|B|) over two n-gram
-// frequency maps, counting multiplicities. Unlike Dice it does not punish
-// length mismatch, which makes it the right measure for abbreviation ↔
-// expansion pairs ("qty" is almost contained in "quantity"). Symmetric,
-// in [0,1]; empty inputs score 0.
-func OverlapCoefficient(a, b map[string]int) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	sizeA, sizeB, inter := 0, 0, 0
-	for _, c := range a {
-		sizeA += c
-	}
-	for g, cb := range b {
-		sizeB += cb
-		if ca, ok := a[g]; ok {
-			if ca < cb {
-				inter += ca
-			} else {
-				inter += cb
-			}
-		}
-	}
-	min := sizeA
-	if sizeB < min {
-		min = sizeB
-	}
-	if min == 0 {
-		return 0
-	}
-	return float64(inter) / float64(min)
-}
-
 // JaccardTokens computes the Jaccard similarity |A∩B|/|A∪B| between two
 // token slices treated as sets. Empty∪empty scores 0.
 func JaccardTokens(a, b []string) float64 {

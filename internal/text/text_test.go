@@ -115,63 +115,6 @@ func TestNGramsCount(t *testing.T) {
 	}
 }
 
-func TestNGramSet(t *testing.T) {
-	set := NGramSet("aa", 1, 2)
-	if set["a"] != 2 || set["aa"] != 1 {
-		t.Errorf("NGramSet(aa) = %v", set)
-	}
-	if NGramSet("", 1, 2) != nil {
-		t.Errorf("NGramSet(empty) should be nil")
-	}
-}
-
-func TestDiceOverlap(t *testing.T) {
-	a := NGramSet("patient", 1, 7)
-	if got := DiceOverlap(a, a); got != 1 {
-		t.Errorf("Dice(self) = %v, want 1", got)
-	}
-	b := NGramSet("zzzzqqqq", 1, 8)
-	if got := DiceOverlap(a, b); got != 0 {
-		t.Errorf("Dice(disjoint) = %v, want 0", got)
-	}
-	if got := DiceOverlap(nil, a); got != 0 {
-		t.Errorf("Dice(nil,x) = %v, want 0", got)
-	}
-	// Abbreviation shares grams with its expansion.
-	abbr := NGramSet("pt", 1, 2)
-	full := NGramSet("patient", 1, 7)
-	if got := DiceOverlap(abbr, full); got <= 0 {
-		t.Errorf("Dice(pt, patient) = %v, want > 0", got)
-	}
-}
-
-func TestDiceOverlapProperties(t *testing.T) {
-	f := func(x, y string) bool {
-		a := NGramSet(x, 1, len([]rune(x)))
-		b := NGramSet(y, 1, len([]rune(y)))
-		d1 := DiceOverlap(a, b)
-		d2 := DiceOverlap(b, a)
-		if d1 != d2 {
-			return false // symmetry
-		}
-		return d1 >= 0 && d1 <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-	// Self-similarity is 1 for non-empty strings.
-	g := func(x string) bool {
-		if len([]rune(x)) == 0 {
-			return true
-		}
-		a := NGramSet(x, 1, len([]rune(x)))
-		return DiceOverlap(a, a) == 1
-	}
-	if err := quick.Check(g, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestJaccardTokens(t *testing.T) {
 	if got := JaccardTokens([]string{"a", "b"}, []string{"b", "c"}); got != 1.0/3.0 {
 		t.Errorf("Jaccard = %v, want 1/3", got)
