@@ -9,8 +9,6 @@ package schemr
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"schemr/internal/codebook"
@@ -24,7 +22,6 @@ import (
 	"schemr/internal/model"
 	"schemr/internal/query"
 	"schemr/internal/repository"
-	"schemr/internal/shard"
 	"schemr/internal/summary"
 	"schemr/internal/svg"
 	"schemr/internal/tightness"
@@ -157,76 +154,6 @@ func BenchmarkFig3Search(b *testing.B) {
 		engine := benchEngine(b, n)
 		q := paperQuery(b)
 		b.Run(fmt.Sprintf("corpus%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Search(q, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3SearchNoObs is BenchmarkFig3Search with instrumentation
-// disabled (Options.DisableMetrics) — the uninstrumented baseline the
-// observability overhead budget in BENCH_obs_overhead.json compares
-// against.
-func BenchmarkFig3SearchNoObs(b *testing.B) {
-	for _, n := range []int{1000, 5000, 20000} {
-		engine := core.NewEngine(benchRepo(b, n), core.Options{DisableMetrics: true})
-		if err := engine.Reindex(); err != nil {
-			b.Fatal(err)
-		}
-		q := paperQuery(b)
-		b.Run(fmt.Sprintf("corpus%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Search(q, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig3SearchUnprofiled is BenchmarkFig3Search with the match-profile
-// cache disabled — the per-candidate recompute path. Comparing the two pairs
-// (per corpus size) gives the speedup recorded in BENCH_search_profile.json.
-func BenchmarkFig3SearchUnprofiled(b *testing.B) {
-	for _, n := range []int{1000, 5000, 20000} {
-		engine := core.NewEngine(benchRepo(b, n), core.Options{DisableProfileCache: true})
-		if err := engine.Reindex(); err != nil {
-			b.Fatal(err)
-		}
-		q := paperQuery(b)
-		b.Run(fmt.Sprintf("corpus%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Search(q, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCascade compares the phase-2/3 cascade against exhaustive
-// matching on the acceptance configuration (CandidateN 50, limit 10, the
-// paper query) — the pair behind BENCH_search_profile.json's cascade rows.
-// Run under -race in CI as a concurrency smoke for the shared-floor
-// protocol.
-func BenchmarkCascade(b *testing.B) {
-	repo := benchRepo(b, 1000)
-	q := paperQuery(b)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"on", false}, {"off", true}} {
-		engine := core.NewEngine(repo, core.Options{CandidateN: 50, DisableCascade: mode.disable})
-		if err := engine.Reindex(); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := engine.Search(q, 10); err != nil {
@@ -582,234 +509,5 @@ func BenchmarkIncrementalSync(b *testing.B) {
 		if _, _, err := engine.Sync(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Phase 1: candidate extraction (DAAT + MaxScore pruning) ---
-
-// BenchmarkPhase1 measures coarse-grain candidate extraction alone on the
-// WebTables corpus: the MaxScore-pruned document-at-a-time scorer against
-// the same merge with pruning disabled, classic and BM25, across the
-// CandidateN values the acceptance experiment uses. Results are recorded
-// in BENCH_phase1.json.
-func BenchmarkPhase1(b *testing.B) {
-	repo := benchRepo(b, 20000)
-	idx := index.New()
-	for _, s := range repo.All() {
-		if err := idx.Add(core.SchemaDocument(s)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	terms := paperQuery(b).Flatten()
-	for _, mode := range []struct {
-		name string
-		opts index.SearchOptions
-	}{
-		{"pruned", index.SearchOptions{}},
-		{"exhaustive", index.SearchOptions{DisablePruning: true}},
-		{"pruned-bm25", index.SearchOptions{BM25: true}},
-		{"exhaustive-bm25", index.SearchOptions{BM25: true, DisablePruning: true}},
-	} {
-		for _, n := range []int{10, 50, 200} {
-			b.Run(fmt.Sprintf("%s-n%d", mode.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					idx.SearchTerms(terms, n, mode.opts)
-				}
-			})
-		}
-	}
-}
-
-// benchIndexTopo builds the corpus index with an exact segment topology:
-// nSegs immutable segments (0 = everything stays in the mutable head) and
-// no background merging, so each variant measures one shape.
-func benchIndexTopo(b *testing.B, repo *repository.Repository, nSegs int, compress bool) *index.Index {
-	b.Helper()
-	opts := []index.Option{index.WithFlushDocs(-1), index.WithMergeFactor(1), index.WithCompression(compress)}
-	idx := index.New(opts...)
-	all := repo.All()
-	per := len(all)
-	if nSegs > 0 {
-		per = (len(all) + nSegs - 1) / nSegs
-	}
-	for i, s := range all {
-		if err := idx.Add(core.SchemaDocument(s)); err != nil {
-			b.Fatal(err)
-		}
-		if nSegs > 0 && (i+1)%per == 0 {
-			idx.Flush()
-		}
-	}
-	if nSegs > 0 {
-		idx.Flush()
-	}
-	return idx
-}
-
-// BenchmarkPhase1Segments measures how candidate extraction scales with
-// segment count: the same 20k corpus carved into 1, 4 and 16 immutable
-// segments, pruned vs exhaustive at CandidateN=10.
-func BenchmarkPhase1Segments(b *testing.B) {
-	repo := benchRepo(b, 20000)
-	terms := paperQuery(b).Flatten()
-	for _, segs := range []int{1, 4, 16} {
-		idx := benchIndexTopo(b, repo, segs, true)
-		for _, mode := range []struct {
-			name string
-			opts index.SearchOptions
-		}{
-			{"pruned", index.SearchOptions{}},
-			{"exhaustive", index.SearchOptions{DisablePruning: true}},
-		} {
-			b.Run(fmt.Sprintf("segs%d-%s-n10", segs, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					idx.SearchTerms(terms, 10, mode.opts)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPhase1Compression compares delta+varint-compressed postings
-// against the raw []posting layout — search latency at CandidateN=10 plus
-// serialized bytes on disk (disk-B metric) for the compression ratio.
-func BenchmarkPhase1Compression(b *testing.B) {
-	repo := benchRepo(b, 20000)
-	terms := paperQuery(b).Flatten()
-	for _, compress := range []bool{true, false} {
-		name := "compressed"
-		if !compress {
-			name = "raw"
-		}
-		idx := benchIndexTopo(b, repo, 1, compress)
-		var cw countWriter
-		if _, err := idx.WriteTo(&cw); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name+"-n10", func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(cw.n), "disk-B")
-			for i := 0; i < b.N; i++ {
-				idx.SearchTerms(terms, 10, index.SearchOptions{})
-			}
-		})
-	}
-}
-
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
-
-// BenchmarkPhase1Parallel drives the pruned path from GOMAXPROCS
-// goroutines at once — the lock-free snapshot read path should scale with
-// cores (go test -cpu 1,2,4,8 to sweep).
-func BenchmarkPhase1Parallel(b *testing.B) {
-	repo := benchRepo(b, 20000)
-	idx := index.New()
-	for _, s := range repo.All() {
-		if err := idx.Add(core.SchemaDocument(s)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	terms := paperQuery(b).Flatten()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			idx.SearchTerms(terms, 10, index.SearchOptions{})
-		}
-	})
-}
-
-// BenchmarkPhase1Skewed is the acceptance experiment: a skewed-vocabulary
-// query at CandidateN=10, isolating the pruning strategy on identical
-// segmented storage — index-wide MaxScore per-term bounds (the pre-segment
-// strategy, SearchOptions.DisableBlockMax) against block-max pruning with
-// shallow advances. The corpus has the ordinal-clustered skew block-max
-// exists for: a fat "signal" list where the high-scoring documents cluster
-// in one ordinal range (a topically coherent ingest batch), so the
-// list-wide bound is dominated by a handful of blocks while most blocks
-// bound far below the top-10 threshold.
-func BenchmarkPhase1Skewed(b *testing.B) {
-	rng := rand.New(rand.NewSource(41))
-	vocab := make([]string, 30)
-	for i := range vocab {
-		vocab[i] = fmt.Sprintf("w%02d", i)
-	}
-	idx := index.New(index.WithFlushDocs(-1))
-	var sb strings.Builder
-	for i := 0; i < 20000; i++ {
-		sb.Reset()
-		for w := 0; w < 8+rng.Intn(8); w++ {
-			sb.WriteString(vocab[int(float64(len(vocab))*rng.Float64()*rng.Float64())])
-			sb.WriteByte(' ')
-		}
-		if i%3 == 0 {
-			sb.WriteString("signal ") // fat list: ~6700 weak postings
-		}
-		if i >= 9000 && i < 9260 {
-			sb.WriteString(strings.Repeat("signal ", 24)) // the hot batch
-		}
-		if err := idx.Add(index.Document{ID: fmt.Sprintf("s%05d", i), Fields: []index.Field{
-			{Name: index.FieldElements, Text: sb.String()},
-		}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	idx.Flush()
-	terms := []string{"signal", "w00"}
-	for _, v := range []struct {
-		name string
-		opts index.SearchOptions
-	}{
-		{"maxscore", index.SearchOptions{DisableBlockMax: true}},
-		{"blockmax", index.SearchOptions{}},
-	} {
-		b.Run(v.name+"-n10", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				idx.SearchTerms(terms, 10, v.opts)
-			}
-		})
-	}
-}
-
-// --- Sharded candidate extraction (in-process scatter/gather) ---
-
-// BenchmarkShard measures phase-1 throughput against shard count on the
-// 20k-schema WebTables corpus: the paper query at CandidateN=10, serial
-// (one search at a time — scatter latency) and parallel (b.RunParallel —
-// aggregate searches/sec under concurrent load). Sharded results are
-// byte-identical to single-shard by construction (distributed IDF + global
-// threshold exchange; see internal/shard), so this measures pure topology
-// cost/benefit. Results are recorded in BENCH_shard.json; throughput
-// scaling requires real cores, so multi-vCPU runners report the headline
-// numbers.
-func BenchmarkShard(b *testing.B) {
-	repo := benchRepo(b, 20000)
-	terms := paperQuery(b).Flatten()
-	for _, n := range []int{1, 2, 4} {
-		g := shard.New(n, func() *index.Index { return index.New() })
-		for _, s := range repo.All() {
-			if err := g.Add(core.SchemaDocument(s)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("serial-shards%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.SearchTerms(terms, 10, index.SearchOptions{})
-			}
-		})
-		b.Run(fmt.Sprintf("parallel-shards%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					g.SearchTerms(terms, 10, index.SearchOptions{})
-				}
-			})
-		})
 	}
 }

@@ -81,8 +81,6 @@ func main() {
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	metrics := flag.Bool("metrics", true, "serve Prometheus-format metrics at GET /metrics")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ and expvar at /debug/vars")
-	pruning := flag.Bool("phase1-pruning", true, "MaxScore top-n pruning in phase-1 candidate extraction (off = exhaustive scoring)")
-	cascade := flag.Bool("cascade", true, "exact score-bounded cascade across phases 2-3 (off = match every candidate exhaustively; results identical)")
 	flushDocs := flag.Int("flush-docs", 0, "mutable-head docs before the index seals an immutable segment (0 = index default, negative disables auto-flush)")
 	mergeFactor := flag.Int("merge-factor", 0, "segment count that triggers a segment merge (0 = index default, 1 disables merging)")
 	shards := flag.Int("shards", 1, "hash-partition the document index into this many shards searched in parallel (results identical to 1)")
@@ -103,8 +101,6 @@ func main() {
 	}
 
 	var opts schemr.EngineOptions
-	opts.Index.DisablePruning = !*pruning
-	opts.DisableCascade = !*cascade
 	opts.FlushDocs = *flushDocs
 	opts.MergeFactor = *mergeFactor
 	opts.Shards = *shards

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -66,25 +65,6 @@ type Options struct {
 	// click-through count. 0 disables (the default); the boost saturates
 	// so popularity refines but never overturns a strong semantic gap.
 	PopularityBoost float64
-	// DisableProfileCache turns off the per-schema match-profile cache and
-	// the profiled matching path, recomputing every schema-side artifact
-	// (normalized names, n-gram vectors, context sets, entity graph, BFS
-	// distances) per candidate per search — the pre-cache behavior. Escape
-	// hatch and benchmarking aid; off (cache enabled) by default.
-	DisableProfileCache bool
-	// EagerProfiles builds match profiles during Reindex and Sync instead
-	// of lazily on a schema's first appearance as a search candidate,
-	// trading indexing latency for cold-search latency. Ignored when
-	// DisableProfileCache is set.
-	EagerProfiles bool
-	// DisableCascade turns off the exact score-bounded cascade across
-	// phases 2–3 and reverts to matching every candidate with the full
-	// ensemble plus a tightness pass (the pre-cascade behavior, with
-	// phases 2 and 3 timed separately). The top-limit results are
-	// byte-identical either way; only the work differs — see DESIGN.md
-	// "Cascade ranking". Escape hatch and benchmarking aid; off (cascade
-	// enabled) by default.
-	DisableCascade bool
 	// Metrics is the observability registry the engine registers its
 	// instruments on (search-phase histograms, candidate/element counters,
 	// profile-cache and index counters — see DESIGN.md "Observability").
@@ -171,14 +151,9 @@ type SearchStats struct {
 	QueryTerms     int
 	Candidates     int
 	ElementsScored int
-	// TotalRanked is the number of results that cleared the full ranking,
-	// before truncation to the caller's limit — the pagination-true total
-	// for "ask for the next n schemas" clients. With the cascade enabled
-	// it is a lower bound once candidates start being abandoned (an
-	// abandoned candidate is provably outside the top limit, but whether
-	// it would have ranked at all is never computed); TotalRanked +
-	// CandidatesAbandoned bounds the exhaustive total from above, and
-	// Options.DisableCascade restores the exact count.
+	// TotalRanked is the number of candidates that ranked with a positive
+	// score, before truncation to the caller's limit — the pagination-true
+	// total for "ask for the next n schemas" clients.
 	TotalRanked int
 	// PostingsSkipped and CandidatesPruned report phase-1 MaxScore pruning
 	// effectiveness: postings jumped over without scoring and candidate
@@ -190,15 +165,6 @@ type SearchStats struct {
 	// BlocksSkipped counts whole posting blocks bypassed undecoded by the
 	// block-max bound check — pruning that never paid the varint decode.
 	BlocksSkipped int
-	// MatchersSkipped and CandidatesAbandoned report the phase-2/3
-	// cascade's effectiveness: ensemble matcher evaluations skipped
-	// because the candidate's score upper bound had already fallen below
-	// the top-limit floor, and candidates abandoned before completing
-	// (their remaining matchers and tightness pass skipped). Both are
-	// zero with Options.DisableCascade. The exact skip counts depend on
-	// worker interleaving; the returned results never do.
-	MatchersSkipped     int
-	CandidatesAbandoned int
 	// ShadowVersion, ShadowScoreDelta and ShadowDisplaced report the
 	// shadow-scoring pass over the served results: the candidate
 	// weight-set version scored against (0 = shadow off, no pass ran),
@@ -210,11 +176,7 @@ type SearchStats struct {
 	ShadowScoreDelta float64
 	ShadowDisplaced  int
 	// PhaseExtract/PhaseMatch/PhaseTightness are the Figure 3 phase
-	// latencies. With the cascade enabled, phases 2 and 3 run fused in
-	// the match worker pool; PhaseTightness then reports the summed
-	// in-worker tightness time (clamped to the fused wall clock) and
-	// PhaseMatch the remainder, so Total() still equals the end-to-end
-	// latency.
+	// latencies.
 	PhaseExtract   time.Duration
 	PhaseMatch     time.Duration
 	PhaseTightness time.Duration
@@ -488,9 +450,6 @@ func (e *Engine) Reindex() error {
 		if err := g.Add(e.document(s)); err != nil {
 			return fmt.Errorf("core: reindex: %w", err)
 		}
-		if e.opts.EagerProfiles && !e.opts.DisableProfileCache {
-			e.profiles.put(s.ID, match.NewProfile(s))
-		}
 	}
 	e.groups = fresh
 	e.idx = fresh[""]
@@ -505,7 +464,9 @@ func (e *Engine) Sync() (updated, deleted int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	ch := e.repo.ChangedSince(e.cursor)
+	// Evict superseded and deleted profiles; searches rebuild them lazily.
 	e.profiles.drop(ch.Deleted...)
+	e.profiles.drop(ch.Updated...)
 	for _, id := range ch.Deleted {
 		if g := e.groups[tenant.Owner(id)]; g != nil && g.Delete(id) {
 			deleted++
@@ -514,18 +475,10 @@ func (e *Engine) Sync() (updated, deleted int, err error) {
 	for _, id := range ch.Updated {
 		s := e.repo.Get(id)
 		if s == nil {
-			e.profiles.drop(id)
 			continue // deleted after the snapshot; the next Sync's feed handles it
 		}
 		if err := e.groupLocked(tenant.Owner(id)).Add(e.document(s)); err != nil {
 			return updated, deleted, fmt.Errorf("core: sync: %w", err)
-		}
-		// Invalidate through the change feed: replace the superseded
-		// profile (eager) or evict it for lazy rebuild on next search.
-		if e.opts.EagerProfiles && !e.opts.DisableProfileCache {
-			e.profiles.put(id, match.NewProfile(s))
-		} else {
-			e.profiles.drop(id)
 		}
 		updated++
 	}
@@ -866,18 +819,6 @@ func (e *Engine) RankWith(ctx context.Context, q *query.Query, limit int, w map[
 	return res, err
 }
 
-// shadowInput is the retained matcher work of one completed candidate —
-// everything the shadow pass needs to rescore it under candidate weights
-// without re-running any matcher: the per-matcher matrices, the element
-// shape, and the tightness inputs.
-type shadowInput struct {
-	mats    []*match.Matrix
-	qe      []query.Element
-	se      []model.Element
-	profile *match.Profile // nil on the unprofiled path
-	schema  *model.Schema
-}
-
 // searchWithEnsemble is the shared search body: phases 1–3 scored with the
 // given ensemble, plus (when shadowEns is non-nil) the shadow pass over
 // the served results.
@@ -951,45 +892,14 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		return nil, stats, nil
 	}
 
-	// Dispatch phase 2 in descending phase-1 score order. The shard merge
-	// already yields this order, but the trigram fallback appends its
-	// discounted hits at the tail, out of order; re-sorting costs nothing
-	// and is the cascade's warm-up — the strongest candidates complete
-	// first, so the top-limit floor rises before the weak tail is matched.
-	// The final ranking is a total order (score, coarse, ID), so dispatch
-	// order never changes the results.
-	sort.Slice(hits, func(a, b int) bool { return index.HitBefore(hits[a], hits[b]) })
-
-	if !e.opts.DisableCascade {
-		results, sins := e.cascadeRank(ctx, q, ensemble, shadowEns, hits, limit, &stats)
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		ranked := rankResults(results, limit, &stats)
-		if shadowEns != nil {
-			e.shadowScore(ranked, sins, shadowEns, shadowVersion, &stats)
-		}
-		return ranked, stats, nil
-	}
-
-	// Phase 2: schema matching. Evaluate each candidate with the ensemble.
-	// Query-side artifacts are computed once here and shared (read-only)
-	// across all candidates; schema-side artifacts come from the profile
-	// cache, so steady-state matching recomputes nothing that depends only
-	// on the schema.
+	// Phase 2: schema matching. Every candidate is matched with the whole
+	// ensemble on the profiled path: query-side artifacts are computed once
+	// here and shared (read-only) across all candidates, and schema-side
+	// artifacts come from the profile cache, so steady-state matching
+	// recomputes nothing that depends only on the schema.
 	start = time.Now()
-	type scored struct {
-		hit     index.Hit
-		schema  *model.Schema
-		matrix  *match.Matrix
-		profile *match.Profile
-		mats    []*match.Matrix // per-matcher matrices, retained for the shadow pass
-	}
-	var qa *match.QueryArtifacts
-	if !e.opts.DisableProfileCache {
-		qa = match.NewQueryArtifacts(q)
-	}
-	cands := make([]scored, len(hits))
+	qa := match.NewQueryArtifacts(q)
+	cands := make([]candidate, len(hits))
 	var elements atomic.Int64
 	// Cancellation gate: eachCandidate checks ctx before handing out each
 	// candidate, so an abandoned search stops matching promptly instead of
@@ -999,32 +909,17 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		if s == nil {
 			return // deleted between index snapshot and now
 		}
-		cands[i] = scored{hit: hits[i], schema: s}
-		// With shadow scoring on, the per-matcher matrices are kept and
-		// combined explicitly — CombineMatrices over MatchMatrices is
-		// exactly what Match/MatchProfiled do internally, so the served
-		// scores are byte-identical either way; only retention differs.
-		var m *match.Matrix
-		var mats []*match.Matrix
-		if qa != nil {
-			p := e.profiles.get(s.ID, s)
-			cands[i].profile = p
-			if shadowEns != nil {
-				mats = ensemble.MatchMatricesProfiled(qa, p)
-			} else {
-				m = ensemble.MatchProfiled(qa, p)
-			}
-		} else if shadowEns != nil {
-			mats = ensemble.MatchMatrices(q, s)
-		} else {
-			m = ensemble.Match(q, s)
+		// Popularity is read once, before matching: the served score and
+		// the shadow pass both use this value, so a selection recorded
+		// meanwhile cannot make them disagree.
+		c := candidate{hit: hits[i], schema: s, pop: e.popularity(s.ID), profile: e.profiles.get(s.ID, s)}
+		mats := ensemble.MatchMatricesProfiled(qa, c.profile)
+		c.matrix = ensemble.CombineMatrices(qa.Elements(), c.profile.Elements(), mats)
+		if shadowEns != nil {
+			c.mats = mats
 		}
-		if mats != nil {
-			m = ensemble.CombineMatrices(mats[0].Query, mats[0].Schema, mats)
-			cands[i].mats = mats
-		}
-		cands[i].matrix = m
-		elements.Add(int64(len(m.Schema)))
+		cands[i] = c
+		elements.Add(int64(len(c.matrix.Schema)))
 	})
 	e.profiles.observeMemo(qa)
 	stats.PhaseMatch = time.Since(start)
@@ -1041,24 +936,10 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 			stats.PhaseTightness = time.Since(start)
 			return nil, stats, err
 		}
-		if c.schema == nil || c.matrix == nil {
+		if c.matrix == nil {
 			continue
 		}
-		var t tightness.Result
-		if c.profile != nil {
-			t = tightness.ScoreProfiled(c.profile, c.matrix, e.opts.Tightness)
-		} else {
-			t = tightness.Score(c.schema, c.matrix, e.opts.Tightness)
-		}
-		cov := e.coverage(c.matrix)
-		final := t.Score
-		if e.opts.CoverageExponent > 0 {
-			final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
-		}
-		if e.opts.PopularityBoost > 0 {
-			sel := float64(e.repo.Usage(c.schema.ID).Selections)
-			final *= 1 + e.opts.PopularityBoost*sel/(sel+5)
-		}
+		t, cov, final := e.finalScore(c.profile, c.matrix, c.pop)
 		if final <= 0 {
 			continue
 		}
@@ -1079,130 +960,9 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	stats.PhaseTightness = time.Since(start)
 	ranked := rankResults(results, limit, &stats)
 	if shadowEns != nil {
-		sins := make(map[string]*shadowInput, len(cands))
-		for i := range cands {
-			if c := &cands[i]; c.schema != nil && c.mats != nil {
-				sins[c.schema.ID] = &shadowInput{
-					mats:    c.mats,
-					qe:      c.matrix.Query,
-					se:      c.matrix.Schema,
-					profile: c.profile,
-					schema:  c.schema,
-				}
-			}
-		}
-		e.shadowScore(ranked, sins, shadowEns, shadowVersion, &stats)
+		e.shadowScore(ranked, cands, qa, shadowEns, shadowVersion, &stats)
 	}
 	return ranked, stats, nil
-}
-
-// shadowScore rescores the served results under the candidate (shadow)
-// weight table and records the deltas into stats. Per result it recombines
-// the retained per-matcher matrices with the shadow weights and re-runs
-// the tightness/coverage/popularity arithmetic — identical operations to
-// the serving score, so candidate == current weights yields exactly zero
-// deltas. The served slice is never reordered or rescored; only stats
-// change. Results without retained inputs (impossible for served results
-// today — serving requires completion) are counted as zero-delta.
-func (e *Engine) shadowScore(served []Result, sins map[string]*shadowInput, shadowEns *match.Ensemble, shadowVersion uint64, stats *SearchStats) {
-	stats.ShadowVersion = shadowVersion
-	if len(served) == 0 {
-		return
-	}
-	shadowScores := make([]float64, len(served))
-	maxDelta := 0.0
-	for i, res := range served {
-		in := sins[res.ID]
-		if in == nil {
-			shadowScores[i] = res.Score
-			continue
-		}
-		m := shadowEns.CombineMatrices(in.qe, in.se, in.mats)
-		var t tightness.Result
-		if in.profile != nil {
-			t = tightness.ScoreProfiled(in.profile, m, e.opts.Tightness)
-		} else {
-			t = tightness.Score(in.schema, m, e.opts.Tightness)
-		}
-		cov := e.coverage(m)
-		final := t.Score
-		if e.opts.CoverageExponent > 0 {
-			final = t.Score * math.Pow(cov, e.opts.CoverageExponent)
-		}
-		if e.opts.PopularityBoost > 0 {
-			sel := float64(e.repo.Usage(res.ID).Selections)
-			final *= 1 + e.opts.PopularityBoost*sel/(sel+5)
-		}
-		shadowScores[i] = final
-		if d := math.Abs(final - res.Score); d > maxDelta {
-			maxDelta = d
-		}
-	}
-	// Rank displacement: order the served set by shadow score with the
-	// serving tie-breaks and count positions that moved. Equal scores keep
-	// the served order (stable sort), so identical weights displace nothing.
-	order := make([]int, len(served))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if shadowScores[ia] != shadowScores[ib] {
-			return shadowScores[ia] > shadowScores[ib]
-		}
-		if served[ia].Coarse != served[ib].Coarse {
-			return served[ia].Coarse > served[ib].Coarse
-		}
-		return served[ia].ID < served[ib].ID
-	})
-	displaced := 0
-	for pos, idx := range order {
-		if pos != idx {
-			displaced++
-		}
-	}
-	stats.ShadowScoreDelta = maxDelta
-	stats.ShadowDisplaced = displaced
-}
-
-// rankResults is the shared tail of both ranking paths: the total result
-// order (score desc, coarse desc, ID asc — IDs are unique, so the order is
-// deterministic), the pre-truncation total, and the cut to limit.
-func rankResults(results []Result, limit int, stats *SearchStats) []Result {
-	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		if results[i].Coarse != results[j].Coarse {
-			return results[i].Coarse > results[j].Coarse
-		}
-		return results[i].ID < results[j].ID
-	})
-	stats.TotalRanked = len(results)
-	if len(results) > limit {
-		results = results[:limit]
-	}
-	return results
-}
-
-// coverage returns the fraction of query elements whose best combined score
-// clears the tightness match threshold (the same boundary the tightness
-// measurement's matched set uses, via the shared exported constant).
-func (e *Engine) coverage(m *match.Matrix) float64 {
-	if len(m.Query) == 0 {
-		return 0
-	}
-	thr := e.matchThreshold()
-	covered := 0
-	for qi := range m.Query {
-		for si := range m.Schema {
-			if v := m.Scores[qi][si]; v != match.NotApplicable && v >= thr {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(len(m.Query))
 }
 
 // History is one recorded search interaction: a query and the schema the

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"schemr/internal/index"
 	"schemr/internal/match"
@@ -29,12 +28,13 @@ type Explanation struct {
 	Tightness tightness.Result
 	// Coverage is the fraction of query elements matched.
 	Coverage float64
-	// Final is the ranking score (tightness × coverage^exp, before any
-	// popularity boost).
+	// Final is the ranking score exactly as Search computes it:
+	// tightness × coverage^exp × popularity.
 	Final float64
 }
 
-// Explain recomputes the full scoring of one schema for a query. Unlike
+// Explain recomputes the full scoring of one schema for a query, on the
+// same profiled matching and finalScore path Search ranks with. Unlike
 // Search it does not require the schema to survive candidate extraction,
 // so it can also explain why something is missing from results.
 func (e *Engine) Explain(q *query.Query, id string) (*Explanation, error) {
@@ -77,14 +77,11 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m := ensemble.Match(q, s)
+	pop := e.popularity(id)
+	p := e.profiles.get(id, s)
+	m := ensemble.MatchProfiled(match.NewQueryArtifacts(q), p)
 	ex.TopPairs = m.TopPairs(10)
-	ex.Tightness = tightness.Score(s, m, e.opts.Tightness)
-	ex.Coverage = e.coverage(m)
-	ex.Final = ex.Tightness.Score
-	if e.opts.CoverageExponent > 0 {
-		ex.Final = ex.Tightness.Score * math.Pow(ex.Coverage, e.opts.CoverageExponent)
-	}
+	ex.Tightness, ex.Coverage, ex.Final = e.finalScore(p, m, pop)
 	return ex, nil
 }
 

@@ -25,16 +25,14 @@ func TestExplain(t *testing.T) {
 	if ex.Coverage <= 0.5 || ex.Final <= 0 {
 		t.Errorf("coverage=%v final=%v", ex.Coverage, ex.Final)
 	}
-	// The explanation's final score agrees with Search's ranking score.
+	// The explanation's final score is Search's ranking score, bit for bit.
 	results, err := e.Search(q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		if r.ID == ids["clinic"] {
-			if diff := r.Score - ex.Final; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("explain final %v != search score %v", ex.Final, r.Score)
-			}
+		if r.ID == ids["clinic"] && r.Score != ex.Final {
+			t.Errorf("explain final %v != search score %v", ex.Final, r.Score)
 		}
 	}
 

@@ -6,25 +6,29 @@ import (
 	"testing"
 
 	"schemr/internal/learn"
+	"schemr/internal/match"
 	"schemr/internal/repository"
 )
 
 // TestShadowParityIdenticalWeights: a shadow ensemble carrying the serving
 // weights must reproduce the serving scores exactly — zero score delta,
 // zero displacement — and the served ranking must be byte-identical to a
-// shadow-off search. Checked on both the cascade and the exhaustive path,
-// since they retain shadow inputs differently.
+// shadow-off search. Checked without and with a popularity factor in the
+// final score.
 func TestShadowParityIdenticalWeights(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name       string
+		opts       Options
+		selections int // click-throughs recorded on the clinic schema first
 	}{
-		{"cascade", Options{}},
-		{"exhaustive", Options{DisableCascade: true}},
-		{"unprofiled", Options{DisableProfileCache: true}},
+		{"exhaustive", Options{}, 0},
+		{"popularity", Options{PopularityBoost: 1}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, _ := newEngine(t, tc.opts)
+			e, ids := newEngine(t, tc.opts)
+			for k := 0; k < tc.selections; k++ {
+				e.Repository().RecordSelection(ids["clinic"])
+			}
 			q := paperQuery(t)
 			baseline, _, err := e.SearchWithStats(q, 10)
 			if err != nil {
@@ -50,6 +54,33 @@ func TestShadowParityIdenticalWeights(t *testing.T) {
 				t.Fatal("shadow scoring altered the served ranking")
 			}
 		})
+	}
+}
+
+// TestShadowParityUnderMidSearchSelections: selections recorded while each
+// candidate is matched must not open a gap between the served score and
+// the shadow score under identical weights — the shadow pass reuses the
+// popularity the served score read instead of reading usage again.
+func TestShadowParityUnderMidSearchSelections(t *testing.T) {
+	e, _ := newEngine(t, Options{PopularityBoost: 1})
+	en, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), selectingMatcher{e.Repository()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetEnsemble(en)
+	if err := e.SetShadowWeights(5, e.Ensemble().Weights()); err != nil {
+		t.Fatal(err)
+	}
+	results, stats, err := e.SearchWithStats(paperQuery(t), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) == 0 {
+		t.Fatal("no results; the parity check is vacuous")
+	}
+	if stats.ShadowScoreDelta != 0 || stats.ShadowDisplaced != 0 {
+		t.Fatalf("identical weights under mid-search selections: score delta %g, displaced %d",
+			stats.ShadowScoreDelta, stats.ShadowDisplaced)
 	}
 }
 

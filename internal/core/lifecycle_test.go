@@ -42,8 +42,9 @@ func (m *gateMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
 }
 
 // cancelEngine builds an engine over n near-identical schemas that all match
-// the query "patient", with the gate matcher installed, serial dispatch, and
-// the profile cache off so the matcher's plain Match path runs.
+// the query "patient", with the gate matcher installed and serial dispatch.
+// The gate matcher has no profiled path, so the engine calls its plain
+// Match.
 func cancelEngine(t *testing.T, n int, gm *gateMatcher) *Engine {
 	t.Helper()
 	repo := repository.New()
@@ -58,7 +59,7 @@ func cancelEngine(t *testing.T, n int, gm *gateMatcher) *Engine {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(repo, Options{Parallelism: 1, DisableProfileCache: true})
+	e := NewEngine(repo, Options{Parallelism: 1})
 	if err := e.Reindex(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,7 @@ import (
 // lazily per tenant (the registry is idempotent, so races are benign)
 // with the default tenant registered eagerly so the families render on a
 // fresh process. A nil *engineMetrics disables engine instrumentation
-// (Options.DisableMetrics), which is the baseline the overhead budget in
-// BENCH_obs_overhead.json is measured against.
+// (Options.DisableMetrics).
 type engineMetrics struct {
 	reg *obs.Registry
 
@@ -42,12 +41,10 @@ type engineMetrics struct {
 
 // tenantSearchMetrics is one tenant's slice of the search families.
 type tenantSearchMetrics struct {
-	searches            *obs.Counter
-	searchErrors        *obs.Counter
-	candidates          *obs.Counter
-	elementsScored      *obs.Counter
-	matchersSkipped     *obs.Counter
-	candidatesAbandoned *obs.Counter
+	searches       *obs.Counter
+	searchErrors   *obs.Counter
+	candidates     *obs.Counter
+	elementsScored *obs.Counter
 
 	phaseExtract   *obs.Histogram
 	phaseMatch     *obs.Histogram
@@ -86,16 +83,18 @@ func (m *engineMetrics) tenant(label string) *tenantSearchMetrics {
 			nil, obs.Labels{"phase": name, "tenant": label})
 	}
 	t := &tenantSearchMetrics{
-		searches:            m.reg.Counter("schemr_search_total", "Searches executed (including failed ones).", lbl),
-		searchErrors:        m.reg.Counter("schemr_search_errors_total", "Searches that returned an error (cancellations, deadlines, bad queries).", lbl),
-		candidates:          m.reg.Counter("schemr_search_candidates_total", "Candidate schemas extracted by phase 1 across searches.", lbl),
-		elementsScored:      m.reg.Counter("schemr_search_elements_scored_total", "Schema elements scored by the match phase across searches.", lbl),
-		matchersSkipped:     m.reg.Counter("schemr_search_matchers_skipped_total", "Ensemble matcher evaluations skipped by the phase-2/3 cascade's bound checks.", lbl),
-		candidatesAbandoned: m.reg.Counter("schemr_search_candidates_abandoned_total", "Candidates abandoned by the phase-2/3 cascade before completing matching and tightness.", lbl),
-		phaseExtract:        phase("extract"),
-		phaseMatch:          phase("match"),
-		phaseTightness:      phase("tightness"),
+		searches:       m.reg.Counter("schemr_search_total", "Searches executed (including failed ones).", lbl),
+		searchErrors:   m.reg.Counter("schemr_search_errors_total", "Searches that returned an error (cancellations, deadlines, bad queries).", lbl),
+		candidates:     m.reg.Counter("schemr_search_candidates_total", "Candidate schemas extracted by phase 1 across searches.", lbl),
+		elementsScored: m.reg.Counter("schemr_search_elements_scored_total", "Schema elements scored by the match phase across searches.", lbl),
+		phaseExtract:   phase("extract"),
+		phaseMatch:     phase("match"),
+		phaseTightness: phase("tightness"),
 	}
+	// Every candidate is fully matched, so these two stay 0; they remain
+	// registered because the benchmark's traced pass reads both families.
+	m.reg.Counter("schemr_search_matchers_skipped_total", "Ensemble matcher evaluations skipped (always 0: every candidate is fully matched).", lbl)
+	m.reg.Counter("schemr_search_candidates_abandoned_total", "Candidates abandoned before ranking (always 0: every candidate is fully matched).", lbl)
 	actual, _ := m.tenants.LoadOrStore(label, t)
 	return actual.(*tenantSearchMetrics)
 }
@@ -116,8 +115,6 @@ func (m *engineMetrics) record(label string, stats SearchStats, err error) {
 	t.phaseTightness.ObserveDuration(stats.PhaseTightness)
 	t.candidates.Add(uint64(stats.Candidates))
 	t.elementsScored.Add(uint64(stats.ElementsScored))
-	t.matchersSkipped.Add(uint64(stats.MatchersSkipped))
-	t.candidatesAbandoned.Add(uint64(stats.CandidatesAbandoned))
 	if stats.ShadowVersion != 0 {
 		m.shadowSearches.Inc()
 		m.shadowDelta.Observe(stats.ShadowScoreDelta)
@@ -143,9 +140,7 @@ func traceSearch(tr *obs.Trace, began time.Time, stats SearchStats) {
 	})
 	start = start.Add(stats.PhaseExtract)
 	tr.AddSpan("search.match", start, stats.PhaseMatch, map[string]int64{
-		"elements_scored":      int64(stats.ElementsScored),
-		"matchers_skipped":     int64(stats.MatchersSkipped),
-		"candidates_abandoned": int64(stats.CandidatesAbandoned),
+		"elements_scored": int64(stats.ElementsScored),
 	})
 	start = start.Add(stats.PhaseMatch)
 	tr.AddSpan("search.tightness", start, stats.PhaseTightness, map[string]int64{

@@ -15,7 +15,7 @@ import (
 // selectingMatcher is a do-nothing matcher (every cell NotApplicable, so no
 // score moves) that records click-throughs on whatever schema it is asked
 // to match — usage changing in the middle of that candidate's evaluation,
-// after the cascade has read its popularity for the bound.
+// after the engine has read its popularity.
 type selectingMatcher struct {
 	repo *repository.Repository // nil: record nothing
 }
@@ -30,10 +30,9 @@ func (m selectingMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
 }
 
 // TestCascadeUsageBumpedMidSearch: selections recorded while a candidate is
-// being matched must not push its score above the bound computed from the
-// usage read up front. The cascade scores every candidate with the
-// popularity it read once at the candidate's start, so its results equal
-// the exhaustive ranking taken at the usage the search began with.
+// being matched must not change its score. The engine reads each
+// candidate's popularity once, before matching it, so its results equal
+// the reference ranking taken at the usage the search began with.
 func TestCascadeUsageBumpedMidSearch(t *testing.T) {
 	ensemble := func(repo *repository.Repository) *match.Ensemble {
 		en, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), selectingMatcher{repo})
@@ -43,26 +42,17 @@ func TestCascadeUsageBumpedMidSearch(t *testing.T) {
 		return en
 	}
 	for _, limit := range []int{1, 10} {
-		repo := cascadeCorpus(t, 23, 200)
-		opts := Options{PopularityBoost: 1, Parallelism: 1}
-		cascade := NewEngine(repo, opts)
-		opts.DisableCascade = true
-		exhaustive := NewEngine(repo, opts)
-		for _, e := range []*Engine{cascade, exhaustive} {
-			if err := e.Reindex(); err != nil {
-				t.Fatal(err)
-			}
+		repo := rankCorpus(t, 23, 200)
+		e := NewEngine(repo, Options{PopularityBoost: 1, Parallelism: 1})
+		if err := e.Reindex(); err != nil {
+			t.Fatal(err)
 		}
 		q := mustQ(t, query.Input{Keywords: "order customer price quantity",
 			DDL: "CREATE TABLE orders (customer INT, price FLOAT, quantity INT);"})
 
-		exhaustive.SetEnsemble(ensemble(nil))
-		want, err := exhaustive.Search(q, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cascade.SetEnsemble(ensemble(repo))
-		got, err := cascade.Search(q, limit)
+		want := top(referenceRank(t, e, ensemble(nil), q), limit)
+		e.SetEnsemble(ensemble(repo))
+		got, err := e.Search(q, limit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +60,7 @@ func TestCascadeUsageBumpedMidSearch(t *testing.T) {
 			t.Fatal("query matched nothing; the comparison is vacuous")
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("limit %d: cascade under mid-search selections differs from exhaustive at the starting usage\ncascade:    %+v\nexhaustive: %+v", limit, got, want)
+			t.Fatalf("limit %d: engine under mid-search selections differs from the reference at the starting usage\nengine:    %+v\nreference: %+v", limit, got, want)
 		}
 	}
 }
@@ -91,14 +81,14 @@ func churnSchema(slot, gen int) *model.Schema {
 	}
 }
 
-// TestSearchHammerWhileSchemasChurn runs parallel cascade searches while
-// schemas are put, replaced, deleted and synced, so name interning (lazy
-// profile builds on several search goroutines and eager ones on the writer),
-// memo fill and profile eviction all overlap. Meaningful under -race; once
-// the churn stops, the profiled cascade must still equal the unprofiled
-// exhaustive path on the surviving corpus.
+// TestSearchHammerWhileSchemasChurn runs parallel searches while schemas
+// are put, replaced, deleted and synced, so name interning (lazy profile
+// builds on several search goroutines), memo fill and profile eviction all
+// overlap. Meaningful under -race; once the churn stops, the incrementally
+// synced engine must still equal the reference ranking over a freshly
+// reindexed copy of the surviving corpus.
 func TestSearchHammerWhileSchemasChurn(t *testing.T) {
-	repo := cascadeCorpus(t, 5, 120)
+	repo := rankCorpus(t, 5, 120)
 	e := NewEngine(repo, Options{Parallelism: 4})
 	if err := e.Reindex(); err != nil {
 		t.Fatal(err)
@@ -143,8 +133,8 @@ func TestSearchHammerWhileSchemasChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	ref := NewEngine(repo, Options{DisableCascade: true, DisableProfileCache: true})
-	if err := ref.Reindex(); err != nil {
+	fresh := NewEngine(repo, Options{})
+	if err := fresh.Reindex(); err != nil {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
@@ -152,12 +142,8 @@ func TestSearchHammerWhileSchemasChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ref.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d after churn: profiled cascade differs from unprofiled exhaustive\ngot:  %+v\nwant: %+v", qi, got, want)
+		if want := top(referenceRank(t, fresh, fresh.Ensemble(), q), 10); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after churn: engine differs from the reference over a fresh index\ngot:  %+v\nwant: %+v", qi, got, want)
 		}
 	}
 }
@@ -166,10 +152,13 @@ func TestSearchHammerWhileSchemasChurn(t *testing.T) {
 // name dictionary, never added, so serving any number of never-seen queries
 // leaves it — and the memory it holds — unchanged.
 func TestSearchesDoNotInternQueryNames(t *testing.T) {
-	repo := cascadeCorpus(t, 9, 150)
-	e := NewEngine(repo, Options{EagerProfiles: true})
-	if err := e.Reindex(); err != nil { // every profile built: nothing left to intern lazily
+	repo := rankCorpus(t, 9, 150)
+	e := NewEngine(repo, Options{})
+	if err := e.Reindex(); err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range repo.All() { // every schema name interned: nothing left to intern lazily
+		match.NewProfile(s)
 	}
 	before := match.InternedNames()
 	served := 0

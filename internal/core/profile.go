@@ -81,12 +81,8 @@ func (c *profileCache) instrument(reg *obs.Registry) {
 	c.memoMisses = reg.Counter("schemr_match_memo_misses_total", "Name-pair lookups a search's similarity memo had to score.", nil)
 }
 
-// observeMemo publishes one finished search's memo counts (qa is nil on the
-// unprofiled path, which has no memo).
+// observeMemo publishes one finished search's memo counts.
 func (c *profileCache) observeMemo(qa *match.QueryArtifacts) {
-	if qa == nil {
-		return
-	}
 	hits, misses := qa.MemoStats()
 	c.memoHits.Add(hits)
 	c.memoMisses.Add(misses)
@@ -127,19 +123,6 @@ func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
 	c.size.Set(c.total.Load())
 	c.names.Set(int64(match.InternedNames()))
 	return p
-}
-
-// put installs an eagerly built profile.
-func (c *profileCache) put(id string, p *match.Profile) {
-	pt := c.part(id)
-	pt.mu.Lock()
-	if _, ok := pt.m[id]; !ok {
-		c.total.Add(1)
-	}
-	pt.m[id] = p
-	pt.mu.Unlock()
-	c.size.Set(c.total.Load())
-	c.names.Set(int64(match.InternedNames()))
 }
 
 // drop evicts the given IDs (missing IDs are ignored).

@@ -136,9 +136,10 @@ func TestSearchSyncNoStaleProfiles(t *testing.T) {
 	wg.Wait()
 }
 
-// TestProfiledSearchMatchesUnprofiled asserts end-to-end search results are
-// identical with the profile cache on and off (same scores, order and
-// matched elements) on a mixed generated corpus.
+// TestProfiledSearchMatchesUnprofiled asserts end-to-end search results
+// over the profile cache are identical to the reference ranker's
+// unprofiled ones (same scores, order and matched elements) on a mixed
+// generated corpus.
 func TestProfiledSearchMatchesUnprofiled(t *testing.T) {
 	repo := repository.New()
 	for _, s := range webtables.GenerateRelational(31, 20) {
@@ -159,11 +160,8 @@ func TestProfiledSearchMatchesUnprofiled(t *testing.T) {
 	}
 
 	profiled := NewEngine(repo, Options{})
-	unprofiled := NewEngine(repo, Options{DisableProfileCache: true})
-	for _, e := range []*Engine{profiled, unprofiled} {
-		if err := e.Reindex(); err != nil {
-			t.Fatal(err)
-		}
+	if err := profiled.Reindex(); err != nil {
+		t.Fatal(err)
 	}
 	for _, in := range []query.Input{
 		{Keywords: "patient height gender diagnosis"},
@@ -174,10 +172,7 @@ func TestProfiledSearchMatchesUnprofiled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := unprofiled.Search(q, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := top(referenceRank(t, profiled, profiled.Ensemble(), q), 10)
 		got, err := profiled.Search(q, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -191,45 +186,7 @@ func TestProfiledSearchMatchesUnprofiled(t *testing.T) {
 			}
 		}
 	}
-	if n := unprofiled.CachedProfiles(); n != 0 {
-		t.Errorf("disabled cache holds %d profiles", n)
-	}
 	if n := profiled.CachedProfiles(); n == 0 {
 		t.Error("enabled cache empty after searches")
-	}
-}
-
-// TestEagerProfiles checks the eager population knob: Reindex precomputes a
-// profile for every schema and Sync keeps them fresh.
-func TestEagerProfiles(t *testing.T) {
-	repo := repository.New()
-	for i := 0; i < 10; i++ {
-		if _, err := repo.Put(fillerSchema(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := NewEngine(repo, Options{EagerProfiles: true})
-	if err := e.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CachedProfiles(); got != repo.Len() {
-		t.Fatalf("after eager Reindex: %d profiles, want %d", got, repo.Len())
-	}
-	id, err := repo.Put(fillerSchema(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CachedProfiles(); got != repo.Len() {
-		t.Fatalf("after eager Sync: %d profiles, want %d", got, repo.Len())
-	}
-	repo.Delete(id)
-	if _, _, err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CachedProfiles(); got != repo.Len() {
-		t.Fatalf("after delete+Sync: %d profiles, want %d", got, repo.Len())
 	}
 }

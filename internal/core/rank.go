@@ -1,0 +1,177 @@
+package core
+
+import (
+	"context"
+	"math"
+	"sort"
+	"sync"
+	"sync/atomic"
+
+	"schemr/internal/index"
+	"schemr/internal/match"
+	"schemr/internal/model"
+	"schemr/internal/tightness"
+)
+
+// candidate is one phase-1 hit carried through phases 2 and 3: the schema
+// and its match profile, the popularity multiplier read before matching,
+// and the combined similarity matrix. mats keeps the per-matcher matrices
+// for the shadow pass (nil when shadow scoring is off).
+type candidate struct {
+	hit     index.Hit
+	schema  *model.Schema
+	profile *match.Profile
+	pop     float64
+	mats    []*match.Matrix
+	matrix  *match.Matrix // nil: deleted before matching, or never dispatched
+}
+
+// finalScore is phase 3 for one candidate: the tightness-of-fit of its
+// combined matrix m, the query coverage, and the ranking score
+//
+//	final = tightness × coverage^exp × pop
+//
+// (the coverage factor is skipped when the exponent is negative). Serving,
+// the shadow pass and Explain all score through it, so they agree by
+// construction.
+func (e *Engine) finalScore(p *match.Profile, m *match.Matrix, pop float64) (t tightness.Result, cov, final float64) {
+	t = tightness.ScoreProfiled(p, m, e.opts.Tightness)
+	cov = e.coverage(m)
+	final = t.Score
+	if e.opts.CoverageExponent > 0 {
+		final *= math.Pow(cov, e.opts.CoverageExponent)
+	}
+	return t, cov, final * pop
+}
+
+// popularity returns the popularity multiplier of one schema:
+// 1 + boost · sel/(sel+5), or exactly 1 with the boost off.
+func (e *Engine) popularity(id string) float64 {
+	if e.opts.PopularityBoost <= 0 {
+		return 1
+	}
+	sel := float64(e.repo.Usage(id).Selections)
+	return 1 + e.opts.PopularityBoost*sel/(sel+5)
+}
+
+// coverage returns the fraction of query elements whose best combined score
+// clears the tightness match threshold (the same boundary the tightness
+// measurement's matched set uses, via the shared exported constant).
+func (e *Engine) coverage(m *match.Matrix) float64 {
+	if len(m.Query) == 0 {
+		return 0
+	}
+	thr := e.opts.Tightness.MatchThreshold
+	if thr == 0 {
+		thr = tightness.DefaultMatchThreshold
+	}
+	covered := 0
+	for qi := range m.Query {
+		for si := range m.Schema {
+			if v := m.Scores[qi][si]; v != match.NotApplicable && v >= thr {
+				covered++
+				break
+			}
+		}
+	}
+	return float64(covered) / float64(len(m.Query))
+}
+
+// eachCandidate calls fn(i) for every i in [0, n) on up to workers
+// goroutines, the caller's being one of them, so a lone worker spawns
+// nothing. Indices are handed out in ascending order until ctx is done;
+// calls already started drain, and eachCandidate returns once they have.
+func eachCandidate(ctx context.Context, n, workers int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers && w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// rankResults is the tail of the ranking: the total result order (score
+// desc, coarse desc, ID asc — IDs are unique, so the order is
+// deterministic), the pre-truncation total, and the cut to limit.
+func rankResults(results []Result, limit int, stats *SearchStats) []Result {
+	sort.SliceStable(results, func(i, j int) bool {
+		if results[i].Score != results[j].Score {
+			return results[i].Score > results[j].Score
+		}
+		if results[i].Coarse != results[j].Coarse {
+			return results[i].Coarse > results[j].Coarse
+		}
+		return results[i].ID < results[j].ID
+	})
+	stats.TotalRanked = len(results)
+	if len(results) > limit {
+		results = results[:limit]
+	}
+	return results
+}
+
+// shadowScore rescores the served results under the candidate (shadow)
+// weight table and records the deltas into stats. Per result it recombines
+// the retained per-matcher matrices with the shadow weights and runs
+// finalScore with the popularity the served score used, so candidate ==
+// serving weights yields exactly zero deltas. The served slice is never
+// reordered or rescored; only stats change.
+func (e *Engine) shadowScore(served []Result, cands []candidate, qa *match.QueryArtifacts, shadowEns *match.Ensemble, shadowVersion uint64, stats *SearchStats) {
+	stats.ShadowVersion = shadowVersion
+	if len(served) == 0 {
+		return
+	}
+	byID := make(map[string]*candidate, len(cands))
+	for i := range cands {
+		if c := &cands[i]; c.matrix != nil {
+			byID[c.schema.ID] = c
+		}
+	}
+	shadowScores := make([]float64, len(served))
+	maxDelta := 0.0
+	for i, res := range served {
+		c := byID[res.ID]
+		m := shadowEns.CombineMatrices(qa.Elements(), c.profile.Elements(), c.mats)
+		_, _, shadowScores[i] = e.finalScore(c.profile, m, c.pop)
+		maxDelta = max(maxDelta, math.Abs(shadowScores[i]-res.Score))
+	}
+	// Rank displacement: order the served set by shadow score with the
+	// serving tie-breaks and count positions that moved. Equal scores keep
+	// the served order (stable sort), so identical weights displace nothing.
+	order := make([]int, len(served))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ia, ib := order[a], order[b]
+		if shadowScores[ia] != shadowScores[ib] {
+			return shadowScores[ia] > shadowScores[ib]
+		}
+		if served[ia].Coarse != served[ib].Coarse {
+			return served[ia].Coarse > served[ib].Coarse
+		}
+		return served[ia].ID < served[ib].ID
+	})
+	displaced := 0
+	for pos, idx := range order {
+		if pos != idx {
+			displaced++
+		}
+	}
+	stats.ShadowScoreDelta = maxDelta
+	stats.ShadowDisplaced = displaced
+}

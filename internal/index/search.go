@@ -48,12 +48,6 @@ type SearchOptions struct {
 	// retrieval return identical top-n hits (the property tests assert
 	// byte-identical IDs, scores, match counts and order).
 	DisablePruning bool
-	// DisableBlockMax keeps top-n pruning but ignores the per-block maxima:
-	// candidate bound checks fall back to the list-wide per-term bounds and
-	// whole-block skips are off — the index-wide MaxScore strategy that
-	// preceded the segmented format. Benchmarking aid for isolating the
-	// block-max contribution; results stay identical either way.
-	DisableBlockMax bool
 	// Global, when set, overrides the corpus statistics (live count, per-
 	// term document frequencies, BM25 average field lengths) with corpus-
 	// wide values and plugs this search into a shared top-n threshold — the
@@ -362,10 +356,9 @@ func (c *termCursor) curID() string {
 // ubAtCur bounds the cursor's contribution to the document under it: the
 // current block's block-max bound for segment sources (strictly tighter
 // than the list-wide bound on skewed lists), the source bound otherwise.
-// blockMax false falls back to the list-wide source bound.
-func (c *termCursor) ubAtCur(blockMax, bm25 bool, k1, b float64) float64 {
+func (c *termCursor) ubAtCur(bm25 bool, k1, b float64) float64 {
 	s := &c.srcs[c.si]
-	if blockMax && s.seg != nil && !math.IsInf(s.ub, 1) {
+	if s.seg != nil && !math.IsInf(s.ub, 1) {
 		return blockUpperBound(&s.st.blocks[s.blk], c.idf, bm25, k1, b)
 	}
 	return s.ub
@@ -847,7 +840,7 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 				c := &cursors[oi]
 				cc := c.cur()
 				if cc == d {
-					essUB += c.ubAtCur(!opts.DisableBlockMax, opts.BM25, k1, b)
+					essUB += c.ubAtCur(opts.BM25, k1, b)
 					cnt++
 					atD++
 					if s := &c.srcs[c.si]; s.seg != nil {
@@ -864,7 +857,7 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 			}
 			if !canEnter(Hit{ID: dID, Score: boundFinal(essUB, cnt)}) {
 				info.DocsPruned++
-				if !opts.DisableBlockMax && shallow > d && boundFinal(essUB, cnt) < top {
+				if shallow > d && boundFinal(essUB, cnt) < top {
 					for _, oi := range order[firstEss:] {
 						if cursors[oi].cur() == d {
 							cursors[oi].seek(shallow+1, &info)

@@ -36,31 +36,6 @@ func (cm *ContextMatcher) Name() string { return "context" }
 // each cell soft-Jaccards two whole neighbor-term sets.
 func (cm *ContextMatcher) Cost() int { return CostNeighborhood }
 
-// ScoreBounds implements BoundedMatcher: keyword rows stay NotApplicable
-// (bare keywords have no neighborhood), kind-mismatched cells score exactly
-// 0, and like-kinded cells are applicable with the trivial bound 1 — the
-// structural skeleton of Match and MatchProfiled, declared without any
-// soft-Jaccard work. This is what lets the cascade bound a candidate's
-// keyword coverage exactly before the most expensive matcher runs.
-func (cm *ContextMatcher) ScoreBounds(qe []query.Element, se []model.Element, out []float64) {
-	for qi, qel := range qe {
-		row := out[qi*len(se) : (qi+1)*len(se)]
-		if qel.IsKeyword() {
-			for si := range row {
-				row[si] = NotApplicable
-			}
-			continue
-		}
-		for si, sel := range se {
-			if qel.Kind != sel.Kind {
-				row[si] = 0
-			} else {
-				row[si] = 1
-			}
-		}
-	}
-}
-
 // contextSets returns each element's neighbor-term set.
 func contextSets(s *model.Schema) map[model.ElementRef][]string {
 	return contextSetsWith(model.NewEntityGraph(s), s)

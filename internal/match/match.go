@@ -277,20 +277,25 @@ func (e *Ensemble) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 func (e *Ensemble) MatchMatricesProfiled(qa *QueryArtifacts, p *Profile) []*Matrix {
 	mats := make([]*Matrix, len(e.matchers))
 	for i, m := range e.matchers {
-		if pm, ok := m.(ProfiledMatcher); ok {
-			mats[i] = pm.MatchProfiled(qa, p)
-		} else {
-			mats[i] = m.Match(qa.query, p.schema)
-		}
+		mats[i] = matchProfiled(m, qa, p)
 	}
 	return mats
 }
 
+// matchProfiled runs one matcher on the profiled fast path when it has one
+// and on its plain Match otherwise.
+func matchProfiled(m Matcher, qa *QueryArtifacts, p *Profile) *Matrix {
+	if pm, ok := m.(ProfiledMatcher); ok {
+		return pm.MatchProfiled(qa, p)
+	}
+	return m.Match(qa.query, p.schema)
+}
+
 // CombineMatrices merges per-matcher matrices (in ensemble order, as
-// returned by MatchMatrices / MatchMatricesProfiled / Progressive.Matrices)
-// with this ensemble's current weight table. Combined with WithWeights it
-// is the shadow-scoring primitive: one set of matcher evaluations, two
-// weightings, identical arithmetic to Match.
+// returned by MatchMatrices / MatchMatricesProfiled) with this ensemble's
+// current weight table. Combined with WithWeights it is the shadow-scoring
+// primitive: one set of matcher evaluations, two weightings, identical
+// arithmetic to Match.
 func (e *Ensemble) CombineMatrices(qe []query.Element, se []model.Element, mats []*Matrix) *Matrix {
 	if len(mats) != len(e.matchers) {
 		panic(fmt.Sprintf("match: CombineMatrices got %d matrices for %d matchers", len(mats), len(e.matchers)))
@@ -309,8 +314,8 @@ func (e *Ensemble) combine(qe []query.Element, se []model.Element, mats []*Matri
 
 // combineWeighted is the shared merge: the per-cell weighted average over
 // the matchers with an opinion, with mats and w aligned in ensemble order.
-// The cascade's Progressive.Combine calls it with a weight snapshot so its
-// arithmetic (and so its scores) are identical to the exhaustive path.
+// Progressive.Combine calls it with a weight snapshot so its arithmetic
+// (and so its scores) are identical to MatchProfiled's.
 func combineWeighted(qe []query.Element, se []model.Element, mats []*Matrix, w []float64) *Matrix {
 	combined := NewMatrix(qe, se)
 	for qi := range qe {

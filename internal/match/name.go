@@ -36,41 +36,6 @@ func (nm *NameMatcher) Name() string { return "name" }
 // vectors.
 func (nm *NameMatcher) Cost() int { return CostNGrams }
 
-// nameStats are the cheap per-name artifacts ScoreBounds derives bounds
-// from: a per-character-class histogram of the normalized name, presence
-// bitmasks over single classes and adjacent class pairs, the class-pair
-// sequence itself, and the total n-gram multiset mass.
-type nameStats struct {
-	hist  [nameBuckets]int32
-	mask  uint64
-	bmask [bigramWords]uint64 // presence bitset over adjacent class pairs
-	pairs []uint16            // class pair at each adjacent position
-	mass  int
-}
-
-// nameBuckets: 'a'-'z' → 0..25, '0'-'9' → 26..35, every other rune shares
-// bucket 36 — a conservative merge (two different exotic runes count as
-// shared) that keeps the bound sound without a full rune histogram.
-const nameBuckets = 37
-
-// bigramWords sizes the exact presence bitset over the 37×37 class pairs.
-const bigramWords = (nameBuckets*nameBuckets + 63) / 64
-
-func (st *nameStats) hasPair(pc uint16) bool {
-	return st.bmask[pc>>6]&(1<<(pc&63)) != 0
-}
-
-func charBucket(r rune) int {
-	switch {
-	case r >= 'a' && r <= 'z':
-		return int(r - 'a')
-	case r >= '0' && r <= '9':
-		return 26 + int(r-'0')
-	default:
-		return nameBuckets - 1
-	}
-}
-
 // gramMass returns the total n-gram multiset mass of a name of length l
 // under the cap: sum over k=1..min(l,maxGram) of (l-k+1) — exactly
 // text.NGrams' output size.
@@ -80,140 +45,6 @@ func gramMass(l, maxGram int) int {
 		m = l
 	}
 	return m*l - m*(m-1)/2
-}
-
-func (nm *NameMatcher) nameStats(name string) nameStats {
-	return statsOf(text.Normalize(name), nm.maxGram)
-}
-
-// statsOf builds the bound artifacts of an already-normalized name.
-func statsOf(n string, maxGram int) nameStats {
-	var st nameStats
-	runes := []rune(n)
-	for _, r := range runes {
-		st.hist[charBucket(r)]++
-	}
-	for i, c := range st.hist {
-		if c > 0 {
-			st.mask |= 1 << i
-		}
-	}
-	if len(runes) > 1 {
-		st.pairs = make([]uint16, len(runes)-1)
-		for i := 0; i+1 < len(runes); i++ {
-			pc := uint16(charBucket(runes[i])*nameBuckets + charBucket(runes[i+1]))
-			st.pairs[i] = pc
-			st.bmask[pc>>6] |= 1 << (pc & 63)
-		}
-	}
-	st.mass = gramMass(len(runes), maxGram)
-	return st
-}
-
-// linkMass bounds, from a's side, how many n-gram occurrences of length
-// two or more can appear in the multiset intersection with b: a shared
-// k-gram occurs literally in both names, so each of its k−1 adjacent
-// character pairs is a class pair present in b. Adjacent positions of a
-// whose class pair b also has ("links") therefore delimit every such
-// occurrence; a maximal run of l links spans l+1 characters and holds at
-// most gramMass(l+1)−(l+1) occurrences of length ≥ 2.
-func linkMass(a, b *nameStats, maxGram int) int {
-	mass, run := 0, 0
-	flush := func() {
-		if run > 0 {
-			n := run + 1
-			mass += gramMass(n, maxGram) - n
-			run = 0
-		}
-	}
-	for _, pc := range a.pairs {
-		if b.hasPair(pc) {
-			run++
-		} else {
-			flush()
-		}
-	}
-	flush()
-	return mass
-}
-
-// boundPair returns an admissible upper bound on gramSim(a, b) from the
-// two names' stats alone. The n-gram multiset intersection splits into
-// unigrams — at most the smaller side's count of characters whose class
-// both names have — and longer grams, bounded by linkMass from each side.
-// The bound is tight exactly on the weak tail the cascade wants to abandon
-// before the n-gram walk runs: names sharing stray characters but few
-// adjacent pairs get a bound near the unigram floor.
-func boundPair(a, b *nameStats, maxGram int) float64 {
-	if a.mass == 0 || b.mass == 0 {
-		return 0 // gramSim of an empty multiset is exactly 0
-	}
-	shared := a.mask & b.mask
-	if shared == 0 {
-		return 0 // no shared character classes, so no shared grams at all
-	}
-	ua, ub := 0, 0
-	for i := 0; i < nameBuckets; i++ {
-		if shared&(1<<i) != 0 {
-			ua += int(a.hist[i])
-			ub += int(b.hist[i])
-		}
-	}
-	if ub < ua {
-		ua = ub
-	}
-	long := linkMass(a, b, maxGram)
-	if m := linkMass(b, a, maxGram); m < long {
-		long = m
-	}
-	inter := ua + long
-	minMass := a.mass
-	if b.mass < minMass {
-		minMass = b.mass
-	}
-	if minMass < inter {
-		inter = minMass
-	}
-	if inter == 0 {
-		return 0
-	}
-	dice := 2 * float64(inter) / float64(a.mass+b.mass)
-	if overlap := 0.8 * float64(inter) / float64(minMass); overlap > dice {
-		return overlap
-	}
-	return dice
-}
-
-// ScoreBounds implements BoundedMatcher: every cell is applicable (Match
-// scores all pairs), bounded by boundPair on the two names' character
-// statistics — O(cells) integer arithmetic instead of O(cells) n-gram map
-// walks.
-func (nm *NameMatcher) ScoreBounds(qe []query.Element, se []model.Element, out []float64) {
-	qStats := make([]nameStats, len(qe))
-	for i, el := range qe {
-		qStats[i] = nm.nameStats(el.Name)
-	}
-	sStats := make([]nameStats, len(se))
-	for j, el := range se {
-		sStats[j] = nm.nameStats(el.Name)
-	}
-	for i := range qStats {
-		row := out[i*len(sStats) : (i+1)*len(sStats)]
-		for j := range sStats {
-			row[j] = boundPair(&qStats[i], &sStats[j], nm.maxGram)
-		}
-	}
-}
-
-// ScoreBoundsProfiled implements ProfiledBoundedMatcher: each distinct
-// (query name, schema name) bound comes from the per-search memo, so a pair
-// repeated across cells, candidates and workers is bounded once.
-func (nm *NameMatcher) ScoreBoundsProfiled(qa *QueryArtifacts, p *Profile, out []float64) {
-	if nm.maxGram != defaultMaxGram {
-		nm.ScoreBounds(qa.elems, p.elems, out)
-		return
-	}
-	scatter(qa.bounds.table(qa.names, p.names), len(p.names), qa.elemName, p.elemName, out)
 }
 
 // scatter expands a table over distinct names (row-major, stride columns)

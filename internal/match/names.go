@@ -27,29 +27,29 @@ func compareGrams(a, b string) int {
 
 // nameEntry holds everything the name and context matchers derive from one
 // normalized name: its n-gram multiset (every substring of 1..maxGram
-// runes) as a vector sorted by compareGrams, and the score-bound artifacts.
+// runes) as a vector sorted by compareGrams, and the multiset's total mass.
 // Entries are immutable once built.
 type nameEntry struct {
 	norm  string
 	grams []gram
-	stats nameStats
+	mass  int
 }
 
 // newNameEntry builds the entry of an already-normalized name. Interned
 // entries (nameTable) and throwaway ones (unprofiled matching, query names
 // the corpus has never seen) come from here, so there is one gram kernel.
 func newNameEntry(n string, maxGram int) *nameEntry {
-	e := &nameEntry{norm: n, stats: statsOf(n, maxGram)}
-	if e.stats.mass == 0 {
-		return e
-	}
 	offs := make([]int, 0, len(n)+1) // byte offset of each rune, then len(n)
 	for i := range n {
 		offs = append(offs, i)
 	}
 	offs = append(offs, len(n))
 	runes := len(offs) - 1
-	gs := make([]gram, 0, e.stats.mass)
+	e := &nameEntry{norm: n, mass: gramMass(runes, maxGram)}
+	if e.mass == 0 {
+		return e
+	}
+	gs := make([]gram, 0, e.mass)
 	for l := 1; l <= runes && l <= maxGram; l++ {
 		for i := 0; i+l <= runes; i++ {
 			gs = append(gs, gram{s: n[offs[i]:offs[i+l]], n: 1})
@@ -96,7 +96,7 @@ func sharedMass(a, b []gram) int {
 // grams. Taking the max keeps both regimes in [0,1] with identical names
 // still scoring exactly 1; an empty name scores 0 against everything.
 func gramSim(a, b *nameEntry) float64 {
-	ma, mb := a.stats.mass, b.stats.mass
+	ma, mb := a.mass, b.mass
 	if ma == 0 || mb == 0 {
 		return 0
 	}
@@ -106,12 +106,6 @@ func gramSim(a, b *nameEntry) float64 {
 		return overlap
 	}
 	return dice
-}
-
-// nameBound is boundPair on two entries built with the default cap — the
-// bound half of the per-search memo.
-func nameBound(a, b *nameEntry) float64 {
-	return boundPair(&a.stats, &b.stats, defaultMaxGram)
 }
 
 // nameID identifies one interned normalized name.
@@ -241,22 +235,20 @@ func simTable(qs, ss []*nameEntry) []float64 {
 	return out
 }
 
-// pairMemo remembers score(query name, schema name) for one search, keyed
-// by the query name's local index and the schema name's ID, so each
+// pairMemo remembers gramSim(query name, schema name) for one search,
+// keyed by the query name's local index and the schema name's ID, so each
 // distinct pair is scored once across all candidates and all phase-2
 // workers however many matrix cells and context-term comparisons repeat it.
 // Workers racing on the same missing pair both compute it; the value is a
 // pure function of the pair, so either store is correct.
 type pairMemo struct {
-	score func(q, s *nameEntry) float64
-
 	mu sync.RWMutex
 	m  map[uint64]float64
 
 	hits, misses atomic.Uint64
 }
 
-// table returns score(qs[i], entry of ids[j]) for every pair, row-major
+// table returns gramSim(qs[i], entry of ids[j]) for every pair, row-major
 // len(qs)×len(ids), taking each lock once per call rather than per cell.
 func (pm *pairMemo) table(qs []*nameEntry, ids []nameID) []float64 {
 	out := make([]float64, len(qs)*len(ids))
@@ -280,7 +272,7 @@ func (pm *pairMemo) table(qs []*nameEntry, ids []nameID) []float64 {
 	pm.misses.Add(uint64(len(missing)))
 	ss := names.resolve(ids)
 	for _, c := range missing {
-		out[c] = pm.score(qs[c/len(ids)], ss[c%len(ids)])
+		out[c] = gramSim(qs[c/len(ids)], ss[c%len(ids)])
 	}
 	pm.mu.Lock()
 	if pm.m == nil {

@@ -225,29 +225,6 @@ func TestMemoisedMatchMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestMemoisedBoundsEqualBoundPair: the memoised bound matrix is boundPair
-// on the two names' stats, cell for cell.
-func TestMemoisedBoundsEqualBoundPair(t *testing.T) {
-	g := nameGen{rand.New(rand.NewSource(47))}
-	nm := NewNameMatcher()
-	for i := 0; i < 30; i++ {
-		q, p := g.query(), NewProfile(g.schema("b"))
-		qa := NewQueryArtifacts(q)
-		qe, se := qa.Elements(), p.Elements()
-		for pass := 0; pass < 2; pass++ {
-			got := make([]float64, len(qe)*len(se))
-			nm.ScoreBoundsProfiled(qa, p, got)
-			want := make([]float64, len(qe)*len(se))
-			nm.ScoreBounds(qe, se, want)
-			for c := range want {
-				if got[c] != want[c] {
-					t.Fatalf("pass %d cell %d: memoised bound %v, direct %v", pass, c, got[c], want[c])
-				}
-			}
-		}
-	}
-}
-
 // TestInternSharesAndLooksUp: two schemas using one name share one entry,
 // and query artifacts reuse interned entries without adding any.
 func TestInternSharesAndLooksUp(t *testing.T) {

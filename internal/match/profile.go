@@ -9,10 +9,10 @@ import (
 
 // Profile holds every query-independent artifact the fine-grained phases
 // derive from one candidate schema: its element list, the IDs of its
-// distinct names in the name dictionary (gram vectors and bound artifacts
-// live there, shared by every schema that uses the name), element names and
-// context neighbor-term sets as indices into that ID list, coarse type
-// classes, and the entity graph with the BFS distance map of every anchor.
+// distinct names in the name dictionary (gram vectors live there, shared
+// by every schema that uses the name), element names and context
+// neighbor-term sets as indices into that ID list, coarse type classes,
+// and the entity graph with the BFS distance map of every anchor.
 // Every subsequent search reuses it, which is what makes the engine's
 // profile cache pay off.
 //
@@ -83,7 +83,7 @@ func (p *Profile) AnchorDistances(anchor string) map[string]int { return p.dists
 // QueryArtifacts holds the query-side computations shared across every
 // candidate of one search: elements, the entries of the query's distinct
 // names, element names and per-fragment context sets as indices into them,
-// type classes, and the memo of name-pair similarities and bounds. Built
+// type classes, and the memo of name-pair similarities. Built
 // once per search and safe for concurrent use by the parallel match workers;
 // only the memo changes afterwards.
 type QueryArtifacts struct {
@@ -97,18 +97,16 @@ type QueryArtifacts struct {
 	elemName []int32   // index into names, aligned with elems
 	ctx      [][]int32 // context term sets as indices into names; nil for keywords
 
-	sims, bounds pairMemo
+	sims pairMemo
 }
 
 // NewQueryArtifacts precomputes the query side of the matcher ensemble.
 func NewQueryArtifacts(q *query.Query) *QueryArtifacts {
 	elems := q.Elements()
 	qa := &QueryArtifacts{
-		query:  q,
-		elems:  elems,
-		class:  queryTypeClasses(q, elems),
-		sims:   pairMemo{score: gramSim},
-		bounds: pairMemo{score: nameBound},
+		query: q,
+		elems: elems,
+		class: queryTypeClasses(q, elems),
 	}
 	var ix nameIndex
 	qa.elemName, qa.ctx = ix.addQuery(q, elems)
@@ -126,7 +124,7 @@ func NewQueryArtifacts(q *query.Query) *QueryArtifacts {
 // MemoStats reports how many name-pair lookups of this search the memo
 // answered (hits) and how many it had to score (misses).
 func (qa *QueryArtifacts) MemoStats() (hits, misses uint64) {
-	return qa.sims.hits.Load() + qa.bounds.hits.Load(), qa.sims.misses.Load() + qa.bounds.misses.Load()
+	return qa.sims.hits.Load(), qa.sims.misses.Load()
 }
 
 // Query returns the query the artifacts were built from.

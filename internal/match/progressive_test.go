@@ -28,7 +28,7 @@ func TestProgressiveCostOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := webtables.GenerateRelational(5, 3)[0]
-	pm := e.NewProgressive(q, s)
+	pm := e.NewProgressiveProfiled(NewQueryArtifacts(q), NewProfile(s))
 	var costs []int
 	for _, i := range pm.order {
 		costs = append(costs, matcherCost(e.matchers[i]))
@@ -45,8 +45,8 @@ func TestProgressiveCostOrdering(t *testing.T) {
 }
 
 // TestProgressiveCombineMatchesMatch: the progressive path's combined
-// matrix must be byte-identical to Ensemble.Match / MatchProfiled, on both
-// the profiled and unprofiled paths, with uniform and learned weights.
+// matrix must be byte-identical to Ensemble.MatchProfiled (and so to
+// Match), with uniform and learned weights.
 func TestProgressiveCombineMatchesMatch(t *testing.T) {
 	e := fullEnsemble(t)
 	q, err := query.Parse(query.Input{
@@ -69,31 +69,27 @@ func TestProgressiveCombineMatchesMatch(t *testing.T) {
 		}
 		qa := NewQueryArtifacts(q)
 		for si, s := range schemas {
-			want := e.Match(q, s)
-			pm := e.NewProgressive(q, s)
+			p := NewProfile(s)
+			want := e.MatchProfiled(qa, p)
+			pm := e.NewProgressiveProfiled(qa, p)
 			for pm.Remaining() > 0 {
 				pm.Step()
 			}
-			if got := pm.Combine(); !reflect.DeepEqual(got.Scores, want.Scores) {
+			got := pm.Combine()
+			if !reflect.DeepEqual(got.Scores, want.Scores) {
+				t.Fatalf("weights %d schema %d: progressive != MatchProfiled", wi, si)
+			}
+			if !reflect.DeepEqual(got.Scores, e.Match(q, s).Scores) {
 				t.Fatalf("weights %d schema %d: progressive != Match", wi, si)
-			}
-
-			p := NewProfile(s)
-			wantP := e.MatchProfiled(qa, p)
-			pmp := e.NewProgressiveProfiled(qa, p)
-			for pmp.Remaining() > 0 {
-				pmp.Step()
-			}
-			if got := pmp.Combine(); !reflect.DeepEqual(got.Scores, wantP.Scores) {
-				t.Fatalf("weights %d schema %d: progressive profiled != MatchProfiled", wi, si)
 			}
 		}
 	}
 }
 
-// TestProgressiveBoundsAdmissible: after every step, the per-column and
-// per-row upper bounds must dominate the final combined matrix (within the
-// engine's 1e-9 slack), and must be exact once all matchers are evaluated.
+// TestProgressiveBoundsAdmissible: before and after every step, the
+// per-column and per-row upper bounds must dominate the final combined
+// matrix (within a 1e-9 slack), and must be exact once all matchers are
+// evaluated.
 func TestProgressiveBoundsAdmissible(t *testing.T) {
 	e := fullEnsemble(t)
 	rng := rand.New(rand.NewSource(41))
@@ -110,6 +106,7 @@ func TestProgressiveBoundsAdmissible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qa := NewQueryArtifacts(q)
 	const slack = 1e-9
 	for _, s := range webtables.GenerateRelational(29, 10) {
 		want := e.Match(q, s)
@@ -126,13 +123,10 @@ func TestProgressiveBoundsAdmissible(t *testing.T) {
 				}
 			}
 		}
-		pm := e.NewProgressive(q, s)
+		pm := e.NewProgressiveProfiled(qa, NewProfile(s))
 		colUB := make([]float64, pm.Cols())
 		rowUB := make([]float64, pm.Rows())
-		steps := 0
-		for pm.Remaining() > 0 {
-			pm.Step()
-			steps++
+		for steps := 0; ; steps++ {
 			pm.Bounds(colUB, rowUB)
 			for si, ub := range colUB {
 				if ub+slack < wantCol[si] {
@@ -144,6 +138,10 @@ func TestProgressiveBoundsAdmissible(t *testing.T) {
 					t.Fatalf("step %d: row %d bound %v below final %v", steps, qi, ub, wantRow[qi])
 				}
 			}
+			if pm.Remaining() == 0 {
+				break
+			}
+			pm.Step()
 		}
 		// All matchers evaluated: the bounds collapse to the exact maxima.
 		for si, ub := range colUB {
@@ -163,7 +161,7 @@ func TestProgressiveBoundsTightenMonotonically(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := webtables.GenerateRelational(7, 4)[1]
-	pm := e.NewProgressive(q, s)
+	pm := e.NewProgressiveProfiled(NewQueryArtifacts(q), NewProfile(s))
 	prev := make([]float64, pm.Cols())
 	for i := range prev {
 		prev[i] = 1
@@ -180,41 +178,4 @@ func TestProgressiveBoundsTightenMonotonically(t *testing.T) {
 		}
 		copy(prev, cur)
 	}
-}
-
-// TestNameBoundSound drives boundPair over random name pairs — including
-// delimiter noise, digits, repeats, unicode, and empty strings — and checks
-// the declared bound dominates the exact n-gram similarity. This is the
-// admissibility contract the cascade's byte-identical guarantee rests on.
-func TestNameBoundSound(t *testing.T) {
-	nm := NewNameMatcher()
-	rng := rand.New(rand.NewSource(97))
-	alphabet := []rune("abcdefgstuvxyz0189_ -éß日")
-	randName := func() string {
-		n := rng.Intn(16)
-		runes := make([]rune, n)
-		for i := range runes {
-			runes[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		return string(runes)
-	}
-	words := []string{"patient", "pt_hght", "patientHeight", "diagnosis",
-		"diagnoses", "order date", "ORDER_DATE", "qty", "quantity", ""}
-	names := append([]string{}, words...)
-	for i := 0; i < 300; i++ {
-		names = append(names, randName())
-	}
-	checked := 0
-	for _, a := range names {
-		sa := nm.nameStats(a)
-		for _, b := range names {
-			sb := nm.nameStats(b)
-			bound := boundPair(&sa, &sb, nm.maxGram)
-			if got := nm.Similarity(a, b); got > bound+1e-12 {
-				t.Fatalf("boundPair(%q, %q) = %v below exact similarity %v", a, b, bound, got)
-			}
-			checked++
-		}
-	}
-	t.Logf("checked %d pairs", checked)
 }

@@ -87,39 +87,6 @@ func (sm *SynonymMatcher) Name() string { return "synonym" }
 // index sets, but building them tokenizes every name per call.
 func (sm *SynonymMatcher) Cost() int { return CostSets }
 
-// ScoreBounds implements BoundedMatcher: a row or column whose name touches
-// no thesaurus entry stays NotApplicable — exactly Match's skip condition —
-// and a cell with sets on both sides is applicable with the Jaccard size
-// bound min/max (the intersection is at most the smaller side, the union at
-// least the larger). Computed from the per-element word sets alone,
-// O(rows+cols) tokenizations instead of Match's cross-product.
-func (sm *SynonymMatcher) ScoreBounds(qe []query.Element, se []model.Element, out []float64) {
-	colSets := make([]int, len(se))
-	for si, el := range se {
-		colSets[si] = len(sm.wordSets(el.Name))
-	}
-	for qi, el := range qe {
-		row := out[qi*len(se) : (qi+1)*len(se)]
-		qn := len(sm.wordSets(el.Name))
-		if qn == 0 {
-			for si := range row {
-				row[si] = NotApplicable
-			}
-			continue
-		}
-		for si, sn := range colSets {
-			switch {
-			case sn == 0:
-				row[si] = NotApplicable
-			case qn < sn:
-				row[si] = float64(qn) / float64(sn)
-			default:
-				row[si] = float64(sn) / float64(qn)
-			}
-		}
-	}
-}
-
 // wordSets returns the synonym-set indexes touched by a name's words (and
 // by the whole normalized name, for entries like "emailaddress").
 func (sm *SynonymMatcher) wordSets(name string) map[int]bool {

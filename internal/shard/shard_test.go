@@ -88,7 +88,6 @@ func TestShardedMatchesSingleRandomized(t *testing.T) {
 			{DisablePruning: true},
 			{BM25: true},
 			{BM25: true, DisablePruning: true},
-			{DisableBlockMax: true},
 			{BM25: true, Proximity: true},
 		}
 

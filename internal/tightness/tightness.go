@@ -25,8 +25,8 @@ import (
 // DefaultMatchThreshold is the default Options.MatchThreshold: the minimum
 // best-match similarity for a schema element to count as matched. Exported
 // so the engine's coverage computation (which must agree with the matched
-// set, or coverage and tightness drift apart) and the cascade's bound
-// checks use the same constant instead of a copy that can fall out of sync.
+// set, or coverage and tightness drift apart) uses the same constant
+// instead of a copy that can fall out of sync.
 const DefaultMatchThreshold = 0.5
 
 // Options tunes the measurement. Zero values take the documented defaults.
