@@ -112,7 +112,7 @@ type cursorSrc struct {
 	// Segment source (seg != nil):
 	seg *segment
 	st  *segTerm
-	blk int  // current block
+	blk int // current block
 	dec decBlock
 	on  bool // current block decoded into dec
 

@@ -187,7 +187,7 @@ func newSegment(docIDs []string, docOrds []int32, docTerms [][]string, norms [][
 			docC      float64 // current doc's classic aggregate
 			docBS     float64 // current doc's positive-boost sum
 			docMF     int32   // current doc's max posting freq
-			prevLocal int32 = -1
+			prevLocal int32   = -1
 		)
 		closeDoc := func() {
 			if prevLocal < 0 {

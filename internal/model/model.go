@@ -230,6 +230,9 @@ func (s *Schema) Validate() error {
 	}
 	seen := make(map[string]bool, len(s.Entities))
 	for _, e := range s.Entities {
+		if e == nil {
+			return fmt.Errorf("schema %q: null entity", s.Name)
+		}
 		if e.Name == "" {
 			return fmt.Errorf("schema %q: entity with empty name", s.Name)
 		}
@@ -239,6 +242,9 @@ func (s *Schema) Validate() error {
 		seen[e.Name] = true
 		attrSeen := make(map[string]bool, len(e.Attributes))
 		for _, a := range e.Attributes {
+			if a == nil {
+				return fmt.Errorf("schema %q: entity %q has a null attribute", s.Name, e.Name)
+			}
 			if a.Name == "" {
 				return fmt.Errorf("schema %q: entity %q has attribute with empty name", s.Name, e.Name)
 			}
@@ -288,25 +294,30 @@ func (s *Schema) Validate() error {
 // (names, attribute order, foreign keys), independent of ID, description and
 // provenance. The corpus pipeline uses it to detect duplicate schemas, and
 // the repository uses it for idempotent imports.
+//
+// The hashed stream is one line per entity ("E name<parent"), per
+// attribute ("A name:type") and per foreign key ("F from(cols)>to(cols)",
+// sorted); recovery fingerprints every stored schema, so it is built with
+// appends rather than fmt.
 func (s *Schema) Fingerprint() string {
-	h := sha256.New()
+	buf := make([]byte, 0, 1024) // on the stack for all but large schemas
 	for _, e := range s.Entities {
-		fmt.Fprintf(h, "E %s<%s\n", e.Name, e.Parent)
+		buf = append(append(append(append(append(buf, "E "...), e.Name...), '<'), e.Parent...), '\n')
 		for _, a := range e.Attributes {
-			fmt.Fprintf(h, "A %s:%s\n", a.Name, a.Type)
+			buf = append(append(append(append(append(buf, "A "...), a.Name...), ':'), a.Type...), '\n')
 		}
 	}
 	fks := make([]string, 0, len(s.ForeignKeys))
 	for _, fk := range s.ForeignKeys {
-		fks = append(fks, fmt.Sprintf("F %s(%s)>%s(%s)",
-			fk.FromEntity, strings.Join(fk.FromColumns, ","),
-			fk.ToEntity, strings.Join(fk.ToColumns, ",")))
+		fks = append(fks, "F "+fk.FromEntity+"("+strings.Join(fk.FromColumns, ",")+")>"+
+			fk.ToEntity+"("+strings.Join(fk.ToColumns, ",")+")")
 	}
 	sort.Strings(fks)
 	for _, f := range fks {
-		fmt.Fprintln(h, f)
+		buf = append(append(buf, f...), '\n')
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:16])
 }
 
 // String renders a compact one-line summary, e.g.

@@ -1,0 +1,144 @@
+package repository
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"runtime"
+	"sync"
+)
+
+// The decode stage shared by WAL replay, snapshot load and InstallState:
+// GOMAXPROCS workers do each record's state-independent work (unmarshal,
+// validation, fingerprint) while the caller's apply function installs the
+// records strictly in frame order, so recovered state is byte-identical to
+// a sequential replay. Callers differ only in what a bad frame means: the
+// WAL is cut back to it, a snapshot or install fails outright.
+
+// decoded is one frame after the decode stage.
+type decoded struct {
+	payload []byte // raw frame payload; released once decoded
+	off     int64  // stream offset of the frame
+	rec     walRecord
+	fp      string // opPut: the entry schema's fingerprint
+	err     error
+}
+
+// decode unmarshals the payload; a put's entry must hold a valid schema,
+// whose fingerprint apply then uses for the dedupe map.
+func (d *decoded) decode() {
+	err := json.Unmarshal(d.payload, &d.rec)
+	d.payload = nil
+	switch e := d.rec.Entry; {
+	case err != nil:
+		d.err = fmt.Errorf("repository: wal record: %w", err)
+	case d.rec.Op != opPut:
+	case e == nil || e.Schema == nil:
+		d.err = fmt.Errorf("repository: wal put record without entry")
+	default:
+		if err := e.Schema.Validate(); err != nil {
+			d.err = fmt.Errorf("repository: wal put record: %w", err)
+			return
+		}
+		d.fp = e.Schema.Fingerprint()
+	}
+}
+
+// replayBatch is how many frames travel through the decode stage together.
+const replayBatch = 128
+
+// frameBatch is one unit of decode work. A replay recycles a fixed set of
+// them, which bounds how much of a stream is in memory at once.
+type frameBatch struct {
+	recs    []decoded
+	buf     []byte // the payloads of recs, back to back
+	readErr error  // the frame after recs could not be read
+	errOff  int64
+	done    chan struct{} // closed once every rec is decoded
+}
+
+// replay reads every frame from fr, decodes them in parallel and calls
+// apply on each in frame order. It stops at the first frame that cannot
+// be read or decoded, or that apply rejects, and returns that frame's
+// offset with the error; after a clean end it returns the stream length
+// and nil.
+func replay(fr *frameReader, apply func(*decoded) error) (int64, error) {
+	workers := runtime.GOMAXPROCS(0)
+	window := 3 * workers // batches in flight; no channel below ever fills
+	work := make(chan *frameBatch, window)
+	ordered := make(chan *frameBatch, window)
+	free := make(chan *frameBatch, window)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(workers + 1)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				for i := range b.recs {
+					b.recs[i].decode()
+				}
+				close(b.done)
+			}
+		}()
+	}
+	go func() { // the reader: sole user of fr
+		defer wg.Done()
+		defer close(ordered)
+		defer close(work)
+		made := 0
+		for full := true; full; {
+			var b *frameBatch
+			if made < window {
+				made++
+				b = &frameBatch{recs: make([]decoded, 0, replayBatch)}
+			} else {
+				select {
+				case b = <-free:
+				case <-stop:
+					return
+				}
+			}
+			b.recs, b.buf, b.done = b.recs[:0], b.buf[:0], make(chan struct{})
+			for len(b.recs) < replayBatch {
+				off := fr.off
+				var p []byte
+				var err error
+				if b.buf, p, err = fr.next(b.buf); err != nil {
+					if err != io.EOF {
+						b.readErr, b.errOff = err, off
+					}
+					break
+				}
+				b.recs = append(b.recs, decoded{payload: p, off: off})
+			}
+			work <- b
+			ordered <- b
+			full = len(b.recs) == replayBatch
+		}
+	}()
+
+	end, err := fr.size, error(nil)
+apply:
+	for b := range ordered {
+		<-b.done
+		for i := range b.recs {
+			d := &b.recs[i]
+			if d.err == nil {
+				d.err = apply(d)
+			}
+			if d.err != nil {
+				end, err = d.off, d.err
+				break apply
+			}
+		}
+		if b.readErr != nil {
+			end, err = b.errOff, b.readErr
+			break
+		}
+		free <- b
+	}
+	close(stop)
+	wg.Wait()
+	return end, err
+}

@@ -2,8 +2,9 @@ package repository
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"time"
 
 	"schemr/internal/obs"
@@ -13,14 +14,15 @@ import (
 // to a write-ahead log before acknowledging it: Put, Delete, Tag and
 // AddComment append one fsynced record each, so once the call returns the
 // mutation survives kill -9. Usage counters (impressions, selections) are
-// deliberately weaker — they change on every search, and an fsync per
-// search result would put disk latency on the read path — so they
-// coalesce in memory and reach the WAL in batched records (every
-// usageFlushEvery updates, before any strongly-logged mutation, and at
-// snapshot/close time). A periodic Snapshot rewrites the full repository
-// (fsynced file and parent directory), truncates the WAL and compacts the
-// deleted map; recovery is snapshot + replay of records the snapshot does
-// not already cover, decided by each record's log sequence number (LSN).
+// deliberately weaker — they change on every search, and a search must
+// never wait on the disk — so they coalesce in memory and reach the WAL
+// as one batched record before any strongly-logged mutation, at
+// FlushUsage (the server's checkpoint loop), and at snapshot/close time.
+// A periodic Snapshot rewrites the full repository as a compacted log
+// (fsynced file and parent directory; see snapshot.go), truncates the WAL
+// and compacts the deleted map; recovery is snapshot + replay of records
+// the snapshot does not already cover, decided by each record's log
+// sequence number (LSN).
 
 // walRecord is one logged mutation. Op selects which fields are
 // meaningful. Records carry final state (the merged entry, the full tag
@@ -28,7 +30,7 @@ import (
 // is a verbatim install with no re-derivation of timestamps or merges.
 type walRecord struct {
 	Op  string `json:"op"`
-	Lsn uint64 `json:"lsn"`
+	Lsn uint64 `json:"lsn,omitempty"` // 0 only inside snapshots
 	Seq uint64 `json:"seq,omitempty"`
 
 	// opPut: the full entry as stored, plus the owning tenant's ID counter
@@ -66,6 +68,9 @@ type walRecord struct {
 	// the version being promoted to serving.
 	WeightSet     *WeightSet `json:"weightSet,omitempty"`
 	WeightVersion uint64     `json:"weightVersion,omitempty"`
+
+	// opSnapshot: the trailing record of a snapshot (see snapshot.go).
+	Snapshot *snapshotMeta `json:"snapshot,omitempty"`
 }
 
 const (
@@ -80,10 +85,6 @@ const (
 	opWeightSet     = "weight_set"
 	opWeightPromote = "weight_promote"
 )
-
-// usageFlushEvery bounds how many usage counter updates may sit in memory
-// before they are forced into a batched WAL record.
-const usageFlushEvery = 256
 
 // Metrics is the durability layer's observability hook. Fields are
 // nil-safe obs instruments; a nil *Metrics disables recording entirely.
@@ -150,48 +151,46 @@ type RecoveryStats struct {
 }
 
 // Recover opens a durable repository: it loads the snapshot at
-// snapshotPath if one exists (otherwise starts empty), replays the WAL at
+// snapshotPath if one exists (otherwise starts empty; a legacy JSON
+// snapshot is rewritten in the framed format first), replays the WAL at
 // walPath (created if absent, torn tail tolerated), and leaves the WAL
 // attached so every subsequent mutation is logged and fsynced before it
 // is acknowledged. met may be nil to run without instrumentation.
 func Recover(snapshotPath, walPath string, met *Metrics) (*Repository, RecoveryStats, error) {
 	var stats RecoveryStats
-	var r *Repository
-	switch _, err := os.Stat(snapshotPath); {
+	r, legacy, err := openSnapshot(snapshotPath)
+	switch {
 	case err == nil:
-		r, err = Open(snapshotPath)
-		if err != nil {
-			return nil, stats, err
-		}
 		stats.SnapshotLoaded = true
-	case os.IsNotExist(err):
+		if legacy {
+			// Upgrade in place: the framed rewrite holds the same state
+			// and LSN, so the WAL replays against it unchanged.
+			if err := r.saveLocked(snapshotPath); err != nil {
+				return nil, stats, err
+			}
+		}
+	case errors.Is(err, fs.ErrNotExist):
 		r = New()
 	default:
-		return nil, stats, fmt.Errorf("repository: recover: %w", err)
+		return nil, stats, err
 	}
 	r.met = met
 
-	w, ws, err := openWAL(walPath, func(payload []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("repository: wal record: %w", err)
-		}
-		if rec.Lsn <= r.lsn {
+	w, err := openWAL(walPath, func(d *decoded) error {
+		if d.rec.Lsn <= r.lsn {
 			stats.Skipped++ // snapshot already covers it
 			return nil
 		}
-		if err := r.applyRecord(&rec); err != nil {
+		if err := r.applyRecord(&d.rec, d.fp); err != nil {
 			return err
 		}
-		r.lsn = rec.Lsn
+		r.lsn = d.rec.Lsn
 		stats.Replayed++
 		return nil
-	}, met)
+	}, met, &stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.TornTail = ws.Truncated
-	stats.TruncatedAt = ws.TruncatedAt
 	r.wal = w
 	if met != nil {
 		met.Replayed.Add(uint64(stats.Replayed))
@@ -205,18 +204,14 @@ func Recover(snapshotPath, walPath string, met *Metrics) (*Repository, RecoveryS
 	return r, stats, nil
 }
 
-// applyRecord installs one replayed mutation. Called during Recover only,
-// before the repository is shared, so no locking.
-func (r *Repository) applyRecord(rec *walRecord) error {
+// applyRecord installs one decoded record — replayed from the WAL or a
+// snapshot, or streamed from a primary. fp is the fingerprint the decode
+// stage computed for a put's schema. Callers either own the repository
+// exclusively (recovery, snapshot load) or hold the write lock.
+func (r *Repository) applyRecord(rec *walRecord, fp string) error {
 	switch rec.Op {
 	case opPut:
 		e := rec.Entry
-		if e == nil || e.Schema == nil {
-			return fmt.Errorf("repository: wal put record without entry")
-		}
-		if err := e.Schema.Validate(); err != nil {
-			return fmt.Errorf("repository: wal put record: %w", err)
-		}
 		id := e.Schema.ID
 		if old, replacing := r.entries[id]; replacing {
 			delete(r.byPrint, printKey(id, old.Schema.Fingerprint()))
@@ -224,7 +219,7 @@ func (r *Repository) applyRecord(rec *walRecord) error {
 			r.order = append(r.order, id)
 		}
 		r.entries[id] = e
-		r.byPrint[printKey(id, e.Schema.Fingerprint())] = id
+		r.byPrint[printKey(id, fp)] = id
 		delete(r.deleted, id)
 		r.seq = rec.Seq
 		r.nextIDs[rec.Tenant] = rec.NextID
@@ -344,6 +339,8 @@ func (r *Repository) logMutation(rec *walRecord) error {
 }
 
 // noteUsage coalesces one counter delta for a later batched WAL record.
+// It never writes: the map holds at most one delta per live schema (a
+// delete flushes it first), so it needs no size trigger.
 func (r *Repository) noteUsage(id string, impressions, selections int) {
 	if r.wal == nil {
 		return
@@ -355,13 +352,6 @@ func (r *Repository) noteUsage(id string, impressions, selections int) {
 	u.Impressions += impressions
 	u.Selections += selections
 	r.pendingUsage[id] = u
-	r.pendingUsageN++
-	if r.pendingUsageN >= usageFlushEvery {
-		// Best effort: on append failure the deltas stay pending and the
-		// next flush (or snapshot) retries. Usage is not in the
-		// acknowledged-durability contract.
-		r.flushUsageLocked()
-	}
 }
 
 // flushUsageLocked writes the pending usage deltas as one batched WAL
@@ -375,7 +365,6 @@ func (r *Repository) flushUsageLocked() error {
 		return err
 	}
 	r.pendingUsage = nil
-	r.pendingUsageN = 0
 	return nil
 }
 
@@ -412,7 +401,6 @@ func (r *Repository) Snapshot(path string, compactBefore uint64) error {
 		// The snapshot covers everything, pending usage deltas included
 		// (they were already applied to the in-memory counters).
 		r.pendingUsage = nil
-		r.pendingUsageN = 0
 		if err := r.wal.reset(); err != nil {
 			return err
 		}

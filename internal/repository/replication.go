@@ -1,7 +1,8 @@
 package repository
 
 import (
-	"encoding/json"
+	"bufio"
+	"bytes"
 	"fmt"
 )
 
@@ -89,52 +90,37 @@ func (r *Repository) RecordsSince(from uint64) ReplicationBatch {
 	return b
 }
 
-// ExportState serializes the full repository state (the snapshot shape —
-// LSN, per-tenant ID counters and API keys included, so a replica can
-// authenticate the same tenants as its primary) for a resyncing replica,
-// and returns the LSN it covers.
+// ExportState serializes the full repository state for a resyncing
+// replica — the snapshot stream byte for byte, LSN, per-tenant ID counters
+// and API keys included, so a replica can authenticate the same tenants
+// as its primary — and returns the LSN it covers.
 func (r *Repository) ExportState() ([]byte, uint64, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	p := r.persistedLocked()
-	data, err := json.Marshal(&p)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := r.writeSnapshot(&buf); err != nil {
 		return nil, 0, fmt.Errorf("repository: export state: %w", err)
 	}
-	return data, r.lsn, nil
+	return buf.Bytes(), r.lsn, nil
 }
 
 // InstallState replaces the repository's contents with a primary's
-// ExportState payload — the resync path. The replica's own WAL (if
-// attached) stays attached; the caller should snapshot promptly so the
-// local WAL is truncated to records the installed state does not already
-// cover. Pending usage deltas and the retention ring are discarded: both
+// ExportState payload — the resync path. The payload is loaded exactly
+// like a snapshot file, and any bad frame rejects it whole, leaving the
+// repository untouched. The replica's own WAL (if attached) stays
+// attached; the caller should snapshot promptly so the local WAL is
+// truncated to records the installed state does not already cover.
+// Pending usage deltas and the retention ring are discarded: both
 // described the replaced state.
 func (r *Repository) InstallState(data []byte) error {
-	var p persisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("repository: install state: %w", err)
-	}
-	fresh, err := fromPersisted(&p, "replication export")
+	fresh, _, err := readSnapshot(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
 	if err != nil {
 		return fmt.Errorf("repository: install state: %w", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.entries = fresh.entries
-	r.order = fresh.order
-	r.byPrint = fresh.byPrint
-	r.nextIDs = fresh.nextIDs
-	r.seq = fresh.seq
-	r.deleted = fresh.deleted
-	r.keys = fresh.keys
-	r.feedback = fresh.feedback
-	r.weightSets = fresh.weightSets
-	r.weightVersion = fresh.weightVersion
-	r.promotedVersion = fresh.promotedVersion
-	r.lsn = fresh.lsn
+	r.state = fresh.state
 	r.pendingUsage = nil
-	r.pendingUsageN = 0
 	r.recent = nil
 	return nil
 }
@@ -148,10 +134,11 @@ func (r *Repository) InstallState(data []byte) error {
 // retention miss and resolves by resync. Returns whether the record was
 // applied.
 func (r *Repository) ApplyReplicated(payload []byte) (bool, error) {
-	var rec walRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return false, fmt.Errorf("repository: replicated record: %w", err)
+	d := decoded{payload: payload}
+	if d.decode(); d.err != nil {
+		return false, fmt.Errorf("repository: replicated record: %w", d.err)
 	}
+	rec := &d.rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if rec.Lsn <= r.lsn {
@@ -165,7 +152,7 @@ func (r *Repository) ApplyReplicated(payload []byte) (bool, error) {
 			return false, err
 		}
 	}
-	if err := r.applyRecord(&rec); err != nil {
+	if err := r.applyRecord(rec, d.fp); err != nil {
 		return false, err
 	}
 	r.lsn = rec.Lsn

@@ -2,22 +2,18 @@
 // open-source Yggdrasil repository plays in the paper's architecture. It
 // holds the schema corpus with provenance and community metadata (tags,
 // comments, ratings — the collaboration features the paper plans for),
-// persists to a single JSON file, and exposes a change feed so the offline
-// text indexer can refresh the document index "at scheduled intervals"
-// without rescanning the whole corpus.
+// is durable through a write-ahead log and compacted-log snapshots
+// (durable.go, wal.go, snapshot.go), and exposes a change feed so the
+// offline text indexer can refresh the document index "at scheduled
+// intervals" without rescanning the whole corpus.
 package repository
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
-	"schemr/internal/fsutil"
 	"schemr/internal/model"
 	"schemr/internal/tenant"
 )
@@ -44,7 +40,7 @@ type Entry struct {
 	Schema   *model.Schema `json:"schema"`
 	Tags     []string      `json:"tags,omitempty"`
 	Comments []Comment     `json:"comments,omitempty"`
-	Usage    Usage         `json:"usage,omitempty"`
+	Usage    Usage         `json:"usage,omitzero"` // go1.24+ omits zero counters; older toolchains write {}
 	AddedAt  time.Time     `json:"addedAt"`
 	Seq      uint64        `json:"seq"` // change-feed sequence of last modification
 }
@@ -54,13 +50,32 @@ type Entry struct {
 // is durable: every mutation is written to a write-ahead log and fsynced
 // before it is acknowledged (see durable.go).
 type Repository struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	state
+
+	// Durability (nil/zero without Recover): the attached WAL, coalesced
+	// usage-counter deltas awaiting a batched WAL record, and metrics.
+	wal          *wal
+	pendingUsage map[string]Usage
+	met          *Metrics
+
+	// Replication: the ring of recently acknowledged WAL records a
+	// replica can stream (see replication.go). retainCap 0 means the
+	// default replicationRetention; tests shrink it.
+	recent    []retainedRecord
+	retainCap int
+}
+
+// state is everything a snapshot holds: what a load builds and what
+// InstallState replaces whole.
+type state struct {
 	entries map[string]*Entry
-	order   []string          // insertion order of live ids
-	byPrint map[string]string // tenant-scoped fingerprint → id, for dedupe
-	nextIDs map[string]int    // per-tenant ID counter ("" = default tenant)
-	seq     uint64
-	deleted map[string]uint64 // id → seq of deletion
+	order   []string             // insertion order of live ids
+	byPrint map[string]string    // tenant-scoped fingerprint → id, for dedupe
+	nextIDs map[string]int       // per-tenant ID counter ("" = default tenant)
+	seq     uint64               // change-feed sequence
+	lsn     uint64               // log sequence number of the last record written or replayed
+	deleted map[string]uint64    // id → seq of deletion
 	keys    map[string]*KeyEntry // API-key hash → tenant binding (see keys.go)
 
 	// Relevance loop (see feedback.go): the retained feedback-event
@@ -70,32 +85,17 @@ type Repository struct {
 	weightSets      []*WeightSet
 	weightVersion   uint64
 	promotedVersion uint64
-
-	// Durability (nil/zero without Recover): the attached WAL, the log
-	// sequence number of the last record written or replayed, coalesced
-	// usage-counter deltas awaiting a batched WAL record, and metrics.
-	wal           *wal
-	lsn           uint64
-	pendingUsage  map[string]Usage
-	pendingUsageN int
-	met           *Metrics
-
-	// Replication: the ring of recently acknowledged WAL records a
-	// replica can stream (see replication.go). retainCap 0 means the
-	// default replicationRetention; tests shrink it.
-	recent    []retainedRecord
-	retainCap int
 }
 
 // New returns an empty repository.
 func New() *Repository {
-	return &Repository{
+	return &Repository{state: state{
 		entries: make(map[string]*Entry),
 		byPrint: make(map[string]string),
 		nextIDs: make(map[string]int),
 		deleted: make(map[string]uint64),
 		keys:    make(map[string]*KeyEntry),
-	}
+	}}
 }
 
 // printKey scopes a schema fingerprint to the tenant owning id, so
@@ -517,144 +517,4 @@ func (r *Repository) ChangedSince(seq uint64) Changes {
 	}
 	sort.Strings(ch.Deleted)
 	return ch
-}
-
-// persisted is the on-disk JSON shape. Lsn records the WAL position the
-// snapshot covers; recovery skips replaying records at or below it (the
-// field is absent/zero for snapshots from non-durable repositories).
-// NextID is the default tenant's ID counter (the only counter before
-// multi-tenancy); NextIDs carries the named tenants' counters and Keys the
-// API-key store — both absent from (and ignored in) pre-tenancy snapshots.
-type persisted struct {
-	Version int                  `json:"version"`
-	NextID  int                  `json:"nextId"`
-	NextIDs map[string]int       `json:"nextIds,omitempty"`
-	Seq     uint64               `json:"seq"`
-	Lsn     uint64               `json:"lsn,omitempty"`
-	Order   []string             `json:"order"`
-	Entries map[string]*Entry    `json:"entries"`
-	Deleted map[string]uint64    `json:"deleted,omitempty"`
-	Keys    map[string]*KeyEntry `json:"keys,omitempty"`
-
-	// Relevance loop (absent from, and ignored in, older snapshots).
-	Feedback        []FeedbackEvent `json:"feedback,omitempty"`
-	WeightSets      []*WeightSet    `json:"weightSets,omitempty"`
-	WeightVersion   uint64          `json:"weightVersion,omitempty"`
-	PromotedVersion uint64          `json:"promotedVersion,omitempty"`
-}
-
-// Save durably writes the repository to path: temp file, fsync, rename,
-// parent-directory fsync. Unlike Snapshot it leaves any attached WAL
-// untouched (recovery still skips the covered records via the persisted
-// LSN).
-func (r *Repository) Save(path string) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.saveLocked(path)
-}
-
-// saveLocked writes the snapshot with at least a read lock held for the
-// full duration — entries are mutated in place, so serialization cannot
-// overlap writers.
-func (r *Repository) saveLocked(path string) error {
-	p := r.persistedLocked()
-	if err := fsutil.WriteFileAtomic(path, func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(&p)
-	}); err != nil {
-		return fmt.Errorf("repository: save: %w", err)
-	}
-	return nil
-}
-
-// persistedLocked builds the snapshot shape under at least a read lock.
-// The default tenant's counter stays in the legacy NextID field so
-// pre-tenancy readers still open single-tenant snapshots.
-func (r *Repository) persistedLocked() persisted {
-	p := persisted{
-		Version: 1,
-		NextID:  r.nextIDs[""],
-		Seq:     r.seq,
-		Lsn:     r.lsn,
-		Order:   r.order,
-		Entries: r.entries,
-		Deleted: r.deleted,
-	}
-	for tn, n := range r.nextIDs {
-		if tn == "" {
-			continue
-		}
-		if p.NextIDs == nil {
-			p.NextIDs = make(map[string]int)
-		}
-		p.NextIDs[tn] = n
-	}
-	if len(r.keys) > 0 {
-		p.Keys = r.keys
-	}
-	p.Feedback = r.feedback
-	p.WeightSets = r.weightSets
-	p.WeightVersion = r.weightVersion
-	p.PromotedVersion = r.promotedVersion
-	return p
-}
-
-// Open loads a repository saved by Save.
-func Open(path string) (*Repository, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("repository: open: %w", err)
-	}
-	defer f.Close()
-	var p persisted
-	if err := json.NewDecoder(bufio.NewReader(f)).Decode(&p); err != nil {
-		return nil, fmt.Errorf("repository: open %s: %w", path, err)
-	}
-	return fromPersisted(&p, path)
-}
-
-// fromPersisted materializes a repository from a decoded snapshot,
-// validating every entry. src names the source in errors (a file path or
-// "replication export").
-func fromPersisted(p *persisted, src string) (*Repository, error) {
-	if p.Version != 1 {
-		return nil, fmt.Errorf("repository: open %s: unsupported version %d", src, p.Version)
-	}
-	r := New()
-	r.nextIDs[""] = p.NextID
-	for tn, n := range p.NextIDs {
-		r.nextIDs[tn] = n
-	}
-	r.seq = p.Seq
-	r.lsn = p.Lsn
-	if p.Deleted != nil {
-		r.deleted = p.Deleted
-	}
-	if p.Keys != nil {
-		r.keys = p.Keys
-	}
-	r.feedback = p.Feedback
-	r.weightSets = p.WeightSets
-	r.weightVersion = p.WeightVersion
-	r.promotedVersion = p.PromotedVersion
-	for _, ws := range r.weightSets {
-		if ws.Version > r.weightVersion {
-			r.weightVersion = ws.Version
-		}
-	}
-	for _, id := range p.Order {
-		e, ok := p.Entries[id]
-		if !ok || e.Schema == nil {
-			return nil, fmt.Errorf("repository: open %s: order lists %q but entry missing", src, id)
-		}
-		if err := e.Schema.Validate(); err != nil {
-			return nil, fmt.Errorf("repository: open %s: %w", src, err)
-		}
-		if e.Schema.ID != id {
-			return nil, fmt.Errorf("repository: open %s: entry %q holds schema id %q", src, id, e.Schema.ID)
-		}
-		r.entries[id] = e
-		r.order = append(r.order, id)
-		r.byPrint[printKey(id, e.Schema.Fingerprint())] = id
-	}
-	return r, nil
 }

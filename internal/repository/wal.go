@@ -1,12 +1,14 @@
 package repository
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"schemr/internal/fsutil"
@@ -23,6 +25,7 @@ import (
 // payload, an absurd length or a CRC mismatch — and truncates the file
 // there. A torn tail (the crash interrupted an append mid-write) is
 // therefore dropped silently: by construction it was never acknowledged.
+// Snapshots are streams of the same frames (see snapshot.go).
 const (
 	walHeaderSize = 8
 	// walMaxRecord caps a frame's declared payload length. A length beyond
@@ -31,17 +34,58 @@ const (
 	walMaxRecord = 64 << 20
 )
 
-// walStats describes what replaying a WAL found.
-type walStats struct {
-	// Records is the number of intact frames read (whether or not the
-	// caller applied them).
-	Records int
-	// Truncated reports that a torn or corrupt frame was found and the
-	// file was cut back to the end of the last intact frame.
-	Truncated bool
-	// TruncatedAt is the byte offset the file was cut to (end of the
-	// intact prefix); meaningful only when Truncated.
-	TruncatedAt int64
+// writeFrame writes one frame: header, then payload.
+func writeFrame(w io.Writer, payload []byte) error {
+	var hdr [walHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
+}
+
+// frameReader is the one reader of framed streams — WAL, snapshot and
+// replication state alike. It reads sequentially through a buffer and
+// knows how many bytes the stream holds, so a corrupt length is rejected
+// before anything is allocated for it.
+type frameReader struct {
+	r    *bufio.Reader
+	off  int64 // stream offset of the next frame
+	size int64 // stream length
+}
+
+// next appends the next frame's payload to buf and returns both the grown
+// buffer and the payload. io.EOF means the stream ended exactly at a frame
+// boundary; any other error means the frame at off is torn or corrupt,
+// and off is left pointing at it.
+func (fr *frameReader) next(buf []byte) ([]byte, []byte, error) {
+	left := fr.size - fr.off
+	if left == 0 {
+		return buf, nil, io.EOF
+	}
+	var hdr [walHeaderSize]byte
+	if left < walHeaderSize {
+		return buf, nil, fmt.Errorf("frame: short header at %d", fr.off)
+	}
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+		return buf, nil, fmt.Errorf("frame: short header at %d", fr.off)
+	}
+	length := int64(binary.LittleEndian.Uint32(hdr[0:4]))
+	if length == 0 || length > walMaxRecord || length > left-walHeaderSize {
+		return buf, nil, fmt.Errorf("frame: implausible frame length %d at %d", length, fr.off)
+	}
+	buf = slices.Grow(buf, int(length))
+	payload := buf[len(buf) : len(buf)+int(length)]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
+		return buf, nil, fmt.Errorf("frame: short payload at %d", fr.off)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
+		return buf, nil, fmt.Errorf("frame: crc mismatch at %d", fr.off)
+	}
+	fr.off += walHeaderSize + length
+	return buf[:len(buf)+int(length)], payload, nil
 }
 
 // wal is the open write-ahead log. It is not itself concurrency-safe; the
@@ -51,105 +95,55 @@ type wal struct {
 	f    *os.File
 	path string
 	size int64 // current end offset, maintained by append
-	hdr  [walHeaderSize]byte
 	met  *Metrics
 }
 
 // openWAL opens (creating if absent) the log at path, replays every intact
-// frame through apply, truncates any torn tail, and leaves the file
-// positioned for appends. apply returning an error stops replay at that
-// frame as if it were corrupt: the file is cut back so recovery always
-// yields a clean prefix.
-func openWAL(path string, apply func(payload []byte) error, met *Metrics) (*wal, walStats, error) {
-	var stats walStats
+// frame through the decode stage into apply, truncates any torn tail
+// (recording it in stats), and leaves the file positioned for appends. A
+// frame that fails to decode, or that apply rejects, stops replay as if it
+// were corrupt: the file is cut back so recovery always yields a clean
+// prefix.
+func openWAL(path string, apply func(*decoded) error, met *Metrics, stats *RecoveryStats) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, stats, fmt.Errorf("repository: wal open: %w", err)
+		return nil, fmt.Errorf("repository: wal open: %w", err)
 	}
 	// The file may have just been created; make its directory entry
 	// durable so a crash cannot lose the (empty) log out from under a
 	// snapshotless repository.
 	if err := fsutil.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
-		return nil, stats, fmt.Errorf("repository: wal open: sync dir: %w", err)
+		return nil, fmt.Errorf("repository: wal open: sync dir: %w", err)
 	}
-
-	w := &wal{f: f, path: path, met: met}
-	var off int64
-	for {
-		n, payload, err := w.readFrame(off)
-		if err == io.EOF {
-			break // clean end
-		}
-		if err != nil {
-			// Torn or corrupt frame: cut the file back to the intact
-			// prefix and stop. Anything beyond was never acknowledged
-			// (or is unreadable, in which case the prefix is all we can
-			// honestly recover).
-			stats.Truncated = true
-			stats.TruncatedAt = off
-			if terr := f.Truncate(off); terr != nil {
-				f.Close()
-				return nil, stats, fmt.Errorf("repository: wal truncate torn tail: %w", terr)
-			}
-			if serr := f.Sync(); serr != nil {
-				f.Close()
-				return nil, stats, fmt.Errorf("repository: wal sync after truncate: %w", serr)
-			}
-			break
-		}
-		if aerr := apply(payload); aerr != nil {
-			stats.Truncated = true
-			stats.TruncatedAt = off
-			if terr := f.Truncate(off); terr != nil {
-				f.Close()
-				return nil, stats, fmt.Errorf("repository: wal truncate bad record: %w", terr)
-			}
-			if serr := f.Sync(); serr != nil {
-				f.Close()
-				return nil, stats, fmt.Errorf("repository: wal sync after truncate: %w", serr)
-			}
-			break
-		}
-		stats.Records++
-		off += n
-	}
-	w.size = off
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
 		f.Close()
-		return nil, stats, fmt.Errorf("repository: wal seek: %w", err)
+		return nil, fmt.Errorf("repository: wal open: %w", err)
 	}
-	return w, stats, nil
-}
 
-// readFrame reads the frame starting at off, returning its total size and
-// payload. io.EOF means a clean end exactly at off; any other error means
-// the frame is torn or corrupt.
-func (w *wal) readFrame(off int64) (int64, []byte, error) {
-	if _, err := w.f.ReadAt(w.hdr[:], off); err != nil {
-		if err == io.EOF {
-			// Distinguish "file ends exactly here" (clean) from "file
-			// ends mid-header" (torn). ReadAt returns io.EOF for both,
-			// with a partial count for the latter.
-			if n, _ := w.f.ReadAt(w.hdr[:1], off); n == 0 {
-				return 0, nil, io.EOF
-			}
+	end, rerr := replay(&frameReader{r: bufio.NewReaderSize(f, 64<<10), size: fi.Size()}, apply)
+	if rerr != nil {
+		// Torn or corrupt frame: cut the file back to the intact prefix
+		// and stop. Anything beyond was never acknowledged (or is
+		// unreadable, in which case the prefix is all we can honestly
+		// recover).
+		stats.TornTail = true
+		stats.TruncatedAt = end
+		if terr := f.Truncate(end); terr != nil {
+			f.Close()
+			return nil, fmt.Errorf("repository: wal truncate torn tail: %w", terr)
 		}
-		return 0, nil, fmt.Errorf("wal: short header at %d", off)
+		if serr := f.Sync(); serr != nil {
+			f.Close()
+			return nil, fmt.Errorf("repository: wal sync after truncate: %w", serr)
+		}
 	}
-	length := binary.LittleEndian.Uint32(w.hdr[0:4])
-	sum := binary.LittleEndian.Uint32(w.hdr[4:8])
-	if length == 0 || length > walMaxRecord {
-		return 0, nil, fmt.Errorf("wal: implausible frame length %d at %d", length, off)
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("repository: wal seek: %w", err)
 	}
-	payload := make([]byte, length)
-	if _, err := w.f.ReadAt(payload, off+walHeaderSize); err != nil {
-		return 0, nil, fmt.Errorf("wal: short payload at %d", off)
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, fmt.Errorf("wal: crc mismatch at %d", off)
-	}
-	return walHeaderSize + int64(length), payload, nil
+	return &wal{f: f, path: path, size: end, met: met}, nil
 }
 
 // append frames payload, writes it at the end of the log and fsyncs. Only
@@ -158,24 +152,16 @@ func (w *wal) readFrame(off int64) (int64, []byte, error) {
 // mistaken for a record by a concurrent-era reader (recovery would discard
 // it anyway).
 func (w *wal) append(payload []byte) error {
-	var hdr [walHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		w.f.Truncate(w.size)
-		w.f.Seek(w.size, io.SeekStart)
-		return fmt.Errorf("repository: wal append: %w", err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		w.f.Truncate(w.size)
-		w.f.Seek(w.size, io.SeekStart)
-		return fmt.Errorf("repository: wal append: %w", err)
-	}
 	start := time.Now()
-	if err := w.f.Sync(); err != nil {
+	err := writeFrame(w.f, payload)
+	if err == nil {
+		start = time.Now()
+		err = w.f.Sync()
+	}
+	if err != nil {
 		w.f.Truncate(w.size)
 		w.f.Seek(w.size, io.SeekStart)
-		return fmt.Errorf("repository: wal fsync: %w", err)
+		return fmt.Errorf("repository: wal append: %w", err)
 	}
 	w.size += walHeaderSize + int64(len(payload))
 	if w.met != nil {

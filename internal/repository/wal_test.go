@@ -1,28 +1,12 @@
 package repository
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 )
-
-// dump renders the repository's full logical state deterministically (JSON
-// sorts map keys), so recovered state can be compared byte-for-byte with
-// the state the live repository had at acknowledgement time.
-func dump(t *testing.T, r *Repository) string {
-	t.Helper()
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	p := r.persistedLocked()
-	b, err := json.Marshal(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
 
 func recoverAt(t *testing.T, snapshotPath, walPath string) (*Repository, RecoveryStats) {
 	t.Helper()

@@ -26,8 +26,9 @@ type ReplicationWALJSON struct {
 	Records []json.RawMessage `json:"records,omitempty"`
 }
 
-// v1ReplicationState serves the primary's full repository state — the
-// snapshot shape, LSN included — as raw JSON for a resyncing replica.
+// v1ReplicationState serves the primary's full repository state for a
+// resyncing replica: the snapshot stream (a compacted log of framed
+// records, LSN included) exactly as repository.json holds it.
 func (s *Server) v1ReplicationState(w http.ResponseWriter, r *http.Request) {
 	data, _, err := s.engine.Repository().ExportState()
 	if err != nil {
@@ -36,7 +37,7 @@ func (s *Server) v1ReplicationState(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data)
 }
 

@@ -122,9 +122,11 @@ const (
 // and whether a torn WAL tail was truncated.
 type RecoveryStats = repository.RecoveryStats
 
-// Open loads a system persisted by Save: repository.json plus schemas.idx
-// under dir, with any repository.wal replayed on top (so mutations a
-// crashed server acknowledged but never snapshotted are recovered). The
+// Open loads a system persisted by Save: repository.json (the repository
+// snapshot, a compacted log of framed records) plus schemas.idx under dir,
+// with any repository.wal replayed on top (so mutations a crashed server
+// acknowledged but never snapshotted are recovered). A snapshot in the
+// older single-object JSON format is rewritten as a compacted log. The
 // WAL stays attached: subsequent mutations are logged and fsynced before
 // they are acknowledged. A missing or unreadable index is rebuilt from the
 // repository; a loaded index is synced forward from its saved change-feed
