@@ -125,6 +125,12 @@ func main() {
 			log.Printf("recovered %s: snapshot=%v, %d WAL records replayed (%d already in snapshot)",
 				*data, stats.SnapshotLoaded, stats.Replayed, stats.Skipped)
 		}
+		b, index := stats.Boot, "loaded"
+		if b.IndexErr != nil {
+			index = fmt.Sprintf("rebuilt (%v)", b.IndexErr)
+		}
+		log.Printf("boot: repository %v, index read %v (beside it), catch-up %v; index %s",
+			b.Repository.Round(time.Millisecond), b.Index.Round(time.Millisecond), b.Catchup.Round(time.Millisecond), index)
 	} else {
 		sys, err = schemr.OpenWithOptions(*data, opts)
 		if err != nil {

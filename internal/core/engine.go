@@ -648,15 +648,88 @@ func (e *Engine) Cursor() uint64 {
 // any repository changes made after the save. On any load error the caller
 // should fall back to Reindex.
 func (e *Engine) LoadIndex(path string) error {
+	si, err := e.readIndex(path)
+	if err != nil {
+		return err
+	}
+	return e.installIndex(si)
+}
+
+// Boot reports how long each phase of Open took, and whether the saved
+// index was used.
+type Boot struct {
+	// Repository is the repository's recovery; Index is the saved index's
+	// read, which runs beside it; Catchup is the sync that brings the
+	// index up to the repository, or the Reindex that replaces it.
+	Repository, Index, Catchup time.Duration
+	// IndexErr is why the saved index was not used and the index was
+	// rebuilt instead; nil when it loaded.
+	IndexErr error
+}
+
+// Open builds an engine over the repository recoverRepo returns, reading
+// the saved index at indexPath on another goroutine meanwhile: the two
+// share no state, so boot waits for the longer of them rather than their
+// sum. The index is then installed and synced forward. If it is missing,
+// unreadable, saved with another shard count or fails to sync, Open
+// rebuilds it with Reindex. An error from recoverRepo is returned once
+// the index read has finished, so nothing outlives a failed Open.
+func Open(indexPath string, opts Options, recoverRepo func() (*repository.Repository, error)) (*Engine, Boot, error) {
+	var boot Boot
+	e := NewEngine(nil, opts)
+	type read struct {
+		si   *savedIndex
+		err  error
+		took time.Duration
+	}
+	done := make(chan read, 1)
+	go func() {
+		start := time.Now()
+		si, err := e.readIndex(indexPath)
+		done <- read{si, err, time.Since(start)}
+	}()
+	start := time.Now()
+	repo, err := recoverRepo()
+	boot.Repository = time.Since(start)
+	idx := <-done
+	boot.Index = idx.took
+	if err != nil {
+		return nil, boot, err
+	}
+	e.repo = repo
+	start = time.Now()
+	if boot.IndexErr = idx.err; boot.IndexErr == nil {
+		boot.IndexErr = e.installIndex(idx.si)
+	}
+	if boot.IndexErr != nil {
+		if err := e.Reindex(); err != nil {
+			return nil, boot, err
+		}
+	}
+	boot.Catchup = time.Since(start)
+	return e, boot, nil
+}
+
+// savedIndex is a persisted document index read into fresh shard groups
+// but not yet installed.
+type savedIndex struct {
+	groups map[string]*shard.Group
+	cursor uint64
+}
+
+// readIndex reads a persisted index and its cursor. It touches no engine
+// state and never the repository, so it can run while the repository is
+// still being recovered (see Open).
+func (e *Engine) readIndex(path string) (*savedIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("core: load index: %w", err)
+		return nil, fmt.Errorf("core: load index: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
 	magic := make([]byte, len(indexEnvelopeMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("core: load index: %w", err)
+		return nil, fmt.Errorf("core: load index: %w", err)
 	}
 	var savedShards uint32
 	switch string(magic) {
@@ -664,11 +737,11 @@ func (e *Engine) LoadIndex(path string) error {
 		savedShards = 1
 	case indexEnvelopeMagicV2, indexEnvelopeMagicV3:
 	default:
-		return fmt.Errorf("core: load index: bad magic %q", string(magic))
+		return nil, fmt.Errorf("core: load index: bad magic %q", string(magic))
 	}
 	var cursor uint64
 	if err := binary.Read(br, binary.LittleEndian, &cursor); err != nil {
-		return fmt.Errorf("core: load index: %w", err)
+		return nil, fmt.Errorf("core: load index: %w", err)
 	}
 
 	// readGroup fills a fresh group from shardCount length-prefixed
@@ -708,51 +781,57 @@ func (e *Engine) LoadIndex(path string) error {
 	if string(magic) == indexEnvelopeMagicV3 {
 		var tenants uint32
 		if err := binary.Read(br, binary.LittleEndian, &tenants); err != nil {
-			return fmt.Errorf("core: load index: %w", err)
+			return nil, fmt.Errorf("core: load index: %w", err)
 		}
 		for t := uint32(0); t < tenants; t++ {
 			var nameLen uint32
 			if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-				return fmt.Errorf("core: load index: %w", err)
+				return nil, fmt.Errorf("core: load index: %w", err)
 			}
 			if nameLen > 256 {
-				return fmt.Errorf("core: load index: implausible tenant name length %d", nameLen)
+				return nil, fmt.Errorf("core: load index: implausible tenant name length %d", nameLen)
 			}
 			name := make([]byte, nameLen)
 			if _, err := io.ReadFull(br, name); err != nil {
-				return fmt.Errorf("core: load index: %w", err)
+				return nil, fmt.Errorf("core: load index: %w", err)
 			}
 			var shardCount uint32
 			if err := binary.Read(br, binary.LittleEndian, &shardCount); err != nil {
-				return fmt.Errorf("core: load index: %w", err)
+				return nil, fmt.Errorf("core: load index: %w", err)
 			}
 			g, err := readGroup(shardCount, true)
 			if err != nil {
-				return fmt.Errorf("core: load index: tenant %q: %w", string(name), err)
+				return nil, fmt.Errorf("core: load index: tenant %q: %w", string(name), err)
 			}
 			groups[string(name)] = g
 		}
 	} else {
 		if savedShards == 0 { // V2 carries an explicit shard count
 			if err := binary.Read(br, binary.LittleEndian, &savedShards); err != nil {
-				return fmt.Errorf("core: load index: %w", err)
+				return nil, fmt.Errorf("core: load index: %w", err)
 			}
 		}
 		g, err := readGroup(savedShards, string(magic) == indexEnvelopeMagicV2)
 		if err != nil {
-			return fmt.Errorf("core: load index: %w", err)
+			return nil, fmt.Errorf("core: load index: %w", err)
 		}
 		groups[""] = g
 	}
 	if groups[""] == nil {
 		groups[""] = e.newGroup()
 	}
+	return &savedIndex{groups: groups, cursor: cursor}, nil
+}
+
+// installIndex swaps a read index in and syncs the repository changes
+// made after it was saved.
+func (e *Engine) installIndex(si *savedIndex) error {
 	e.mu.Lock()
-	e.groups = groups
-	e.idx = groups[""]
-	e.cursor = cursor
+	e.groups = si.groups
+	e.idx = si.groups[""]
+	e.cursor = si.cursor
 	e.mu.Unlock()
-	_, _, err = e.Sync()
+	_, _, err := e.Sync()
 	return err
 }
 

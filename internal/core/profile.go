@@ -68,6 +68,12 @@ func (c *profileCache) part(id string) *profilePart {
 	return &c.parts[shard.Partition(id, len(c.parts))]
 }
 
+// profileBuildBuckets resolve profile builds, which take tens of
+// microseconds — below obs.LatencyBuckets' first edge of 100 µs.
+var profileBuildBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 1e-2,
+}
+
 // instrument registers the cache's metric families on reg. Called once at
 // engine construction, before any concurrent use.
 func (c *profileCache) instrument(reg *obs.Registry) {
@@ -75,7 +81,7 @@ func (c *profileCache) instrument(reg *obs.Registry) {
 	c.misses = reg.Counter("schemr_profile_cache_misses_total", "Match-profile cache lookups that built a profile.", nil)
 	c.evicts = reg.Counter("schemr_profile_cache_evictions_total", "Match profiles evicted via the change feed or reset.", nil)
 	c.size = reg.Gauge("schemr_profile_cache_size", "Match profiles currently cached.", nil)
-	c.build = reg.Histogram("schemr_profile_build_seconds", "Latency of building one match profile (cache-miss cost).", nil, nil)
+	c.build = reg.Histogram("schemr_profile_build_seconds", "Latency of building one match profile (cache-miss cost).", profileBuildBuckets, nil)
 	c.names = reg.Gauge("schemr_match_names_interned", "Distinct normalized names in the match name dictionary (process-wide, append-only).", nil)
 	c.memoHits = reg.Counter("schemr_match_memo_hits_total", "Name-pair lookups answered by a search's similarity memo.", nil)
 	c.memoMisses = reg.Counter("schemr_match_memo_misses_total", "Name-pair lookups a search's similarity memo had to score.", nil)

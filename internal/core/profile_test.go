@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"schemr/internal/model"
+	"schemr/internal/obs"
 	"schemr/internal/query"
 	"schemr/internal/repository"
 	"schemr/internal/webtables"
@@ -188,5 +191,28 @@ func TestProfiledSearchMatchesUnprofiled(t *testing.T) {
 	}
 	if n := profiled.CachedProfiles(); n == 0 {
 		t.Error("enabled cache empty after searches")
+	}
+}
+
+// TestProfileBuildBucketsResolveMicroseconds: profile builds take tens of
+// microseconds, so their histogram needs edges below 100 µs to tell a
+// 15 µs build from a 60 µs one.
+func TestProfileBuildBucketsResolveMicroseconds(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewEngine(repository.New(), Options{Metrics: reg})
+	h := reg.Histogram("schemr_profile_build_seconds", "", nil, nil) // the engine's instrument
+	h.Observe(15e-6)
+	h.Observe(60e-6)
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`schemr_profile_build_seconds_bucket{le="2.5e-05"} 1`,
+		`schemr_profile_build_seconds_bucket{le="0.0001"} 2`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
 	}
 }

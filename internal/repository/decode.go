@@ -9,7 +9,7 @@ import (
 )
 
 // The decode stage shared by WAL replay, snapshot load and InstallState:
-// GOMAXPROCS workers do each record's state-independent work (unmarshal,
+// GOMAXPROCS workers do each record's state-independent work (decode,
 // validation, fingerprint) while the caller's apply function installs the
 // records strictly in frame order, so recovered state is byte-identical to
 // a sequential replay. Callers differ only in what a bad frame means: the
@@ -24,10 +24,15 @@ type decoded struct {
 	err     error
 }
 
-// decode unmarshals the payload; a put's entry must hold a valid schema,
-// whose fingerprint apply then uses for the dedupe map.
-func (d *decoded) decode() {
-	err := json.Unmarshal(d.payload, &d.rec)
+// decode unmarshals the payload — a put through pd unless it declines,
+// anything else through json.Unmarshal; a put's entry must hold a valid
+// schema, whose fingerprint apply then uses for the dedupe map.
+func (d *decoded) decode(pd *putDecoder) {
+	var err error
+	if !pd.decode(d.payload, &d.rec) {
+		d.rec = walRecord{}
+		err = json.Unmarshal(d.payload, &d.rec)
+	}
 	d.payload = nil
 	switch e := d.rec.Entry; {
 	case err != nil:
@@ -74,9 +79,10 @@ func replay(fr *frameReader, apply func(*decoded) error) (int64, error) {
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer wg.Done()
+			var pd putDecoder
 			for b := range work {
 				for i := range b.recs {
-					b.recs[i].decode()
+					b.recs[i].decode(&pd)
 				}
 				close(b.done)
 			}

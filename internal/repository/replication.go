@@ -135,7 +135,7 @@ func (r *Repository) InstallState(data []byte) error {
 // applied.
 func (r *Repository) ApplyReplicated(payload []byte) (bool, error) {
 	d := decoded{payload: payload}
-	if d.decode(); d.err != nil {
+	if d.decode(new(putDecoder)); d.err != nil {
 		return false, fmt.Errorf("repository: replicated record: %w", d.err)
 	}
 	rec := &d.rec

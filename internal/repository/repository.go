@@ -240,11 +240,20 @@ func (r *Repository) Get(id string) *model.Schema {
 	return nil
 }
 
-// Entry returns the full entry (schema + metadata) for id, or nil.
+// Entry returns a copy of the full entry (schema + metadata) for id, or
+// nil. The copy is taken under the read lock, because usage counters,
+// tags and comments change in place under the write lock; a shallow copy
+// is enough, since tags are replaced whole and comments only appended.
+// The schema is shared; callers must not mutate it.
 func (r *Repository) Entry(id string) *Entry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.entries[id]
+	e, ok := r.entries[id]
+	if !ok {
+		return nil
+	}
+	c := *e
+	return &c
 }
 
 // Delete removes a schema. It reports whether anything was removed; on a

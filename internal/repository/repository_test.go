@@ -391,3 +391,46 @@ func TestConcurrentUse(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestEntryIsSafeBesideWriters reads Entry's counters, tags and comments
+// while RecordSelection, RecordImpressions, Tag and AddComment update the
+// same entry; run under -race, reading the live entry after the lock is
+// released is a data race.
+func TestEntryIsSafeBesideWriters(t *testing.T) {
+	r := New()
+	id, err := r.Put(sch("patients", "id", "height"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			r.RecordSelection(id)
+			r.RecordImpressions(id)
+			r.Tag(id, fmt.Sprint("t", i))
+			if err := r.AddComment(id, Comment{Author: "a", Text: fmt.Sprint(i)}); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			e := r.Entry(id)
+			_ = e.Usage.Selections + e.Usage.Impressions
+			for _, tag := range e.Tags {
+				_ = tag
+			}
+			for _, c := range e.Comments {
+				_ = c.Text
+			}
+		}
+	}()
+	wg.Wait()
+	if e := r.Entry(id); e.Usage.Selections != n || e.Usage.Impressions != n || len(e.Tags) != n || len(e.Comments) != n {
+		t.Fatalf("after %d rounds: usage %+v, %d tags, %d comments", n, e.Usage, len(e.Tags), len(e.Comments))
+	}
+}

@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"time"
 
 	"schemr/internal/codebook"
 	"schemr/internal/core"
@@ -117,10 +118,15 @@ const (
 	walFile   = "repository.wal"
 )
 
-// RecoveryStats reports what opening a durable system found on disk: the
+// RecoveryStats reports what opening a durable system found on disk — the
 // snapshot, the number of write-ahead-log records replayed on top of it,
-// and whether a torn WAL tail was truncated.
-type RecoveryStats = repository.RecoveryStats
+// whether a torn WAL tail was truncated — and how the boot went.
+type RecoveryStats struct {
+	repository.RecoveryStats
+	// Boot times repository recovery, the index read beside it and the
+	// catch-up sync, and says why the saved index was rebuilt, if it was.
+	Boot core.Boot
+}
 
 // Open loads a system persisted by Save: repository.json (the repository
 // snapshot, a compacted log of framed records) plus schemas.idx under dir,
@@ -160,8 +166,9 @@ func OpenDurableWithOptions(dir string, opts EngineOptions) (*System, RecoverySt
 }
 
 // openSystem recovers the repository (snapshot + WAL replay, WAL left
-// attached) and builds the engine over it, sharing one metrics registry
-// so GET /metrics carries the durability families too.
+// attached) while the saved index is read beside it, then builds the
+// engine over both (core.Open), sharing one metrics registry so GET
+// /metrics carries the durability and boot families too.
 func openSystem(dir string, opts EngineOptions) (*System, RecoveryStats, error) {
 	var met *repository.Metrics
 	if !opts.DisableMetrics {
@@ -170,18 +177,26 @@ func openSystem(dir string, opts EngineOptions) (*System, RecoveryStats, error) 
 		}
 		met = repository.NewMetrics(opts.Metrics)
 	}
-	repo, stats, err := repository.Recover(
-		filepath.Join(dir, repoFile), filepath.Join(dir, walFile), met)
+	var stats RecoveryStats
+	eng, boot, err := core.Open(filepath.Join(dir, indexFile), opts, func() (*repository.Repository, error) {
+		repo, rs, err := repository.Recover(filepath.Join(dir, repoFile), filepath.Join(dir, walFile), met)
+		stats.RecoveryStats = rs
+		return repo, err
+	})
+	stats.Boot = boot
 	if err != nil {
 		return nil, stats, err
 	}
-	sys := &System{Repo: repo, Engine: core.NewEngine(repo, opts)}
-	if err := sys.Engine.LoadIndex(filepath.Join(dir, indexFile)); err != nil {
-		// Missing or unreadable index: rebuild from the repository.
-		if err := sys.Engine.Reindex(); err != nil {
-			return nil, stats, err
+	if met != nil {
+		for phase, d := range map[string]time.Duration{
+			"repository": boot.Repository, "index": boot.Index, "catchup": boot.Catchup,
+		} {
+			opts.Metrics.Histogram("schemr_boot_seconds",
+				"Start-up phase durations: repository recovery, the index read beside it, and the catch-up sync or rebuild.",
+				nil, obs.Labels{"phase": phase}).Observe(d.Seconds())
 		}
 	}
+	sys := &System{Repo: eng.Repository(), Engine: eng}
 	sys.SyncWeights()
 	return sys, stats, nil
 }

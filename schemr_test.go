@@ -1,11 +1,14 @@
 package schemr
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 const clinicDDL = `
@@ -363,5 +366,168 @@ func TestOpenDurableUpgradesLegacySnapshot(t *testing.T) {
 	defer sys2.Close()
 	if got := sys2.Repo.IDs(); strings.Join(got, ",") != strings.Join(ids, ",") {
 		t.Fatalf("upgraded snapshot holds %v, want %v", got, ids)
+	}
+}
+
+// copyDir copies a flat data directory.
+func copyDir(t *testing.T, from string) string {
+	t.Helper()
+	to := t.TempDir()
+	ents, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return to
+}
+
+// rankings renders each query's ranking (IDs and scores).
+func rankings(t *testing.T, sys *System, queries []string) string {
+	t.Helper()
+	var b strings.Builder
+	for _, kw := range queries {
+		q, err := ParseQuery(QueryInput{Keywords: kw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := sys.Search(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			fmt.Fprintf(&b, "%s %s %.6f\n", kw, r.ID, r.Score)
+		}
+	}
+	return b.String()
+}
+
+// The index is read beside repository recovery and installed after it. A
+// missing, corrupt or shard-mismatched schemas.idx makes boot rebuild
+// the index, and the rebuilt system ranks exactly like a clean boot.
+func TestOpenDurableIndexFallback(t *testing.T) {
+	base := t.TempDir()
+	sys, _, err := OpenDurable(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.GenerateCorpus(CorpusOptions{Seed: 7, NumTables: 3000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	// Changes after the checkpoint live only in the WAL; the loaded index
+	// must catch up on them.
+	id, err := sys.ImportDDL("clinic", clinicDDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Repo.Delete(sys.Repo.IDs()[0])
+	sys.Close()
+
+	queries := []string{"patient height diagnosis", "price", "name city country", "date"}
+	clean, stats, err := OpenDurable(copyDir(t, base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Boot.IndexErr != nil || stats.Boot.Repository <= 0 || stats.Boot.Index <= 0 || stats.Boot.Catchup <= 0 {
+		t.Fatalf("clean boot: %+v", stats.Boot)
+	}
+	want := rankings(t, clean, queries)
+	if !strings.Contains(want, id) {
+		t.Fatalf("clean boot does not rank the schema imported after the checkpoint:\n%s", want)
+	}
+	clean.Close()
+
+	for name, damage := range map[string]func(dir string) EngineOptions{
+		"missing": func(dir string) EngineOptions {
+			os.Remove(filepath.Join(dir, indexFile))
+			return EngineOptions{}
+		},
+		"corrupt": func(dir string) EngineOptions {
+			path := filepath.Join(dir, indexFile)
+			b, _ := os.ReadFile(path)
+			os.WriteFile(path, b[:len(b)/2], 0o644)
+			return EngineOptions{}
+		},
+		"shard mismatch": func(string) EngineOptions { return EngineOptions{Shards: 3} },
+	} {
+		dir := copyDir(t, base)
+		sys, stats, err := OpenDurableWithOptions(dir, damage(dir))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.Boot.IndexErr == nil {
+			t.Errorf("%s: boot reports the index loaded", name)
+		}
+		if got := rankings(t, sys, queries); got != want {
+			t.Errorf("%s: rebuilt index ranks differently:\n got %s\nwant %s", name, got, want)
+		}
+		sys.Close()
+	}
+}
+
+// openIndexFiles counts this process's open descriptors on path (Linux
+// only; -1 elsewhere).
+func openIndexFiles(path string) int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
+}
+
+// A failed recovery is returned as is, and the index read that ran
+// beside it leaves no goroutine and no open file behind.
+func TestOpenDurableRecoverFailureLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	sys, _, err := OpenDurable(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.ImportDDL("clinic", clinicDDL); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	sys.Close()
+	snap := filepath.Join(dir, repoFile)
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-5] ^= 0xff // inside the last frame: a CRC mismatch
+	if err := os.WriteFile(snap, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	if _, _, err := OpenDurable(dir); err == nil || !strings.Contains(err.Error(), "crc mismatch") {
+		t.Fatalf("open with a damaged snapshot: err = %v, want the recovery error", err)
+	}
+	if n := openIndexFiles(filepath.Join(dir, indexFile)); n > 0 {
+		t.Fatalf("%d descriptors still open on the index", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after the failed open, %d before", n, before)
 	}
 }

@@ -26,6 +26,7 @@ trap '
   [ -n "$IMPORTER_PID" ] && kill "$IMPORTER_PID" 2>/dev/null || true
   [ -n "$SERVER_PID" ] && kill -9 "$SERVER_PID" 2>/dev/null || true
   [ -n "$REPLICA_PID" ] && kill -9 "$REPLICA_PID" 2>/dev/null || true
+  wait 2>/dev/null || true  # a server still writing its data dir races rm
   rm -rf "$WORK"
 ' EXIT
 
