@@ -9,15 +9,14 @@
 // GET /metrics (disable with -metrics=false), and — when -pprof is set —
 // net/http/pprof under /debug/pprof/ plus expvar at /debug/vars.
 //
-// The repository is durable by default: every mutation accepted over the
-// API (import, delete, comment) is written to a write-ahead log and
-// fsynced before the response is sent, a periodic checkpoint snapshots
-// repository + index and truncates the WAL, and boot recovers snapshot +
-// WAL replay — kill -9 at any point loses no acknowledged mutation.
-// -wal=false reverts to the old memory-only mutation handling.
+// The repository is durable: every mutation accepted over the API
+// (import, delete, comment) is written to a write-ahead log and fsynced
+// before the response is sent, a periodic checkpoint snapshots repository
+// + index and truncates the WAL, and boot recovers snapshot + WAL replay
+// while the saved index is read beside it — kill -9 at any point loses no
+// acknowledged mutation. A fresh data directory starts empty. Boot logs
+// one "boot:" line with the time of each phase.
 //
-// -shards hash-partitions the document index into N in-process shards
-// searched in parallel (results byte-identical to one shard), and
 // -replica-of turns the server into a read-only replica that streams the
 // named primary's WAL (mutating routes answer 403). When the primary runs
 // with -auth, give the replica the primary's credential with -replica-key
@@ -42,8 +41,8 @@
 // Usage:
 //
 //	schemr-server -data DIR [-addr :8080] [-sync 30s]
-//	              [-wal=true] [-snapshot-interval 5m]
-//	              [-shards 1] [-replica-of URL] [-replica-poll 1s]
+//	              [-snapshot-interval 5m]
+//	              [-replica-of URL] [-replica-poll 1s]
 //	              [-replica-key KEY] [-replication-open]
 //	              [-auth -admin-key KEY] [-tenant-qps 25]
 //	              [-tenant-burst 50] [-tenant-inflight 8]
@@ -73,7 +72,6 @@ func main() {
 	data := flag.String("data", "schemr-data", "data directory (repository.json, repository.wal, schemas.idx)")
 	addr := flag.String("addr", ":8080", "listen address")
 	sync := flag.Duration("sync", 30*time.Second, "offline indexer interval")
-	walFlag := flag.Bool("wal", true, "durable repository: WAL+fsync every mutation before acknowledging, recover snapshot+WAL on boot")
 	snapInterval := flag.Duration("snapshot-interval", 5*time.Minute, "periodic repository+index checkpoint (snapshots and truncates the WAL); non-positive disables")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request search deadline (negative disables)")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrent searches before shedding 503 (negative disables)")
@@ -83,7 +81,6 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ and expvar at /debug/vars")
 	flushDocs := flag.Int("flush-docs", 0, "mutable-head docs before the index seals an immutable segment (0 = index default, negative disables auto-flush)")
 	mergeFactor := flag.Int("merge-factor", 0, "segment count that triggers a segment merge (0 = index default, 1 disables merging)")
-	shards := flag.Int("shards", 1, "hash-partition the document index into this many shards searched in parallel (results identical to 1)")
 	replicaOf := flag.String("replica-of", "", "primary base URL to replicate from (e.g. http://primary:8080); serves read-only and streams the primary's WAL")
 	replicaPoll := flag.Duration("replica-poll", time.Second, "replication poll interval (with -replica-of)")
 	replicaKey := flag.String("replica-key", "", "API key the replica presents to an authenticated primary (with -replica-of)")
@@ -103,40 +100,29 @@ func main() {
 	var opts schemr.EngineOptions
 	opts.FlushDocs = *flushDocs
 	opts.MergeFactor = *mergeFactor
-	opts.Shards = *shards
-	var sys *schemr.System
-	var err error
-	if *walFlag {
-		// Durable boot: recover snapshot + WAL (a fresh directory starts
-		// empty), keep the WAL attached so every accepted mutation is
-		// fsync-logged before it is acknowledged. The persisted index
-		// snapshot loads too — recovery is snapshot + replay + incremental
-		// sync, never a cold full reindex of an existing deployment.
-		var stats schemr.RecoveryStats
-		sys, stats, err = schemr.OpenDurableWithOptions(*data, opts)
-		if err != nil {
-			log.Fatalf("schemr-server: %v", err)
-		}
-		switch {
-		case stats.TornTail:
-			log.Printf("recovered %s: snapshot=%v, %d WAL records replayed, torn tail truncated at byte %d",
-				*data, stats.SnapshotLoaded, stats.Replayed, stats.TruncatedAt)
-		case stats.Replayed > 0 || stats.Skipped > 0:
-			log.Printf("recovered %s: snapshot=%v, %d WAL records replayed (%d already in snapshot)",
-				*data, stats.SnapshotLoaded, stats.Replayed, stats.Skipped)
-		}
-		b, index := stats.Boot, "loaded"
-		if b.IndexErr != nil {
-			index = fmt.Sprintf("rebuilt (%v)", b.IndexErr)
-		}
-		log.Printf("boot: repository %v, index read %v (beside it), catch-up %v; index %s",
-			b.Repository.Round(time.Millisecond), b.Index.Round(time.Millisecond), b.Catchup.Round(time.Millisecond), index)
-	} else {
-		sys, err = schemr.OpenWithOptions(*data, opts)
-		if err != nil {
-			log.Fatalf("schemr-server: %v", err)
-		}
+	// Recover snapshot + WAL (a fresh directory starts empty) and keep the
+	// WAL attached so every accepted mutation is fsync-logged before it is
+	// acknowledged. The persisted index loads too — recovery is snapshot +
+	// replay + incremental sync, never a cold full reindex of an existing
+	// deployment.
+	sys, stats, err := schemr.OpenDurableWithOptions(*data, opts)
+	if err != nil {
+		log.Fatalf("schemr-server: %v", err)
 	}
+	switch {
+	case stats.TornTail:
+		log.Printf("recovered %s: snapshot=%v, %d WAL records replayed, torn tail truncated at byte %d",
+			*data, stats.SnapshotLoaded, stats.Replayed, stats.TruncatedAt)
+	case stats.Replayed > 0 || stats.Skipped > 0:
+		log.Printf("recovered %s: snapshot=%v, %d WAL records replayed (%d already in snapshot)",
+			*data, stats.SnapshotLoaded, stats.Replayed, stats.Skipped)
+	}
+	b, index := stats.Boot, "loaded"
+	if b.IndexErr != nil {
+		index = fmt.Sprintf("rebuilt (%v)", b.IndexErr)
+	}
+	log.Printf("boot: repository %v, index read %v (beside it), catch-up %v; index %s",
+		b.Repository.Round(time.Millisecond), b.Index.Round(time.Millisecond), b.Catchup.Round(time.Millisecond), index)
 	log.Printf("loaded %d schemas from %s, %d indexed", sys.Repo.Len(), *data, sys.Engine.IndexedDocs())
 
 	srv := server.NewWithConfig(sys.Engine, server.Config{

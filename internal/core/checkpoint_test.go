@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"schemr/internal/model"
-	"schemr/internal/query"
 	"schemr/internal/repository"
 )
 
@@ -115,34 +119,112 @@ func TestSaveIndexUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// TestSaveLoadMultiShard: the v2 envelope round-trips every shard, and a
-// shard-count mismatch is an explicit error (the caller reindexes).
-func TestSaveLoadMultiShard(t *testing.T) {
-	repo, ids := seedRepo(t)
-	e := NewEngine(repo, Options{Shards: 3})
-	if err := e.Reindex(); err != nil {
-		t.Fatal(err)
+// TestSaveIndexBytesUnchanged pins the envelope bytes SaveIndex writes for
+// a single-tenant (V1) and a two-tenant (V3) engine: replicas, older
+// binaries and the data directory's size all rely on them staying the
+// same. The digests were taken from the build that still had in-process
+// sharding, whose one-shard files these are. An index stream's gob
+// encoding walks Go maps, so the order of its records differs from run to
+// run; the digest therefore covers each stream's bytes sorted, which keeps
+// every byte and its count and drops only that order. Magic, cursor,
+// tenant names, stream counts and length prefixes are digested as written.
+func TestSaveIndexBytesUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		tenants []string
+		digest  string
+	}{
+		{"v1", nil, "e5348b502bd42ec92bae863134cd9cdee5500bf2da236e31f4927f4e80ddc0d7"},
+		{"v3", []string{"acme"}, "b96d3ab3459be1dc601fd9133dc9f35c2e872c44c3e68749045bb9ebb36a08ee"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			repo, _ := seedRepo(t)
+			for _, tn := range tc.tenants {
+				if _, err := repo.PutTenant(tn, tenantSchema("patients", "patient", "height", "gender")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := NewEngine(repo, Options{})
+			if err := e.Reindex(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "engine.idx")
+			if err := e.SaveIndex(path); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon, err := canonicalEnvelope(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(canon)); got != tc.digest {
+				t.Fatalf("SaveIndex bytes changed: digest %s, want %s (%d bytes)", got, tc.digest, len(b))
+			}
+		})
 	}
-	path := filepath.Join(t.TempDir(), "engine.idx")
-	if err := e.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	e2 := NewEngine(repo, Options{Shards: 3})
-	if err := e2.LoadIndex(path); err != nil {
-		t.Fatal(err)
+// canonicalEnvelope parses a V1 or V3 index envelope on its own (not with
+// the engine's reader) and returns it with every index stream's bytes
+// sorted.
+func canonicalEnvelope(b []byte) ([]byte, error) {
+	le := binary.LittleEndian
+	sorted := func(s []byte) []byte {
+		s = bytes.Clone(s)
+		slices.Sort(s)
+		return s
 	}
-	if e2.IndexedDocs() != repo.Len() {
-		t.Fatalf("loaded %d docs, want %d", e2.IndexedDocs(), repo.Len())
+	const head = len(indexEnvelopeMagic) + 8 // magic + cursor
+	if len(b) < head {
+		return nil, fmt.Errorf("short envelope: %d bytes", len(b))
 	}
-	q := mustQ(t, query.Input{Keywords: "patient height gender diagnosis"})
-	results, err := e2.Search(q, 5)
-	if err != nil || len(results) == 0 || results[0].ID != ids["clinic"] {
-		t.Fatalf("multi-shard load lost content: %v %v", results, err)
+	out := bytes.Clone(b[:head])
+	switch string(b[:len(indexEnvelopeMagic)]) {
+	case indexEnvelopeMagic:
+		return append(out, sorted(b[head:])...), nil
+	case indexEnvelopeMagicV3:
+	default:
+		return nil, fmt.Errorf("unexpected magic %q", b[:len(indexEnvelopeMagic)])
 	}
-
-	mismatched := NewEngine(repo, Options{Shards: 2})
-	if err := mismatched.LoadIndex(path); err == nil {
-		t.Fatal("loading a 3-shard snapshot into a 2-shard engine must fail")
+	rest := b[head:]
+	take := func(n int) ([]byte, error) {
+		if len(rest) < n {
+			return nil, fmt.Errorf("envelope cut: need %d bytes, have %d", n, len(rest))
+		}
+		p := rest[:n]
+		rest = rest[n:]
+		out = append(out, p...)
+		return p, nil
 	}
+	p, err := take(4)
+	if err != nil {
+		return nil, err
+	}
+	for tenants := le.Uint32(p); tenants > 0; tenants-- {
+		if p, err = take(4); err != nil { // name length
+			return nil, err
+		}
+		if _, err = take(int(le.Uint32(p))); err != nil { // name
+			return nil, err
+		}
+		if _, err = take(4); err != nil { // stream count
+			return nil, err
+		}
+		if p, err = take(8); err != nil { // stream length
+			return nil, err
+		}
+		n := int(le.Uint64(p))
+		if len(rest) < n {
+			return nil, fmt.Errorf("stream cut: need %d bytes, have %d", n, len(rest))
+		}
+		out = append(out, sorted(rest[:n])...)
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(rest))
+	}
+	return out, nil
 }

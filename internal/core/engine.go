@@ -31,7 +31,6 @@ import (
 	"schemr/internal/obs"
 	"schemr/internal/query"
 	"schemr/internal/repository"
-	"schemr/internal/shard"
 	"schemr/internal/tenant"
 	"schemr/internal/text"
 	"schemr/internal/tightness"
@@ -83,13 +82,6 @@ type Options struct {
 	// segment merging (index.WithMergeFactor). 0 keeps the index default;
 	// 1 disables merging.
 	MergeFactor int
-	// Shards hash-partitions the document index (and the match-profile
-	// cache) into this many independent shards searched in parallel and
-	// merged — see DESIGN.md "Sharding & replication". Results are exactly
-	// those of a single index: candidate extraction gathers corpus-wide
-	// statistics first and the shards exchange a shared top-n threshold.
-	// 0 or 1 means unsharded (the default single-index layout).
-	Shards int
 	// TrigramFallback addresses an architectural gap the paper inherits
 	// from Lucene: a schema whose every element is abbreviated shares no
 	// token with the query and never becomes a candidate, so the n-gram
@@ -194,17 +186,17 @@ type Engine struct {
 	repo *repository.Repository
 	opts Options
 
-	// idx is the default namespace's shard group — the whole index in a
-	// single-tenant deployment. groups holds every namespace's group,
-	// keyed by tenant ID, with groups[""] always the same object as idx;
-	// named tenants get their own group (and so their own shards, segment
-	// files and statistics), which is what makes cross-tenant result
-	// leakage structurally impossible rather than filtered after the fact.
-	// Both are guarded by mu.
-	idx    *shard.Group
-	groups map[string]*shard.Group
+	// idx is the default namespace's index — the whole index in a
+	// single-tenant deployment. indexes holds every namespace's index,
+	// keyed by tenant ID, with indexes[""] always the same object as idx;
+	// named tenants get their own index (and so their own segments and
+	// statistics), which is what makes cross-tenant result leakage
+	// structurally impossible rather than filtered after the fact. Both
+	// are guarded by mu.
+	idx     *index.Index
+	indexes map[string]*index.Index
 
-	mu       sync.RWMutex // guards ensemble (weights), shadow, cursor, idx and groups
+	mu       sync.RWMutex // guards ensemble (weights), shadow, cursor, idx and indexes
 	ensemble *match.Ensemble
 	cursor   uint64 // repository change-feed position already indexed
 
@@ -238,7 +230,7 @@ func NewEngine(repo *repository.Repository, opts Options) *Engine {
 		repo:     repo,
 		opts:     opts,
 		ensemble: match.DefaultEnsemble(),
-		profiles: newProfileCache(opts.Shards),
+		profiles: newProfileCache(),
 		reg:      opts.Metrics,
 	}
 	if e.reg == nil {
@@ -249,11 +241,8 @@ func NewEngine(repo *repository.Repository, opts Options) *Engine {
 		e.idxMetrics = index.NewMetrics(e.reg)
 		e.profiles.instrument(e.reg)
 	}
-	e.idx = e.newGroup()
-	e.groups = map[string]*shard.Group{"": e.idx}
-	if e.metrics != nil {
-		e.metrics.shards.Set(int64(e.idx.NumShards()))
-	}
+	e.idx = e.newIndex()
+	e.indexes = map[string]*index.Index{"": e.idx}
 	return e
 }
 
@@ -411,47 +400,41 @@ func (e *Engine) newIndex() *index.Index {
 	return index.New(opts...)
 }
 
-// newGroup builds the empty shard group for the configured shard count
-// (Options.Shards; at least one), each shard an identical newIndex.
-func (e *Engine) newGroup() *shard.Group {
-	return shard.New(e.opts.Shards, e.newIndex)
-}
-
-// groupLocked returns the tenant's shard group, creating an empty one on
-// first use. Caller holds the write lock.
-func (e *Engine) groupLocked(tn string) *shard.Group {
-	g, ok := e.groups[tn]
+// indexLocked returns the tenant's index, creating an empty one on first
+// use. Caller holds the write lock.
+func (e *Engine) indexLocked(tn string) *index.Index {
+	ix, ok := e.indexes[tn]
 	if !ok {
-		g = e.newGroup()
-		e.groups[tn] = g
+		ix = e.newIndex()
+		e.indexes[tn] = ix
 		if tn == "" {
-			e.idx = g
+			e.idx = ix
 		}
 	}
-	return g
+	return ix
 }
 
 // Reindex rebuilds the document index from the full repository contents and
 // fast-forwards the change cursor. Documents are routed to their owning
-// tenant's shard group by ID prefix.
+// tenant's index by ID prefix.
 func (e *Engine) Reindex() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fresh := map[string]*shard.Group{"": e.newGroup()}
+	fresh := map[string]*index.Index{"": e.newIndex()}
 	seq := e.repo.Seq()
 	e.profiles.reset()
 	for _, s := range e.repo.All() {
 		tn := tenant.Owner(s.ID)
-		g, ok := fresh[tn]
+		ix, ok := fresh[tn]
 		if !ok {
-			g = e.newGroup()
-			fresh[tn] = g
+			ix = e.newIndex()
+			fresh[tn] = ix
 		}
-		if err := g.Add(e.document(s)); err != nil {
+		if err := ix.Add(e.document(s)); err != nil {
 			return fmt.Errorf("core: reindex: %w", err)
 		}
 	}
-	e.groups = fresh
+	e.indexes = fresh
 	e.idx = fresh[""]
 	e.cursor = seq
 	return nil
@@ -468,7 +451,7 @@ func (e *Engine) Sync() (updated, deleted int, err error) {
 	e.profiles.drop(ch.Deleted...)
 	e.profiles.drop(ch.Updated...)
 	for _, id := range ch.Deleted {
-		if g := e.groups[tenant.Owner(id)]; g != nil && g.Delete(id) {
+		if ix := e.indexes[tenant.Owner(id)]; ix != nil && ix.Delete(id) {
 			deleted++
 		}
 	}
@@ -477,7 +460,7 @@ func (e *Engine) Sync() (updated, deleted int, err error) {
 		if s == nil {
 			continue // deleted after the snapshot; the next Sync's feed handles it
 		}
-		if err := e.groupLocked(tenant.Owner(id)).Add(e.document(s)); err != nil {
+		if err := e.indexLocked(tenant.Owner(id)).Add(e.document(s)); err != nil {
 			return updated, deleted, fmt.Errorf("core: sync: %w", err)
 		}
 		updated++
@@ -500,8 +483,8 @@ func (e *Engine) IndexedDocs() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := 0
-	for _, g := range e.groups {
-		n += g.NumDocs()
+	for _, ix := range e.indexes {
+		n += ix.NumDocs()
 	}
 	return n
 }
@@ -511,26 +494,26 @@ func (e *Engine) IndexedDocs() int {
 func (e *Engine) IndexedDocsTenant(tn string) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if g := e.groups[tn]; g != nil {
-		return g.NumDocs()
+	if ix := e.indexes[tn]; ix != nil {
+		return ix.NumDocs()
 	}
 	return 0
 }
 
 // indexMagic versions the engine's index envelope (change-feed cursor +
-// document index). V1 is the unsharded layout: cursor followed by one index
-// stream. V2 is the sharded layout: cursor, a little-endian uint32 shard
-// count, then each shard's stream preceded by its little-endian uint64 byte
-// length — the length prefixes are required because the index decoder reads
-// through a buffer and would otherwise consume bytes of the next shard. V3
-// is the multi-tenant layout: cursor, a uint32 tenant count, then per
-// tenant (sorted by ID, default first) a uint32 name length + name, a
-// uint32 shard count and the V2-style length-prefixed shard streams. A
-// deployment whose only namespace is the default keeps writing V1/V2, so
+// document index). V1 is the single-tenant layout: cursor followed by the
+// default namespace's index stream. V3 is the multi-tenant layout: cursor,
+// a little-endian uint32 tenant count, then per tenant (sorted by ID,
+// default first) a uint32 name length + name, a uint32 stream count that
+// is always 1, and the index stream preceded by its little-endian uint64
+// byte length — the prefix is required because the index decoder reads
+// through a buffer and would otherwise consume bytes of the next tenant.
+// A deployment whose only namespace is the default keeps writing V1, so
 // single-tenant index files stay byte-identical to pre-tenancy builds.
+// V2, and a V3 stream count other than 1, came from builds that split an
+// index into in-process shards; the reader rejects both, so boot rebuilds.
 const (
 	indexEnvelopeMagic   = "SCHEMR-ENGINE-IDX-1\n"
-	indexEnvelopeMagicV2 = "SCHEMR-ENGINE-IDX-2\n"
 	indexEnvelopeMagicV3 = "SCHEMR-ENGINE-IDX-3\n"
 )
 
@@ -539,95 +522,55 @@ const (
 // incremental Sync instead of a full Reindex. The write is durable: temp
 // file, fsync, rename, parent-directory fsync.
 //
-// The snapshot is consistent by construction: every shard is serialized to
-// memory while holding the engine read lock, which excludes Sync and
-// Reindex, so the persisted cursor exactly matches the persisted index
-// contents. The current segment layout is written as is — checkpoints never
-// compact (compaction forced every periodic checkpoint to rewrite the whole
-// index into one segment, stalling writers and defeating the merge policy).
+// The snapshot is consistent by construction: every tenant's index is
+// serialized to memory while holding the engine read lock, which excludes
+// Sync and Reindex, so the persisted cursor exactly matches the persisted
+// index contents. The current segment layout is written as is —
+// checkpoints never compact (compaction forced every periodic checkpoint
+// to rewrite the whole index into one segment, stalling writers and
+// defeating the merge policy).
 func (e *Engine) SaveIndex(path string) error {
-	type tenantStreams struct {
-		name    string
-		streams []bytes.Buffer
-	}
 	e.mu.RLock()
 	cursor := e.cursor
-	names := make([]string, 0, len(e.groups))
-	for tn := range e.groups {
+	names := make([]string, 0, len(e.indexes))
+	for tn := range e.indexes {
 		names = append(names, tn)
 	}
 	sort.Strings(names) // "" sorts first: default tenant leads
-	all := make([]tenantStreams, 0, len(names))
-	for _, tn := range names {
-		shards := e.groups[tn].Shards()
-		ts := tenantStreams{name: tn, streams: make([]bytes.Buffer, len(shards))}
-		for i, sh := range shards {
-			if _, err := sh.WriteTo(&ts.streams[i]); err != nil {
-				e.mu.RUnlock()
-				return fmt.Errorf("core: save index: %w", err)
-			}
+	streams := make([]bytes.Buffer, len(names))
+	for i, tn := range names {
+		if _, err := e.indexes[tn].WriteTo(&streams[i]); err != nil {
+			e.mu.RUnlock()
+			return fmt.Errorf("core: save index: %w", err)
 		}
-		all = append(all, ts)
 	}
 	e.mu.RUnlock()
 
-	writeShards := func(w io.Writer, streams []bytes.Buffer) error {
-		for i := range streams {
-			if err := binary.Write(w, binary.LittleEndian, uint64(streams[i].Len())); err != nil {
+	le := binary.LittleEndian
+	if err := fsutil.WriteFileAtomic(path, func(w io.Writer) error {
+		if len(names) == 1 { // only the default namespace: V1 layout
+			if _, err := w.Write(le.AppendUint64([]byte(indexEnvelopeMagic), cursor)); err != nil {
+				return err
+			}
+			_, err := w.Write(streams[0].Bytes())
+			return err
+		}
+		hdr := le.AppendUint64([]byte(indexEnvelopeMagicV3), cursor)
+		hdr = le.AppendUint32(hdr, uint32(len(names)))
+		for i, tn := range names {
+			hdr = le.AppendUint32(hdr, uint32(len(tn)))
+			hdr = append(hdr, tn...)
+			hdr = le.AppendUint32(hdr, 1) // stream count
+			hdr = le.AppendUint64(hdr, uint64(streams[i].Len()))
+			if _, err := w.Write(hdr); err != nil {
 				return err
 			}
 			if _, err := w.Write(streams[i].Bytes()); err != nil {
 				return err
 			}
+			hdr = hdr[:0]
 		}
 		return nil
-	}
-	if err := fsutil.WriteFileAtomic(path, func(w io.Writer) error {
-		if len(all) > 1 { // named tenants exist: V3 layout
-			if _, err := io.WriteString(w, indexEnvelopeMagicV3); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.LittleEndian, cursor); err != nil {
-				return err
-			}
-			if err := binary.Write(w, binary.LittleEndian, uint32(len(all))); err != nil {
-				return err
-			}
-			for _, ts := range all {
-				if err := binary.Write(w, binary.LittleEndian, uint32(len(ts.name))); err != nil {
-					return err
-				}
-				if _, err := io.WriteString(w, ts.name); err != nil {
-					return err
-				}
-				if err := binary.Write(w, binary.LittleEndian, uint32(len(ts.streams))); err != nil {
-					return err
-				}
-				if err := writeShards(w, ts.streams); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		streams := all[0].streams
-		magic := indexEnvelopeMagic
-		if len(streams) > 1 {
-			magic = indexEnvelopeMagicV2
-		}
-		if _, err := io.WriteString(w, magic); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, cursor); err != nil {
-			return err
-		}
-		if len(streams) == 1 {
-			_, err := w.Write(streams[0].Bytes())
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(streams))); err != nil {
-			return err
-		}
-		return writeShards(w, streams)
 	}); err != nil {
 		return fmt.Errorf("core: save index: %w", err)
 	}
@@ -671,7 +614,7 @@ type Boot struct {
 // the saved index at indexPath on another goroutine meanwhile: the two
 // share no state, so boot waits for the longer of them rather than their
 // sum. The index is then installed and synced forward. If it is missing,
-// unreadable, saved with another shard count or fails to sync, Open
+// unreadable, in a layout this build does not read or fails to sync, Open
 // rebuilds it with Reindex. An error from recoverRepo is returned once
 // the index read has finished, so nothing outlives a failed Open.
 func Open(indexPath string, opts Options, recoverRepo func() (*repository.Repository, error)) (*Engine, Boot, error) {
@@ -710,125 +653,101 @@ func Open(indexPath string, opts Options, recoverRepo func() (*repository.Reposi
 	return e, boot, nil
 }
 
-// savedIndex is a persisted document index read into fresh shard groups
-// but not yet installed.
+// savedIndex is a persisted document index read into fresh per-tenant
+// indexes but not yet installed.
 type savedIndex struct {
-	groups map[string]*shard.Group
-	cursor uint64
+	indexes map[string]*index.Index
+	cursor  uint64
 }
 
-// readIndex reads a persisted index and its cursor. It touches no engine
-// state and never the repository, so it can run while the repository is
-// still being recovered (see Open).
-func (e *Engine) readIndex(path string) (*savedIndex, error) {
+// readIndex reads a persisted index and its cursor from a V1 or V3
+// envelope (see indexEnvelopeMagic). It touches no engine state and never
+// the repository, so it can run while the repository is still being
+// recovered (see Open).
+func (e *Engine) readIndex(path string) (_ *savedIndex, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("core: load index: %w", err)
+		}
+	}()
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: load index: %w", err)
+		return nil, err
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
+	le := binary.LittleEndian
 	magic := make([]byte, len(indexEnvelopeMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: load index: %w", err)
+		return nil, err
 	}
-	var savedShards uint32
-	switch string(magic) {
-	case indexEnvelopeMagic:
-		savedShards = 1
-	case indexEnvelopeMagicV2, indexEnvelopeMagicV3:
-	default:
-		return nil, fmt.Errorf("core: load index: bad magic %q", string(magic))
+	if m := string(magic); m != indexEnvelopeMagic && m != indexEnvelopeMagicV3 {
+		return nil, fmt.Errorf("bad magic %q", m)
 	}
-	var cursor uint64
-	if err := binary.Read(br, binary.LittleEndian, &cursor); err != nil {
-		return nil, fmt.Errorf("core: load index: %w", err)
+	si := &savedIndex{indexes: make(map[string]*index.Index)}
+	if err := binary.Read(br, le, &si.cursor); err != nil {
+		return nil, err
 	}
-
-	// readGroup fills a fresh group from shardCount length-prefixed
-	// streams (prefixed=false for the V1 single unframed stream).
-	readGroup := func(shardCount uint32, prefixed bool) (*shard.Group, error) {
-		fresh := e.newGroup()
-		if int(shardCount) != fresh.NumShards() {
-			// A resharded deployment cannot reuse the old partition layout;
-			// the caller falls back to Reindex as for any other load error.
-			return nil, fmt.Errorf("saved with %d shards, engine configured for %d",
-				shardCount, fresh.NumShards())
+	if string(magic) == indexEnvelopeMagic {
+		ix := e.newIndex()
+		if _, err := ix.ReadFrom(br); err != nil {
+			return nil, err
 		}
-		for i, sh := range fresh.Shards() {
-			var r io.Reader = br
-			if prefixed {
-				var n uint64
-				if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-					return nil, fmt.Errorf("shard %d: %w", i, err)
-				}
-				r = io.LimitReader(br, int64(n))
-			}
-			if _, err := sh.ReadFrom(r); err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			// Drain to the length prefix's boundary: the decoder buffers and
-			// may leave a tail of its shard's bytes unconsumed.
-			if r != br {
-				if _, err := io.Copy(io.Discard, r); err != nil {
-					return nil, fmt.Errorf("shard %d: %w", i, err)
-				}
-			}
-		}
-		return fresh, nil
+		si.indexes[""] = ix
+		return si, nil
 	}
 
-	groups := make(map[string]*shard.Group)
-	if string(magic) == indexEnvelopeMagicV3 {
-		var tenants uint32
-		if err := binary.Read(br, binary.LittleEndian, &tenants); err != nil {
-			return nil, fmt.Errorf("core: load index: %w", err)
-		}
-		for t := uint32(0); t < tenants; t++ {
-			var nameLen uint32
-			if err := binary.Read(br, binary.LittleEndian, &nameLen); err != nil {
-				return nil, fmt.Errorf("core: load index: %w", err)
-			}
-			if nameLen > 256 {
-				return nil, fmt.Errorf("core: load index: implausible tenant name length %d", nameLen)
-			}
-			name := make([]byte, nameLen)
-			if _, err := io.ReadFull(br, name); err != nil {
-				return nil, fmt.Errorf("core: load index: %w", err)
-			}
-			var shardCount uint32
-			if err := binary.Read(br, binary.LittleEndian, &shardCount); err != nil {
-				return nil, fmt.Errorf("core: load index: %w", err)
-			}
-			g, err := readGroup(shardCount, true)
-			if err != nil {
-				return nil, fmt.Errorf("core: load index: tenant %q: %w", string(name), err)
-			}
-			groups[string(name)] = g
-		}
-	} else {
-		if savedShards == 0 { // V2 carries an explicit shard count
-			if err := binary.Read(br, binary.LittleEndian, &savedShards); err != nil {
-				return nil, fmt.Errorf("core: load index: %w", err)
-			}
-		}
-		g, err := readGroup(savedShards, string(magic) == indexEnvelopeMagicV2)
-		if err != nil {
-			return nil, fmt.Errorf("core: load index: %w", err)
-		}
-		groups[""] = g
+	var tenants uint32
+	if err := binary.Read(br, le, &tenants); err != nil {
+		return nil, err
 	}
-	if groups[""] == nil {
-		groups[""] = e.newGroup()
+	for t := uint32(0); t < tenants; t++ {
+		var nameLen uint32
+		if err := binary.Read(br, le, &nameLen); err != nil {
+			return nil, err
+		}
+		if nameLen > 256 {
+			return nil, fmt.Errorf("implausible tenant name length %d", nameLen)
+		}
+		name := make([]byte, nameLen)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, err
+		}
+		var streams uint32
+		if err := binary.Read(br, le, &streams); err != nil {
+			return nil, err
+		}
+		if streams != 1 {
+			return nil, fmt.Errorf("tenant %q: %d index streams, want 1", name, streams)
+		}
+		var n uint64
+		if err := binary.Read(br, le, &n); err != nil {
+			return nil, err
+		}
+		ix := e.newIndex()
+		r := io.LimitReader(br, int64(n))
+		if _, err := ix.ReadFrom(r); err != nil {
+			return nil, fmt.Errorf("tenant %q: %w", name, err)
+		}
+		// Drain to the length prefix's boundary: the decoder buffers and
+		// may leave a tail of the stream unconsumed.
+		if _, err := io.Copy(io.Discard, r); err != nil {
+			return nil, fmt.Errorf("tenant %q: %w", name, err)
+		}
+		si.indexes[string(name)] = ix
 	}
-	return &savedIndex{groups: groups, cursor: cursor}, nil
+	if si.indexes[""] == nil {
+		si.indexes[""] = e.newIndex()
+	}
+	return si, nil
 }
 
 // installIndex swaps a read index in and syncs the repository changes
 // made after it was saved.
 func (e *Engine) installIndex(si *savedIndex) error {
 	e.mu.Lock()
-	e.groups = si.groups
-	e.idx = si.groups[""]
+	e.indexes = si.indexes
+	e.idx = si.indexes[""]
 	e.cursor = si.cursor
 	e.mu.Unlock()
 	_, _, err := e.Sync()
@@ -903,8 +822,8 @@ func (e *Engine) RankWith(ctx context.Context, q *query.Query, limit int, w map[
 // the served results.
 func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit int, ensemble, shadowEns *match.Ensemble, shadowVersion uint64) (_ []Result, stats SearchStats, err error) {
 	// The request context selects the namespace to search: the tenant's
-	// own shard group, or the default group for unauthenticated and admin
-	// callers. A tenant with no indexed documents yet has no group and
+	// own index, or the default one for unauthenticated and admin
+	// callers. A tenant with no indexed documents yet has no index and
 	// gets an empty result, same as an empty corpus.
 	who := tenant.From(ctx)
 	if q == nil || q.IsEmpty() {
@@ -917,7 +836,7 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		limit = 10
 	}
 	e.mu.RLock()
-	idx := e.groups[who.ID]
+	idx := e.indexes[who.ID]
 	e.mu.RUnlock()
 	if idx == nil {
 		return nil, SearchStats{}, nil
@@ -931,9 +850,6 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	terms := q.Flatten()
 	stats.QueryTerms = len(terms)
 	hits, sinfo := idx.SearchTermsStats(terms, e.opts.CandidateN, e.opts.Index)
-	if e.metrics != nil {
-		e.metrics.shardSearches.Add(uint64(idx.NumShards()))
-	}
 	stats.PostingsSkipped += sinfo.PostingsSkipped
 	stats.CandidatesPruned += sinfo.DocsPruned
 	stats.BlocksSkipped += sinfo.BlocksSkipped
@@ -946,9 +862,6 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 			seen[h.ID] = true
 		}
 		extra, tinfo := idx.SearchTermsStats(trigramsOf(terms), e.opts.CandidateN, e.opts.Index)
-		if e.metrics != nil {
-			e.metrics.shardSearches.Add(uint64(idx.NumShards()))
-		}
 		stats.PostingsSkipped += tinfo.PostingsSkipped
 		stats.CandidatesPruned += tinfo.DocsPruned
 		stats.BlocksSkipped += tinfo.BlocksSkipped

@@ -55,11 +55,11 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 	if s == nil {
 		return nil, fmt.Errorf("core: no schema %q", id)
 	}
-	// The coarse phase must consult the group the document lives in — its
+	// The coarse phase must consult the index the document lives in — its
 	// owning tenant's — or a namespaced schema would be "explained" as
 	// never extracted.
 	e.mu.RLock()
-	idx := e.groups[tenant.Owner(id)]
+	idx := e.indexes[tenant.Owner(id)]
 	ensemble := e.ensemble
 	e.mu.RUnlock()
 	if idx == nil {

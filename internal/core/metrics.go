@@ -20,12 +20,6 @@ import (
 type engineMetrics struct {
 	reg *obs.Registry
 
-	// shards is the configured index shard count; shardSearches counts
-	// per-shard phase-1 sub-searches. Both stay global: the shard layout
-	// is a deployment property, not a tenant one.
-	shards        *obs.Gauge
-	shardSearches *obs.Counter
-
 	// Shadow-scoring families (global: the candidate weight set under
 	// evaluation is a deployment property, not a tenant one). Searches
 	// that ran a shadow pass, the max |score delta| between candidate and
@@ -54,9 +48,7 @@ type tenantSearchMetrics struct {
 // newEngineMetrics registers the engine metric families on reg.
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	m := &engineMetrics{
-		reg:           reg,
-		shards:        reg.Gauge("schemr_shards", "Configured document-index shard count.", nil),
-		shardSearches: reg.Counter("schemr_shard_searches_total", "Per-shard phase-1 sub-searches scattered by candidate extraction.", nil),
+		reg: reg,
 		shadowSearches: reg.Counter("schemr_learn_shadow_searches_total",
 			"Searches that additionally scored served results under a candidate weight set.", nil),
 		shadowDelta: reg.Histogram("schemr_learn_shadow_score_delta",

@@ -2,21 +2,16 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"schemr/internal/match"
 	"schemr/internal/model"
 	"schemr/internal/obs"
-	"schemr/internal/shard"
 )
 
 // profileCache holds one precomputed match.Profile per schema ID. Profiles
 // are immutable; the cache is safe for concurrent use by the parallel match
-// workers. It is partitioned with the same hash the index shard group uses
-// (one partition per index shard, one for an unsharded engine), so lock
-// contention scales down with the shard count and a schema's profile lives
-// alongside its index shard.
+// workers.
 //
 // Staleness is impossible by construction: every profile remembers the exact
 // *model.Schema value it was built from, the repository replaces that value
@@ -27,8 +22,8 @@ import (
 // the correctness mechanism, so a search racing a Sync can never score a new
 // schema through an old profile no matter how the operations interleave.
 type profileCache struct {
-	parts []profilePart
-	total atomic.Int64 // live entries across partitions, mirrored to size
+	mu sync.RWMutex
+	m  map[string]*match.Profile
 
 	// Observability instruments (nil-safe; nil when metrics are disabled).
 	// hits/misses measure the lookup economics on the search path; evicts
@@ -46,32 +41,8 @@ type profileCache struct {
 	memoMisses *obs.Counter
 }
 
-type profilePart struct {
-	mu sync.RWMutex
-	m  map[string]*match.Profile
-}
-
-func newProfileCache(shards int) *profileCache {
-	if shards < 1 {
-		shards = 1
-	}
-	c := &profileCache{parts: make([]profilePart, shards)}
-	for i := range c.parts {
-		c.parts[i].m = make(map[string]*match.Profile)
-	}
-	return c
-}
-
-// part returns the partition owning id — shard.Partition, so the profile of
-// a schema is cached next to the index shard that retrieves it.
-func (c *profileCache) part(id string) *profilePart {
-	return &c.parts[shard.Partition(id, len(c.parts))]
-}
-
-// profileBuildBuckets resolve profile builds, which take tens of
-// microseconds — below obs.LatencyBuckets' first edge of 100 µs.
-var profileBuildBuckets = []float64{
-	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 1e-2,
+func newProfileCache() *profileCache {
+	return &profileCache{m: make(map[string]*match.Profile)}
 }
 
 // instrument registers the cache's metric families on reg. Called once at
@@ -81,7 +52,7 @@ func (c *profileCache) instrument(reg *obs.Registry) {
 	c.misses = reg.Counter("schemr_profile_cache_misses_total", "Match-profile cache lookups that built a profile.", nil)
 	c.evicts = reg.Counter("schemr_profile_cache_evictions_total", "Match profiles evicted via the change feed or reset.", nil)
 	c.size = reg.Gauge("schemr_profile_cache_size", "Match profiles currently cached.", nil)
-	c.build = reg.Histogram("schemr_profile_build_seconds", "Latency of building one match profile (cache-miss cost).", profileBuildBuckets, nil)
+	c.build = reg.Histogram("schemr_profile_build_seconds", "Latency of building one match profile (cache-miss cost).", nil, nil)
 	c.names = reg.Gauge("schemr_match_names_interned", "Distinct normalized names in the match name dictionary (process-wide, append-only).", nil)
 	c.memoHits = reg.Counter("schemr_match_memo_hits_total", "Name-pair lookups answered by a search's similarity memo.", nil)
 	c.memoMisses = reg.Counter("schemr_match_memo_misses_total", "Name-pair lookups a search's similarity memo had to score.", nil)
@@ -97,10 +68,9 @@ func (c *profileCache) observeMemo(qa *match.QueryArtifacts) {
 // get returns the profile for (id, s), building and caching one when the
 // cached entry is missing or was built from a different schema value.
 func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
-	pt := c.part(id)
-	pt.mu.RLock()
-	p := pt.m[id]
-	pt.mu.RUnlock()
+	c.mu.RLock()
+	p := c.m[id]
+	c.mu.RUnlock()
 	if p != nil && p.Schema() == s {
 		c.hits.Inc()
 		return p
@@ -113,20 +83,17 @@ func (c *profileCache) get(id string, s *model.Schema) *match.Profile {
 	} else {
 		p = match.NewProfile(s)
 	}
-	pt.mu.Lock()
+	c.mu.Lock()
 	// Keep a racing writer's profile if it is for the same schema value;
 	// both are equivalent, but not replacing it lets concurrent readers of
 	// the published entry keep hitting one instance.
-	if cur := pt.m[id]; cur == nil || cur.Schema() != s {
-		if cur == nil {
-			c.total.Add(1)
-		}
-		pt.m[id] = p
+	if cur := c.m[id]; cur == nil || cur.Schema() != s {
+		c.m[id] = p
 	} else {
 		p = cur
 	}
-	pt.mu.Unlock()
-	c.size.Set(c.total.Load())
+	c.size.Set(int64(len(c.m)))
+	c.mu.Unlock()
 	c.names.Set(int64(match.InternedNames()))
 	return p
 }
@@ -136,33 +103,29 @@ func (c *profileCache) drop(ids ...string) {
 	if len(ids) == 0 {
 		return
 	}
+	c.mu.Lock()
 	for _, id := range ids {
-		pt := c.part(id)
-		pt.mu.Lock()
-		if _, ok := pt.m[id]; ok {
+		if _, ok := c.m[id]; ok {
 			c.evicts.Inc()
-			c.total.Add(-1)
-			delete(pt.m, id)
+			delete(c.m, id)
 		}
-		pt.mu.Unlock()
 	}
-	c.size.Set(c.total.Load())
+	c.size.Set(int64(len(c.m)))
+	c.mu.Unlock()
 }
 
 // reset empties the cache.
 func (c *profileCache) reset() {
-	for i := range c.parts {
-		pt := &c.parts[i]
-		pt.mu.Lock()
-		c.evicts.Add(uint64(len(pt.m)))
-		c.total.Add(-int64(len(pt.m)))
-		pt.m = make(map[string]*match.Profile)
-		pt.mu.Unlock()
-	}
-	c.size.Set(c.total.Load())
+	c.mu.Lock()
+	c.evicts.Add(uint64(len(c.m)))
+	c.m = make(map[string]*match.Profile)
+	c.size.Set(0)
+	c.mu.Unlock()
 }
 
 // count returns the number of cached profiles.
 func (c *profileCache) count() int {
-	return int(c.total.Load())
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.m)
 }

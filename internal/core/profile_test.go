@@ -195,14 +195,18 @@ func TestProfiledSearchMatchesUnprofiled(t *testing.T) {
 }
 
 // TestProfileBuildBucketsResolveMicroseconds: profile builds take tens of
-// microseconds, so their histogram needs edges below 100 µs to tell a
-// 15 µs build from a 60 µs one.
+// microseconds and the cheaper search phases a few, so their histograms
+// need edges below 100 µs to tell a 15 µs build from a 60 µs one, or a
+// 5 µs phase from a 50 µs one.
 func TestProfileBuildBucketsResolveMicroseconds(t *testing.T) {
 	reg := obs.NewRegistry()
 	NewEngine(repository.New(), Options{Metrics: reg})
 	h := reg.Histogram("schemr_profile_build_seconds", "", nil, nil) // the engine's instrument
 	h.Observe(15e-6)
 	h.Observe(60e-6)
+	phase := reg.Histogram("schemr_search_phase_seconds", "", nil, obs.Labels{"phase": "tightness", "tenant": "default"})
+	phase.Observe(5e-6)
+	phase.Observe(50e-6)
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -210,6 +214,9 @@ func TestProfileBuildBucketsResolveMicroseconds(t *testing.T) {
 	for _, want := range []string{
 		`schemr_profile_build_seconds_bucket{le="2.5e-05"} 1`,
 		`schemr_profile_build_seconds_bucket{le="0.0001"} 2`,
+		`schemr_search_phase_seconds_bucket{phase="tightness",tenant="default",le="5e-06"} 1`,
+		`schemr_search_phase_seconds_bucket{phase="tightness",tenant="default",le="2.5e-05"} 1`,
+		`schemr_search_phase_seconds_bucket{phase="tightness",tenant="default",le="5e-05"} 2`,
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("exposition lacks %q:\n%s", want, buf.String())

@@ -48,12 +48,6 @@ type SearchOptions struct {
 	// retrieval return identical top-n hits (the property tests assert
 	// byte-identical IDs, scores, match counts and order).
 	DisablePruning bool
-	// Global, when set, overrides the corpus statistics (live count, per-
-	// term document frequencies, BM25 average field lengths) with corpus-
-	// wide values and plugs this search into a shared top-n threshold — the
-	// hooks a sharded coordinator uses to keep per-shard searches exactly
-	// equivalent to one search of a single big index. Nil for normal use.
-	Global *GlobalStats
 }
 
 // SearchInfo reports one search's work counters — the observability payload
@@ -85,15 +79,7 @@ type SearchInfo struct {
 // convention (identifier splitting, no stopword removal), so "patientHeight"
 // and "patient height" search identically. n <= 0 means no limit.
 func (ix *Index) Search(query string, n int, opts SearchOptions) []Hit {
-	return ix.SearchTerms(ix.AnalyzeQuery(query), n, opts)
-}
-
-// AnalyzeQuery tokenizes a free-text query with the index's analyzer under
-// the elements-field convention — the tokenization Search and Explain use.
-// Exported so a sharded coordinator can analyze once and gather corpus
-// statistics for exactly the terms the shards will score.
-func (ix *Index) AnalyzeQuery(query string) []string {
-	return ix.analyzer(FieldElements, query)
+	return ix.SearchTerms(ix.analyzer(FieldElements, query), n, opts)
 }
 
 // SearchTerms runs a pre-analyzed term list. Duplicate terms are collapsed
@@ -515,25 +501,10 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 		defer hd.mu.RUnlock()
 	}
 
-	// Sharded search: corpus-wide statistics override the local ones, and
-	// the shared threshold (if any) joins every pruning check below.
-	glive := float64(live)
-	var gdf map[string]int32
-	var shared *TopNThreshold
-	if g := opts.Global; g != nil {
-		glive = float64(g.Live)
-		gdf = g.DocFreq
-		shared = g.Threshold
-	}
-
 	k1, b := opts.bm25Params()
 	var avgLen []float64
 	if opts.BM25 {
-		if g := opts.Global; g != nil && g.AvgFieldLen != nil {
-			avgLen = globalFieldLens(sn, g.AvgFieldLen, sc)
-		} else {
-			avgLen = ix.avgFieldLens(sn, headOn, sc)
-		}
+		avgLen = ix.avgFieldLens(sn, headOn, sc)
 	}
 
 	numTerms := len(uniq)
@@ -603,17 +574,11 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 				}
 			}
 		}
-		if gdf != nil {
-			// Corpus-wide df (≥ the local df whenever this shard holds any
-			// postings); the local source check below still skips terms with
-			// nothing to score here.
-			df = gdf[term]
-		}
 		if df <= 0 || pos == start {
 			pos = start
 			continue
 		}
-		idf := idfValue(glive, df, opts.BM25)
+		idf := idfValue(float64(live), df, opts.BM25)
 		ub := math.Inf(-1)
 		for i := start; i < pos; i++ {
 			s := &arena[i]
@@ -697,57 +662,31 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 		return boundSlack(s)
 	}
 	// canEnter reports whether a hit (or a bound standing in for one) could
-	// still enter the global top n — exact on score ties via the ID
-	// tie-break, so pruning reproduces the exhaustive heap bit for bit. A
-	// hit must beat the local heap minimum (when the heap is full) and the
-	// shared cross-shard boundary (when one is published): either one
-	// certifies n better documents.
+	// still enter the top n — exact on score ties via the ID tie-break, so
+	// pruning reproduces the exhaustive heap bit for bit. A full heap's
+	// minimum certifies n better documents, so a hit must beat it.
 	canEnter := func(hit Hit) bool {
-		if n > 0 && len(*h) >= n && !less((*h)[0], hit) {
-			return false
-		}
-		if shared != nil {
-			if t, ok := shared.Load(); ok && !less(t, hit) {
-				return false
-			}
-		}
-		return true
+		return n <= 0 || len(*h) < n || less((*h)[0], hit)
 	}
 	// push maintains the min-heap with direct sifts (no container/heap
-	// interface boxing, so inserting a Hit never allocates). Once the heap
-	// is full its minimum certifies n better-or-equal documents, so it is
-	// offered to the cross-shard threshold.
+	// interface boxing, so inserting a Hit never allocates).
 	push := func(hit Hit) {
 		if n > 0 && len(*h) >= n {
 			if less((*h)[0], hit) {
 				(*h)[0] = hit
 				h.siftDown(0)
 			}
-			if shared != nil {
-				shared.Offer((*h)[0])
-			}
 			return
 		}
 		*h = append(*h, hit)
 		h.siftUp(len(*h) - 1)
-		if shared != nil && n > 0 && len(*h) >= n {
-			shared.Offer((*h)[0])
-		}
 	}
-	// threshold returns the strongest certified lower bound on the global
-	// top-n boundary score: the local heap minimum (full heap) or the
-	// shared cross-shard boundary, whichever is higher.
+	// threshold returns the top-n boundary score once the heap is full.
 	threshold := func() (float64, bool) {
-		top, ok := 0.0, false
 		if n > 0 && len(*h) >= n {
-			top, ok = (*h)[0].Score, true
+			return (*h)[0].Score, true
 		}
-		if shared != nil {
-			if t, tok := shared.Load(); tok && (!ok || t.Score > top) {
-				top, ok = t.Score, true
-			}
-		}
-		return top, ok
+		return 0, false
 	}
 
 	// firstEss partitions order: order[:firstEss] are the non-essential
@@ -792,12 +731,6 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 	}
 
 	for {
-		// A concurrent shard may have raised the shared threshold since the
-		// last push; re-partition the lists against it so this shard's
-		// pruning keeps pace with the global boundary.
-		if shared != nil {
-			advanceBoundary()
-		}
 		// Next doc: the minimum ordinal under the essential cursors. When
 		// every essential list is exhausted, all remaining docs live only
 		// in non-essential lists and are provably below the threshold.
@@ -1028,18 +961,6 @@ func (ix *Index) avgFieldLens(sn *snapshot, headOn bool, sc *searchScratch) []fl
 	return avgLen
 }
 
-// globalFieldLens materializes coordinator-provided per-field-name average
-// lengths into the per-field-id layout the scorer consumes, using the
-// snapshot's field table. The result lives in the search's scratch buffer.
-func globalFieldLens(sn *snapshot, byName map[string]float64, sc *searchScratch) []float64 {
-	avgLen := growFloats(sc.avgLen, len(sn.fieldNames))
-	for fid, name := range sn.fieldNames {
-		avgLen[fid] = byName[name]
-	}
-	sc.avgLen = avgLen
-	return avgLen
-}
-
 // idfValue returns the inverse document frequency of a term with df live
 // postings among n live documents, in the classic or BM25 formulation.
 func idfValue(n float64, df int32, bm25 bool) float64 {
@@ -1128,6 +1049,11 @@ func less(a, b Hit) bool {
 	}
 	return a.ID > b.ID
 }
+
+// HitBefore reports whether hit a ranks before hit b in result order:
+// descending score, ties broken by ascending ID — the exact order
+// SearchTerms returns hits in.
+func HitBefore(a, b Hit) bool { return less(b, a) }
 
 // hitHeap is a min-heap of hits ordered by less, with direct sift methods
 // instead of container/heap so pushes never box a Hit into an interface.
@@ -1276,26 +1202,11 @@ func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanati
 		}
 	}
 
-	// Sharded explain: the same corpus-wide overrides SearchTermsStats
-	// honors, so a sharded coordinator's Explain matches its Search.
-	glive := float64(live)
-	var gdf map[string]int32
-	if g := opts.Global; g != nil {
-		glive = float64(g.Live)
-		gdf = g.DocFreq
-	}
-
 	k1, b := opts.bm25Params()
 	var avgLen []float64
 	if opts.BM25 {
 		sc := scratchPool.Get().(*searchScratch)
-		var src []float64
-		if g := opts.Global; g != nil && g.AvgFieldLen != nil {
-			src = globalFieldLens(sn, g.AvgFieldLen, sc)
-		} else {
-			src = ix.avgFieldLens(sn, headOn, sc)
-		}
-		avgLen = append([]float64(nil), src...)
+		avgLen = append([]float64(nil), ix.avgFieldLens(sn, headOn, sc)...)
 		sc.release()
 	}
 	ex := &Explanation{ID: id, PerTerm: make(map[string]float64), TermsInNeed: len(uniq)}
@@ -1312,13 +1223,10 @@ func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanati
 				df += e.df
 			}
 		}
-		if gdf != nil {
-			df = gdf[term]
-		}
 		if df <= 0 {
 			continue
 		}
-		idf := idfValue(glive, df, opts.BM25)
+		idf := idfValue(float64(live), df, opts.BM25)
 		var ps []posting
 		if inHead {
 			if e, ok := hd.terms[term]; ok {

@@ -64,8 +64,8 @@ func (st *segTerm) liveDF() int32 { return st.df - st.delDF.Load() }
 // (norm = float32(1/sqrt(len))), rounded back to the integer the norm was
 // built from. Rounding makes every length-sum aggregate an exact integer
 // (up to 2^53), so summation order can never change a BM25 average length
-// by an ulp — the property a sharded coordinator relies on when it merges
-// per-shard sums and must reproduce the single-index average bit-for-bit.
+// by an ulp — flushes, merges and deletes add and subtract the same lengths
+// in different orders and must agree with a fresh index bit for bit.
 func lenFromNorm(n float32) float64 {
 	return math.Round(1 / float64(n) / float64(n))
 }

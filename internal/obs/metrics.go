@@ -24,10 +24,11 @@ import (
 type Labels map[string]string
 
 // LatencyBuckets is the default histogram bucket layout for latencies in
-// seconds: 100µs up to 10s, roughly logarithmic. Search phases sit in the
-// sub-millisecond to tens-of-milliseconds range; HTTP requests up to the
-// 10s default deadline.
+// seconds: 1µs up to 10s, roughly logarithmic. Profile builds and the
+// cheaper search phases take microseconds, a whole search a millisecond
+// or two; HTTP requests run up to the 10s default deadline.
 var LatencyBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }

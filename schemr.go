@@ -138,15 +138,10 @@ type RecoveryStats struct {
 // repository; a loaded index is synced forward from its saved change-feed
 // cursor.
 func Open(dir string) (*System, error) {
-	return OpenWithOptions(dir, EngineOptions{})
-}
-
-// OpenWithOptions is Open with custom engine options.
-func OpenWithOptions(dir string, opts EngineOptions) (*System, error) {
 	if _, err := os.Stat(filepath.Join(dir, repoFile)); err != nil {
 		return nil, fmt.Errorf("repository: open: %w", err)
 	}
-	sys, _, err := openSystem(dir, opts)
+	sys, _, err := openSystem(dir, EngineOptions{})
 	return sys, err
 }
 

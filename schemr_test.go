@@ -1,6 +1,8 @@
 package schemr
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -410,8 +412,9 @@ func rankings(t *testing.T, sys *System, queries []string) string {
 }
 
 // The index is read beside repository recovery and installed after it. A
-// missing, corrupt or shard-mismatched schemas.idx makes boot rebuild
-// the index, and the rebuilt system ranks exactly like a clean boot.
+// missing or corrupt schemas.idx, or one a build with in-process shards
+// wrote for more than one shard, makes boot rebuild the index, and the
+// rebuilt system ranks exactly like a clean boot.
 func TestOpenDurableIndexFallback(t *testing.T) {
 	base := t.TempDir()
 	sys, _, err := OpenDurable(base)
@@ -447,29 +450,74 @@ func TestOpenDurableIndexFallback(t *testing.T) {
 	}
 	clean.Close()
 
-	for name, damage := range map[string]func(dir string) EngineOptions{
-		"missing": func(dir string) EngineOptions {
-			os.Remove(filepath.Join(dir, indexFile))
-			return EngineOptions{}
-		},
-		"corrupt": func(dir string) EngineOptions {
+	// sharded rewrites the saved single-tenant (V1) file the way a sharded
+	// build laid out two shards: the V1 header is magic + cursor, and the
+	// index stream follows it.
+	sharded := func(layout func(cursor, stream []byte) []byte) func(string) {
+		return func(dir string) {
+			path := filepath.Join(dir, indexFile)
+			b, err := os.ReadFile(path)
+			if err != nil || !bytes.HasPrefix(b, []byte("SCHEMR-ENGINE-IDX-1\n")) {
+				t.Fatalf("saved index is not V1: %v", err)
+			}
+			if err := os.WriteFile(path, layout(b[20:28], b[28:]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	le := binary.LittleEndian
+	shards := func(out, stream []byte) []byte {
+		for i := 0; i < 2; i++ {
+			out = le.AppendUint64(out, uint64(len(stream)))
+			out = append(out, stream...)
+		}
+		return out
+	}
+	// v3Head is a V3 envelope up to the default tenant's shard count, 2.
+	v3Head := func(cursor []byte) []byte {
+		out := append([]byte("SCHEMR-ENGINE-IDX-3\n"), cursor...)
+		out = le.AppendUint32(out, 1) // tenants
+		out = le.AppendUint32(out, 0) // name length: the default tenant
+		return le.AppendUint32(out, 2)
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string)
+		why    string // in Boot.IndexErr
+	}{
+		{"missing", func(dir string) { os.Remove(filepath.Join(dir, indexFile)) }, "no such file"},
+		{"corrupt", func(dir string) {
 			path := filepath.Join(dir, indexFile)
 			b, _ := os.ReadFile(path)
 			os.WriteFile(path, b[:len(b)/2], 0o644)
-			return EngineOptions{}
-		},
-		"shard mismatch": func(string) EngineOptions { return EngineOptions{Shards: 3} },
+		}, ""},
+		// V2: magic, cursor, shard count, length-prefixed shard streams.
+		{"v2 envelope", sharded(func(cursor, stream []byte) []byte {
+			out := append([]byte("SCHEMR-ENGINE-IDX-2\n"), cursor...)
+			return shards(le.AppendUint32(out, 2), stream)
+		}), "bad magic"},
+		// V3: magic, cursor, tenant count, then per tenant its name, its
+		// shard count and length-prefixed shard streams.
+		{"v3 with two shards", sharded(func(cursor, stream []byte) []byte {
+			return shards(v3Head(cursor), stream)
+		}), "2 index streams"},
+		// The reader must refuse the count before it reads a stream: cut
+		// right after it, any read would fail with EOF instead.
+		{"v3 with two shards, cut after the count", sharded(func(cursor, _ []byte) []byte {
+			return v3Head(cursor)
+		}), "2 index streams"},
 	} {
 		dir := copyDir(t, base)
-		sys, stats, err := OpenDurableWithOptions(dir, damage(dir))
+		tc.damage(dir)
+		sys, stats, err := OpenDurable(dir)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if stats.Boot.IndexErr == nil {
-			t.Errorf("%s: boot reports the index loaded", name)
+		if stats.Boot.IndexErr == nil || !strings.Contains(stats.Boot.IndexErr.Error(), tc.why) {
+			t.Errorf("%s: boot reports index error %v, want one mentioning %q", tc.name, stats.Boot.IndexErr, tc.why)
 		}
 		if got := rankings(t, sys, queries); got != want {
-			t.Errorf("%s: rebuilt index ranks differently:\n got %s\nwant %s", name, got, want)
+			t.Errorf("%s: rebuilt index ranks differently:\n got %s\nwant %s", tc.name, got, want)
 		}
 		sys.Close()
 	}

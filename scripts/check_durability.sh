@@ -4,7 +4,7 @@
 # while recording every id the server acknowledged (HTTP 200 received),
 # kill -9 the server mid-stream, restart it on the same directory, and fail
 # unless every acknowledged import survived recovery. A second phase proves
-# the replication failover contract: a sharded primary streams its WAL to a
+# the replication failover contract: a primary streams its WAL to a
 # read-only replica, the primary is kill -9'd mid-import-stream and
 # restarted, and the replica must catch up to every acknowledged import
 # (and keep rejecting writes with 403 throughout). Run from the repository
@@ -134,15 +134,15 @@ wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 echo "OK: all $N acknowledged imports and $FB_N feedback events survived kill -9 + recovery."
 
-# --- Phase 2: kill-a-shard failover ------------------------------------
-# A 2-shard primary streams its WAL to a read-only replica. We kill -9 the
+# --- Phase 2: primary failover -----------------------------------------
+# A primary streams its WAL to a read-only replica. We kill -9 the
 # primary mid-import-stream, restart it on the same directory (WAL
 # recovery), and require the replica to catch up to every acknowledged
 # import. The replica must reject writes with 403 the whole time.
 
 boot_primary() {
     "$WORK/schemr-server" -data "$WORK/primary" -addr "$ADDR" \
-        -shards 2 -sync 200ms -snapshot-interval 1s \
+        -sync 200ms -snapshot-interval 1s \
         >>"$WORK/primary.log" 2>&1 &
     SERVER_PID=$!
     wait_ready "$ADDR" "$SERVER_PID" "$WORK/primary.log"
