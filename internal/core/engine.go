@@ -128,6 +128,10 @@ type Result struct {
 	// Matched lists matched schema elements with scores and penalties —
 	// the similarity encodings the visualization renders.
 	Matched []tightness.ElementScore
+	// Concepts holds, aligned with Matched, each matched element's codebook
+	// concepts, comma-joined ("" for none); nil when no matched element
+	// carries any. They come from the same schema version as the scores.
+	Concepts []string
 	// Entities and Attributes are the schema's size, for the results table.
 	Entities   int
 	Attributes int
@@ -135,6 +139,15 @@ type Result struct {
 
 // NumMatches returns the number of matched elements.
 func (r Result) NumMatches() int { return len(r.Matched) }
+
+// ConceptsAt returns the comma-joined codebook concepts of Matched[i], or
+// "" when it carries none.
+func (r Result) ConceptsAt(i int) string {
+	if r.Concepts == nil {
+		return ""
+	}
+	return r.Concepts[i]
+}
 
 // SearchStats instruments one search for the Figure 3 experiments: the
 // candidate funnel and per-phase latency.
@@ -423,7 +436,12 @@ func (e *Engine) Reindex() error {
 	fresh := map[string]*index.Index{"": e.newIndex()}
 	seq := e.repo.Seq()
 	e.profiles.reset()
-	for _, s := range e.repo.All() {
+	// One schema decoded at a time: the corpus is never resident as graphs.
+	for _, id := range e.repo.IDs() {
+		s := e.repo.Get(id)
+		if s == nil {
+			continue // deleted since IDs; the next Sync's feed handles it
+		}
 		tn := tenant.Owner(s.ID)
 		ix, ok := fresh[tn]
 		if !ok {
@@ -470,11 +488,10 @@ func (e *Engine) Sync() (updated, deleted int, err error) {
 }
 
 // CachedProfiles returns the number of schemas with a cached match profile —
-// an observability hook for capacity planning (a profile costs a few KB:
-// the element list, name IDs and context index sets, and an
-// entity-distance table; the n-gram vectors live once per distinct name in
-// the match package's name dictionary — see DESIGN.md "Match profile
-// cache").
+// an observability hook for capacity planning (an entry costs about 2 KB:
+// the element list, name IDs and context index sets, the hop matrix and
+// the row header; the n-gram vectors live once per distinct name in the
+// match package's name dictionary — see DESIGN.md §14).
 func (e *Engine) CachedProfiles() int { return e.profiles.count() }
 
 // IndexedDocs returns the number of live documents across every tenant's
@@ -884,73 +901,59 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		return nil, stats, nil
 	}
 
-	// Phase 2: schema matching. Every candidate is matched with the whole
-	// ensemble on the profiled path: query-side artifacts are computed once
-	// here and shared (read-only) across all candidates, and schema-side
-	// artifacts come from the profile cache, so steady-state matching
-	// recomputes nothing that depends only on the schema.
+	// Phases 2 and 3: schema matching, then tightness-of-fit, per
+	// candidate in the worker that matched it, so a candidate's matrices
+	// are garbage as soon as it is scored. Every candidate is matched with
+	// the whole ensemble on the profiled path: query-side artifacts are
+	// computed once here and shared (read-only) across all candidates, and
+	// schema-side artifacts — the profile, the row header and concepts —
+	// come from the profile cache, so steady-state matching neither
+	// decodes a schema nor recomputes anything that depends only on it.
 	start = time.Now()
 	qa := match.NewQueryArtifacts(q)
 	cands := make([]candidate, len(hits))
-	var elements atomic.Int64
+	var elements, matchNS, scoreNS atomic.Int64
 	// Cancellation gate: eachCandidate checks ctx before handing out each
 	// candidate, so an abandoned search stops matching promptly instead of
 	// burning the worker pool on all CandidateN candidates.
 	eachCandidate(ctx, len(hits), e.opts.Parallelism, func(i int) {
-		s := e.repo.Get(hits[i].ID)
-		if s == nil {
+		began := time.Now()
+		entry := e.profiles.get(e.repo, hits[i].ID)
+		if entry == nil {
 			return // deleted between index snapshot and now
 		}
 		// Popularity is read once, before matching: the served score and
 		// the shadow pass both use this value, so a selection recorded
 		// meanwhile cannot make them disagree.
-		c := candidate{hit: hits[i], schema: s, pop: e.popularity(s.ID), profile: e.profiles.get(s.ID, s)}
-		mats := ensemble.MatchMatricesProfiled(qa, c.profile)
-		c.matrix = ensemble.CombineMatrices(qa.Elements(), c.profile.Elements(), mats)
+		c := candidate{hit: hits[i], entry: entry, pop: e.popularity(hits[i].ID)}
+		mats := ensemble.MatchMatricesProfiled(qa, entry.profile)
+		m := ensemble.CombineMatrices(qa.Elements(), entry.profile.Elements(), mats)
 		if shadowEns != nil {
 			c.mats = mats
 		}
+		elements.Add(int64(len(m.Schema)))
+		matched := time.Now()
+		c.t, c.cov, c.final = e.finalScore(entry.profile, m, c.pop)
 		cands[i] = c
-		elements.Add(int64(len(c.matrix.Schema)))
+		matchNS.Add(int64(matched.Sub(began)))
+		scoreNS.Add(int64(time.Since(matched)))
 	})
 	e.profiles.observeMemo(qa)
-	stats.PhaseMatch = time.Since(start)
 	stats.ElementsScored = int(elements.Load())
+	// The workers interleave the two phases, so their wall time is split
+	// in proportion to the time spent in each.
+	wall := time.Since(start)
+	if total := matchNS.Load() + scoreNS.Load(); total > 0 {
+		stats.PhaseTightness = time.Duration(float64(wall) * float64(scoreNS.Load()) / float64(total))
+	}
+	stats.PhaseMatch = wall - stats.PhaseTightness
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
 
-	// Phase 3: tightness-of-fit measurement and final ranking.
 	start = time.Now()
-	results := make([]Result, 0, len(cands))
-	for _, c := range cands {
-		if err := ctx.Err(); err != nil {
-			stats.PhaseTightness = time.Since(start)
-			return nil, stats, err
-		}
-		if c.matrix == nil {
-			continue
-		}
-		t, cov, final := e.finalScore(c.profile, c.matrix, c.pop)
-		if final <= 0 {
-			continue
-		}
-		results = append(results, Result{
-			ID:          c.schema.ID,
-			Name:        c.schema.Name,
-			Description: c.schema.Description,
-			Score:       final,
-			Tightness:   t.Score,
-			Coverage:    cov,
-			Coarse:      c.hit.Score,
-			Anchor:      t.Anchor,
-			Matched:     t.Matched,
-			Entities:    c.schema.NumEntities(),
-			Attributes:  c.schema.NumAttributes(),
-		})
-	}
-	stats.PhaseTightness = time.Since(start)
-	ranked := rankResults(results, limit, &stats)
+	ranked := rankResults(cands, limit, &stats)
+	stats.PhaseTightness += time.Since(start)
 	if shadowEns != nil {
 		e.shadowScore(ranked, cands, qa, shadowEns, shadowVersion, &stats)
 	}

@@ -51,8 +51,8 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := e.repo.Get(id)
-	if s == nil {
+	entry := e.profiles.get(e.repo, id)
+	if entry == nil {
 		return nil, fmt.Errorf("core: no schema %q", id)
 	}
 	// The coarse phase must consult the index the document lives in — its
@@ -78,7 +78,7 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 		return nil, err
 	}
 	pop := e.popularity(id)
-	p := e.profiles.get(id, s)
+	p := entry.profile
 	m := ensemble.MatchProfiled(match.NewQueryArtifacts(q), p)
 	ex.TopPairs = m.TopPairs(10)
 	ex.Tightness, ex.Coverage, ex.Final = e.finalScore(p, m, pop)

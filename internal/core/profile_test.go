@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"schemr/internal/codebook"
 	"schemr/internal/model"
 	"schemr/internal/obs"
 	"schemr/internal/query"
@@ -222,4 +223,105 @@ func TestProfileBuildBucketsResolveMicroseconds(t *testing.T) {
 			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
 		}
 	}
+}
+
+// TestRowConceptsComeFromRankedVersion: a row's codebook concepts travel
+// with the cache entry it was ranked from, so they are codebook.Annotate
+// of exactly the version whose header and matched elements the row shows.
+// The two versions share element names but not types, so a row that took
+// its concepts from the other version would pair one version's name with
+// the other's concepts. Searches race the replaces; run under -race.
+func TestRowConceptsComeFromRankedVersion(t *testing.T) {
+	version := func(name, typ string) *model.Schema {
+		return &model.Schema{ID: "versioned", Name: name, Entities: []*model.Entity{{
+			Name: "meter", Attributes: []*model.Attribute{
+				{Name: "reading", Type: typ}, {Name: "latitude", Type: "FLOAT"},
+			},
+		}}}
+	}
+	v1, v2 := version("version one", "DATE"), version("version two", "MONEY")
+	want := map[string][]string{} // version name → concepts of reading, latitude
+	for _, v := range []*model.Schema{v1, v2} {
+		ann := codebook.Annotate(v)
+		for _, attr := range []string{"reading", "latitude"} {
+			var names []string
+			for _, c := range ann[model.ElementRef{Entity: "meter", Attribute: attr}] {
+				names = append(names, string(c))
+			}
+			want[v.Name] = append(want[v.Name], strings.Join(names, ","))
+		}
+	}
+	if want[v1.Name][0] == want[v2.Name][0] {
+		t.Fatalf("versions carry the same concepts %v; the test cannot tell them apart", want)
+	}
+
+	repo := repository.New()
+	if _, err := repo.Put(v1.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(repo, Options{Parallelism: 2})
+	if err := e.Reindex(); err != nil {
+		t.Fatal(err)
+	}
+	q := mustQ(t, query.Input{Keywords: "meter reading latitude"})
+	check := func(label string, wantName string) {
+		t.Helper()
+		res, err := e.Search(q, 5)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if len(res) != 1 {
+			t.Errorf("%s: %d results, want 1", label, len(res))
+			return
+		}
+		r := res[0]
+		if wantName != "" && r.Name != wantName {
+			t.Errorf("%s: ranked %q, want %q", label, r.Name, wantName)
+		}
+		for i, el := range r.Matched {
+			var w string
+			switch el.Ref.Attribute {
+			case "reading":
+				w = want[r.Name][0]
+			case "latitude":
+				w = want[r.Name][1]
+			}
+			if got := r.ConceptsAt(i); got != w {
+				t.Errorf("%s: row %q element %s carries concepts %q, want %q", label, r.Name, el.Ref, got, w)
+			}
+		}
+	}
+	check("before the replace", v1.Name)
+	if _, err := repo.Put(v2.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the replace", v2.Name)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					check("during replaces", "")
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := repo.Put([]*model.Schema{v1, v2}[i%2].Clone()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

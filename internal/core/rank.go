@@ -9,21 +9,41 @@ import (
 
 	"schemr/internal/index"
 	"schemr/internal/match"
-	"schemr/internal/model"
 	"schemr/internal/tightness"
 )
 
-// candidate is one phase-1 hit carried through phases 2 and 3: the schema
-// and its match profile, the popularity multiplier read before matching,
-// and the combined similarity matrix. mats keeps the per-matcher matrices
-// for the shadow pass (nil when shadow scoring is off).
+// candidate is one phase-1 hit carried through phases 2 and 3: its
+// profile-cache entry, the popularity multiplier read before matching,
+// and the phase-3 scores. mats keeps the per-matcher matrices for the
+// shadow pass (nil when shadow scoring is off); otherwise no matrix
+// outlives the worker that scored it.
 type candidate struct {
-	hit     index.Hit
-	schema  *model.Schema
-	profile *match.Profile
-	pop     float64
-	mats    []*match.Matrix
-	matrix  *match.Matrix // nil: deleted before matching, or never dispatched
+	hit   index.Hit
+	entry *cached // nil: deleted before matching, or never dispatched
+	pop   float64
+	mats  []*match.Matrix
+	t     tightness.Result
+	cov   float64
+	final float64
+}
+
+// result is the ranked row of a scored candidate.
+func (c *candidate) result() Result {
+	h := c.entry.head
+	return Result{
+		ID:          c.hit.ID,
+		Name:        h.Name,
+		Description: h.Description,
+		Score:       c.final,
+		Tightness:   c.t.Score,
+		Coverage:    c.cov,
+		Coarse:      c.hit.Score,
+		Anchor:      c.t.Anchor,
+		Matched:     c.t.Matched,
+		Concepts:    c.entry.conceptsOf(c.t.Matched),
+		Entities:    h.Entities,
+		Attributes:  h.Attributes,
+	}
 }
 
 // finalScore is phase 3 for one candidate: the tightness-of-fit of its
@@ -104,22 +124,31 @@ func eachCandidate(ctx context.Context, n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// rankResults is the tail of the ranking: the total result order (score
-// desc, coarse desc, ID asc — IDs are unique, so the order is
-// deterministic), the pre-truncation total, and the cut to limit.
-func rankResults(results []Result, limit int, stats *SearchStats) []Result {
-	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
+// rankResults is the tail of the ranking: the candidates that scored
+// above zero in total result order (score desc, coarse desc, ID asc — IDs
+// are unique, so the order is deterministic), the pre-truncation total,
+// and the rows of the first limit.
+func rankResults(cands []candidate, limit int, stats *SearchStats) []Result {
+	var ranked []*candidate
+	for i := range cands {
+		if c := &cands[i]; c.entry != nil && c.final > 0 {
+			ranked = append(ranked, c)
 		}
-		if results[i].Coarse != results[j].Coarse {
-			return results[i].Coarse > results[j].Coarse
+	}
+	sort.Slice(ranked, func(i, j int) bool {
+		a, b := ranked[i], ranked[j]
+		if a.final != b.final {
+			return a.final > b.final
 		}
-		return results[i].ID < results[j].ID
+		if a.hit.Score != b.hit.Score {
+			return a.hit.Score > b.hit.Score
+		}
+		return a.hit.ID < b.hit.ID
 	})
-	stats.TotalRanked = len(results)
-	if len(results) > limit {
-		results = results[:limit]
+	stats.TotalRanked = len(ranked)
+	results := make([]Result, min(limit, len(ranked)))
+	for i := range results {
+		results[i] = ranked[i].result()
 	}
 	return results
 }
@@ -137,16 +166,17 @@ func (e *Engine) shadowScore(served []Result, cands []candidate, qa *match.Query
 	}
 	byID := make(map[string]*candidate, len(cands))
 	for i := range cands {
-		if c := &cands[i]; c.matrix != nil {
-			byID[c.schema.ID] = c
+		if c := &cands[i]; c.entry != nil {
+			byID[c.hit.ID] = c
 		}
 	}
 	shadowScores := make([]float64, len(served))
 	maxDelta := 0.0
 	for i, res := range served {
 		c := byID[res.ID]
-		m := shadowEns.CombineMatrices(qa.Elements(), c.profile.Elements(), c.mats)
-		_, _, shadowScores[i] = e.finalScore(c.profile, m, c.pop)
+		p := c.entry.profile
+		m := shadowEns.CombineMatrices(qa.Elements(), p.Elements(), c.mats)
+		_, _, shadowScores[i] = e.finalScore(p, m, c.pop)
 		maxDelta = max(maxDelta, math.Abs(shadowScores[i]-res.Score))
 	}
 	// Rank displacement: order the served set by shadow score with the

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"schemr/internal/codebook"
 	"schemr/internal/index"
 	"schemr/internal/match"
+	"schemr/internal/model"
 	"schemr/internal/query"
 	"schemr/internal/repository"
 	"schemr/internal/tightness"
@@ -58,7 +60,7 @@ func referenceRank(t *testing.T, e *Engine, en *match.Ensemble, q *query.Query) 
 		results = append(results, Result{
 			ID: s.ID, Name: s.Name, Description: s.Description,
 			Score: final, Tightness: tr.Score, Coverage: cov, Coarse: h.Score,
-			Anchor: tr.Anchor, Matched: tr.Matched,
+			Anchor: tr.Anchor, Matched: tr.Matched, Concepts: referenceConcepts(s, tr.Matched),
 			Entities: s.NumEntities(), Attributes: s.NumAttributes(),
 		})
 	}
@@ -73,6 +75,28 @@ func referenceRank(t *testing.T, e *Engine, en *match.Ensemble, q *query.Query) 
 		return a.ID < b.ID
 	})
 	return results
+}
+
+// referenceConcepts is Result.Concepts from codebook.Annotate of s: each
+// matched element's concepts comma-joined, nil when none has any.
+func referenceConcepts(s *model.Schema, matched []tightness.ElementScore) []string {
+	ann := codebook.Annotate(s)
+	var out []string
+	for i, el := range matched {
+		cs := ann[el.Ref]
+		if len(cs) == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([]string, len(matched))
+		}
+		names := make([]string, len(cs))
+		for j, c := range cs {
+			names[j] = string(c)
+		}
+		out[i] = strings.Join(names, ",")
+	}
+	return out
 }
 
 // top is the first limit results of a reference ranking.

@@ -67,34 +67,61 @@ func contextSetsWith(g *model.EntityGraph, s *model.Schema) map[model.ElementRef
 	return out
 }
 
+// termSets holds one term set per element as indices into a name list,
+// flat: set i is ids[off[i]:off[i+1]].
+type termSets struct {
+	off []int32
+	ids []int32
+}
+
+// at returns set i. Callers must not mutate it.
+func (t termSets) at(i int) []int32 { return t.ids[t.off[i]:t.off[i+1]] }
+
+// add appends the next element's set.
+func (t *termSets) add(ix *nameIndex, raw []string) {
+	if t.off == nil {
+		t.off = []int32{0}
+	}
+	for _, r := range raw {
+		t.ids = append(t.ids, ix.add(r))
+	}
+	t.off = append(t.off, int32(len(t.ids)))
+}
+
 // addSchema indexes a schema's element names and neighbor-term sets: each
 // element's name index and its context set as name indices, both aligned
 // with elems.
-func (ix *nameIndex) addSchema(g *model.EntityGraph, s *model.Schema, elems []model.Element) (elemName []int32, ctx [][]int32) {
+func (ix *nameIndex) addSchema(g *model.EntityGraph, s *model.Schema, elems []model.Element) (elemName []int32, ctx termSets) {
 	sets := contextSetsWith(g, s)
+	terms := 0
+	for _, set := range sets {
+		terms += len(set)
+	}
 	elemName = make([]int32, len(elems))
-	ctx = make([][]int32, len(elems))
+	ctx = termSets{off: make([]int32, 1, len(elems)+1), ids: make([]int32, 0, terms)}
 	for i, el := range elems {
 		elemName[i] = ix.add(el.Name)
-		ctx[i] = ix.addAll(sets[el.Ref])
+		ctx.add(ix, sets[el.Ref])
 	}
 	return elemName, ctx
 }
 
 // addQuery is addSchema for a query: fragment elements take their context
-// from their own fragment, keywords have none (nil).
-func (ix *nameIndex) addQuery(q *query.Query, elems []query.Element) (elemName []int32, ctx [][]int32) {
+// from their own fragment, keywords have none (an empty set).
+func (ix *nameIndex) addQuery(q *query.Query, elems []query.Element) (elemName []int32, ctx termSets) {
 	sets := make([]map[model.ElementRef][]string, len(q.Fragments))
 	for i, frag := range q.Fragments {
 		sets[i] = contextSets(frag)
 	}
 	elemName = make([]int32, len(elems))
-	ctx = make([][]int32, len(elems))
+	ctx.off = make([]int32, 1, len(elems)+1)
 	for i, el := range elems {
 		elemName[i] = ix.add(el.Name)
+		var set []string
 		if !el.IsKeyword() {
-			ctx[i] = ix.addAll(sets[el.Fragment][el.Ref])
+			set = sets[el.Fragment][el.Ref]
 		}
+		ctx.add(ix, set)
 	}
 	return elemName, ctx
 }
@@ -137,7 +164,7 @@ func (cm *ContextMatcher) softJaccard(tab []float64, stride int, a, b []int32) f
 // match fills the context matrix from both sides' context sets and the
 // similarity table over their distinct names (unread, so nil will do, for
 // a query without fragments).
-func (cm *ContextMatcher) match(qe []query.Element, se []model.Element, qctx, sctx [][]int32, tab []float64, stride int) *Matrix {
+func (cm *ContextMatcher) match(qe []query.Element, se []model.Element, qctx, sctx termSets, tab []float64, stride int) *Matrix {
 	m := NewMatrix(qe, se)
 	for qi, qel := range qe {
 		if qel.IsKeyword() {
@@ -151,7 +178,7 @@ func (cm *ContextMatcher) match(qe []query.Element, se []model.Element, qctx, sc
 			if qel.Kind != sel.Kind {
 				row[si] = 0
 			} else {
-				row[si] = cm.softJaccard(tab, stride, qctx[qi], sctx[si])
+				row[si] = cm.softJaccard(tab, stride, qctx.at(qi), sctx.at(si))
 			}
 		}
 	}
@@ -178,7 +205,7 @@ func (cm *ContextMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 // similarities from the per-search memo the name matcher also fills.
 func (cm *ContextMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	if cm.nm.maxGram != defaultMaxGram {
-		return cm.Match(qa.query, p.schema)
+		return cm.Match(qa.query, p.decode())
 	}
 	var tab []float64
 	if len(qa.query.Fragments) > 0 {

@@ -83,7 +83,7 @@ func (tm *TypeMatcher) Name() string { return "type" }
 // Cost implements CostTiered: each cell compares two precomputed classes.
 func (tm *TypeMatcher) Cost() int { return CostTrivial }
 
-type typeClass int
+type typeClass uint8
 
 const (
 	classUnknown typeClass = iota

@@ -268,7 +268,7 @@ func (e *Ensemble) MatchMatrices(q *query.Query, s *model.Schema) []*Matrix {
 // come from the candidate's cached Profile and query-side artifacts from the
 // per-search QueryArtifacts. Matchers that do not implement ProfiledMatcher
 // fall back to their plain Match. The result is identical to
-// Match(qa.Query(), p.Schema()).
+// Match(qa.Query(), s) for the schema s the profile was built from.
 func (e *Ensemble) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	return e.combine(qa.elems, p.elems, e.MatchMatricesProfiled(qa, p))
 }
@@ -288,7 +288,7 @@ func matchProfiled(m Matcher, qa *QueryArtifacts, p *Profile) *Matrix {
 	if pm, ok := m.(ProfiledMatcher); ok {
 		return pm.MatchProfiled(qa, p)
 	}
-	return m.Match(qa.query, p.schema)
+	return m.Match(qa.query, p.decode())
 }
 
 // CombineMatrices merges per-matcher matrices (in ensemble order, as

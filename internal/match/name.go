@@ -90,7 +90,7 @@ func (nm *NameMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 // memo instead of being recomputed per cell and per candidate.
 func (nm *NameMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	if nm.maxGram != defaultMaxGram {
-		return nm.Match(qa.query, p.schema)
+		return nm.Match(qa.query, p.decode())
 	}
 	return nameMatrix(qa.elems, p.elems, qa.sims.table(qa.names, p.names), len(p.names), qa.elemName, p.elemName)
 }

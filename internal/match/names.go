@@ -9,11 +9,25 @@ import (
 	"schemr/internal/text"
 )
 
-// gram is one distinct character n-gram of a name with its multiplicity.
+// gram is one distinct character n-gram of a name with its multiplicity:
+// the bytes norm[off:off+len] of the owning entry's norm, so it owns no
+// bytes. A gram is at most defaultMaxGram runes, so len fits in 8 bits
+// and the count takes the other 24. A count past maxGramCount (a name of
+// millions of runes) continues in a following gram of equal bytes; both
+// sides of sharedMass's merge split at the same cap, so it pairs the
+// pieces up to the same minimum.
 type gram struct {
-	s string // substring of the owning entry's norm; no bytes of its own
-	n int32
+	off      uint32
+	lenCount uint32 // byte length in the low 8 bits, multiplicity above
 }
+
+const maxGramCount = 1<<24 - 1
+
+func (g gram) len() uint32   { return g.lenCount & 0xff }
+func (g gram) count() uint32 { return g.lenCount >> 8 }
+
+// in returns the gram's bytes within its entry's norm.
+func (g gram) in(norm string) string { return norm[g.off : g.off+g.len()] }
 
 // compareGrams orders grams by byte length, then bytes — any total order
 // works for the merge in sharedMass, and this one settles most comparisons
@@ -52,35 +66,37 @@ func newNameEntry(n string, maxGram int) *nameEntry {
 	gs := make([]gram, 0, e.mass)
 	for l := 1; l <= runes && l <= maxGram; l++ {
 		for i := 0; i+l <= runes; i++ {
-			gs = append(gs, gram{s: n[offs[i]:offs[i+l]], n: 1})
+			gs = append(gs, gram{off: uint32(offs[i]), lenCount: uint32(offs[i+l]-offs[i]) | 1<<8})
 		}
 	}
-	slices.SortFunc(gs, func(a, b gram) int { return compareGrams(a.s, b.s) })
+	slices.SortFunc(gs, func(a, b gram) int { return compareGrams(a.in(n), b.in(n)) })
 	k := 0
 	for _, g := range gs[1:] {
-		if g.s == gs[k].s {
-			gs[k].n++
+		if g.in(n) == gs[k].in(n) && gs[k].count() < maxGramCount {
+			gs[k].lenCount += 1 << 8
 		} else {
 			k++
 			gs[k] = g
 		}
 	}
-	e.grams = gs[:k+1]
+	// Entries live as long as the dictionary, so keep no spare capacity.
+	e.grams = slices.Clone(gs[:k+1])
 	return e
 }
 
-// sharedMass returns the size of the multiset intersection of two sorted
-// gram vectors in one merge pass.
-func sharedMass(a, b []gram) int {
+// sharedMass returns the size of the multiset intersection of two entries'
+// sorted gram vectors in one merge pass.
+func sharedMass(a, b *nameEntry) int {
 	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch c := compareGrams(a[i].s, b[j].s); {
+	for i < len(a.grams) && j < len(b.grams) {
+		ga, gb := a.grams[i], b.grams[j]
+		switch c := compareGrams(ga.in(a.norm), gb.in(b.norm)); {
 		case c < 0:
 			i++
 		case c > 0:
 			j++
 		default:
-			inter += int(min(a[i].n, b[j].n))
+			inter += int(min(ga.count(), gb.count()))
 			i++
 			j++
 		}
@@ -100,7 +116,7 @@ func gramSim(a, b *nameEntry) float64 {
 	if ma == 0 || mb == 0 {
 		return 0
 	}
-	inter := float64(sharedMass(a.grams, b.grams))
+	inter := float64(sharedMass(a, b))
 	dice := 2 * inter / float64(ma+mb)
 	if overlap := 0.8 * (inter / float64(min(ma, mb))); overlap > dice {
 		return overlap
@@ -204,14 +220,6 @@ func (ix *nameIndex) add(raw string) int32 {
 	}
 	ix.byRaw[raw] = i
 	return i
-}
-
-func (ix *nameIndex) addAll(raw []string) []int32 {
-	out := make([]int32, len(raw))
-	for i, r := range raw {
-		out[i] = ix.add(r)
-	}
-	return out
 }
 
 // throwaway builds non-interned entries for the index's names — the

@@ -200,22 +200,25 @@ func sameMatrix(t *testing.T, label string, got, want *Matrix) {
 func TestMemoisedMatchMatchesOracle(t *testing.T) {
 	g := nameGen{rand.New(rand.NewSource(43))}
 	nm, cm := NewNameMatcher(), NewContextMatcher()
+	var schemas []*model.Schema
 	var profiles []*Profile
 	for i := 0; i < 12; i++ {
-		profiles = append(profiles, NewProfile(g.schema(fmt.Sprintf("s%d", i))))
+		schemas = append(schemas, g.schema(fmt.Sprintf("s%d", i)))
+		profiles = append(profiles, NewProfile(schemas[i]))
 	}
 	for qi := 0; qi < 25; qi++ {
 		q := g.query()
 		qa := NewQueryArtifacts(q)
 		for pass := 0; pass < 2; pass++ {
-			for _, p := range profiles {
-				wantName, wantCtx := oracleMatrices(q, p.Schema())
-				label := fmt.Sprintf("q%d %s pass %d", qi, p.Schema().ID, pass)
+			for i, p := range profiles {
+				s := schemas[i]
+				wantName, wantCtx := oracleMatrices(q, s)
+				label := fmt.Sprintf("q%d %s pass %d", qi, s.ID, pass)
 				sameMatrix(t, label+" name profiled", nm.MatchProfiled(qa, p), wantName)
 				sameMatrix(t, label+" context profiled", cm.MatchProfiled(qa, p), wantCtx)
 				if pass == 0 {
-					sameMatrix(t, label+" name", nm.Match(q, p.Schema()), wantName)
-					sameMatrix(t, label+" context", cm.Match(q, p.Schema()), wantCtx)
+					sameMatrix(t, label+" name", nm.Match(q, s), wantName)
+					sameMatrix(t, label+" context", cm.Match(q, s), wantCtx)
 				}
 			}
 		}

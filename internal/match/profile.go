@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"sort"
 
 	"schemr/internal/model"
@@ -12,73 +13,167 @@ import (
 // distinct names in the name dictionary (gram vectors live there, shared
 // by every schema that uses the name), element names and context
 // neighbor-term sets as indices into that ID list, coarse type classes,
-// and the entity graph with the BFS distance map of every anchor.
+// and the foreign-key hop distance between every pair of entities.
 // Every subsequent search reuses it, which is what makes the engine's
 // profile cache pay off.
 //
-// A Profile is immutable after construction and safe for concurrent use. It
-// is built from a specific *model.Schema value and remembers it (Schema);
-// callers cache profiles keyed by schema identity so a replaced schema is
-// never scored through a stale profile.
+// A Profile is immutable after construction and safe for concurrent use.
+// It is flat — slices of small integers beside the element list — and,
+// built by NewProfileDecoding, keeps neither the schema graph nor its
+// entity graph, so a cache of profiles holds little beyond the element
+// names. Callers cache profiles
+// keyed by schema version, so a replaced schema is never scored through
+// a stale profile.
 type Profile struct {
-	schema *model.Schema
-	elems  []model.Element
-	class  []typeClass // coarse type classes, aligned with elems
+	// decode returns the schema, for matchers without a profiled path.
+	decode func() *model.Schema
 
-	names    []nameID  // the schema's distinct names (elements and context terms)
-	elemName []int32   // index into names of each element's name, aligned with elems
-	ctx      [][]int32 // neighbor-term sets as indices into names, aligned with elems
+	elems []model.Element
+	class []typeClass // coarse type classes, aligned with elems
 
-	graph   *model.EntityGraph
-	anchors []string                  // sorted entity names
-	dists   map[string]map[string]int // anchor → entity → FK hops
+	names    []nameID // the schema's distinct names (elements and context terms)
+	elemName []int32  // index into names of each element's name, aligned with elems
+	ctx      termSets // neighbor-term sets as indices into names, aligned with elems
+
+	// FK hop distances. Entities are anchors, in sorted name order; the
+	// hop matrix holds one square block per connected component of the
+	// entity graph, so two anchors in different components (unreachable
+	// from each other) cost nothing.
+	anchors    []string   // sorted entity names
+	elemAnchor []int32    // anchor ordinal of each element's entity, aligned with elems
+	hopAt      []hopBlock // where each anchor's row sits in hops, by anchor ordinal
+	hops       []uint8    // hop counts, saturated at MaxHops
 }
 
-// NewProfile precomputes the match profile of a schema, interning its names
-// in the name dictionary.
+// hopBlock places one anchor in the hop matrix: its component's block
+// starts at base and is size×size, and the anchor is row and column pos.
+type hopBlock struct{ base, size, pos int32 }
+
+// MaxHops is where a profile's hop distances saturate: a distance of
+// MaxHops means MaxHops or more.
+const MaxHops = 255
+
+// NewProfile precomputes the match profile of a schema, interning its
+// names in the name dictionary. Matchers without a profiled path match s
+// itself, which the profile keeps for them.
 func NewProfile(s *model.Schema) *Profile {
+	return NewProfileDecoding(s, func() *model.Schema { return s })
+}
+
+// NewProfileDecoding is NewProfile for a caller that keeps schemas encoded:
+// the profile keeps decode instead of s, and matchers without a profiled
+// path call it for a private copy of the schema.
+func NewProfileDecoding(s *model.Schema, decode func() *model.Schema) *Profile {
 	elems := s.Elements()
+	g := model.NewEntityGraph(s)
 	p := &Profile{
-		schema: s,
+		decode: decode,
 		elems:  elems,
 		class:  schemaTypeClasses(elems),
-		graph:  model.NewEntityGraph(s),
 	}
 	var ix nameIndex
-	p.elemName, p.ctx = ix.addSchema(p.graph, s, elems)
+	p.elemName, p.ctx = ix.addSchema(g, s, elems)
 	p.names = make([]nameID, len(ix.norms))
 	for i, n := range ix.norms {
 		p.names[i] = names.intern(n)
 	}
-
-	p.anchors = make([]string, 0, len(s.Entities))
-	for _, e := range s.Entities {
-		p.anchors = append(p.anchors, e.Name)
-	}
-	sort.Strings(p.anchors)
-	p.dists = p.graph.AllDistances()
+	p.hopDistances(s, g)
 	return p
 }
 
-// Schema returns the exact schema value the profile was built from; caches
-// compare it against the current repository value to detect staleness.
-func (p *Profile) Schema() *model.Schema { return p.schema }
+// hopDistances fills the anchor list and the hop matrix: a BFS from every
+// entity over its own component.
+func (p *Profile) hopDistances(s *model.Schema, g *model.EntityGraph) {
+	n := len(s.Entities)
+	order := make([]int, n) // entity indices in anchor order
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return s.Entities[order[a]].Name < s.Entities[order[b]].Name })
+	ordinal := make([]int32, n) // anchor ordinal of each entity
+	p.anchors = make([]string, n)
+	for k, i := range order {
+		p.anchors[k] = s.Entities[i].Name
+		ordinal[i] = int32(k)
+	}
+	p.elemAnchor = make([]int32, 0, len(p.elems))
+	for i, e := range s.Entities {
+		for range 1 + len(e.Attributes) {
+			p.elemAnchor = append(p.elemAnchor, ordinal[i])
+		}
+	}
+
+	// bfs sets dist over from's component and returns the component in
+	// visit order; callers reset dist to -1 after reading it.
+	dist := make([]int, n)
+	for i := range dist {
+		dist[i] = -1
+	}
+	var queue []int
+	bfs := func(from int) []int {
+		dist[from] = 0
+		queue = append(queue[:0], from)
+		for h := 0; h < len(queue); h++ {
+			for _, nb := range g.Neighbors(queue[h]) {
+				if dist[nb] < 0 {
+					dist[nb] = dist[queue[h]] + 1
+					queue = append(queue, nb)
+				}
+			}
+		}
+		return queue
+	}
+	placed := make([]bool, n)
+	var comps [][]int
+	total := 0
+	for _, i := range order {
+		if placed[i] {
+			continue
+		}
+		comp := slices.Clone(bfs(i))
+		for _, j := range comp {
+			placed[j], dist[j] = true, -1
+		}
+		comps = append(comps, comp)
+		total += len(comp) * len(comp)
+	}
+	p.hopAt = make([]hopBlock, n)
+	p.hops = make([]uint8, 0, total)
+	for _, comp := range comps {
+		base, size := int32(len(p.hops)), int32(len(comp))
+		for pos, j := range comp {
+			p.hopAt[ordinal[j]] = hopBlock{base: base, size: size, pos: int32(pos)}
+		}
+		for _, from := range comp {
+			bfs(from)
+			for _, to := range comp {
+				p.hops = append(p.hops, uint8(min(dist[to], MaxHops)))
+			}
+			for _, to := range comp {
+				dist[to] = -1
+			}
+		}
+	}
+}
 
 // Elements returns the cached s.Elements() slice. Callers must not mutate it.
 func (p *Profile) Elements() []model.Element { return p.elems }
-
-// Graph returns the cached entity graph.
-func (p *Profile) Graph() *model.EntityGraph { return p.graph }
 
 // Anchors returns the schema's entity names in sorted order — the anchor
 // scan order of the tightness measurement. Callers must not mutate it.
 func (p *Profile) Anchors() []string { return p.anchors }
 
-// AnchorDistances returns the precomputed FK hop distances from the given
-// anchor entity (nil for unknown anchors), keyed by entity name with
-// unreachable entities absent — the same contract as
-// model.EntityGraph.DistancesFrom. Callers must not mutate the map.
-func (p *Profile) AnchorDistances(anchor string) map[string]int { return p.dists[anchor] }
+// Hops returns the foreign-key hop distance from the anchor with ordinal
+// anchor (an index into Anchors) to the entity of element elem (an index
+// into Elements): 0 for the element's own entity, -1 when unreachable,
+// and MaxHops for MaxHops or more.
+func (p *Profile) Hops(anchor, elem int) int {
+	a, b := p.hopAt[anchor], p.hopAt[p.elemAnchor[elem]]
+	if a.base != b.base {
+		return -1
+	}
+	return int(p.hops[a.base+a.pos*a.size+b.pos])
+}
 
 // QueryArtifacts holds the query-side computations shared across every
 // candidate of one search: elements, the entries of the query's distinct
@@ -94,8 +189,8 @@ type QueryArtifacts struct {
 	// names holds one entry per distinct query-side name: the interned one
 	// when the corpus knows the name, a throwaway otherwise.
 	names    []*nameEntry
-	elemName []int32   // index into names, aligned with elems
-	ctx      [][]int32 // context term sets as indices into names; nil for keywords
+	elemName []int32  // index into names, aligned with elems
+	ctx      termSets // context term sets as indices into names; empty for keywords
 
 	sims pairMemo
 }

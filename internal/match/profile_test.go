@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"schemr/internal/ddl"
@@ -125,29 +127,42 @@ func TestMatchProfiledGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestProfileGraphArtifacts checks the cached graph artifacts against fresh
-// computation.
-func TestProfileGraphArtifacts(t *testing.T) {
-	for _, s := range goldenSchemas(t) {
+// TestProfileHopsMatchEntityGraph checks the flat hop matrix against the
+// entity graph it replaces: for every anchor and element, Hops equals
+// EntityGraph.DistancesFrom (saturated at MaxHops, -1 when unreachable),
+// on the golden schemas and on generated graphs with disconnected parts,
+// cycles, self-references and a chain longer than the clamp.
+func TestProfileHopsMatchEntityGraph(t *testing.T) {
+	schemas := append(goldenSchemas(t), webtables.GenerateTangled(31, 40)...)
+	clamped, unreachable := false, false
+	for _, s := range schemas {
 		p := NewProfile(s)
 		g := model.NewEntityGraph(s)
-		if p.Graph().NumEntities() != g.NumEntities() {
-			t.Fatalf("%s: graph entity count mismatch", s.ID)
+		anchors := make([]string, 0, len(s.Entities))
+		for _, e := range s.Entities {
+			anchors = append(anchors, e.Name)
 		}
-		if len(p.Anchors()) != len(s.Entities) {
-			t.Fatalf("%s: anchors %d != entities %d", s.ID, len(p.Anchors()), len(s.Entities))
+		sort.Strings(anchors)
+		if !slices.Equal(p.Anchors(), anchors) {
+			t.Fatalf("%s: anchors %v, want %v", s.Name, p.Anchors(), anchors)
 		}
-		for _, a := range p.Anchors() {
-			want := g.DistancesFrom(a)
-			got := p.AnchorDistances(a)
-			if len(got) != len(want) {
-				t.Fatalf("%s anchor %s: distance map size %d != %d", s.ID, a, len(got), len(want))
-			}
-			for ent, d := range want {
-				if got[ent] != d {
-					t.Errorf("%s anchor %s: distance to %s = %d, want %d", s.ID, a, ent, got[ent], d)
+		for a, anchor := range anchors {
+			dists := g.DistancesFrom(anchor)
+			for el, e := range p.Elements() {
+				want, ok := dists[e.Ref.Entity]
+				switch {
+				case !ok:
+					want, unreachable = -1, true
+				case want >= MaxHops:
+					want, clamped = MaxHops, true
+				}
+				if got := p.Hops(a, el); got != want {
+					t.Fatalf("%s: hops from %s to %s = %d, want %d", s.Name, anchor, e.Ref, got, want)
 				}
 			}
 		}
+	}
+	if !clamped || !unreachable {
+		t.Fatalf("generated graphs too tame: clamped %v, unreachable %v", clamped, unreachable)
 	}
 }

@@ -56,6 +56,10 @@ func NewEntityGraph(s *Schema) *EntityGraph {
 // NumEntities returns the node count.
 func (g *EntityGraph) NumEntities() int { return len(g.names) }
 
+// Neighbors returns the indices (in declaration order) of the entities
+// directly linked to the entity at index i. Callers must not mutate it.
+func (g *EntityGraph) Neighbors(i int) []int { return g.adj[i] }
+
 // Has reports whether the graph contains the named entity.
 func (g *EntityGraph) Has(name string) bool {
 	_, ok := g.idx[name]
@@ -146,18 +150,6 @@ func (g *EntityGraph) DistancesFrom(from string) map[string]int {
 		if d >= 0 {
 			out[g.names[i]] = d
 		}
-	}
-	return out
-}
-
-// AllDistances returns DistancesFrom for every entity, keyed by entity name.
-// The match-profile cache precomputes this once per schema so the tightness
-// anchor scan reuses the BFS results across searches instead of re-running
-// one BFS per anchor per candidate per search.
-func (g *EntityGraph) AllDistances() map[string]map[string]int {
-	out := make(map[string]map[string]int, len(g.names))
-	for _, n := range g.names {
-		out[n] = g.DistancesFrom(n)
 	}
 	return out
 }

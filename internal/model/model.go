@@ -138,7 +138,6 @@ type Element struct {
 	Name string
 	Kind ElementKind
 	Type string // attribute type, empty for entities
-	Doc  string
 }
 
 // Elements returns every element of the schema — each entity followed by its
@@ -154,7 +153,6 @@ func (s *Schema) Elements() []Element {
 			Ref:  ElementRef{Entity: e.Name},
 			Name: e.Name,
 			Kind: KindEntity,
-			Doc:  e.Documentation,
 		})
 		for _, a := range e.Attributes {
 			out = append(out, Element{
@@ -162,7 +160,6 @@ func (s *Schema) Elements() []Element {
 				Name: a.Name,
 				Kind: KindAttribute,
 				Type: a.Type,
-				Doc:  a.Documentation,
 			})
 		}
 	}

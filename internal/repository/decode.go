@@ -6,6 +6,8 @@ import (
 	"io"
 	"runtime"
 	"sync"
+
+	"schemr/internal/model"
 )
 
 // The decode stage shared by WAL replay, snapshot load and InstallState:
@@ -20,32 +22,41 @@ type decoded struct {
 	payload []byte // raw frame payload; released once decoded
 	off     int64  // stream offset of the frame
 	rec     walRecord
-	fp      string // opPut: the entry schema's fingerprint
+	id, fp  string // opPut: the entry schema's ID and fingerprint
 	err     error
 }
 
 // decode unmarshals the payload — a put through pd unless it declines,
-// anything else through json.Unmarshal; a put's entry must hold a valid
-// schema, whose fingerprint apply then uses for the dedupe map.
+// anything else through json.Unmarshal. A put's entry must hold a valid
+// schema: it is decoded to a graph for validation, the fingerprint apply
+// uses for the dedupe map and the entry's header, and then dropped — the
+// entry keeps the schema's bytes.
 func (d *decoded) decode(pd *putDecoder) {
 	var err error
-	if !pd.decode(d.payload, &d.rec) {
+	var s *model.Schema
+	if pd.decode(d.payload, &d.rec) {
+		s = pd.graph
+	} else {
 		d.rec = walRecord{}
 		err = json.Unmarshal(d.payload, &d.rec)
+		if e := d.rec.Entry; err == nil && d.rec.Op == opPut && e != nil && len(e.Schema) > 0 {
+			s, err = DecodeSchema(e.Schema)
+		}
 	}
 	d.payload = nil
 	switch e := d.rec.Entry; {
 	case err != nil:
 		d.err = fmt.Errorf("repository: wal record: %w", err)
 	case d.rec.Op != opPut:
-	case e == nil || e.Schema == nil:
+	case e == nil || s == nil:
 		d.err = fmt.Errorf("repository: wal put record without entry")
 	default:
-		if err := e.Schema.Validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			d.err = fmt.Errorf("repository: wal put record: %w", err)
 			return
 		}
-		d.fp = e.Schema.Fingerprint()
+		d.id, d.fp = s.ID, s.Fingerprint()
+		e.head = headerOf(s, e.Seq)
 	}
 }
 

@@ -37,7 +37,7 @@ type walRecord struct {
 	// after assignment so recovered repositories never reissue an ID.
 	// Tenant is absent for the default namespace, keeping pre-tenancy
 	// records byte-identical.
-	Entry  *Entry `json:"entry,omitempty"`
+	Entry  *entry `json:"entry,omitempty"`
 	NextID int    `json:"nextId,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
 
@@ -181,7 +181,7 @@ func Recover(snapshotPath, walPath string, met *Metrics) (*Repository, RecoveryS
 			stats.Skipped++ // snapshot already covers it
 			return nil
 		}
-		if err := r.applyRecord(&d.rec, d.fp); err != nil {
+		if err := r.applyRecord(d); err != nil {
 			return err
 		}
 		r.lsn = d.rec.Lsn
@@ -205,21 +205,20 @@ func Recover(snapshotPath, walPath string, met *Metrics) (*Repository, RecoveryS
 }
 
 // applyRecord installs one decoded record — replayed from the WAL or a
-// snapshot, or streamed from a primary. fp is the fingerprint the decode
-// stage computed for a put's schema. Callers either own the repository
+// snapshot, or streamed from a primary. Callers either own the repository
 // exclusively (recovery, snapshot load) or hold the write lock.
-func (r *Repository) applyRecord(rec *walRecord, fp string) error {
-	switch rec.Op {
+func (r *Repository) applyRecord(d *decoded) error {
+	switch rec := &d.rec; rec.Op {
 	case opPut:
-		e := rec.Entry
-		id := e.Schema.ID
+		e, id := rec.Entry, d.id
+		e.print = printKey(id, d.fp)
 		if old, replacing := r.entries[id]; replacing {
-			delete(r.byPrint, printKey(id, old.Schema.Fingerprint()))
+			delete(r.byPrint, old.print)
 		} else {
 			r.order = append(r.order, id)
 		}
 		r.entries[id] = e
-		r.byPrint[printKey(id, fp)] = id
+		r.byPrint[e.print] = id
 		delete(r.deleted, id)
 		r.seq = rec.Seq
 		r.nextIDs[rec.Tenant] = rec.NextID
@@ -229,7 +228,7 @@ func (r *Repository) applyRecord(rec *walRecord, fp string) error {
 			return fmt.Errorf("repository: wal delete of unknown %q", rec.ID)
 		}
 		delete(r.entries, rec.ID)
-		delete(r.byPrint, printKey(rec.ID, e.Schema.Fingerprint()))
+		delete(r.byPrint, e.print)
 		for i, oid := range r.order {
 			if oid == rec.ID {
 				r.order = append(r.order[:i], r.order[i+1:]...)
@@ -261,10 +260,10 @@ func (r *Repository) applyRecord(rec *walRecord, fp string) error {
 		// Deltas for IDs deleted later in the log target nothing; skip
 		// them, matching the in-memory semantics (the counters died with
 		// the entry).
-		for id, d := range rec.Usage {
+		for id, u := range rec.Usage {
 			if e, ok := r.entries[id]; ok {
-				e.Usage.Impressions += d.Impressions
-				e.Usage.Selections += d.Selections
+				e.Usage.Impressions += u.Impressions
+				e.Usage.Selections += u.Selections
 			}
 		}
 	case opKeyCreate:

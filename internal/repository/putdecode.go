@@ -1,7 +1,10 @@
 package repository
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -24,6 +27,11 @@ import (
 // one for the pointer slice of entities and attributes) built in scratch
 // reused from record to record, so a schema's entities and attributes
 // are one block each rather than one object apiece.
+//
+// A put's entry keeps its schema as the bytes the record carries; the
+// decoder parses them all the same — the boot's validation and
+// fingerprint need the graph — and leaves the graph in its graph field.
+// DecodeSchema reads stored schema bytes through the same methods.
 
 // Object keys in the order json.Marshal writes them.
 var (
@@ -43,6 +51,9 @@ type putDecoder struct {
 	b []byte
 	i int
 
+	// graph is the schema of the last put decode accepted.
+	graph *model.Schema
+
 	ents     []model.Entity
 	attrs    []model.Attribute
 	names    []string
@@ -53,7 +64,7 @@ type putDecoder struct {
 // decode decodes p into rec, which must be zero, and reports whether it
 // could. After a false return rec holds a partial decode.
 func (d *putDecoder) decode(p []byte, rec *walRecord) bool {
-	d.b, d.i = p, 0
+	d.b, d.i, d.graph = p, 0, nil
 	ok := d.object(putKeys, func(key string) bool {
 		switch key {
 		case "op":
@@ -65,7 +76,7 @@ func (d *putDecoder) decode(p []byte, rec *walRecord) bool {
 		case "seq":
 			return d.uint64(&rec.Seq)
 		case "entry":
-			rec.Entry = new(Entry)
+			rec.Entry = new(entry)
 			return d.entry(rec.Entry)
 		case "nextId":
 			return d.int(&rec.NextID)
@@ -83,6 +94,16 @@ func (d *putDecoder) decode(p []byte, rec *walRecord) bool {
 	}
 	d.b = nil
 	return ok && rec.Op == opPut
+}
+
+// decodeSchema decodes the encoded schema p, or reports that it cannot,
+// on the same terms as decode.
+func (d *putDecoder) decodeSchema(p []byte) (*model.Schema, bool) {
+	d.b, d.i = p, 0
+	s := new(model.Schema)
+	ok := d.schema(s) && d.i == len(d.b)
+	d.b = nil
+	return s, ok
 }
 
 // next consumes c if it is the next byte.
@@ -255,12 +276,17 @@ func (d *putDecoder) time(dst *time.Time) bool {
 	return ok && dst.UnmarshalJSON(d.b[start:d.i]) == nil
 }
 
-func (d *putDecoder) entry(e *Entry) bool {
+func (d *putDecoder) entry(e *entry) bool {
 	return d.object(entryKeys, func(key string) bool {
 		switch key {
 		case "schema":
-			e.Schema = new(model.Schema)
-			return d.schema(e.Schema)
+			start := d.i
+			d.graph = new(model.Schema)
+			if !d.schema(d.graph) {
+				return false
+			}
+			e.Schema = append(json.RawMessage(nil), d.b[start:d.i]...)
+			return true
 		case "tags":
 			return d.strings(&e.Tags)
 		case "comments":
@@ -371,4 +397,34 @@ func (d *putDecoder) foreignKey(fk *model.ForeignKey) bool {
 			return d.strings(&fk.ToColumns)
 		}
 	})
+}
+
+// schemaDecoders recycles decoder scratch across DecodeSchema calls.
+var schemaDecoders = sync.Pool{New: func() any { return new(putDecoder) }}
+
+// DecodeSchema decodes a schema's stored bytes (see Stored) into a graph
+// the caller owns: through the put decoder when it can, through
+// json.Unmarshal otherwise. JSON null decodes to nil.
+func DecodeSchema(b []byte) (*model.Schema, error) {
+	pd := schemaDecoders.Get().(*putDecoder)
+	s, ok := pd.decodeSchema(b)
+	schemaDecoders.Put(pd)
+	if ok {
+		return s, nil
+	}
+	s = nil
+	if err := json.Unmarshal(b, &s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// mustDecode decodes bytes the repository holds. They were decoded and
+// validated before they were stored, so a failure is a bug.
+func mustDecode(b []byte) *model.Schema {
+	s, err := DecodeSchema(b)
+	if err != nil || s == nil {
+		panic(fmt.Sprintf("repository: stored schema does not decode: %v", err))
+	}
+	return s
 }

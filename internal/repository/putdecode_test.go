@@ -37,6 +37,45 @@ func FuzzDecodePut(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSchema is the same differential test for stored schema bytes
+// (what Get, Entry, All and profile builds decode): the put decoder's
+// schema path either declines or decodes exactly what json.Unmarshal does.
+// FuzzDecodePut compares put records, whose entries hold the schema as
+// bytes; this target compares the schema graphs.
+func FuzzDecodeSchema(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		b, err := json.Marshal(richSchema(rng))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, seed := range []string{
+		`{"name":"n","entities":[]}`, `{"name":"n","entities":[null]}`, `null`,
+		`{"name":"a\u0062","entities":[]}`, `{"name":"n","entities":[{"name":"e","attributes":[{"name":"a","nullable":true}]}]} `,
+		`{"entities":[{"name":"e"}],"name":"late"}`, `{"name":"n","foreignKeys":[{"fromEntity":"e","fromColumns":["a"],"toEntity":"e"}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, ok := new(putDecoder).decodeSchema(data)
+		if !ok {
+			return
+		}
+		var want *model.Schema
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("decodeSchema accepted what json.Unmarshal rejects (%v): %q", err, data)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeSchema differs from json.Unmarshal on %q:\n got %+v\nwant %+v", data, got, want)
+		}
+		if dec, err := DecodeSchema(data); err != nil || !reflect.DeepEqual(dec, want) {
+			t.Fatalf("DecodeSchema(%q) = %+v, %v; want %+v", data, dec, err, want)
+		}
+	})
+}
+
 // frames splits a framed stream (after any snapshot magic) into payloads.
 func frames(t testing.TB, data []byte) [][]byte {
 	t.Helper()

@@ -152,7 +152,7 @@ func (r *Repository) ApplyReplicated(payload []byte) (bool, error) {
 			return false, err
 		}
 	}
-	if err := r.applyRecord(rec, d.fp); err != nil {
+	if err := r.applyRecord(&d); err != nil {
 		return false, err
 	}
 	r.lsn = rec.Lsn

@@ -9,6 +9,7 @@
 package repository
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -35,7 +36,8 @@ type Usage struct {
 	Selections  int `json:"selections,omitempty"`
 }
 
-// Entry is one stored schema plus its repository metadata.
+// Entry is one stored schema plus its repository metadata, as Entry
+// returns it: the schema decoded into a private copy.
 type Entry struct {
 	Schema   *model.Schema `json:"schema"`
 	Tags     []string      `json:"tags,omitempty"`
@@ -43,6 +45,41 @@ type Entry struct {
 	Usage    Usage         `json:"usage,omitzero"` // go1.24+ omits zero counters; older toolchains write {}
 	AddedAt  time.Time     `json:"addedAt"`
 	Seq      uint64        `json:"seq"` // change-feed sequence of last modification
+}
+
+// Header is what a result row shows of a stored schema without decoding
+// it, read once when the schema is stored.
+type Header struct {
+	Name        string
+	Description string
+	Entities    int
+	Attributes  int
+	// Seq is the change-feed sequence of the put that stored the schema.
+	// Every put takes a fresh sequence number, so (ID, Seq) names one
+	// schema version; tags and comments leave it alone.
+	Seq uint64
+}
+
+func headerOf(s *model.Schema, seq uint64) Header {
+	return Header{Name: s.Name, Description: s.Description,
+		Entities: s.NumEntities(), Attributes: s.NumAttributes(), Seq: seq}
+}
+
+// entry is one stored schema: the schema as its encoded JSON — the bytes
+// json.Marshal writes for it, exactly as its put record carries them —
+// plus repository metadata. Its exported fields are the entry of a put
+// record in Entry's field order, so a record marshals to the same bytes
+// whether it holds the bytes or the graph.
+type entry struct {
+	Schema   json.RawMessage `json:"schema"`
+	Tags     []string        `json:"tags,omitempty"`
+	Comments []Comment       `json:"comments,omitempty"`
+	Usage    Usage           `json:"usage,omitzero"`
+	AddedAt  time.Time       `json:"addedAt"`
+	Seq      uint64          `json:"seq"`
+
+	head  Header // derived when the entry is stored
+	print string // the byPrint key of the schema's fingerprint
 }
 
 // Repository is a concurrent-safe schema store. The zero value is not
@@ -69,7 +106,7 @@ type Repository struct {
 // state is everything a snapshot holds: what a load builds and what
 // InstallState replaces whole.
 type state struct {
-	entries map[string]*Entry
+	entries map[string]*entry
 	order   []string             // insertion order of live ids
 	byPrint map[string]string    // tenant-scoped fingerprint → id, for dedupe
 	nextIDs map[string]int       // per-tenant ID counter ("" = default tenant)
@@ -87,10 +124,13 @@ type state struct {
 	promotedVersion uint64
 }
 
+// now is the clock puts and comments read.
+var now = time.Now
+
 // New returns an empty repository.
 func New() *Repository {
 	return &Repository{state: state{
-		entries: make(map[string]*Entry),
+		entries: make(map[string]*entry),
 		byPrint: make(map[string]string),
 		nextIDs: make(map[string]int),
 		deleted: make(map[string]uint64),
@@ -135,9 +175,9 @@ func (r *Repository) Seq() uint64 {
 
 // Put stores a schema in the default tenant's namespace and returns its
 // ID. A schema with an empty ID is assigned one; putting an existing ID
-// replaces that schema. The schema must validate. The repository takes
-// ownership of the value (callers that keep mutating the schema should Put
-// a Clone).
+// replaces that schema. The schema must validate. The repository stores
+// its encoding, so later changes to s do not reach the stored schema; Put
+// only fills in s.ID.
 func (r *Repository) Put(s *model.Schema) (string, error) {
 	return r.PutTenant("", s)
 }
@@ -175,8 +215,13 @@ func (r *Repository) putLocked(tn string, s *model.Schema) (string, error) {
 		}
 	}
 	seq := r.seq + 1
+	raw, err := json.Marshal(s)
+	if err != nil {
+		return "", fmt.Errorf("repository: encode schema: %w", err)
+	}
 	old, replacing := r.entries[s.ID]
-	e := &Entry{Schema: s, AddedAt: time.Now().UTC(), Seq: seq}
+	e := &entry{Schema: raw, AddedAt: now().UTC(), Seq: seq,
+		head: headerOf(s, seq), print: printKey(s.ID, s.Fingerprint())}
 	if replacing {
 		e.Tags = old.Tags
 		e.Comments = old.Comments
@@ -189,12 +234,12 @@ func (r *Repository) putLocked(tn string, s *model.Schema) (string, error) {
 	r.nextIDs[tn] = nextID
 	r.seq = seq
 	if replacing {
-		delete(r.byPrint, printKey(s.ID, old.Schema.Fingerprint()))
+		delete(r.byPrint, old.print)
 	} else {
 		r.order = append(r.order, s.ID)
 	}
 	r.entries[s.ID] = e
-	r.byPrint[printKey(s.ID, s.Fingerprint())] = s.ID
+	r.byPrint[e.print] = s.ID
 	delete(r.deleted, s.ID)
 	return s.ID, nil
 }
@@ -229,31 +274,49 @@ func (r *Repository) PutDedupTenant(tn string, s *model.Schema) (id string, dup 
 	return id, false, err
 }
 
-// Get returns the schema with the given ID, or nil. The returned schema is
-// shared; callers must not mutate it.
+// Get returns the schema with the given ID, or nil: a freshly decoded
+// copy the caller owns.
 func (r *Repository) Get(id string) *model.Schema {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if e, ok := r.entries[id]; ok {
-		return e.Schema
-	}
-	return nil
-}
-
-// Entry returns a copy of the full entry (schema + metadata) for id, or
-// nil. The copy is taken under the read lock, because usage counters,
-// tags and comments change in place under the write lock; a shallow copy
-// is enough, since tags are replaced whole and comments only appended.
-// The schema is shared; callers must not mutate it.
-func (r *Repository) Entry(id string) *Entry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	e, ok := r.entries[id]
+	r.mu.RUnlock()
 	if !ok {
 		return nil
 	}
-	c := *e
-	return &c
+	return mustDecode(e.Schema)
+}
+
+// Stored returns the header and the encoded bytes of id's schema, read in
+// one critical section, so the bytes are the version the header's Seq
+// names. The bytes are shared and must not be modified; DecodeSchema
+// turns them into a graph.
+func (r *Repository) Stored(id string) (Header, []byte, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if e, ok := r.entries[id]; ok {
+		return e.head, e.Schema, true
+	}
+	return Header{}, nil, false
+}
+
+// Entry returns a copy of the full entry (schema + metadata) for id, or
+// nil. The metadata is copied under the read lock, because usage
+// counters, tags and comments change in place under the write lock; a
+// shallow copy is enough, since tags are replaced whole and comments only
+// appended. The schema is decoded into a private copy.
+func (r *Repository) Entry(id string) *Entry {
+	r.mu.RLock()
+	e, ok := r.entries[id]
+	var c entry
+	if ok {
+		c = *e
+	}
+	r.mu.RUnlock()
+	if !ok {
+		return nil
+	}
+	return &Entry{Schema: mustDecode(c.Schema), Tags: c.Tags, Comments: c.Comments,
+		Usage: c.Usage, AddedAt: c.AddedAt, Seq: c.Seq}
 }
 
 // Delete removes a schema. It reports whether anything was removed; on a
@@ -271,7 +334,7 @@ func (r *Repository) Delete(id string) bool {
 		return false
 	}
 	delete(r.entries, id)
-	delete(r.byPrint, printKey(id, e.Schema.Fingerprint()))
+	delete(r.byPrint, e.print)
 	for i, oid := range r.order {
 		if oid == id {
 			r.order = append(r.order[:i], r.order[i+1:]...)
@@ -304,28 +367,32 @@ func (r *Repository) IDsTenant(tn string) []string {
 	return out
 }
 
-// All returns all schemas (every tenant) in insertion order. The schemas
-// are shared, not copies.
+// All returns all schemas (every tenant) in insertion order, each a
+// freshly decoded copy.
 func (r *Repository) All() []*model.Schema {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*model.Schema, len(r.order))
-	for i, id := range r.order {
-		out[i] = r.entries[id].Schema
-	}
-	return out
+	return r.decodeAll(func(string) bool { return true })
 }
 
-// AllTenant returns one tenant's schemas in insertion order (shared, not
-// copies).
+// AllTenant returns one tenant's schemas in insertion order, each a
+// freshly decoded copy.
 func (r *Repository) AllTenant(tn string) []*model.Schema {
+	return r.decodeAll(func(id string) bool { return tenant.Owner(id) == tn })
+}
+
+// decodeAll decodes the schemas whose IDs keep accepts, in insertion
+// order, outside the lock: the bytes are never modified, only replaced.
+func (r *Repository) decodeAll(keep func(id string) bool) []*model.Schema {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*model.Schema
+	var raws []json.RawMessage
 	for _, id := range r.order {
-		if tenant.Owner(id) == tn {
-			out = append(out, r.entries[id].Schema)
+		if keep(id) {
+			raws = append(raws, r.entries[id].Schema)
 		}
+	}
+	r.mu.RUnlock()
+	out := make([]*model.Schema, len(raws))
+	for i, raw := range raws {
+		out[i] = mustDecode(raw)
 	}
 	return out
 }
@@ -411,7 +478,7 @@ func (r *Repository) AddComment(id string, c Comment) error {
 		return fmt.Errorf("repository: no schema %q", id)
 	}
 	if c.At.IsZero() {
-		c.At = time.Now().UTC()
+		c.At = now().UTC()
 	}
 	seq := r.seq + 1
 	if err := r.logMutation(&walRecord{Op: opComment, Seq: seq, ID: id, Comment: &c}); err != nil {

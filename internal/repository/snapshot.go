@@ -55,8 +55,14 @@ func (r *Repository) writeSnapshot(w io.Writer) error {
 			n++
 		}
 	}
+	var put []byte
 	for _, id := range r.order {
-		write(&walRecord{Op: opPut, Entry: r.entries[id]})
+		if err == nil {
+			if put, err = appendPut(put[:0], r.entries[id]); err == nil {
+				err = writeFrame(w, put)
+			}
+			n++
+		}
 	}
 	hashes := make([]string, 0, len(r.keys))
 	for h := range r.keys {
@@ -77,6 +83,26 @@ func (r *Repository) writeSnapshot(w io.Writer) error {
 		WeightVersion: r.weightVersion, PromotedVersion: r.promotedVersion,
 	}})
 	return err
+}
+
+// appendPut appends a snapshot's put record for e: byte for byte what the
+// encoder writes for walRecord{Op: opPut, Entry: e}, newline included, but
+// with the schema's stored bytes copied in rather than run through the
+// encoder again (which would re-scan them). The rest of the entry is
+// encoded with a null schema, whose leading `{"schema":null` is swapped for
+// the stored bytes; addedAt and seq always follow it.
+func appendPut(b []byte, e *entry) ([]byte, error) {
+	const prefix = `{"schema":null`
+	meta := *e
+	meta.Schema = nil
+	rest, err := json.Marshal(&meta)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `{"op":"put","entry":{"schema":`...)
+	b = append(b, e.Schema...)
+	b = append(b, rest[len(prefix):]...)
+	return append(b, "}\n"...), nil
 }
 
 // Save durably writes the repository to path: temp file, fsync, rename,
@@ -145,7 +171,7 @@ func readSnapshot(br *bufio.Reader, size int64) (*Repository, bool, error) {
 			return r.applySnapshot(&d.rec, n)
 		}
 		n++
-		return r.applyRecord(&d.rec, d.fp)
+		return r.applyRecord(d)
 	})
 	if err == nil && !done {
 		err = fmt.Errorf("snapshot ends without its snapshot record")
@@ -210,7 +236,17 @@ func importLegacy(rd io.Reader) (*Repository, error) {
 	}
 	nextIDs := map[string]int{"": p.NextID}
 	maps.Copy(nextIDs, p.NextIDs)
-	legacy := &Repository{state: state{entries: p.Entries, order: p.Order, nextIDs: nextIDs,
+	entries := make(map[string]*entry, len(p.Order))
+	for _, id := range p.Order { // entries outside the order are not written
+		e := p.Entries[id]
+		raw, err := json.Marshal(e.Schema)
+		if err != nil {
+			return nil, err
+		}
+		entries[id] = &entry{Schema: raw, Tags: e.Tags, Comments: e.Comments,
+			Usage: e.Usage, AddedAt: e.AddedAt, Seq: e.Seq}
+	}
+	legacy := &Repository{state: state{entries: entries, order: p.Order, nextIDs: nextIDs,
 		seq: p.Seq, lsn: p.Lsn, deleted: p.Deleted, keys: p.Keys,
 		feedback: p.Feedback, weightSets: p.WeightSets,
 		weightVersion: p.WeightVersion, promotedVersion: p.PromotedVersion}}

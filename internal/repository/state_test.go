@@ -24,13 +24,13 @@ func dump(t *testing.T, r *Repository) string {
 	defer r.mu.RUnlock()
 	type entryDump struct {
 		ID string `json:"id"`
-		*Entry
-		Usage Usage `json:"usage"` // shadows Entry.Usage: always rendered
+		*entry
+		Usage Usage `json:"usage"` // shadows entry.Usage: always rendered
 	}
 	entries := make([]entryDump, len(r.order))
 	for i, id := range r.order {
 		e := r.entries[id]
-		entries[i] = entryDump{ID: id, Entry: e, Usage: e.Usage}
+		entries[i] = entryDump{ID: id, entry: e, Usage: e.Usage}
 	}
 	nextIDs := map[string]int{}
 	for tn, n := range r.nextIDs {
@@ -73,12 +73,12 @@ func checkPrints(t *testing.T, r *Repository, complete bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for k, id := range r.byPrint {
-		if e := r.entries[id]; e == nil || printKey(id, e.Schema.Fingerprint()) != k {
+		if e := r.entries[id]; e == nil || printKey(id, mustDecode(e.Schema).Fingerprint()) != k {
 			t.Fatalf("dedupe map: %q -> %q does not hold that fingerprint", k, id)
 		}
 	}
 	for id, e := range r.entries {
-		if _, ok := r.byPrint[printKey(id, e.Schema.Fingerprint())]; complete && !ok {
+		if _, ok := r.byPrint[printKey(id, mustDecode(e.Schema).Fingerprint())]; complete && !ok {
 			t.Fatalf("dedupe map lacks the fingerprint of %q", id)
 		}
 	}

@@ -151,20 +151,20 @@ func (s *Server) v1Search(w http.ResponseWriter, r *http.Request) {
 		Total:   out.total,
 		Offset:  out.req.Offset,
 		TookMS:  float64(out.stats.Total().Microseconds()) / 1000,
-		Results: make([]ResultJSON, 0, len(out.rows)),
+		Results: make([]ResultJSON, 0, len(out.results)),
 	}
 	who := tenant.From(r.Context())
-	for _, row := range out.rows {
+	for _, res := range out.results {
 		rj := ResultJSON{
-			ID: displayID(who, row.res.ID), Score: row.res.Score, Name: row.res.Name,
-			Description: row.res.Description, Matches: row.res.NumMatches(),
-			Entities: row.res.Entities, Attributes: row.res.Attributes,
-			Anchor: row.res.Anchor,
+			ID: displayID(who, res.ID), Score: res.Score, Name: res.Name,
+			Description: res.Description, Matches: res.NumMatches(),
+			Entities: res.Entities, Attributes: res.Attributes,
+			Anchor: res.Anchor,
 		}
-		for _, el := range row.res.Matched {
+		for i, el := range res.Matched {
 			rj.Elements = append(rj.Elements, ElementJSON{
 				Ref: el.Ref.String(), Kind: el.Kind.String(), Score: el.Score,
-				Penalty: el.Penalty, Concepts: row.concepts[el.Ref.String()],
+				Penalty: el.Penalty, Concepts: res.ConceptsAt(i),
 			})
 		}
 		data.Results = append(data.Results, rj)

@@ -373,22 +373,15 @@ func (s *Server) writeXML(w http.ResponseWriter, v any) {
 
 // --- shared search core (both surfaces render from this) ---
 
-// resultRow is one annotated search result: the engine's result plus the
-// codebook concepts of its matched elements, keyed by element ref.
-type resultRow struct {
-	res      core.Result
-	concepts map[string]string
-}
-
 // searchOutcome is everything the XML and JSON renderers need from one
 // executed search.
 type searchOutcome struct {
-	req   *SearchRequest
-	query fmt.Stringer
-	rows  []resultRow
-	stats core.SearchStats
-	total int
-	trace []obs.Span
+	req     *SearchRequest
+	query   fmt.Stringer
+	results []core.Result
+	stats   core.SearchStats
+	total   int
+	trace   []obs.Span
 }
 
 // runSearch decodes, validates and executes a search request: the single
@@ -424,27 +417,9 @@ func (s *Server) runSearch(r *http.Request) (*searchOutcome, *apiErr) {
 	if len(results) > req.Limit {
 		results = results[:req.Limit]
 	}
-	rows := make([]resultRow, 0, len(results))
-	ids := make([]string, 0, len(results))
-	for _, res := range results {
-		row := resultRow{res: res}
-		if schema := s.engine.Repository().Get(res.ID); schema != nil {
-			ann := codebook.Annotate(schema)
-			for _, el := range res.Matched {
-				if cs := ann[el.Ref]; len(cs) > 0 {
-					names := make([]string, len(cs))
-					for i, c := range cs {
-						names[i] = string(c)
-					}
-					if row.concepts == nil {
-						row.concepts = make(map[string]string)
-					}
-					row.concepts[el.Ref.String()] = strings.Join(names, ",")
-				}
-			}
-		}
-		rows = append(rows, row)
-		ids = append(ids, res.ID)
+	ids := make([]string, len(results))
+	for i, res := range results {
+		ids[i] = res.ID
 	}
 	// Usage statistics: every returned result is an impression. A read-only
 	// replica records nothing — a locally logged usage record would claim
@@ -453,7 +428,7 @@ func (s *Server) runSearch(r *http.Request) (*searchOutcome, *apiErr) {
 		s.engine.Repository().RecordImpressions(ids...)
 	}
 	return &searchOutcome{
-		req: req, query: q, rows: rows, stats: stats, total: total,
+		req: req, query: q, results: results, stats: stats, total: total,
 		trace: tr.Spans(),
 	}, nil
 }
@@ -471,17 +446,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		TookMS: float64(out.stats.Total().Microseconds()) / 1000,
 	}
 	who := tenant.From(r.Context())
-	for _, row := range out.rows {
-		res := row.res
+	for _, res := range out.results {
 		rx := ResultXML{
 			ID: displayID(who, res.ID), Score: res.Score, Name: res.Name, Description: res.Description,
 			Matches: res.NumMatches(), Entities: res.Entities, Attributes: res.Attributes,
 			Anchor: res.Anchor,
 		}
-		for _, el := range res.Matched {
+		for i, el := range res.Matched {
 			rx.Elements = append(rx.Elements, ElementXML{
 				Ref: el.Ref.String(), Kind: el.Kind.String(), Score: el.Score,
-				Penalty: el.Penalty, Concepts: row.concepts[el.Ref.String()],
+				Penalty: el.Penalty, Concepts: res.ConceptsAt(i),
 			})
 		}
 		resp.Results = append(resp.Results, rx)

@@ -12,8 +12,9 @@ import (
 // TestScoreProfiledEquivalence asserts ScoreProfiled returns a Result
 // identical to Score — same winning anchor, same per-anchor scores, same
 // matched elements and penalties — across generated schemas and option
-// variants, so the cached entity graph and distance maps are a pure
-// optimization.
+// variants — including graphs with disconnected parts, cycles,
+// self-references and a chain past the hop clamp, and a neighborhood wider
+// than the clamp — so the profile's hop matrix is a pure optimization.
 func TestScoreProfiledEquivalence(t *testing.T) {
 	q, err := query.Parse(query.Input{
 		Keywords: "patient height gender diagnosis",
@@ -32,10 +33,12 @@ func TestScoreProfiledEquivalence(t *testing.T) {
 		flat = flat[:10]
 	}
 	schemas = append(schemas, flat...)
+	schemas = append(schemas, webtables.GenerateTangled(24, 30)...)
 
 	optVariants := []Options{
 		{},
 		{NearPenalty: 0.2, FarPenalty: 0.5, NearHops: 2, MatchThreshold: 0.3},
+		{NearHops: 260, MatchThreshold: 0.3},
 	}
 	for _, s := range schemas {
 		p := match.NewProfile(s)

@@ -40,7 +40,9 @@ type Options struct {
 	FarPenalty float64
 	// NearHops bounds the anchor's entity neighborhood. The default 1
 	// matches the paper's Figure 4 walkthrough, where doctor — two hops
-	// from patient via case — already counts as "unrelated".
+	// from patient via case — already counts as "unrelated". Values above
+	// match.MaxHops-1 act as match.MaxHops-1, since a match profile's hop
+	// counts saturate there.
 	NearHops int
 	// MatchThreshold is the minimum best-match score for an element to
 	// count as matched; elements below it are ignored entirely. The
@@ -60,6 +62,7 @@ func (o *Options) defaults() {
 	if o.NearHops == 0 {
 		o.NearHops = 1
 	}
+	o.NearHops = min(o.NearHops, match.MaxHops-1)
 	if o.MatchThreshold == 0 {
 		o.MatchThreshold = DefaultMatchThreshold
 	}
@@ -69,6 +72,7 @@ func (o *Options) defaults() {
 // score, which query element achieved it, and the penalty applied under the
 // winning anchor.
 type ElementScore struct {
+	Element    int // index into the matrix's schema elements
 	Ref        model.ElementRef
 	Kind       model.ElementKind
 	Score      float64 // S_e: best similarity over query elements
@@ -97,7 +101,7 @@ func (r Result) NumMatches() int { return len(r.Matched) }
 // Score computes the tightness-of-fit of schema s under the combined
 // similarity matrix m (whose schema columns must come from s.Elements()).
 func Score(s *model.Schema, m *match.Matrix, opts Options) Result {
-	return score(m, opts, func() ([]string, func(string) map[string]int) {
+	return score(m, opts, func() ([]string, func(anchor, elem int) int) {
 		g := model.NewEntityGraph(s)
 		// "This calculation is repeated for all possible anchor entities":
 		// every entity is a candidate anchor, not just those containing a
@@ -108,23 +112,35 @@ func Score(s *model.Schema, m *match.Matrix, opts Options) Result {
 			anchors = append(anchors, e.Name)
 		}
 		sort.Strings(anchors) // deterministic tie-breaking: first anchor wins
-		return anchors, g.DistancesFrom
+		cur, dists := -1, map[string]int(nil)
+		return anchors, func(anchor, elem int) int {
+			if anchor != cur { // score asks anchor by anchor
+				cur, dists = anchor, g.DistancesFrom(anchors[anchor])
+			}
+			if d, ok := dists[m.Schema[elem].Ref.Entity]; ok {
+				return d
+			}
+			return -1
+		}
 	})
 }
 
 // ScoreProfiled is Score reusing the candidate's cached match profile: the
-// entity graph, the sorted anchor list and every anchor's BFS distance map
-// come precomputed instead of being rebuilt per candidate per search. The
-// result is identical to Score(p.Schema(), m, opts).
+// sorted anchor list and the hop distance of every anchor to every
+// element come precomputed instead of being rebuilt per candidate per
+// search. The result is identical to Score(s, m, opts) for the schema s
+// the profile was built from.
 func ScoreProfiled(p *match.Profile, m *match.Matrix, opts Options) Result {
-	return score(m, opts, func() ([]string, func(string) map[string]int) {
-		return p.Anchors(), p.AnchorDistances
+	return score(m, opts, func() ([]string, func(anchor, elem int) int) {
+		return p.Anchors(), p.Hops
 	})
 }
 
-// score is the shared measurement: graphFn supplies the anchor list and the
-// per-anchor distance lookup, and is only invoked when something matched.
-func score(m *match.Matrix, opts Options, graphFn func() ([]string, func(string) map[string]int)) Result {
+// score is the shared measurement: graphFn supplies the anchor list and
+// hops(anchor, elem), the FK distance from an anchor (by ordinal) to an
+// element's entity (-1 when unreachable), and is only invoked when
+// something matched.
+func score(m *match.Matrix, opts Options, graphFn func() ([]string, func(anchor, elem int) int)) Result {
 	opts.defaults()
 
 	best, argmax := m.ElementBest()
@@ -142,19 +158,17 @@ func score(m *match.Matrix, opts Options, graphFn func() ([]string, func(string)
 		return Result{AnchorScores: map[string]float64{}}
 	}
 
-	anchors, distancesFrom := graphFn()
+	anchors, hops := graphFn()
 
 	res := Result{AnchorScores: make(map[string]float64, len(anchors))}
 	bestScore, bestAnchor := -1.0, ""
 	var bestPenalties []float64
 
-	for _, anchor := range anchors {
-		dists := distancesFrom(anchor)
+	for a, anchor := range anchors {
 		total := 0.0
 		penalties := make([]float64, len(matched))
 		for i, me := range matched {
-			ent := m.Schema[me.idx].Ref.Entity
-			p := penaltyFor(dists, ent, opts)
+			p := penaltyFor(hops(a, me.idx), opts)
 			penalties[i] = p
 			adj := me.score - p
 			if adj > 0 {
@@ -174,6 +188,7 @@ func score(m *match.Matrix, opts Options, graphFn func() ([]string, func(string)
 	for i, me := range matched {
 		el := m.Schema[me.idx]
 		res.Matched[i] = ElementScore{
+			Element:    me.idx,
 			Ref:        el.Ref,
 			Kind:       el.Kind,
 			Score:      me.score,
@@ -184,14 +199,13 @@ func score(m *match.Matrix, opts Options, graphFn func() ([]string, func(string)
 	return res
 }
 
-// penaltyFor returns the penalty for a matched element in entity ent given
-// the hop distances from the anchor.
-func penaltyFor(dists map[string]int, ent string, opts Options) float64 {
-	d, reachable := dists[ent]
+// penaltyFor returns the penalty for a matched element d FK hops from the
+// anchor (-1: unreachable).
+func penaltyFor(d int, opts Options) float64 {
 	switch {
-	case reachable && d == 0:
+	case d == 0:
 		return 0
-	case reachable && d <= opts.NearHops:
+	case d > 0 && d <= opts.NearHops:
 		return opts.NearPenalty
 	default:
 		return opts.FarPenalty

@@ -323,6 +323,50 @@ func GenerateRelational(seed int64, n int) []*model.Schema {
 	return out
 }
 
+// GenerateTangled produces n relational schemas whose entity graphs are
+// the awkward cases for structural code: random foreign keys that leave
+// disconnected parts and close cycles, a self-reference in every schema,
+// and, in the first schema, a chain of 300 entities — longer than any
+// hop count a match profile stores exactly.
+func GenerateTangled(seed int64, n int) []*model.Schema {
+	r := rand.New(rand.NewSource(seed))
+	out := make([]*model.Schema, 0, n)
+	for i := 0; i < n; i++ {
+		size := 2 + r.Intn(12)
+		if i == 0 {
+			size = 300
+		}
+		s := &model.Schema{Name: fmt.Sprintf("tangled %d", i), Format: "ddl", Source: "generated:tangled"}
+		for j := 0; j < size; j++ {
+			d := domains[r.Intn(len(domains))]
+			a := d.archetypes[r.Intn(len(d.archetypes))]
+			ent := &model.Entity{Name: fmt.Sprintf("%s_%d", strings.ReplaceAll(a.name, " ", "_"), j)}
+			for _, c := range a.core {
+				ent.Attributes = append(ent.Attributes, &model.Attribute{Name: strings.ReplaceAll(c, " ", "_"), Type: sqlType(r)})
+			}
+			s.Entities = append(s.Entities, ent)
+		}
+		link := func(from, to int) {
+			f := s.Entities[from]
+			s.ForeignKeys = append(s.ForeignKeys, model.ForeignKey{
+				FromEntity: f.Name, FromColumns: []string{f.Attributes[0].Name}, ToEntity: s.Entities[to].Name,
+			})
+		}
+		link(0, 0)
+		if i == 0 {
+			for j := 1; j < size; j++ {
+				link(j, j-1)
+			}
+		} else {
+			for k := r.Intn(size + 1); k > 0; k-- {
+				link(r.Intn(size), r.Intn(size))
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // GenerateHierarchical produces n XSD-style hierarchical schemas: an entity
 // tree of the domain's archetypes linked by containment (Entity.Parent),
 // the shape of the corpus's semi-structured schemas.

@@ -300,7 +300,8 @@ func (s *System) SearchWithStatsContext(ctx context.Context, q *Query, limit int
 	return s.Engine.SearchWithStatsContext(ctx, q, limit)
 }
 
-// Get returns a stored schema by ID, or nil.
+// Get returns a stored schema by ID, or nil: a decoded copy the caller
+// owns.
 func (s *System) Get(id string) *Schema {
 	return s.Repo.Get(id)
 }
