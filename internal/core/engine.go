@@ -160,16 +160,13 @@ type SearchStats struct {
 	// score, before truncation to the caller's limit — the pagination-true
 	// total for "ask for the next n schemas" clients.
 	TotalRanked int
-	// PostingsSkipped and CandidatesPruned report phase-1 MaxScore pruning
-	// effectiveness: postings jumped over without scoring and candidate
-	// documents abandoned by the bound check, summed across the keyword
-	// search and the trigram-fallback search. Both are zero when pruning
-	// fell back to exhaustive scoring.
+	// PostingsSkipped, CandidatesPruned and BlocksSkipped reported phase-1
+	// top-n pruning (index.SearchInfo's counters, summed across the keyword
+	// and trigram-fallback searches). Phase 1 scores exhaustively, so they
+	// are always zero.
 	PostingsSkipped  int
 	CandidatesPruned int
-	// BlocksSkipped counts whole posting blocks bypassed undecoded by the
-	// block-max bound check — pruning that never paid the varint decode.
-	BlocksSkipped int
+	BlocksSkipped    int
 	// ShadowVersion, ShadowScoreDelta and ShadowDisplaced report the
 	// shadow-scoring pass over the served results: the candidate
 	// weight-set version scored against (0 = shadow off, no pass ran),

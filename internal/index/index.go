@@ -11,10 +11,10 @@
 // Delete under its own lock and is flushed into immutable segments whose
 // postings are doc-ordinal-sorted, delta+varint-encoded and carved into
 // blocks carrying per-block max scores; a merger compacts segments,
-// physically dropping tombstoned documents and re-tightening the pruning
-// bounds. Searches take an immutable snapshot via one atomic pointer load —
-// no lock on the read path while the head is empty — and run a
-// document-at-a-time merge with Block-Max MaxScore pruning (see search.go).
+// physically dropping tombstoned documents and re-tightening those bounds.
+// Searches take an immutable snapshot via one atomic pointer load — no lock
+// on the read path while the head is empty — and score exhaustively,
+// term-at-a-time into a dense per-segment accumulator (see search.go).
 //
 // The index is safe for concurrent use, supports incremental adds, updates
 // and deletes (the repository re-indexes "at scheduled intervals"), and
@@ -97,13 +97,12 @@ type posting struct {
 // frequency and postings. Postings of deleted documents linger until the
 // head flushes; df is kept live so IDF stays correct.
 //
-// The max* fields are the MaxScore pruning bounds (see DESIGN.md): query-
-// independent caps on the term's per-document score contribution. Adds
-// raise them exactly; deletes leave them stale-high (still a valid upper
-// bound, just looser) until a flush or merge recomputes them. maxFreq == 0
-// marks the bounds unavailable — the state of entries loaded from a v1
-// persisted index — which makes the term always-essential at query time
-// (exhaustive scoring).
+// The max* fields are MaxScore bounds (see DESIGN.md): query-independent
+// caps on the term's per-document score contribution, computed and
+// persisted but not read at query time. Adds raise them exactly; deletes
+// leave them stale-high (still a valid upper bound, just looser) until a
+// flush or merge recomputes them. maxFreq == 0 marks the bounds
+// unavailable — the state of entries loaded from a v1 persisted index.
 type termEntry struct {
 	df       int32
 	postings []posting
@@ -119,7 +118,7 @@ type termEntry struct {
 	maxFreq int32
 }
 
-// boundsOK reports whether the entry's pruning bounds are usable.
+// boundsOK reports whether the entry's bounds are available.
 func (e *termEntry) boundsOK() bool { return e.maxFreq > 0 }
 
 // raiseBounds folds one document's aggregates into the entry's bounds. A
@@ -138,14 +137,6 @@ func (e *termEntry) raiseBounds(classic, boostSum float64, maxFreq int32, fresh 
 	if maxFreq > e.maxFreq || fresh {
 		e.maxFreq = maxFreq
 	}
-}
-
-// queryUpperBound returns an upper bound on the term's per-document score
-// contribution under the given options, or +Inf when no sound bound is
-// available (entry loaded from a v1 index, or BM25 parameters outside the
-// provable range k1 >= 0, 0 <= b <= 1).
-func (e *termEntry) queryUpperBound(idf float64, bm25 bool, k1, b float64) float64 {
-	return boundsUpperBound(idf, bm25, k1, b, e.maxClassic, e.maxBoostSum, e.maxFreq)
 }
 
 // bitset is a global-ordinal tombstone bitmap. The master copy on Index is
@@ -314,15 +305,12 @@ type Metrics struct {
 	// PostingsTouched counts postings iterated while scoring — the index's
 	// unit of work per search.
 	PostingsTouched *obs.Counter
-	// PostingsSkipped counts postings jumped over by pruning seeks without
-	// being scored — the work the pruned path avoided.
+	// PostingsSkipped, DocsPruned and BlocksSkipped counted top-n pruning
+	// work; scoring is exhaustive, so they stay at zero. Kept so dashboards
+	// and benchmarks reading the families still find them.
 	PostingsSkipped *obs.Counter
-	// DocsPruned counts candidate documents abandoned by the MaxScore bound
-	// check before (or during) full scoring.
-	DocsPruned *obs.Counter
-	// BlocksSkipped counts whole postings blocks bypassed without being
-	// decoded, by block-max seeks or block-level bound checks.
-	BlocksSkipped *obs.Counter
+	DocsPruned      *obs.Counter
+	BlocksSkipped   *obs.Counter
 	// Segments gauges the current number of immutable segments.
 	Segments *obs.Gauge
 	// Merges counts segment merges performed.
@@ -338,9 +326,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Searches:        reg.Counter("schemr_index_searches_total", "Coarse-grain index searches executed.", nil),
 		TermsScored:     reg.Counter("schemr_index_terms_scored_total", "Query terms scored against the dictionary.", nil),
 		PostingsTouched: reg.Counter("schemr_index_postings_touched_total", "Postings iterated while scoring searches.", nil),
-		PostingsSkipped: reg.Counter("schemr_index_postings_skipped_total", "Postings jumped over by MaxScore pruning without being scored.", nil),
-		DocsPruned:      reg.Counter("schemr_index_docs_pruned_total", "Candidate documents abandoned by the MaxScore bound check.", nil),
-		BlocksSkipped:   reg.Counter("schemr_index_blocks_skipped_total", "Postings blocks bypassed undecoded by block-max pruning.", nil),
+		PostingsSkipped: reg.Counter("schemr_index_postings_skipped_total", "Postings skipped by top-n pruning; always 0, scoring is exhaustive.", nil),
+		DocsPruned:      reg.Counter("schemr_index_docs_pruned_total", "Documents abandoned by top-n pruning; always 0, scoring is exhaustive.", nil),
+		BlocksSkipped:   reg.Counter("schemr_index_blocks_skipped_total", "Postings blocks bypassed undecoded; always 0, scoring is exhaustive.", nil),
 		Segments:        reg.Gauge("schemr_index_segments", "Immutable index segments currently live.", nil),
 		Merges:          reg.Counter("schemr_index_merges_total", "Segment merges performed.", nil),
 		FlushSeconds:    reg.Histogram("schemr_index_flush_seconds", "Head-segment flush duration.", nil, nil),
@@ -380,7 +368,7 @@ func WithFlushDocs(n int) Option {
 
 // WithMergeFactor sets the merge policy: whenever n or more segments
 // accumulate, the n adjacent segments covering the fewest documents are
-// merged into one (dropping tombstones and re-tightening bounds). n <= 1
+// merged into one (dropping tombstones). n <= 1
 // disables automatic merging.
 func WithMergeFactor(n int) Option {
 	return func(ix *Index) { ix.mergeFactor = n }
@@ -388,8 +376,8 @@ func WithMergeFactor(n int) Option {
 
 // WithCompression toggles delta+varint postings compression in flushed
 // segments (default on). Raw segments keep decoded postings in memory —
-// faster to scan, several times larger; the block-max pruning metadata is
-// identical either way.
+// faster to scan, several times larger; the block metadata is identical
+// either way.
 func WithCompression(enabled bool) Option {
 	return func(ix *Index) { ix.compress = enabled }
 }
@@ -913,8 +901,8 @@ func (ix *Index) mergeRangeLocked(lo, hi int) {
 
 // Compact flushes the head and merges every segment into one, physically
 // dropping all tombstoned postings, reclaiming memory after heavy churn
-// and recomputing every pruning bound exactly (re-arming pruning after a
-// v1 load). External IDs and global ordinals are stable.
+// and recomputing every MaxScore bound exactly (restoring them after a v1
+// load). External IDs and global ordinals are stable.
 func (ix *Index) Compact() {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()

@@ -38,7 +38,7 @@ type persistedTerm struct {
 	Term     string
 	DF       int32
 	Postings []persistedPosting
-	// MaxScore pruning bounds (format v2+; zero after a v1 load, meaning
+	// MaxScore bounds (format v2+; zero after a v1 load, meaning
 	// unavailable — see termEntry).
 	MaxClassic  float64
 	MaxBoostSum float64
@@ -199,8 +199,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom replaces the index contents with a previously serialized index.
 // v3 restores the segmented state; v2 and v1 files load into the head at
-// ordinal base 0 (v1 with pruning bounds unavailable, so scoring stays
-// exhaustive until a flush or Compact re-arms them).
+// ordinal base 0 (v1 with MaxScore bounds unavailable until a flush or
+// Compact recomputes them).
 func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
 	magic := make([]byte, len(indexMagic))

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -30,7 +31,7 @@ type SearchOptions struct {
 	// MinShouldMatch drops documents matching fewer than this many distinct
 	// query terms. 0 or 1 keeps every match (the paper's recall-preserving
 	// default: "the candidate extraction algorithm need not match all search
-	// terms"). Values above 1 disable MaxScore pruning (exhaustive scoring).
+	// terms").
 	MinShouldMatch int
 	// BM25 switches per-term scoring from the paper's Lucene-classic
 	// TF/IDF variant (sqrt-tf · log-idf · length norm) to Okapi BM25 with
@@ -42,12 +43,6 @@ type SearchOptions struct {
 	K1 float64
 	// B is BM25's length-normalization strength (default 0.75).
 	B float64
-	// DisablePruning turns off MaxScore top-n pruning, scoring every
-	// matching document exhaustively with the same document-at-a-time
-	// merge. Benchmarking and verification aid: pruned and exhaustive
-	// retrieval return identical top-n hits (the property tests assert
-	// byte-identical IDs, scores, match counts and order).
-	DisablePruning bool
 }
 
 // SearchInfo reports one search's work counters — the observability payload
@@ -57,21 +52,16 @@ type SearchInfo struct {
 	// TermsScored is the number of query terms that hit the dictionary.
 	TermsScored int
 	// PostingsTouched counts postings iterated while scoring (including
-	// tombstone checks on deleted documents).
+	// those of deleted documents).
 	PostingsTouched int
-	// PostingsSkipped counts postings jumped over by pruning seeks without
-	// being scored, including every posting of a block bypassed undecoded.
+	// PostingsSkipped, DocsPruned, BlocksSkipped and Pruned described
+	// top-n pruning, which the exhaustive scorer does not do: they are
+	// always zero (false), kept for the metric families and stats fields
+	// that report them.
 	PostingsSkipped int
-	// DocsPruned counts candidate documents (or, for whole-block skips,
-	// candidate blocks) abandoned by the bound checks before full scoring.
-	DocsPruned int
-	// BlocksSkipped counts postings blocks bypassed without being decoded,
-	// by block-max seeks or the block-level bound check.
-	BlocksSkipped int
-	// Pruned reports whether MaxScore pruning was armed for this search
-	// (top-n requested, MinShouldMatch <= 1, pruning enabled, and at least
-	// one term with usable bounds). False implies exhaustive scoring.
-	Pruned bool
+	DocsPruned      int
+	BlocksSkipped   int
+	Pruned          bool
 }
 
 // Search runs a free-text query and returns the top n hits by descending
@@ -89,329 +79,59 @@ func (ix *Index) SearchTerms(terms []string, n int, opts SearchOptions) []Hit {
 	return hits
 }
 
-// cursorSrc walks one term's postings within one source — an immutable
-// segment (block-at-a-time, decoding lazily so bypassed blocks are never
-// touched) or the mutable head (a plain postings slice). Sources of one
-// term cover disjoint, ascending global-ordinal spans, so a termCursor
-// consumes them strictly in order.
-type cursorSrc struct {
-	// Segment source (seg != nil):
-	seg *segment
-	st  *segTerm
-	blk int // current block
-	dec decBlock
-	on  bool // current block decoded into dec
-
-	// Head source (seg == nil):
-	hd    *head
-	hbase int32
-	hpost []posting
-
-	// Shared:
-	i  int     // index into dec (segment) or hpost (head)
-	ub float64 // this source's query-time upper bound
-}
-
-func (s *cursorSrc) done() bool {
-	if s.seg != nil {
-		return s.blk >= len(s.st.blocks)
-	}
-	return s.i >= len(s.hpost)
-}
-
-// cur returns the global ordinal under the source, or -1 when exhausted.
-// An undecoded block reports its first document — exact, because blocks
-// start on document boundaries — so the DAAT merge can pick candidates
-// without forcing a decode.
-func (s *cursorSrc) cur() int32 {
-	if s.seg != nil {
-		if s.blk >= len(s.st.blocks) {
-			return -1
-		}
-		if s.on {
-			return s.dec.globals[s.i]
-		}
-		return s.st.blocks[s.blk].firstOrd
-	}
-	if s.i < len(s.hpost) {
-		return s.hbase + s.hpost[s.i].doc
-	}
-	return -1
-}
-
-// curLocal returns the local ordinal under the source (caller ensures the
-// source is not exhausted).
-func (s *cursorSrc) curLocal() int32 {
-	if s.seg != nil {
-		if s.on {
-			return s.dec.locals[s.i]
-		}
-		return s.st.blocks[s.blk].firstLocal
-	}
-	return s.hpost[s.i].doc
-}
-
-// load decodes the current block (segment sources only).
-func (s *cursorSrc) load() {
-	if s.seg == nil || s.on {
-		return
-	}
-	s.seg.loadBlock(s.st, s.blk, &s.dec)
-	s.on = true
-	s.i = 0
-}
-
-// bump keeps the invariant that a decoded block always has entries left:
-// when the cursor consumes a block's last posting it advances to the next
-// block, undecoded.
-func (s *cursorSrc) bump() {
-	if s.on && s.i >= len(s.dec.globals) {
-		s.blk++
-		s.on = false
-		s.i = 0
-	}
-}
-
-// skipBlock abandons the current block without decoding it (caller ensures
-// it is undecoded), counting its postings as skipped.
-func (s *cursorSrc) skipBlock(info *SearchInfo) {
-	info.PostingsSkipped += int(s.st.blocks[s.blk].count)
-	info.BlocksSkipped++
-	s.blk++
-	s.i = 0
-}
-
-// seek advances the source to the first posting with global ordinal >= d.
-// Whole blocks whose lastOrd < d are bypassed without decoding; a block
-// whose span merely brackets d is decoded only when d lies strictly inside
-// it (when firstOrd >= d the cursor parks at the block start, still
-// undecoded — the common case when d is absent from this list).
-func (s *cursorSrc) seek(d int32, info *SearchInfo) {
-	if s.seg == nil {
-		// Head: gallop then binary search, as postings are local-doc-sorted.
-		ld := d - s.hbase
-		if s.i >= len(s.hpost) || s.hpost[s.i].doc >= ld {
-			return
-		}
-		start := s.i
-		lo, hi := s.i, len(s.hpost) // invariant: hpost[lo].doc < ld
-		step := 1
-		for lo+step < len(s.hpost) && s.hpost[lo+step].doc < ld {
-			lo += step
-			step *= 2
-		}
-		if lo+step < hi {
-			hi = lo + step
-		}
-		for lo+1 < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if s.hpost[mid].doc < ld {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		s.i = hi
-		info.PostingsSkipped += s.i - start
-		return
-	}
-	for s.blk < len(s.st.blocks) {
-		bm := &s.st.blocks[s.blk]
-		if bm.lastOrd < d {
-			if s.on {
-				info.PostingsSkipped += len(s.dec.globals) - s.i
-				s.on = false
-				s.i = 0
-				s.blk++
-			} else {
-				s.skipBlock(info)
-			}
-			continue
-		}
-		if !s.on && bm.firstOrd >= d {
-			return
-		}
-		s.load()
-		start := s.i
-		for s.i < len(s.dec.globals) && s.dec.globals[s.i] < d {
-			s.i++
-		}
-		info.PostingsSkipped += s.i - start
-		s.bump()
-		return
-	}
-}
-
-// scoreDoc sums the contributions of every posting of document d (global
-// ordinal; the source must be positioned on d), advancing past them.
-// Postings of one term are summed in postings order — the canonical
-// accumulation the exhaustive and pruned paths share, and the grouping
-// Explain uses, so all three produce bit-identical scores.
-func (s *cursorSrc) scoreDoc(sn *snapshot, d int32, idf float64, bm25 bool, k1, b float64, avgLen []float64, posOut *[]int32) (sum float64, touched int) {
-	if s.seg != nil {
-		s.load()
-		for s.i < len(s.dec.globals) && s.dec.globals[s.i] == d {
-			f := s.dec.fields[s.i]
-			al := 0.0
-			if int(f) < len(avgLen) {
-				al = avgLen[f]
-			}
-			sum += contribution(sn.boost(f), s.seg.norm(f, s.dec.locals[s.i]), s.dec.freqs[s.i], idf, bm25, k1, b, al)
-			if posOut != nil {
-				*posOut = append(*posOut, s.dec.posBuf[s.dec.posOff[s.i]:s.dec.posOff[s.i+1]]...)
-			}
-			s.i++
-			touched++
-		}
-		s.bump()
-		return sum, touched
-	}
-	ld := d - s.hbase
-	for s.i < len(s.hpost) && s.hpost[s.i].doc == ld {
-		p := &s.hpost[s.i]
-		norm := 0.0
-		if int(p.field) < len(s.hd.norms) && s.hd.norms[p.field] != nil {
-			norm = float64(s.hd.norms[p.field][ld])
-		}
-		al := 0.0
-		if int(p.field) < len(avgLen) {
-			al = avgLen[p.field]
-		}
-		sum += contribution(sn.boost(p.field), norm, p.freq, idf, bm25, k1, b, al)
-		if posOut != nil {
-			*posOut = append(*posOut, p.positions...)
-		}
-		s.i++
-		touched++
-	}
-	return sum, touched
-}
-
-// skipDoc advances past every posting of document d (used for tombstoned
-// and pruned documents) and returns how many were passed.
-func (s *cursorSrc) skipDoc(d int32) int {
-	n := 0
-	if s.seg != nil {
-		s.load()
-		for s.i < len(s.dec.globals) && s.dec.globals[s.i] == d {
-			s.i++
-			n++
-		}
-		s.bump()
-		return n
-	}
-	ld := d - s.hbase
-	for s.i < len(s.hpost) && s.hpost[s.i].doc == ld {
-		s.i++
-		n++
-	}
-	return n
-}
-
-// termCursor walks one term's postings across its sources during the
-// document-at-a-time merge. Sources cover disjoint ascending ordinal
-// spans, so the cursor only ever moves forward.
-type termCursor struct {
-	ti   int // index into the deduplicated query term list
+// queryTerm is one deduplicated query term that hits the dictionary, with
+// its IDF over the whole snapshot.
+type queryTerm struct {
+	term string
 	idf  float64
-	ub   float64 // query-time upper bound across all sources (+Inf when unavailable)
-	srcs []cursorSrc
-	si   int
 }
 
-// cur returns the global ordinal under the cursor, or -1 when exhausted.
-func (c *termCursor) cur() int32 {
-	for c.si < len(c.srcs) {
-		if g := c.srcs[c.si].cur(); g >= 0 {
-			return g
-		}
-		c.si++
-	}
-	return -1
-}
+// proxRun locates one document's positions for one query term in
+// searchScratch.pos (proximity searches only).
+type proxRun struct{ local, start, end int32 }
 
-// curID returns the external ID of the document under the cursor.
-func (c *termCursor) curID() string {
-	s := &c.srcs[c.si]
-	if s.seg != nil {
-		return s.seg.docIDs[s.curLocal()]
-	}
-	return s.hd.docIDs[s.curLocal()]
-}
-
-// ubAtCur bounds the cursor's contribution to the document under it: the
-// current block's block-max bound for segment sources (strictly tighter
-// than the list-wide bound on skewed lists), the source bound otherwise.
-func (c *termCursor) ubAtCur(bm25 bool, k1, b float64) float64 {
-	s := &c.srcs[c.si]
-	if s.seg != nil && !math.IsInf(s.ub, 1) {
-		return blockUpperBound(&s.st.blocks[s.blk], c.idf, bm25, k1, b)
-	}
-	return s.ub
-}
-
-// seek advances the cursor to the first posting with global ordinal >= d,
-// accounting skipped postings and blocks to info.
-func (c *termCursor) seek(d int32, info *SearchInfo) {
-	for c.si < len(c.srcs) {
-		s := &c.srcs[c.si]
-		s.seek(d, info)
-		if !s.done() {
-			return
-		}
-		c.si++
-	}
-}
-
-func (c *termCursor) scoreDoc(sn *snapshot, d int32, bm25 bool, k1, b float64, avgLen []float64, posOut *[]int32) (float64, int) {
-	return c.srcs[c.si].scoreDoc(sn, d, c.idf, bm25, k1, b, avgLen, posOut)
-}
-
-func (c *termCursor) skipDoc(d int32) int {
-	return c.srcs[c.si].skipDoc(d)
-}
-
-// searchScratch holds every per-search buffer the document-at-a-time merge
-// needs, pooled across searches so the steady state allocates nothing but
-// the result slice. Buffers are sized to the query (terms, top-n, touched
-// blocks), not the corpus — DAAT never materializes per-document
-// accumulators.
+// searchScratch holds every per-search buffer of the term-at-a-time scorer,
+// pooled across searches so the steady state allocates nothing but the
+// result slice. acc is a dense accumulator indexed by the local ordinal of
+// the source being scored, so it is bounded by the largest segment (or the
+// head); between sources every touched cell is zero again.
 type searchScratch struct {
-	uniq       []string
-	srcArena   []cursorSrc // backing store for every cursor's sources (decode buffers reused)
-	cursors    []termCursor
-	order      []int     // cursor indices sorted by ascending upper bound
-	prefix     []float64 // prefix[j] = Σ ub of order[0..j-1]
-	perTermC   []float64 // per term index: contribution to the current doc
-	perTermHit []bool    // per term index: matched the current doc
-	matchedTI  []int     // term indices matched in the current doc
-	pos        [][]int32 // per term index: positions in the current doc
-	lists      [][]int32 // minSpanLists input scratch
-	avgLen     []float64 // per-field BM25 average lengths for this search
-	heap       hitHeap
+	uniq    []string
+	qterms  []queryTerm
+	acc     []docAcc
+	touched []int32 // local ordinals with a nonzero acc cell, in first-touch order
+	prox    bool    // collect positions for the proximity bonus
+	pos     []int32 // the current source's positions, grouped by proxRun
+	runs    [][]proxRun
+	lists   [][]int32 // minSpanLists input scratch
+	avgLen  []float64 // per-field BM25 average lengths for this search
+	fields  []fieldScoring
+	coord   []float64 // coordination factor by terms matched
+	heap    hitHeap
+}
+
+// docAcc is one document's accumulator cell: its per-term sums added in
+// query term order, and how many query terms it matched.
+type docAcc struct {
+	sum     float64
+	matched int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return &searchScratch{} }}
 
-// release returns the scratch to the pool, dropping references into the
-// index (segments, head postings) and result IDs so a pooled scratch never
-// pins a discarded index generation — only the decode buffers survive.
+// release returns the scratch to the pool with its accumulators zeroed and
+// its hits and norm columns dropped, so a pooled scratch never pins a
+// discarded index generation.
 func (sc *searchScratch) release() {
-	arena := sc.srcArena[:cap(sc.srcArena)]
-	for i := range arena {
-		arena[i] = cursorSrc{dec: arena[i].dec}
+	for _, l := range sc.touched {
+		sc.acc[l] = docAcc{}
 	}
-	sc.srcArena = arena
-	for i := range sc.cursors {
-		sc.cursors[i].srcs = nil
-	}
-	sc.cursors = sc.cursors[:0]
-	full := sc.heap[:cap(sc.heap)]
-	for i := range full {
-		full[i] = Hit{}
-	}
+	sc.touched = sc.touched[:0]
+	clear(sc.fields)
+	clear(sc.heap[:cap(sc.heap)])
 	sc.heap = sc.heap[:0]
 	sc.uniq = sc.uniq[:0]
+	sc.qterms = sc.qterms[:0]
 	scratchPool.Put(sc)
 }
 
@@ -422,46 +142,222 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+// begin readies the accumulators for a source of numDocs local ordinals.
+// Grown cells come back zeroed, and release/collect re-zero every cell they
+// touched, so the accumulators are all zero here.
+func (sc *searchScratch) begin(numDocs, numTerms int) {
+	if cap(sc.acc) < numDocs {
+		sc.acc = make([]docAcc, numDocs)
 	}
-	return s[:n]
+	sc.acc = sc.acc[:numDocs]
+	if sc.prox {
+		sc.pos = sc.pos[:0]
+		for len(sc.runs) < numTerms {
+			sc.runs = append(sc.runs, nil)
+		}
+		for k := range sc.runs {
+			sc.runs[k] = sc.runs[k][:0]
+		}
+	}
 }
 
-func growLists(s [][]int32, n int) [][]int32 {
-	if cap(s) < n {
-		return make([][]int32, n)
+// add folds query term k's summed contribution to one document into the
+// accumulators; its positions, when collected, are pos[start:].
+func (sc *searchScratch) add(k int, local int32, sum float64, start int) {
+	a := &sc.acc[local]
+	if a.matched == 0 {
+		sc.touched = append(sc.touched, local)
 	}
-	return s[:n]
+	a.sum += sum
+	a.matched++
+	if sc.prox {
+		sc.runs[k] = append(sc.runs[k], proxRun{local, int32(start), int32(len(sc.pos))})
+	}
 }
 
-// boundSlack inflates a pruning bound by a relative epsilon so that
-// floating-point reordering between the bound arithmetic and the canonical
-// scorer (whose sums group differently by at most a few ulps) can never
-// prune a document the exhaustive scorer would keep. 1e-9 relative dwarfs
-// the ~1e-16 relative reordering error while costing no measurable pruning
-// power.
-func boundSlack(s float64) float64 {
-	return s + math.Abs(s)*1e-9
+// fieldScoring is one field's scoring inputs within one source: its boost,
+// its norm column (nil when the source has none) and its BM25 average
+// length.
+type fieldScoring struct {
+	boost  float64
+	norms  []float32
+	avgLen float64
+}
+
+// scoring carries one search's per-posting scoring parameters, with the
+// field table of the source being scored.
+type scoring struct {
+	bm25   bool
+	k1, b  float64
+	fields []fieldScoring
+}
+
+// unknownField scores a field id past the source's field table: boost 1,
+// no norm, no average length — what snapshot.boost and the norm lookups
+// give such a field.
+var unknownField = fieldScoring{boost: 1}
+
+// forSource fills the field table for a source with the given norm
+// columns.
+func (p *scoring) forSource(sn *snapshot, norms [][]float32, avgLen []float64) {
+	nf := max(len(sn.boostByFid), len(norms), len(avgLen))
+	p.fields = p.fields[:0]
+	for f := 0; f < nf; f++ {
+		fs := fieldScoring{boost: sn.boost(int8(f))}
+		if f < len(norms) {
+			fs.norms = norms[f]
+		}
+		if f < len(avgLen) {
+			fs.avgLen = avgLen[f]
+		}
+		p.fields = append(p.fields, fs)
+	}
+}
+
+// field returns the scoring inputs of a field id.
+func (p *scoring) field(f int8) *fieldScoring {
+	if int(f) < len(p.fields) {
+		return &p.fields[f]
+	}
+	return &unknownField
+}
+
+// norm returns the field's norm for a local ordinal, 0 without a column.
+func (fs *fieldScoring) norm(local int32) float64 {
+	if fs.norms == nil {
+		return 0
+	}
+	return float64(fs.norms[local])
+}
+
+// addPostings accumulates query term k over a local-doc-sorted postings
+// list (a raw segment's or the head's; one document's postings adjacent,
+// in field-appearance order). Each document's postings are summed in list
+// order before the sum enters the accumulator — the canonical grouping
+// Explain shares.
+func (sc *searchScratch) addPostings(ps []posting, k int, idf float64, p *scoring) {
+	cur, sum, start := int32(-1), 0.0, 0
+	for i := range ps {
+		q := &ps[i]
+		if q.doc != cur {
+			if cur >= 0 {
+				sc.add(k, cur, sum, start)
+			}
+			cur, sum, start = q.doc, 0, len(sc.pos)
+		}
+		fs := p.field(q.field)
+		sum += contribution(fs.boost, fs.norm(q.doc), q.freq, idf, p.bm25, p.k1, p.b, fs.avgLen)
+		if sc.prox {
+			sc.pos = append(sc.pos, q.positions...)
+		}
+	}
+	if cur >= 0 {
+		sc.add(k, cur, sum, start)
+	}
+}
+
+// addBlocks is addPostings over a compressed segment term, decoding its
+// blocks in one streaming pass without materializing them (see
+// segment.decodeBlock for the layout). Single-byte varints, nearly every
+// doc delta, field and frequency, are read inline.
+func (sc *searchScratch) addBlocks(st *segTerm, k int, idf float64, p *scoring) {
+	data := st.data
+	cur, sum, start := int32(-1), 0.0, 0
+	for bi := range st.blocks {
+		bm := &st.blocks[bi]
+		doc := bm.firstLocal
+		at := int(bm.off)
+		for j := int32(0); j < bm.count; j++ {
+			delta := uint64(data[at])
+			if delta < 0x80 {
+				at++
+			} else {
+				delta, at = uvarintAt(data, at)
+			}
+			field := uint64(data[at])
+			if field < 0x80 {
+				at++
+			} else {
+				field, at = uvarintAt(data, at)
+			}
+			freq := uint64(data[at])
+			if freq < 0x80 {
+				at++
+			} else {
+				freq, at = uvarintAt(data, at)
+			}
+			doc += int32(delta)
+			if doc != cur {
+				if cur >= 0 {
+					sc.add(k, cur, sum, start)
+				}
+				cur, sum, start = doc, 0, len(sc.pos)
+			}
+			fs := p.field(int8(field))
+			sum += contribution(fs.boost, fs.norm(doc), int32(freq), idf, p.bm25, p.k1, p.b, fs.avgLen)
+			if !sc.prox {
+				for ; freq > 0; freq-- {
+					for data[at] >= 0x80 {
+						at++
+					}
+					at++
+				}
+				continue
+			}
+			pos := int32(0)
+			for f := uint64(0); f < freq; f++ {
+				var d uint64
+				d, at = uvarintAt(data, at)
+				if f == 0 {
+					pos = int32(d)
+				} else {
+					pos += int32(d)
+				}
+				sc.pos = append(sc.pos, pos)
+			}
+		}
+	}
+	if cur >= 0 {
+		sc.add(k, cur, sum, start)
+	}
+}
+
+// proximity returns the proximity bonus of one document from its collected
+// position runs, 0 when fewer than two of its terms carry positions.
+func (sc *searchScratch) proximity(local int32, w float64) float64 {
+	lists := sc.lists[:0]
+	for _, runs := range sc.runs {
+		lo, hi := 0, len(runs)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if runs[mid].local < local {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < len(runs) && runs[lo].local == local && runs[lo].end > runs[lo].start {
+			lists = append(lists, sc.pos[runs[lo].start:runs[lo].end])
+		}
+	}
+	sc.lists = lists
+	if dist := minSpanLists(lists); dist >= 0 {
+		return w / float64(1+dist)
+	}
+	return 0
 }
 
 // SearchTermsStats is SearchTerms returning the search's work counters.
 //
 // The scorer runs against an immutable snapshot (one atomic pointer load;
 // the head is read under its RWMutex only when it holds live documents, so
-// a flushed index has a lock-free read path). Per term it merges the
-// segment streams and the head into one document-at-a-time cursor, with
-// MaxScore top-n pruning upgraded to block-max: terms are ordered by their
-// maximum possible per-document contribution, non-essential lists (whose
-// summed bounds cannot beat the heap threshold) are only probed by seeks
-// that bypass whole undecoded blocks, and candidates from essential lists
-// are pre-checked against their current blocks' bounds — when a lone
-// essential block cannot beat the threshold it is skipped without ever
-// being decoded. Pruned and exhaustive retrieval return identical hits.
-// Pruning disarms (exhaustive scoring through the same merge) when n <= 0,
-// MinShouldMatch > 1, DisablePruning is set, or no term has usable bounds
-// (v1 persisted index before a flush or Compact re-arms them).
+// a flushed index has a lock-free read path). It is exhaustive and
+// term-at-a-time, one source at a time (each segment, then the head): for
+// each query term in query order it decodes the term's blocks once and adds
+// each document's per-term sum into a dense accumulator indexed by local
+// ordinal, then offers every matched live document to a bounded top-n
+// heap. Adding per-term sums in query term order is the canonical
+// accumulation Explain shares, so scores are bit-identical to it.
 func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]Hit, SearchInfo) {
 	var info SearchInfo
 	sc := scratchPool.Get().(*searchScratch)
@@ -470,17 +366,7 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 	// Deduplicate without allocating: queries are short term sets.
 	uniq := sc.uniq[:0]
 	for _, t := range terms {
-		if t == "" {
-			continue
-		}
-		dup := false
-		for _, u := range uniq {
-			if u == t {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if t != "" && !slices.Contains(uniq, t) {
 			uniq = append(uniq, t)
 		}
 	}
@@ -501,388 +387,112 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 		defer hd.mu.RUnlock()
 	}
 
-	k1, b := opts.bm25Params()
+	p := scoring{bm25: opts.BM25, fields: sc.fields}
+	p.k1, p.b = opts.bm25Params()
 	var avgLen []float64
 	if opts.BM25 {
 		avgLen = ix.avgFieldLens(sn, headOn, sc)
 	}
 
-	numTerms := len(uniq)
-	minMatch := opts.MinShouldMatch
-	if minMatch < 1 {
-		minMatch = 1
-	}
-	proxOn := opts.Proximity && numTerms > 1
-	w := opts.ProximityWeight
-	if w == 0 {
-		w = 0.1
-	}
-	proxCap := 0.0
-	if proxOn && w > 0 {
-		proxCap = w
-	}
-
-	// Build one cursor per term that hits the dictionary, each spanning the
-	// term's segment streams (in ordinal-span order) plus the head. Two
-	// passes: size the source arena exactly, then fill it, so the cursors'
-	// sub-slices stay valid.
-	totalSrc := 0
+	// Score only terms with live documents, each with its snapshot-wide IDF.
+	qterms := sc.qterms[:0]
 	for _, term := range uniq {
-		for _, sg := range sn.segs {
-			if _, ok := sg.terms[term]; ok {
-				totalSrc++
-			}
-		}
-		if headOn {
-			if e, ok := hd.terms[term]; ok && len(e.postings) > 0 {
-				totalSrc++
-			}
-		}
-	}
-	arena := sc.srcArena
-	if cap(arena) < totalSrc {
-		na := make([]cursorSrc, totalSrc)
-		copy(na, arena[:cap(arena)])
-		arena = na
-	}
-	arena = arena[:totalSrc]
-	sc.srcArena = arena
-
-	cursors := sc.cursors[:0]
-	pos := 0
-	for ti, term := range uniq {
-		start := pos
-		df := int32(0)
+		df, src := int32(0), false
 		for _, sg := range sn.segs {
 			if st, ok := sg.terms[term]; ok {
 				df += st.liveDF()
-				s := &arena[pos]
-				*s = cursorSrc{dec: s.dec, seg: sg, st: st}
-				s.dec.skipPos = !proxOn // positions never read: don't materialize them
-				pos++
+				src = true
 			}
 		}
-		var hent *termEntry
 		if headOn {
 			if e, ok := hd.terms[term]; ok {
 				df += e.df
-				if len(e.postings) > 0 {
-					hent = e
-					s := &arena[pos]
-					*s = cursorSrc{dec: s.dec, hd: hd, hbase: hd.base, hpost: e.postings}
-					pos++
-				}
+				src = src || len(e.postings) > 0
 			}
 		}
-		if df <= 0 || pos == start {
-			pos = start
-			continue
+		if df > 0 && src {
+			qterms = append(qterms, queryTerm{term, idfValue(float64(live), df, opts.BM25)})
 		}
-		idf := idfValue(float64(live), df, opts.BM25)
-		ub := math.Inf(-1)
-		for i := start; i < pos; i++ {
-			s := &arena[i]
-			if s.seg != nil {
-				s.ub = s.st.queryUpperBound(idf, opts.BM25, k1, b)
-			} else {
-				s.ub = hent.queryUpperBound(idf, opts.BM25, k1, b)
-			}
-			if s.ub > ub {
-				ub = s.ub
-			}
-		}
-		cursors = append(cursors, termCursor{ti: ti, idf: idf, ub: ub, srcs: arena[start:pos]})
 	}
-	sc.cursors = cursors
-	info.TermsScored = len(cursors)
-	if len(cursors) == 0 {
+	sc.qterms = qterms
+	info.TermsScored = len(qterms)
+	if len(qterms) == 0 {
 		ix.publish(info)
 		return nil, info
 	}
 
-	pruneOK := n > 0 && minMatch <= 1 && !opts.DisablePruning
-	if pruneOK {
-		for i := range cursors {
-			if !math.IsInf(cursors[i].ub, 1) {
-				info.Pruned = true
-				break
-			}
-		}
+	numTerms := len(uniq)
+	minMatch := max(opts.MinShouldMatch, 1)
+	sc.prox = opts.Proximity && numTerms > 1
+	w := opts.ProximityWeight
+	if w == 0 {
+		w = 0.1
 	}
-
-	// Order cursors by ascending upper bound (ties by term index for
-	// determinism); insertion sort keeps this allocation-free.
-	order := sc.order[:0]
-	for i := range cursors {
-		order = append(order, i)
+	coord := growFloats(sc.coord, numTerms+1)
+	for m := range coord {
+		coord[m] = float64(m) / float64(numTerms)
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, bb := &cursors[order[j]], &cursors[order[j-1]]
-			if a.ub < bb.ub || (a.ub == bb.ub && a.ti < bb.ti) {
-				order[j], order[j-1] = order[j-1], order[j]
-			} else {
-				break
-			}
-		}
-	}
-	sc.order = order
-
-	prefix := growFloats(sc.prefix, len(order)+1)
-	prefix[0] = 0
-	for j, oi := range order {
-		prefix[j+1] = prefix[j] + cursors[oi].ub
-	}
-	sc.prefix = prefix
-
-	sc.perTermC = growFloats(sc.perTermC, numTerms)
-	sc.perTermHit = growBools(sc.perTermHit, numTerms)
-	if proxOn {
-		sc.pos = growLists(sc.pos, numTerms)
-	}
-
+	sc.coord = coord
 	h := &sc.heap
 	*h = (*h)[:0]
 
-	// boundFinal caps the final score of any document matching at most mMax
-	// of the candidate terms with per-term contributions summing to at most
-	// base: the proximity bonus adds at most proxCap (distance 0), and the
-	// coordination factor multiplies by at most mMax/|terms|.
-	boundFinal := func(base float64, mMax int) float64 {
-		if mMax > numTerms {
-			mMax = numTerms
-		}
-		s := base
-		if proxOn && mMax >= 2 {
-			s += proxCap
-		}
-		if !opts.DisableCoord {
-			s *= float64(mMax) / float64(numTerms)
-		}
-		return boundSlack(s)
-	}
-	// canEnter reports whether a hit (or a bound standing in for one) could
-	// still enter the top n — exact on score ties via the ID tie-break, so
-	// pruning reproduces the exhaustive heap bit for bit. A full heap's
-	// minimum certifies n better documents, so a hit must beat it.
-	canEnter := func(hit Hit) bool {
-		return n <= 0 || len(*h) < n || less((*h)[0], hit)
-	}
-	// push maintains the min-heap with direct sifts (no container/heap
-	// interface boxing, so inserting a Hit never allocates).
-	push := func(hit Hit) {
-		if n > 0 && len(*h) >= n {
-			if less((*h)[0], hit) {
-				(*h)[0] = hit
-				h.siftDown(0)
+	// collect offers every matched live document of the source just
+	// accumulated to the heap, re-zeroing the cells it read.
+	collect := func(docIDs []string, ords []int32, base int32) {
+		for _, local := range sc.touched {
+			a := &sc.acc[local]
+			s, m := a.sum, int(a.matched)
+			*a = docAcc{}
+			g := base + local
+			if ords != nil {
+				g = ords[local]
 			}
-			return
-		}
-		*h = append(*h, hit)
-		h.siftUp(len(*h) - 1)
-	}
-	// threshold returns the top-n boundary score once the heap is full.
-	threshold := func() (float64, bool) {
-		if n > 0 && len(*h) >= n {
-			return (*h)[0].Score, true
-		}
-		return 0, false
-	}
-
-	// firstEss partitions order: order[:firstEss] are the non-essential
-	// lists (their summed bounds cannot beat the threshold), the rest
-	// are essential and drive the merge. Only grows as the threshold rises.
-	firstEss := 0
-	advanceBoundary := func() {
-		if !info.Pruned {
-			return
-		}
-		top, ok := threshold()
-		if !ok {
-			return
-		}
-		for firstEss < len(order) && boundFinal(prefix[firstEss+1], firstEss+1) < top {
-			firstEss++
-		}
-	}
-
-	// Per-document merge state, hoisted so the score closure is allocated
-	// once per search, not once per candidate document.
-	var (
-		d         int32
-		dID       string
-		m         int
-		boundBase float64 // running contribution sum, for bound checks only
-	)
-	mts := sc.matchedTI[:0]
-	score := func(c *termCursor) {
-		var posOut *[]int32
-		if proxOn {
-			sc.pos[c.ti] = sc.pos[c.ti][:0]
-			posOut = &sc.pos[c.ti]
-		}
-		s, touched := c.scoreDoc(sn, d, opts.BM25, k1, b, avgLen, posOut)
-		info.PostingsTouched += touched
-		sc.perTermC[c.ti] = s
-		sc.perTermHit[c.ti] = true
-		mts = append(mts, c.ti)
-		boundBase += s
-		m++
-	}
-
-	for {
-		// Next doc: the minimum ordinal under the essential cursors. When
-		// every essential list is exhausted, all remaining docs live only
-		// in non-essential lists and are provably below the threshold.
-		d = -1
-		minOi := -1
-		for _, oi := range order[firstEss:] {
-			if doc := cursors[oi].cur(); doc >= 0 && (d < 0 || doc < d) {
-				d = doc
-				minOi = oi
-			}
-		}
-		if d < 0 {
-			break
-		}
-		if sn.dels.get(d) {
-			for _, oi := range order[firstEss:] {
-				if cursors[oi].cur() == d {
-					info.PostingsTouched += cursors[oi].skipDoc(d)
-				}
-			}
-			continue
-		}
-		dID = cursors[minOi].curID()
-
-		// Block-max pre-check: before decoding or scoring anything, bound
-		// the candidate by its essential cursors' current blocks plus the
-		// non-essential prefix. When the bound cannot beat the threshold,
-		// shallow-advance (the BMW move): the same bound stays valid up to
-		// the nearest current-block end and up to just before the next
-		// other-essential cursor, so every cursor at d jumps there in one
-		// seek — bypassed blocks are never decoded. Ties defer to the exact
-		// per-document path so the heap stays bit-identical to exhaustive.
-		top, tok := threshold()
-		if info.Pruned && n > 0 && tok {
-			essUB := prefix[firstEss]
-			cnt := firstEss
-			atD := 0
-			shallow := int32(math.MaxInt32 - 1)
-			for _, oi := range order[firstEss:] {
-				c := &cursors[oi]
-				cc := c.cur()
-				if cc == d {
-					essUB += c.ubAtCur(opts.BM25, k1, b)
-					cnt++
-					atD++
-					if s := &c.srcs[c.si]; s.seg != nil {
-						// The block bound only covers this block's docs.
-						if last := s.st.blocks[s.blk].lastOrd; last < shallow {
-							shallow = last
-						}
-					}
-				} else if cc >= 0 && cc-1 < shallow {
-					// Beyond cc another essential list joins in; the bound
-					// no longer covers the combination.
-					shallow = cc - 1
-				}
-			}
-			if !canEnter(Hit{ID: dID, Score: boundFinal(essUB, cnt)}) {
-				info.DocsPruned++
-				if shallow > d && boundFinal(essUB, cnt) < top {
-					for _, oi := range order[firstEss:] {
-						if cursors[oi].cur() == d {
-							cursors[oi].seek(shallow+1, &info)
-						}
-					}
-					continue
-				}
-				for _, oi := range order[firstEss:] {
-					if cursors[oi].cur() == d {
-						info.PostingsSkipped += cursors[oi].skipDoc(d)
-					}
-				}
+			if m < minMatch || sn.dels.get(g) {
 				continue
 			}
-		}
-
-		m, boundBase = 0, 0
-		mts = mts[:0]
-		for _, oi := range order[firstEss:] {
-			if cursors[oi].cur() == d {
-				score(&cursors[oi])
-			}
-		}
-
-		// Probe the non-essential lists, highest bound first, abandoning
-		// the document as soon as its best possible final score cannot
-		// enter the heap. Seeks bypass whole undecoded blocks; a list whose
-		// current block does not span d is never decoded at all.
-		abandoned := false
-		if firstEss > 0 && n > 0 && tok {
-			if !canEnter(Hit{ID: dID, Score: boundFinal(boundBase+prefix[firstEss], m+firstEss)}) {
-				abandoned = true
-			} else {
-				for i := firstEss - 1; i >= 0; i-- {
-					c := &cursors[order[i]]
-					c.seek(d, &info)
-					if c.cur() == d {
-						score(c)
-					}
-					if !canEnter(Hit{ID: dID, Score: boundFinal(boundBase+prefix[i], m+i)}) {
-						abandoned = true
-						break
-					}
-				}
-			}
-			if abandoned {
-				info.DocsPruned++
-			}
-		} else {
-			for i := firstEss - 1; i >= 0; i-- {
-				c := &cursors[order[i]]
-				c.seek(d, &info)
-				if c.cur() == d {
-					score(c)
-				}
-			}
-		}
-
-		if !abandoned && m >= minMatch {
-			// Canonical accumulation: per-term sums added in query term
-			// order — the grouping Explain uses, shared by the pruned and
-			// exhaustive paths.
-			s := 0.0
-			for ti := 0; ti < numTerms; ti++ {
-				if sc.perTermHit[ti] {
-					s += sc.perTermC[ti]
-				}
-			}
-			if proxOn && m >= 2 {
-				lists := sc.lists[:0]
-				for _, ti := range mts {
-					if len(sc.pos[ti]) > 0 {
-						lists = append(lists, sc.pos[ti])
-					}
-				}
-				sc.lists = lists
-				if dist := minSpanLists(lists); dist >= 0 {
-					s += w / float64(1+dist)
-				}
+			if sc.prox && m >= 2 {
+				s += sc.proximity(local, w)
 			}
 			if !opts.DisableCoord {
-				s *= float64(m) / float64(numTerms)
+				s *= coord[m]
 			}
-			push(Hit{ID: dID, Score: s, TermsMatched: m})
-			advanceBoundary()
+			if n > 0 && len(*h) >= n && s < (*h)[0].Score {
+				continue // cannot enter a full heap; skip the ID load
+			}
+			h.offer(Hit{ID: docIDs[local], Score: s, TermsMatched: m}, n)
 		}
-		for _, ti := range mts {
-			sc.perTermHit[ti] = false
-		}
+		sc.touched = sc.touched[:0]
 	}
 
-	sc.matchedTI = mts[:0]
+	for _, sg := range sn.segs {
+		sc.begin(sg.numDocs(), len(qterms))
+		p.forSource(sn, sg.norms, avgLen)
+		for k, qt := range qterms {
+			st, ok := sg.terms[qt.term]
+			if !ok {
+				continue
+			}
+			if sg.compressed {
+				sc.addBlocks(st, k, qt.idf, &p)
+			} else {
+				sc.addPostings(st.raw, k, qt.idf, &p)
+			}
+			info.PostingsTouched += int(st.count)
+		}
+		collect(sg.docIDs, sg.docOrds, 0)
+	}
+	if headOn {
+		sc.begin(len(hd.docIDs), len(qterms))
+		p.forSource(sn, hd.norms, avgLen)
+		for k, qt := range qterms {
+			if e, ok := hd.terms[qt.term]; ok {
+				sc.addPostings(e.postings, k, qt.idf, &p)
+				info.PostingsTouched += len(e.postings)
+			}
+		}
+		collect(hd.docIDs, nil, hd.base)
+	}
+	sc.fields = p.fields
 	ix.publish(info)
 
 	// Drain the min-heap into descending order.
@@ -905,9 +515,6 @@ func (ix *Index) publish(info SearchInfo) {
 	ix.met.Searches.Inc()
 	ix.met.TermsScored.Add(uint64(info.TermsScored))
 	ix.met.PostingsTouched.Add(uint64(info.PostingsTouched))
-	ix.met.PostingsSkipped.Add(uint64(info.PostingsSkipped))
-	ix.met.DocsPruned.Add(uint64(info.DocsPruned))
-	ix.met.BlocksSkipped.Add(uint64(info.BlocksSkipped))
 }
 
 // bm25Params resolves the BM25 tuning parameters with their defaults.
@@ -971,7 +578,7 @@ func idfValue(n float64, df int32, bm25 bool) float64 {
 }
 
 // contribution scores one posting occurrence: the per-term, per-field score
-// fragment summed into a document's total by the merge and itemized by
+// fragment summed into a document's total by the scorer and itemized by
 // Explain. avgLen is the field's average length, only consulted under BM25.
 func contribution(boost, norm float64, freq int32, idf float64, bm25 bool, k1, b, avgLen float64) float64 {
 	if bm25 {
@@ -997,8 +604,8 @@ func contribution(boost, norm float64, freq int32, idf float64, bm25 bool, k1, b
 // cross product.
 func minSpanLists(lists [][]int32) int32 {
 	for _, pos := range lists {
-		if !sort.SliceIsSorted(pos, func(a, b int) bool { return pos[a] < pos[b] }) {
-			sort.Slice(pos, func(a, b int) bool { return pos[a] < pos[b] })
+		if !slices.IsSorted(pos) {
+			slices.Sort(pos)
 		}
 	}
 	best := int32(-1)
@@ -1058,6 +665,22 @@ func HitBefore(a, b Hit) bool { return less(b, a) }
 // hitHeap is a min-heap of hits ordered by less, with direct sift methods
 // instead of container/heap so pushes never box a Hit into an interface.
 type hitHeap []Hit
+
+// offer adds hit to a heap holding the best n hits so far (n <= 0: no
+// limit), replacing the minimum when full and hit ranks above it. less is a
+// total order over distinct IDs, so the kept set never depends on the
+// order hits are offered in.
+func (h *hitHeap) offer(hit Hit, n int) {
+	if n > 0 && len(*h) >= n {
+		if less((*h)[0], hit) {
+			(*h)[0] = hit
+			h.siftDown(0)
+		}
+		return
+	}
+	*h = append(*h, hit)
+	h.siftUp(len(*h) - 1)
+}
 
 func (h hitHeap) siftUp(i int) {
 	for i > 0 {
@@ -1146,7 +769,7 @@ type Explanation struct {
 // Explain recomputes the score of document id for the query under the same
 // options Search would use — per-term scoring (classic TF/IDF or BM25),
 // proximity bonus, coordination factor and minimum-match gate all share the
-// merge's accumulation order, so Total equals the Hit.Score Search reports
+// scorer's accumulation order, so Total equals the Hit.Score Search reports
 // for this document exactly. It returns nil when the document would not
 // match at all (including failing MinShouldMatch) or does not exist.
 func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanation {

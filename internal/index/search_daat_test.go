@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -123,58 +124,78 @@ func randTopoCorpus(t *testing.T, rng *rand.Rand, numDocs int) (*Index, []string
 	return ix, vocab
 }
 
-// TestPrunedMatchesExhaustiveRandomized is the tentpole property: across
-// random corpora (with deletions), randomized segment topologies (random
-// flush points, merge schedules, interleaved deletes), random queries,
-// every SearchOptions combination and a spread of top-n limits, block-max
-// pruned retrieval is byte-identical — IDs, scores, TermsMatched, order —
-// to exhaustive document-at-a-time scoring.
+// explainOracle ranks by brute force: Explain every candidate ID, keep the
+// documents it scores, order them by HitBefore and cut to the top n.
+func explainOracle(ix *Index, terms []string, n int, opts SearchOptions, ids []string) []Hit {
+	query := strings.Join(terms, " ")
+	var out []Hit
+	for _, id := range ids {
+		if ex := ix.Explain(query, id, opts); ex != nil {
+			out = append(out, Hit{ID: id, Score: ex.Total, TermsMatched: ex.TermsHit})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return HitBefore(out[i], out[j]) })
+	if n > 0 && len(out) > n {
+		out = out[:n]
+	}
+	return out
+}
+
+// sameHits compares hit lists, treating nil and empty alike.
+func sameHits(a, b []Hit) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// docIDs lists the IDs randDocs draws for n documents.
+func docIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%04d", i)
+	}
+	return ids
+}
+
+// TestPrunedMatchesExhaustiveRandomized: across random corpora (with
+// deletions), randomized segment topologies (random flush points, merge
+// schedules, interleaved deletes), random queries, every SearchOptions
+// combination and a spread of top-n limits, retrieval is byte-identical —
+// IDs, scores, TermsMatched, order — to a brute-force oracle that Explains
+// every document and sorts by HitBefore.
 func TestPrunedMatchesExhaustiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	totalPruned, totalSkipped, totalBlocks := 0, 0, 0
 	for round := 0; round < 10; round++ {
 		var ix *Index
 		var vocab []string
+		numDocs := 120 + rng.Intn(200)
 		if round < 2 {
-			ix, vocab = randCorpus(t, rng, 120+rng.Intn(200)) // pure head
+			ix, vocab = randCorpus(t, rng, numDocs) // pure head
 		} else {
-			ix, vocab = randTopoCorpus(t, rng, 120+rng.Intn(200))
+			ix, vocab = randTopoCorpus(t, rng, numDocs)
 		}
-		// Tombstone ~20% of documents so pruning runs over stale-high
-		// bounds and deleted ordinals.
+		// Tombstone ~20% of documents.
 		for i := 0; i < 320; i++ {
 			if rng.Intn(5) == 0 {
 				ix.Delete(fmt.Sprintf("d%04d", i))
 			}
 		}
+		ids := docIDs(numDocs)
 		for q := 0; q < 20; q++ {
 			terms := randQuery(rng, vocab)
 			for _, opts := range daatOptionGrid {
+				all := explainOracle(ix, terms, 0, opts, ids)
 				for _, n := range []int{1, 2, 5, 10, 0, -1, 1000} {
-					pruned, pinfo := ix.SearchTermsStats(terms, n, opts)
-					ex := opts
-					ex.DisablePruning = true
-					exhaustive, einfo := ix.SearchTermsStats(terms, n, ex)
-					if !reflect.DeepEqual(pruned, exhaustive) {
-						t.Fatalf("round %d query %v opts %+v n=%d:\npruned     %+v\nexhaustive %+v",
-							round, terms, opts, n, pruned, exhaustive)
+					got, _ := ix.SearchTermsStats(terms, n, opts)
+					want := all
+					if n > 0 && len(want) > n {
+						want = want[:n]
 					}
-					if einfo.Pruned || einfo.PostingsSkipped != 0 || einfo.DocsPruned != 0 || einfo.BlocksSkipped != 0 {
-						t.Fatalf("exhaustive search reported pruning work: %+v", einfo)
+					if !sameHits(got, want) {
+						t.Fatalf("round %d query %v opts %+v n=%d:\nsearch %+v\noracle %+v",
+							round, terms, opts, n, got, want)
 					}
-					totalPruned += pinfo.DocsPruned
-					totalSkipped += pinfo.PostingsSkipped
-					totalBlocks += pinfo.BlocksSkipped
 				}
 			}
 		}
-	}
-	// The property is vacuous if pruning never triggered.
-	if totalPruned == 0 && totalSkipped == 0 {
-		t.Fatal("pruning never pruned a document or skipped a posting across all rounds")
-	}
-	if totalBlocks == 0 {
-		t.Fatal("block-max pruning never skipped a whole block across all rounds")
 	}
 }
 
@@ -264,8 +285,8 @@ func writeLegacyFixture(t *testing.T, ix *Index, path string) {
 }
 
 // TestPersistV2RoundTripBounds asserts format v2 files still carry the
-// MaxScore bounds through Load: the loaded index prunes, with results
-// identical to the source.
+// MaxScore bounds through Load, with search results identical to the
+// source.
 func TestPersistV2RoundTripBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ix, vocab := randCorpus(t, rng, 100)
@@ -291,19 +312,16 @@ func TestPersistV2RoundTripBounds(t *testing.T) {
 		}
 	}
 	terms := []string{vocab[0], vocab[1], vocab[20]}
-	pruned, info := loaded.SearchTermsStats(terms, 5, SearchOptions{})
-	if !info.Pruned {
-		t.Error("pruning not armed after v2 load")
-	}
+	got := loaded.SearchTerms(terms, 5, SearchOptions{})
 	want := ix.SearchTerms(terms, 5, SearchOptions{})
-	if !reflect.DeepEqual(pruned, want) {
-		t.Fatalf("loaded index results differ:\ngot  %+v\nwant %+v", pruned, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded index results differ:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
 // TestPersistV3RoundTrip asserts the segmented v3 format round-trips a
-// multi-segment index with tombstones: identical searches, df, live count
-// and pruning behavior after Load.
+// multi-segment index with tombstones: identical searches, df and live
+// count after Load.
 func TestPersistV3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ix, vocab := randCorpus(t, rng, 150)
@@ -342,13 +360,10 @@ func TestPersistV3RoundTrip(t *testing.T) {
 	for q := 0; q < 10; q++ {
 		terms := randQuery(rng, vocab)
 		for _, opts := range []SearchOptions{{}, {BM25: true}, {Proximity: true}} {
-			got, ginfo := loaded.SearchTermsStats(terms, 10, opts)
-			want, winfo := ix.SearchTermsStats(terms, 10, opts)
+			got := loaded.SearchTerms(terms, 10, opts)
+			want := ix.SearchTerms(terms, 10, opts)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %v opts %+v:\nloaded %+v\nsource %+v", terms, opts, got, want)
-			}
-			if ginfo.Pruned != winfo.Pruned {
-				t.Fatalf("query %v: pruning armed %v on loaded, %v on source", terms, ginfo.Pruned, winfo.Pruned)
 			}
 		}
 	}
@@ -364,8 +379,8 @@ func TestPersistV3RoundTrip(t *testing.T) {
 // TestPersistV1FallsBackToExhaustive simulates a v1 index file (the magic
 // strings are the same length, so rewriting the header yields a valid v1
 // stream as written by the previous format): loading must succeed with
-// bounds unavailable — searches run exhaustively, identical results — and
-// Compact must recompute the bounds, re-arming pruning.
+// bounds unavailable and identical results, and Compact must recompute the
+// bounds.
 func TestPersistV1FallsBackToExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ix, vocab := randCorpus(t, rng, 100)
@@ -394,22 +409,60 @@ func TestPersistV1FallsBackToExhaustive(t *testing.T) {
 		}
 	}
 	terms := []string{vocab[0], vocab[1], vocab[2]}
-	hits, info := loaded.SearchTermsStats(terms, 5, SearchOptions{})
-	if info.Pruned {
-		t.Error("pruning armed after v1 load; want exhaustive fallback")
-	}
+	hits := loaded.SearchTerms(terms, 5, SearchOptions{})
 	want := ix.SearchTerms(terms, 5, SearchOptions{})
 	if !reflect.DeepEqual(hits, want) {
 		t.Fatalf("v1-loaded results differ:\ngot  %+v\nwant %+v", hits, want)
 	}
 	loaded.Compact()
-	hits, info = loaded.SearchTermsStats(terms, 5, SearchOptions{})
-	if !info.Pruned {
-		t.Error("pruning not re-armed by Compact after v1 load")
+	for term, st := range loaded.snap.Load().segs[0].terms {
+		if st.maxFreq <= 0 {
+			t.Fatalf("term %q: Compact did not recompute bounds after v1 load", term)
+		}
 	}
+	hits = loaded.SearchTerms(terms, 5, SearchOptions{})
 	if !reflect.DeepEqual(hits, want) {
 		t.Fatalf("post-Compact results differ:\ngot  %+v\nwant %+v", hits, want)
 	}
+}
+
+// boundsUpperBound is the MaxScore bound formula over a term's (maxClassic,
+// maxBoostSum, maxFreq) aggregates: an upper bound on its per-document
+// score contribution, +Inf when the bounds are unavailable (maxFreq == 0)
+// or the BM25 parameters fall outside the provable range. Nothing reads the
+// stored bounds at query time; this test formula keeps them sound.
+func boundsUpperBound(idf float64, bm25 bool, k1, b float64, maxClassic, maxBoostSum float64, maxFreq int32) float64 {
+	if maxFreq <= 0 {
+		return math.Inf(1)
+	}
+	if !bm25 {
+		return idf * maxClassic
+	}
+	if k1 < 0 || b < 0 || b > 1 {
+		return math.Inf(1)
+	}
+	mf := float64(maxFreq)
+	tfB := mf * (k1 + 1) / (mf + k1*(1-b))
+	return idf * maxBoostSum * tfB
+}
+
+func (e *termEntry) queryUpperBound(idf float64, bm25 bool, k1, b float64) float64 {
+	return boundsUpperBound(idf, bm25, k1, b, e.maxClassic, e.maxBoostSum, e.maxFreq)
+}
+
+func (st *segTerm) queryUpperBound(idf float64, bm25 bool, k1, b float64) float64 {
+	return boundsUpperBound(idf, bm25, k1, b, st.maxClassic, st.maxBoostSum, st.maxFreq)
+}
+
+func blockUpperBound(bm *blockMeta, idf float64, bm25 bool, k1, b float64) float64 {
+	return boundsUpperBound(idf, bm25, k1, b, bm.maxClassic, bm.maxBoostSum, bm.maxFreq)
+}
+
+// boundSlack inflates a bound by a relative epsilon: the bound multiplies
+// idf into a pre-summed aggregate, so it can sit an ulp below the
+// per-posting sum the scorer computes.
+func boundSlack(s float64) float64 {
+	return s + math.Abs(s)*1e-9
 }
 
 // testAvgLens recomputes the per-field BM25 averages the scorer would use
@@ -470,9 +523,6 @@ func TestBoundsSoundness(t *testing.T) {
 					if hd.deleted[d] {
 						continue
 					}
-					// boundSlack is part of the soundness contract: the raw
-					// bound multiplies idf into a pre-summed aggregate, so it
-					// can sit an ulp below the query-time per-posting sum.
 					if sum > boundSlack(ub) {
 						t.Fatalf("%s: head term %q doc %d bm25=%v: contribution %v exceeds bound %v",
 							stage, term, d, bm25, sum, ub)
@@ -542,11 +592,11 @@ func TestBoundsSoundness(t *testing.T) {
 }
 
 // TestMergeRetightensBounds is the delete-wart regression: deleting the
-// top-scoring document leaves segment bounds stale-high (sound, but
-// pruning weakens), and a merge physically drops the tombstone and
-// recomputes bounds — after which pruned retrieval still matches
-// exhaustive AND prunes at least as hard as an index built fresh from the
-// surviving documents.
+// top-scoring document leaves segment bounds stale-high (sound, but loose),
+// and a merge physically drops the tombstone and recomputes bounds — after
+// which every list-wide and per-block bound equals that of an index built
+// fresh from the surviving documents, and search matches the Explain
+// oracle at every stage.
 func TestMergeRetightensBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	docs, _ := randDocs(rng, 300)
@@ -572,47 +622,46 @@ func TestMergeRetightensBounds(t *testing.T) {
 		return ix
 	}
 	terms := []string{"qqq", "aaa"}
-	search := func(ix *Index) ([]Hit, SearchInfo) {
-		return ix.SearchTermsStats(terms, 5, SearchOptions{})
-	}
-	checkExact := func(ix *Index, stage string) SearchInfo {
+	ids := append(docIDs(len(docs)), "whale")
+	checkExact := func(ix *Index, stage string) {
 		t.Helper()
-		pruned, pinfo := search(ix)
-		exhaustive, _ := ix.SearchTermsStats(terms, 5, SearchOptions{DisablePruning: true})
-		if !reflect.DeepEqual(pruned, exhaustive) {
-			t.Fatalf("%s: pruned %+v != exhaustive %+v", stage, pruned, exhaustive)
+		got := ix.SearchTerms(terms, 5, SearchOptions{})
+		if want := explainOracle(ix, terms, 5, SearchOptions{}, ids); !sameHits(got, want) {
+			t.Fatalf("%s: search %+v != oracle %+v", stage, got, want)
 		}
-		return pinfo
 	}
+	qqq := func(ix *Index) *segTerm { return ix.snap.Load().segs[0].terms["qqq"] }
 
 	ix := build(true)
 	checkExact(ix, "pre-delete")
 	ix.Delete("whale")
-	staleInfo := checkExact(ix, "stale bounds after delete")
+	checkExact(ix, "stale bounds after delete")
+	stale := qqq(ix).maxClassic
 
 	// Merge: Compact flushes and rewrites the segment, dropping the
 	// tombstone and recomputing list-wide and per-block maxima.
 	ix.Compact()
-	mergedInfo := checkExact(ix, "after merge")
+	checkExact(ix, "after merge")
 
 	fresh := build(false)
 	fresh.Compact()
-	freshInfo := checkExact(fresh, "fresh")
+	checkExact(fresh, "fresh")
 
-	if mergedInfo.PostingsTouched > freshInfo.PostingsTouched {
-		t.Errorf("merged index touched %d postings, fresh only %d — merge did not re-tighten bounds",
-			mergedInfo.PostingsTouched, freshInfo.PostingsTouched)
+	merged, want := ix.snap.Load().segs[0], fresh.snap.Load().segs[0]
+	for term, st := range want.terms {
+		got := merged.terms[term]
+		if got == nil || got.maxClassic != st.maxClassic || got.maxBoostSum != st.maxBoostSum || got.maxFreq != st.maxFreq {
+			t.Fatalf("term %q: merged bounds %+v, fresh %+v", term, got, st)
+		}
+		for bi := range st.blocks {
+			gb, wb := got.blocks[bi], st.blocks[bi]
+			if gb.maxClassic != wb.maxClassic || gb.maxBoostSum != wb.maxBoostSum || gb.maxFreq != wb.maxFreq {
+				t.Fatalf("term %q block %d: merged bounds %+v, fresh %+v", term, bi, gb, wb)
+			}
+		}
 	}
-	mergedWork := mergedInfo.DocsPruned + mergedInfo.PostingsSkipped + mergedInfo.BlocksSkipped
-	freshWork := freshInfo.DocsPruned + freshInfo.PostingsSkipped + freshInfo.BlocksSkipped
-	if mergedWork < freshWork {
-		t.Errorf("merged index pruned less (%d) than fresh (%d)", mergedWork, freshWork)
-	}
-	// And the stale index must have pruned no harder than the merged one —
-	// the stale-high whale bound can only weaken pruning.
-	if staleInfo.PostingsTouched < mergedInfo.PostingsTouched {
-		t.Errorf("stale index touched %d postings, merged %d — stale bounds out-pruned tight ones",
-			staleInfo.PostingsTouched, mergedInfo.PostingsTouched)
+	if stale <= qqq(ix).maxClassic {
+		t.Fatalf("whale bound %v did not exceed the merged bound %v", stale, qqq(ix).maxClassic)
 	}
 }
 
@@ -675,69 +724,14 @@ func TestSearchDuringMaintenanceHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// Settled: pruned still matches exhaustive on the final topology.
+	// Settled: search still matches the Explain oracle on the final topology.
 	for q := 0; q < 10; q++ {
 		terms := randQuery(rng, vocab)
-		pruned, _ := ix.SearchTermsStats(terms, 10, SearchOptions{BM25: true})
-		exhaustive, _ := ix.SearchTermsStats(terms, 10, SearchOptions{BM25: true, DisablePruning: true})
-		if !reflect.DeepEqual(pruned, exhaustive) {
-			t.Fatalf("post-hammer query %v: pruned %+v != exhaustive %+v", terms, pruned, exhaustive)
+		got, _ := ix.SearchTermsStats(terms, 10, SearchOptions{BM25: true})
+		want := explainOracle(ix, terms, 10, SearchOptions{BM25: true}, docIDs(len(docs)))
+		if !sameHits(got, want) {
+			t.Fatalf("post-hammer query %v: search %+v != oracle %+v", terms, got, want)
 		}
-	}
-}
-
-// TestSearchInfoCounters drives a corpus purpose-built to trigger both
-// pruning effects: a rare strong term (fills the heap), a mid-frequency
-// term (enumerated, then abandoned by the bound check → DocsPruned) and a
-// ubiquitous weak term (non-essential, galloped over → PostingsSkipped).
-func TestSearchInfoCounters(t *testing.T) {
-	ix := New()
-	add := func(id, title, elems string) {
-		t.Helper()
-		if err := ix.Add(doc(id, title, "", elems)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 400; i++ {
-		title, elems := "", "common filler pad"
-		switch {
-		case i%80 == 0:
-			// Strong docs, scattered so non-essential cursors gallop over
-			// real gaps when seeking to them.
-			elems = strings.Repeat("rare ", 9) + "mid common"
-		case i == 370:
-			// One hot mid doc keeps the mid list essential (big bound) —
-			// so typical mid docs are enumerated, then abandoned.
-			title = "mid"
-			elems = strings.Repeat("mid ", 36) + "common"
-		case i == 380:
-			elems = "common common common common filler"
-		case i%6 == 1:
-			elems = "mid common filler pad pad pad"
-		}
-		add(fmt.Sprintf("d%03d", i), title, elems)
-	}
-	terms := []string{"rare", "mid", "common"}
-	hits, info := ix.SearchTermsStats(terms, 3, SearchOptions{})
-	if !info.Pruned {
-		t.Fatal("pruning not armed")
-	}
-	if info.DocsPruned == 0 {
-		t.Errorf("DocsPruned = 0; want > 0 (info %+v)", info)
-	}
-	if info.PostingsSkipped == 0 {
-		t.Errorf("PostingsSkipped = 0; want > 0 (info %+v)", info)
-	}
-	ex, einfo := ix.SearchTermsStats(terms, 3, SearchOptions{DisablePruning: true})
-	if einfo.Pruned || einfo.PostingsSkipped != 0 || einfo.DocsPruned != 0 {
-		t.Errorf("exhaustive info reports pruning: %+v", einfo)
-	}
-	if !reflect.DeepEqual(hits, ex) {
-		t.Fatalf("pruned %+v != exhaustive %+v", hits, ex)
-	}
-	if einfo.PostingsTouched <= info.PostingsTouched {
-		t.Errorf("pruning did not reduce postings touched: pruned %d, exhaustive %d",
-			info.PostingsTouched, einfo.PostingsTouched)
 	}
 }
 

@@ -10,15 +10,15 @@ import (
 // blockDocs is the number of distinct documents carved into one postings
 // block. Blocks always end on a document boundary so the per-block max
 // scores are sound per-document aggregates; 64 documents keeps the block
-// metadata overhead around 1% of the postings while giving the block-max
-// pruning checks useful resolution.
+// metadata overhead around 1% of the postings. The block layout and bounds
+// are part of the v3 file format (TestSaveIndexBytesUnchanged pins its
+// bytes); searches decode every block and read no bound.
 const blockDocs = 64
 
-// blockMeta is the skip-list entry for one postings block: where the block
-// starts, which documents it spans (both local ordinals and global
-// ordinals, so seeks compare globals without touching the payload), and
-// the block-local MaxScore bounds (same meaning as the per-term bounds in
-// termEntry, but over this block's documents only).
+// blockMeta describes one postings block: where the block starts, which
+// documents it spans (local and global ordinals), and the block-local
+// MaxScore bounds (same meaning as the per-term bounds in termEntry, but
+// over this block's documents only).
 type blockMeta struct {
 	off        int32 // byte offset into segTerm.data, or posting index into segTerm.raw
 	count      int32 // postings in the block
@@ -68,35 +68,6 @@ func (st *segTerm) liveDF() int32 { return st.df - st.delDF.Load() }
 // in different orders and must agree with a fresh index bit for bit.
 func lenFromNorm(n float32) float64 {
 	return math.Round(1 / float64(n) / float64(n))
-}
-
-// queryUpperBound mirrors termEntry.queryUpperBound for a segment term.
-func (st *segTerm) queryUpperBound(idf float64, bm25 bool, k1, b float64) float64 {
-	return boundsUpperBound(idf, bm25, k1, b, st.maxClassic, st.maxBoostSum, st.maxFreq)
-}
-
-// blockUpperBound is queryUpperBound evaluated against one block's bounds.
-func blockUpperBound(bm *blockMeta, idf float64, bm25 bool, k1, b float64) float64 {
-	return boundsUpperBound(idf, bm25, k1, b, bm.maxClassic, bm.maxBoostSum, bm.maxFreq)
-}
-
-// boundsUpperBound is the shared MaxScore bound formula: an upper bound on
-// a term's per-document score contribution given its (maxClassic,
-// maxBoostSum, maxFreq) aggregates. +Inf when the bounds are unavailable
-// (maxFreq == 0) or the BM25 parameters fall outside the provable range.
-func boundsUpperBound(idf float64, bm25 bool, k1, b float64, maxClassic, maxBoostSum float64, maxFreq int32) float64 {
-	if maxFreq <= 0 {
-		return math.Inf(1)
-	}
-	if !bm25 {
-		return idf * maxClassic
-	}
-	if k1 < 0 || b < 0 || b > 1 {
-		return math.Inf(1)
-	}
-	mf := float64(maxFreq)
-	tfB := mf * (k1 + 1) / (mf + k1*(1-b))
-	return idf * maxBoostSum * tfB
 }
 
 // segment is one immutable index segment: a doc-ordinal-sorted slice of
@@ -281,32 +252,25 @@ func newSegment(docIDs []string, docOrds []int32, docTerms [][]string, norms [][
 }
 
 // decBlock is one decoded postings block, buffers reused across decodes.
-// locals/fields/freqs are per-posting; globals mirrors locals through
-// docOrds; positions of posting i live in posBuf[posOff[i]:posOff[i+1]].
-// skipPos elides position materialization (position varints are still
-// parsed past, but posBuf stays empty) — set by searches that never read
-// positions (proximity off).
+// locals/fields/freqs are per-posting; positions of posting i live in
+// posBuf[posOff[i]:posOff[i+1]].
 type decBlock struct {
-	locals  []int32
-	globals []int32
-	fields  []int8
-	freqs   []int32
-	posOff  []int32
-	posBuf  []int32
-	skipPos bool
+	locals []int32
+	fields []int8
+	freqs  []int32
+	posOff []int32
+	posBuf []int32
 }
 
 // resize presets the per-posting columns to exactly n entries for indexed
-// writes (the decode hot path); position buffers start empty.
+// writes; position buffers start empty.
 func (d *decBlock) resize(n int) {
 	if cap(d.locals) < n {
 		d.locals = make([]int32, n)
-		d.globals = make([]int32, n)
 		d.fields = make([]int8, n)
 		d.freqs = make([]int32, n)
 	}
 	d.locals = d.locals[:n]
-	d.globals = d.globals[:n]
 	d.fields = d.fields[:n]
 	d.freqs = d.freqs[:n]
 	d.posOff = d.posOff[:0]
@@ -337,7 +301,6 @@ func (s *segment) decodeBlock(st *segTerm, bi int, dst *decBlock) {
 		end = int(st.blocks[bi+1].off)
 	}
 	data := st.data[bm.off:end]
-	docOrds := s.docOrds
 	doc := bm.firstLocal
 	p := 0
 	for j := 0; j < n; j++ {
@@ -349,19 +312,8 @@ func (s *segment) decodeBlock(st *segTerm, bi int, dst *decBlock) {
 		freq, np := uvarintAt(data, p)
 		p = np
 		dst.locals[j] = doc
-		dst.globals[j] = docOrds[doc]
 		dst.fields[j] = int8(field)
 		dst.freqs[j] = int32(freq)
-		if dst.skipPos {
-			// Positions are never read: step over the varints bytewise.
-			for k := uint64(0); k < freq; k++ {
-				for data[p] >= 0x80 {
-					p++
-				}
-				p++
-			}
-			continue
-		}
 		dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
 		pos := int32(0)
 		for k := uint64(0); k < freq; k++ {
@@ -375,14 +327,12 @@ func (s *segment) decodeBlock(st *segTerm, bi int, dst *decBlock) {
 			dst.posBuf = append(dst.posBuf, pos)
 		}
 	}
-	if !dst.skipPos {
-		dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
-	}
+	dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
 }
 
 // loadBlock materializes block bi into dst: varint-decoding compressed
-// segments, copying raw ones — either way the cursor downstream sees the
-// same decBlock shape.
+// segments, copying raw ones — either way the caller sees the same
+// decBlock shape.
 func (s *segment) loadBlock(st *segTerm, bi int, dst *decBlock) {
 	if s.compressed {
 		s.decodeBlock(st, bi, dst)
@@ -398,17 +348,12 @@ func (s *segment) loadBlock(st *segTerm, bi int, dst *decBlock) {
 	for j := 0; j < n; j++ {
 		p := &st.raw[int(bm.off)+j]
 		dst.locals[j] = p.doc
-		dst.globals[j] = s.docOrds[p.doc]
 		dst.fields[j] = p.field
 		dst.freqs[j] = p.freq
-		if !dst.skipPos {
-			dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
-			dst.posBuf = append(dst.posBuf, p.positions...)
-		}
-	}
-	if !dst.skipPos {
 		dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
+		dst.posBuf = append(dst.posBuf, p.positions...)
 	}
+	dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
 }
 
 // docPostings returns the postings of one document (local ordinal) for a

@@ -5,48 +5,77 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"schemr/internal/text"
 )
 
-// gram is one distinct character n-gram of a name with its multiplicity:
-// the bytes norm[off:off+len] of the owning entry's norm, so it owns no
-// bytes. A gram is at most defaultMaxGram runes, so len fits in 8 bits
-// and the count takes the other 24. A count past maxGramCount (a name of
-// millions of runes) continues in a following gram of equal bytes; both
-// sides of sharedMass's merge split at the same cap, so it pairs the
-// pieces up to the same minimum.
+// gram is one character n-gram of a name, the bytes norm[off:off+len],
+// with its multiplicity, while newNameEntry builds the name's entry. key
+// orders grams the way compareGrams does — byte length in the top byte,
+// then the first seven bytes big-endian, zero-padded — so the merge in
+// sharedMass compares integers and reads the bytes only to break a key tie
+// between grams longer than seven bytes. A gram is at most defaultMaxGram
+// runes, so its byte length fits the top byte.
 type gram struct {
-	off      uint32
-	lenCount uint32 // byte length in the low 8 bits, multiplicity above
+	key   uint64
+	off   uint32
+	count uint32
 }
 
-const maxGramCount = 1<<24 - 1
+// gramKey returns the merge key of gram bytes g (len(g) < 256).
+func gramKey(g string) uint64 {
+	k := uint64(len(g)) << 56
+	for i := 0; i < len(g) && i < keyBytes; i++ {
+		k |= uint64(g[i]) << (48 - 8*i)
+	}
+	return k
+}
 
-func (g gram) len() uint32   { return g.lenCount & 0xff }
-func (g gram) count() uint32 { return g.lenCount >> 8 }
+// keyBytes is how many leading gram bytes a key carries.
+const keyBytes = 7
 
-// in returns the gram's bytes within its entry's norm.
-func (g gram) in(norm string) string { return norm[g.off : g.off+g.len()] }
+// tail returns the bytes past the first keyBytes of the gram with the
+// given key at byte offset off of norm.
+func tail(norm string, key uint64, off uint32) string {
+	n := uint32(key >> 56)
+	if n <= keyBytes {
+		return ""
+	}
+	return norm[off+keyBytes : off+n]
+}
 
 // compareGrams orders grams by byte length, then bytes — any total order
 // works for the merge in sharedMass, and this one settles most comparisons
-// on the length alone.
-func compareGrams(a, b string) int {
-	if len(a) != len(b) {
-		return len(a) - len(b)
+// on the key alone. a belongs to the entry with norm na, b to nb.
+func compareGrams(a, b gram, na, nb string) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
 	}
-	return strings.Compare(a, b)
+	return strings.Compare(tail(na, a.key, a.off), tail(nb, b.key, b.off))
 }
 
 // nameEntry holds everything the name and context matchers derive from one
 // normalized name: its n-gram multiset (every substring of 1..maxGram
-// runes) as a vector sorted by compareGrams, and the multiset's total mass.
-// Entries are immutable once built.
+// runes) sorted by compareGrams, and the multiset's total mass. The grams
+// live in one array, keys first so the merge streams through them alone:
+// grams[:n] are the n keys, grams[n:] the matching off<<32 | count words.
+// ascii records that every rune is one byte. Entries are immutable once
+// built.
 type nameEntry struct {
 	norm  string
-	grams []gram
+	grams []uint64
 	mass  int
+	ascii bool
+}
+
+// split returns the entry's gram keys and their off<<32 | count words.
+func (e *nameEntry) split() (keys, meta []uint64) {
+	n := len(e.grams) / 2
+	return e.grams[:n:n], e.grams[n:]
 }
 
 // newNameEntry builds the entry of an already-normalized name. Interned
@@ -59,47 +88,82 @@ func newNameEntry(n string, maxGram int) *nameEntry {
 	}
 	offs = append(offs, len(n))
 	runes := len(offs) - 1
-	e := &nameEntry{norm: n, mass: gramMass(runes, maxGram)}
+	e := &nameEntry{norm: n, mass: gramMass(runes, maxGram), ascii: runes == len(n)}
 	if e.mass == 0 {
 		return e
 	}
 	gs := make([]gram, 0, e.mass)
 	for l := 1; l <= runes && l <= maxGram; l++ {
 		for i := 0; i+l <= runes; i++ {
-			gs = append(gs, gram{off: uint32(offs[i]), lenCount: uint32(offs[i+l]-offs[i]) | 1<<8})
+			gs = append(gs, gram{key: gramKey(n[offs[i]:offs[i+l]]), off: uint32(offs[i]), count: 1})
 		}
 	}
-	slices.SortFunc(gs, func(a, b gram) int { return compareGrams(a.in(n), b.in(n)) })
+	slices.SortFunc(gs, func(a, b gram) int { return compareGrams(a, b, n, n) })
 	k := 0
 	for _, g := range gs[1:] {
-		if g.in(n) == gs[k].in(n) && gs[k].count() < maxGramCount {
-			gs[k].lenCount += 1 << 8
+		if compareGrams(g, gs[k], n, n) == 0 {
+			gs[k].count++
 		} else {
 			k++
 			gs[k] = g
 		}
 	}
-	// Entries live as long as the dictionary, so keep no spare capacity.
-	e.grams = slices.Clone(gs[:k+1])
+	gs = gs[:k+1]
+	e.grams = make([]uint64, 2*len(gs))
+	keys, meta := e.split()
+	for i, g := range gs {
+		keys[i], meta[i] = g.key, uint64(g.off)<<32|uint64(g.count)
+	}
 	return e
 }
 
 // sharedMass returns the size of the multiset intersection of two entries'
-// sorted gram vectors in one merge pass.
+// sorted gram vectors in one merge pass over their keys.
+//
+// The merge stops early: a gram both names contain has its one-rune-shorter
+// prefix in both too, so the shortest shared gram longer than the longest
+// one found so far is at most one rune (gap bytes) longer. Once both sides
+// are past that length with nothing found, nothing longer is shared. A
+// gram shared with an ASCII name is ASCII, so gap is 1 byte then and 4
+// (the longest UTF-8 rune) otherwise.
 func sharedMass(a, b *nameEntry) int {
-	inter, i, j := 0, 0, 0
-	for i < len(a.grams) && j < len(b.grams) {
-		ga, gb := a.grams[i], b.grams[j]
-		switch c := compareGrams(ga.in(a.norm), gb.in(b.norm)); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			inter += int(min(ga.count(), gb.count()))
-			i++
-			j++
+	ka, ma := a.split()
+	kb, mb := b.split()
+	gap := uint64(utf8.UTFMax)
+	if a.ascii || b.ascii {
+		gap = 1
+	}
+	inter, i, j, longest := 0, 0, 0, uint64(0)
+	for i < len(ka) && j < len(kb) {
+		x, y := ka[i], kb[j]
+		if x != y {
+			if min(x, y)>>56 > longest+gap {
+				break
+			}
+			// Advance the smaller side without a data-dependent branch.
+			d := 0
+			if x < y {
+				d = 1
+			}
+			i += d
+			j += 1 - d
+			continue
 		}
+		if x>>56 > keyBytes {
+			c := strings.Compare(tail(a.norm, x, uint32(ma[i]>>32)), tail(b.norm, y, uint32(mb[j]>>32)))
+			if c != 0 {
+				if c < 0 {
+					i++
+				} else {
+					j++
+				}
+				continue
+			}
+		}
+		inter += int(min(uint32(ma[i]), uint32(mb[j])))
+		longest = x >> 56
+		i++
+		j++
 	}
 	return inter
 }
@@ -243,51 +307,61 @@ func simTable(qs, ss []*nameEntry) []float64 {
 	return out
 }
 
-// pairMemo remembers gramSim(query name, schema name) for one search,
-// keyed by the query name's local index and the schema name's ID, so each
-// distinct pair is scored once across all candidates and all phase-2
-// workers however many matrix cells and context-term comparisons repeat it.
-// Workers racing on the same missing pair both compute it; the value is a
-// pure function of the pair, so either store is correct.
+// pairMemo remembers gramSim(query name, schema name) for one search: one
+// row per schema name ID, holding its similarity to every query name, so
+// each distinct pair is scored once across all candidates and all phase-2
+// workers however many matrix cells and context-term comparisons repeat
+// it. Workers racing on the same missing name both compute its row; the
+// row is a pure function of the name, so the first store wins harmlessly.
 type pairMemo struct {
-	mu sync.RWMutex
-	m  map[uint64]float64
+	mu   sync.RWMutex
+	rows map[nameID]int32 // start of the name's row in sims
+	sims []float64        // rows of len(qs) similarities, in query-name order
 
 	hits, misses atomic.Uint64
 }
 
 // table returns gramSim(qs[i], entry of ids[j]) for every pair, row-major
-// len(qs)×len(ids), taking each lock once per call rather than per cell.
+// len(qs)×len(ids), taking each lock once per call rather than per name.
 func (pm *pairMemo) table(qs []*nameEntry, ids []nameID) []float64 {
-	out := make([]float64, len(qs)*len(ids))
-	var missing []int // cells absent from the memo
+	nq, ns := len(qs), len(ids)
+	out := make([]float64, nq*ns)
+	var missing []nameID // names absent from the memo
+	var missingAt []int  // their columns
 	pm.mu.RLock()
-	for qi := range qs {
-		row := out[qi*len(ids) : (qi+1)*len(ids)]
-		for j, id := range ids {
-			v, ok := pm.m[uint64(qi)<<32|uint64(id)]
-			if !ok {
-				missing = append(missing, qi*len(ids)+j)
-			}
-			row[j] = v
+	for j, id := range ids {
+		at, ok := pm.rows[id]
+		if !ok {
+			missing, missingAt = append(missing, id), append(missingAt, j)
+			continue
+		}
+		for qi, v := range pm.sims[at : int(at)+nq] {
+			out[qi*ns+j] = v
 		}
 	}
 	pm.mu.RUnlock()
-	pm.hits.Add(uint64(len(out) - len(missing)))
+	pm.hits.Add(uint64((ns - len(missing)) * nq))
 	if len(missing) == 0 {
 		return out
 	}
-	pm.misses.Add(uint64(len(missing)))
-	ss := names.resolve(ids)
-	for _, c := range missing {
-		out[c] = gramSim(qs[c/len(ids)], ss[c%len(ids)])
+	pm.misses.Add(uint64(len(missing) * nq))
+	for k, s := range names.resolve(missing) {
+		for qi, q := range qs {
+			out[qi*ns+missingAt[k]] = gramSim(q, s)
+		}
 	}
 	pm.mu.Lock()
-	if pm.m == nil {
-		pm.m = make(map[uint64]float64)
+	if pm.rows == nil {
+		pm.rows = make(map[nameID]int32)
 	}
-	for _, c := range missing {
-		pm.m[uint64(c/len(ids))<<32|uint64(ids[c%len(ids)])] = out[c]
+	for k, id := range missing {
+		if _, ok := pm.rows[id]; ok {
+			continue
+		}
+		pm.rows[id] = int32(len(pm.sims))
+		for qi := range qs {
+			pm.sims = append(pm.sims, out[qi*ns+missingAt[k]])
+		}
 	}
 	pm.mu.Unlock()
 	return out

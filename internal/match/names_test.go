@@ -293,3 +293,109 @@ func TestMatchProfiledWarmAllocs(t *testing.T) {
 			allocs, len(qa.Elements())*len(p.Elements()), ceiling)
 	}
 }
+
+// multisetOracle returns the multiset intersection size and both masses of
+// two names' n-gram multisets — every substring of 1..maxGram runes —
+// counted in maps keyed by the gram bytes.
+func multisetOracle(a, b string, maxGram int) (inter, massA, massB int) {
+	grams := func(s string) map[string]int {
+		r := []rune(s)
+		m := map[string]int{}
+		for l := 1; l <= len(r) && l <= maxGram; l++ {
+			for i := 0; i+l <= len(r); i++ {
+				m[string(r[i:i+l])]++
+			}
+		}
+		return m
+	}
+	ga, gb := grams(a), grams(b)
+	for g, ca := range ga {
+		massA += ca
+		inter += min(ca, gb[g])
+	}
+	for _, cb := range gb {
+		massB += cb
+	}
+	return inter, massA, massB
+}
+
+// TestSharedMassMatchesMultisetOracle: the integer-keyed merge, early exit
+// included, equals a map-based multiset intersection over random ASCII and
+// non-ASCII names (up to 4-byte runes), with many pairs sharing 8+ leading
+// bytes and differing only past the seventh — where grams tie on their keys
+// and the tails decide — and every entry's gram vector is strictly
+// ascending by (byte length, bytes) under keys that match its bytes.
+func TestSharedMassMatchesMultisetOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	alphabets := [][]rune{[]rune("abc_"), []rune("abcdefghij"), []rune("aéß日ü€z"), []rune("日本語名前"), []rune("a😀é𝄞")}
+	word := func(n int) string {
+		al := alphabets[rng.Intn(len(alphabets))]
+		r := make([]rune, n)
+		for i := range r {
+			r[i] = al[rng.Intn(len(al))]
+		}
+		return string(r)
+	}
+	sorted := func(e *nameEntry) {
+		t.Helper()
+		keys, meta := e.split()
+		at := func(i int) string {
+			off := uint32(meta[i] >> 32)
+			return e.norm[off : off+uint32(keys[i]>>56)]
+		}
+		for i := range keys {
+			if keys[i] != gramKey(at(i)) {
+				t.Fatalf("%q: gram %q carries key %x", e.norm, at(i), keys[i])
+			}
+		}
+		for i := 1; i < len(keys); i++ {
+			ps, gs := at(i-1), at(i)
+			if len(ps) > len(gs) || len(ps) == len(gs) && ps >= gs {
+				t.Fatalf("%q: grams %q, %q out of order", e.norm, ps, gs)
+			}
+		}
+	}
+	longTies := 0
+	for i := 0; i < 3000; i++ {
+		var a, b string
+		switch i % 3 {
+		case 0: // independent names
+			a, b = word(rng.Intn(40)), word(rng.Intn(40))
+		case 1: // shared prefix of at least 8 bytes, independent tails
+			prefix := word(8 + rng.Intn(12))
+			for len(prefix) < 8 {
+				prefix += word(1)
+			}
+			a, b = prefix+word(rng.Intn(12)), prefix+word(rng.Intn(12))
+		case 2: // one rune changed somewhere past byte 7
+			r := []rune(word(9 + rng.Intn(30)))
+			a = string(r)
+			for k := len(r) - 1; k > 0 && len(string(r[:k])) >= 8; k-- {
+				if rng.Intn(3) == 0 {
+					r[k] = []rune("xé日")[rng.Intn(3)]
+					break
+				}
+			}
+			b = string(r)
+		}
+		ea, eb := newNameEntry(a, defaultMaxGram), newNameEntry(b, defaultMaxGram)
+		sorted(ea)
+		sorted(eb)
+		inter, ma, mb := multisetOracle(a, b, defaultMaxGram)
+		if ma != ea.mass || mb != eb.mass {
+			t.Fatalf("%q, %q: masses %d, %d; oracle %d, %d", a, b, ea.mass, eb.mass, ma, mb)
+		}
+		if got := sharedMass(ea, eb); got != inter {
+			t.Fatalf("sharedMass(%q, %q) = %d, oracle %d", a, b, got, inter)
+		}
+		if got, want := gramSim(ea, eb), oracleSim(a, b, defaultMaxGram); got != want {
+			t.Fatalf("gramSim(%q, %q) = %v, oracle %v", a, b, got, want)
+		}
+		if i%3 != 0 && len(a) > 8 {
+			longTies++
+		}
+	}
+	if longTies < 1000 {
+		t.Fatalf("only %d pairs exercised key ties past byte 7", longTies)
+	}
+}
