@@ -1,0 +1,170 @@
+package core
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+
+	"schemr/internal/match"
+	"schemr/internal/model"
+	"schemr/internal/query"
+	"schemr/internal/repository"
+	"schemr/internal/tightness"
+	"schemr/internal/webtables"
+)
+
+// pageDigestWant is the SHA-256 of every page in TestPageDigestPinned,
+// recorded from the allocating phase-2/3 matchers the per-worker scratch
+// kernels replaced. Any change to which schemas rank, in what order, with
+// which score, tightness or coverage bits, anchor or matched elements —
+// or to the shadow pass's deltas — changes it.
+const pageDigestWant = "7c8892294dd518e710cc627df29f99b20401170608f6f1bff1d9b1d23991ad04"
+
+// digestCorpus is a mixed seeded corpus: relational, hierarchical and
+// tangled schemas (disconnected parts, cycles, self-references, a
+// 300-entity chain) plus distinct flat web tables.
+func digestCorpus(t *testing.T) *repository.Repository {
+	t.Helper()
+	repo := repository.New()
+	put := func(s *model.Schema) {
+		if _, _, err := repo.PutDedup(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range webtables.GenerateRelational(61, 60) {
+		put(s)
+	}
+	for _, s := range webtables.GenerateHierarchical(62, 30) {
+		put(s)
+	}
+	for _, s := range webtables.GenerateTangled(63, 40) {
+		put(s)
+	}
+	flat, _ := webtables.Filter(webtables.NewGenerator(webtables.Options{Seed: 64, NumTables: 1500}).All())
+	for _, s := range flat {
+		put(s)
+	}
+	return repo
+}
+
+// digestQueries are keyword queries and fragment queries: single- and
+// multi-entity fragments, with and without keywords beside them.
+var digestQueries = []query.Input{
+	{Keywords: "patient height gender diagnosis"},
+	{Keywords: "order date total customer"},
+	{Keywords: "name price quantity"},
+	{Keywords: "employee salary department manager"},
+	{Keywords: "title author year"},
+	{DDL: "CREATE TABLE orders (id INT, customer_id INT, total DECIMAL(8,2), order_date DATE);"},
+	{Keywords: "shipment", DDL: "CREATE TABLE product (id INT, name VARCHAR(32), price FLOAT, qty INT);"},
+	{DDL: `CREATE TABLE customer (id INT, name VARCHAR(40), city VARCHAR(20));
+CREATE TABLE orders (id INT, customer INT REFERENCES customer(id), total FLOAT, status VARCHAR(8));`},
+	{Keywords: "patient", DDL: `CREATE TABLE patient (patient_id INT, patientId INT, height FLOAT, gender CHAR(1));
+CREATE TABLE visit (id INT, patient INT, diagnosis TEXT);`},
+	{DDL: "CREATE TABLE employee (employee INT, salary FLOAT);"},
+}
+
+// TestPageDigestPinned pins the served pages of Engine.SearchWithStatsContext
+// across phase-2/3 rewrites: keyword and fragment queries over a seeded
+// corpus, under the default and the extended ensemble, with the popularity
+// boost on, with non-default tightness options, and with a shadow weight
+// set installed, hashed row by row — IDs, float64 bits of score,
+// tightness and coverage, the anchor, and every matched element's ref,
+// score bits, penalty bits and query index.
+//
+// The digest is pinned on amd64 only, like TestRankingDigestPinned: other
+// architectures may fuse multiply-adds in the scoring arithmetic.
+func TestPageDigestPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("page digest is recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	repo := digestCorpus(t)
+	ids := repo.IDs()
+	for i := 0; i < len(ids); i += 7 {
+		for range 1 + i%4 {
+			repo.RecordSelection(ids[i])
+		}
+	}
+	variants := []struct {
+		name     string
+		opts     Options
+		extended bool
+		shadow   map[string]float64
+	}{
+		{name: "default"},
+		{name: "extended", extended: true},
+		{name: "popularity", opts: Options{PopularityBoost: 0.5}},
+		{name: "tightness", opts: Options{Tightness: tightness.Options{NearPenalty: 0.2, FarPenalty: 0.5, NearHops: 2, MatchThreshold: 0.3}}},
+		{name: "shadow", shadow: map[string]float64{"name": 2, "context": 1}},
+		{name: "extended-shadow", extended: true, shadow: map[string]float64{"name": 1, "context": 1, "exact": 3, "type": 0.5}},
+	}
+
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	str := func(s string) {
+		put(uint64(len(s)))
+		h.Write([]byte(s))
+	}
+	rows, matched := 0, 0
+	for _, v := range variants {
+		v.opts.Parallelism = 2
+		e := NewEngine(repo, v.opts)
+		if v.extended {
+			e.SetEnsemble(match.ExtendedEnsemble())
+		}
+		if err := e.Reindex(); err != nil {
+			t.Fatal(err)
+		}
+		if v.shadow != nil {
+			if err := e.SetShadowWeights(1, v.shadow); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, in := range digestQueries {
+			q, err := query.Parse(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page, stats, err := e.SearchWithStatsContext(context.Background(), q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			str(v.name)
+			put(uint64(len(page)))
+			put(uint64(stats.TotalRanked))
+			put(math.Float64bits(stats.ShadowScoreDelta))
+			put(uint64(stats.ShadowDisplaced))
+			for _, r := range page {
+				str(r.ID)
+				put(math.Float64bits(r.Score))
+				put(math.Float64bits(r.Tightness))
+				put(math.Float64bits(r.Coverage))
+				str(r.Anchor)
+				put(uint64(len(r.Matched)))
+				for _, el := range r.Matched {
+					str(el.Ref.Entity)
+					str(el.Ref.Attribute)
+					put(math.Float64bits(el.Score))
+					put(math.Float64bits(el.Penalty))
+					put(uint64(el.QueryIndex))
+				}
+				rows++
+				matched += len(r.Matched)
+			}
+		}
+	}
+	if rows < 200 || matched < 500 {
+		t.Fatalf("digest pages too thin: %d rows, %d matched elements", rows, matched)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pageDigestWant {
+		t.Fatalf("page digest %s, want %s (%d rows, %d matched elements)", got, pageDigestWant, rows, matched)
+	}
+}
