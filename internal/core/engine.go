@@ -217,6 +217,10 @@ type Engine struct {
 	shadow        *match.Ensemble
 	shadowVersion uint64
 
+	// scratch pools the phase-2/3 worker scratches (*scratch) across
+	// searches.
+	scratch sync.Pool
+
 	// profiles caches per-schema match profiles (see profileCache for the
 	// staleness guarantee); invalidated through the repository change feed
 	// in Sync/Reindex.
@@ -243,6 +247,7 @@ func NewEngine(repo *repository.Repository, opts Options) *Engine {
 		profiles: newProfileCache(),
 		reg:      opts.Metrics,
 	}
+	e.scratch.New = func() any { return new(scratch) }
 	if e.reg == nil {
 		e.reg = obs.NewRegistry()
 	}
@@ -899,21 +904,34 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	}
 
 	// Phases 2 and 3: schema matching, then tightness-of-fit, per
-	// candidate in the worker that matched it, so a candidate's matrices
-	// are garbage as soon as it is scored. Every candidate is matched with
-	// the whole ensemble on the profiled path: query-side artifacts are
-	// computed once here and shared (read-only) across all candidates, and
-	// schema-side artifacts — the profile, the row header and concepts —
-	// come from the profile cache, so steady-state matching neither
+	// candidate in the worker that matched it. Every candidate is matched
+	// with the whole ensemble on the profiled path: query-side artifacts
+	// are computed once here and shared (read-only) across all candidates,
+	// and schema-side artifacts — the profile, the row header and concepts
+	// — come from the profile cache, so steady-state matching neither
 	// decodes a schema nor recomputes anything that depends only on it.
+	// Each worker writes every candidate's matrices and tightness buffers
+	// over one pooled scratch, so a warm search allocates nothing per
+	// candidate.
 	start = time.Now()
 	qa := match.NewQueryArtifacts(q)
 	cands := make([]candidate, len(hits))
+	scs := make([]*scratch, min(e.opts.Parallelism, len(hits)))
+	for w := range scs {
+		scs[w] = e.scratch.Get().(*scratch)
+	}
+	defer func() {
+		for _, sc := range scs {
+			clear(sc.matched) // drop the rows' element names
+			sc.matched = sc.matched[:0]
+			e.scratch.Put(sc)
+		}
+	}()
 	var elements, matchNS, scoreNS atomic.Int64
 	// Cancellation gate: eachCandidate checks ctx before handing out each
 	// candidate, so an abandoned search stops matching promptly instead of
 	// burning the worker pool on all CandidateN candidates.
-	eachCandidate(ctx, len(hits), e.opts.Parallelism, func(i int) {
+	eachCandidate(ctx, len(hits), len(scs), func(w, i int) {
 		began := time.Now()
 		entry := e.profiles.get(e.repo, hits[i].ID)
 		if entry == nil {
@@ -923,14 +941,15 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		// the shadow pass both use this value, so a selection recorded
 		// meanwhile cannot make them disagree.
 		c := candidate{hit: hits[i], entry: entry, pop: e.popularity(hits[i].ID)}
-		mats := ensemble.MatchMatricesProfiled(qa, entry.profile)
-		m := ensemble.CombineMatrices(qa.Elements(), entry.profile.Elements(), mats)
+		sc := scs[w]
+		m := ensemble.MatchInto(&sc.match, qa, entry.profile)
 		if shadowEns != nil {
-			c.mats = mats
+			c.mats = sc.match.CopyMatrices()
 		}
 		elements.Add(int64(len(m.Schema)))
 		matched := time.Now()
-		c.t, c.cov, c.final = e.finalScore(entry.profile, m, c.pop)
+		c.t = sc.keep(sc.tightness.Score(entry.profile, m, e.opts.Tightness))
+		c.cov, c.final = e.finalScore(c.t, m, c.pop)
 		cands[i] = c
 		matchNS.Add(int64(matched.Sub(began)))
 		scoreNS.Add(int64(time.Since(matched)))
@@ -952,7 +971,7 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	ranked := rankResults(cands, limit, &stats)
 	stats.PhaseTightness += time.Since(start)
 	if shadowEns != nil {
-		e.shadowScore(ranked, cands, qa, shadowEns, shadowVersion, &stats)
+		e.shadowScore(&scs[0].tightness, ranked, cands, qa, shadowEns, shadowVersion, &stats)
 	}
 	return ranked, stats, nil
 }

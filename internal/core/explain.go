@@ -81,7 +81,8 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 	p := entry.profile
 	m := ensemble.MatchProfiled(match.NewQueryArtifacts(q), p)
 	ex.TopPairs = m.TopPairs(10)
-	ex.Tightness, ex.Coverage, ex.Final = e.finalScore(p, m, pop)
+	ex.Tightness = tightness.ScoreProfiled(p, m, e.opts.Tightness)
+	ex.Coverage, ex.Final = e.finalScore(ex.Tightness, m, pop)
 	return ex, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,9 +15,10 @@ import (
 
 // candidate is one phase-1 hit carried through phases 2 and 3: its
 // profile-cache entry, the popularity multiplier read before matching,
-// and the phase-3 scores. mats keeps the per-matcher matrices for the
-// shadow pass (nil when shadow scoring is off); otherwise no matrix
-// outlives the worker that scored it.
+// and the phase-3 scores. t.Matched lives in the arena of the worker
+// scratch that scored it. mats holds copies of the per-matcher matrices
+// for the shadow pass (nil when shadow scoring is off); otherwise no
+// matrix outlives the candidate's turn in its worker's scratch.
 type candidate struct {
 	hit   index.Hit
 	entry *cached // nil: deleted before matching, or never dispatched
@@ -27,7 +29,8 @@ type candidate struct {
 	final float64
 }
 
-// result is the ranked row of a scored candidate.
+// result is the ranked row of a scored candidate, owning its matched
+// elements.
 func (c *candidate) result() Result {
 	h := c.entry.head
 	return Result{
@@ -39,29 +42,48 @@ func (c *candidate) result() Result {
 		Coverage:    c.cov,
 		Coarse:      c.hit.Score,
 		Anchor:      c.t.Anchor,
-		Matched:     c.t.Matched,
+		Matched:     slices.Clone(c.t.Matched),
 		Concepts:    c.entry.conceptsOf(c.t.Matched),
 		Entities:    h.Entities,
 		Attributes:  h.Attributes,
 	}
 }
 
-// finalScore is phase 3 for one candidate: the tightness-of-fit of its
-// combined matrix m, the query coverage, and the ranking score
+// scratch is one phase-2 worker's memory: the match and tightness
+// scratches it reuses across its candidates, and the arena their matched
+// elements are kept in until the page is assembled. The engine pools
+// scratches across searches; a search returns its workers' scratches only
+// after the served rows have copied their matched elements out.
+type scratch struct {
+	match     match.Scratch
+	tightness tightness.Scratch
+	matched   []tightness.ElementScore
+}
+
+// keep moves t's matched elements, which live in sc's tightness scratch,
+// to sc's arena, where they stay until the page is assembled.
+func (sc *scratch) keep(t tightness.Result) tightness.Result {
+	start := len(sc.matched)
+	sc.matched = append(sc.matched, t.Matched...)
+	t.Matched = sc.matched[start:len(sc.matched):len(sc.matched)]
+	return t
+}
+
+// finalScore is phase 3's ranking score of a candidate whose combined
+// matrix m has tightness-of-fit t: the query coverage, and
 //
 //	final = tightness × coverage^exp × pop
 //
 // (the coverage factor is skipped when the exponent is negative). Serving,
-// the shadow pass and Explain all score through it, so they agree by
-// construction.
-func (e *Engine) finalScore(p *match.Profile, m *match.Matrix, pop float64) (t tightness.Result, cov, final float64) {
-	t = tightness.ScoreProfiled(p, m, e.opts.Tightness)
+// the shadow pass and Explain all score through it, and their tightness
+// through one kernel, so they agree by construction.
+func (e *Engine) finalScore(t tightness.Result, m *match.Matrix, pop float64) (cov, final float64) {
 	cov = e.coverage(m)
 	final = t.Score
 	if e.opts.CoverageExponent > 0 {
 		final *= math.Pow(cov, e.opts.CoverageExponent)
 	}
-	return t, cov, final * pop
+	return cov, final * pop
 }
 
 // popularity returns the popularity multiplier of one schema:
@@ -97,19 +119,21 @@ func (e *Engine) coverage(m *match.Matrix) float64 {
 	return float64(covered) / float64(len(m.Query))
 }
 
-// eachCandidate calls fn(i) for every i in [0, n) on up to workers
+// eachCandidate calls fn(w, i) for every i in [0, n) on up to workers
 // goroutines, the caller's being one of them, so a lone worker spawns
-// nothing. Indices are handed out in ascending order until ctx is done;
-// calls already started drain, and eachCandidate returns once they have.
-func eachCandidate(ctx context.Context, n, workers int, fn func(i int)) {
+// nothing; w in [0, workers) names the goroutine making the call, so fn
+// can keep per-worker state. Indices are handed out in ascending order
+// until ctx is done; calls already started drain, and eachCandidate
+// returns once they have.
+func eachCandidate(ctx context.Context, n, workers int, fn func(w, i int)) {
 	var next atomic.Int64
-	work := func() {
+	work := func(w int) {
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i)
+			fn(w, i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -117,10 +141,10 @@ func eachCandidate(ctx context.Context, n, workers int, fn func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(w)
 		}()
 	}
-	work()
+	work(0)
 	wg.Wait()
 }
 
@@ -159,7 +183,7 @@ func rankResults(cands []candidate, limit int, stats *SearchStats) []Result {
 // finalScore with the popularity the served score used, so candidate ==
 // serving weights yields exactly zero deltas. The served slice is never
 // reordered or rescored; only stats change.
-func (e *Engine) shadowScore(served []Result, cands []candidate, qa *match.QueryArtifacts, shadowEns *match.Ensemble, shadowVersion uint64, stats *SearchStats) {
+func (e *Engine) shadowScore(sc *tightness.Scratch, served []Result, cands []candidate, qa *match.QueryArtifacts, shadowEns *match.Ensemble, shadowVersion uint64, stats *SearchStats) {
 	stats.ShadowVersion = shadowVersion
 	if len(served) == 0 {
 		return
@@ -176,7 +200,7 @@ func (e *Engine) shadowScore(served []Result, cands []candidate, qa *match.Query
 		c := byID[res.ID]
 		p := c.entry.profile
 		m := shadowEns.CombineMatrices(qa.Elements(), p.Elements(), c.mats)
-		_, _, shadowScores[i] = e.finalScore(p, m, c.pop)
+		_, shadowScores[i] = e.finalScore(sc.Score(p, m, e.opts.Tightness), m, c.pop)
 		maxDelta = max(maxDelta, math.Abs(shadowScores[i]-res.Score))
 	}
 	// Rank displacement: order the served set by shadow score with the

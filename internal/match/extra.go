@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"strings"
 
 	"schemr/internal/model"
@@ -51,19 +52,23 @@ func (em *ExactMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 // MatchProfiled implements ProfiledMatcher using the normalized names both
 // sides' name entries already hold.
 func (em *ExactMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	m := NewMatrix(qa.elems, p.elems)
-	sNames := names.resolve(p.names)
-	for i := range qa.elems {
+	return freshMatch(em, qa, p)
+}
+
+// fill implements kernel.
+func (em *ExactMatcher) fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool {
+	sc.entries = names.resolve(sc.entries[:0], p.names)
+	for i, row := range dst.Scores {
 		qn := qa.names[qa.elemName[i]].norm
-		for j := range p.elems {
-			if qn != "" && qn == sNames[p.elemName[j]].norm {
-				m.Set(i, j, 1)
+		for j := range row {
+			if qn != "" && qn == sc.entries[p.elemName[j]].norm {
+				row[j] = 1
 			} else {
-				m.Set(i, j, 0)
+				row[j] = 0
 			}
 		}
 	}
-	return m
+	return true
 }
 
 // TypeMatcher compares declared attribute types by coarse class (integer,
@@ -176,26 +181,38 @@ func schemaTypeClasses(se []model.Element) []typeClass {
 func (tm *TypeMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	qe := q.Elements()
 	se := s.Elements()
-	return tm.match(qe, se, queryTypeClasses(q, qe), schemaTypeClasses(se))
+	m := new(grid).reshape(qe, se)
+	if !tm.match(m, queryTypeClasses(q, qe), schemaTypeClasses(se)) {
+		fillNotApplicable(m)
+	}
+	return m
 }
 
 // MatchProfiled implements ProfiledMatcher using precomputed type classes.
 func (tm *TypeMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	return tm.match(qa.elems, p.elems, qa.class, p.class)
+	return freshMatch(tm, qa, p)
 }
 
-func (tm *TypeMatcher) match(qe []query.Element, se []model.Element, qClass, sClass []typeClass) *Matrix {
-	m := NewMatrix(qe, se)
-	for i := range qe {
-		if qClass[i] == classUnknown {
-			continue
-		}
-		for j := range se {
-			if sClass[j] == classUnknown {
-				continue
+// fill implements kernel.
+func (tm *TypeMatcher) fill(dst *Matrix, _ *Scratch, qa *QueryArtifacts, p *Profile) bool {
+	return tm.match(dst, qa.class, p.class)
+}
+
+// match fills dst from both sides' type classes. A query without a typed
+// element has no applicable cell, and match writes nothing and reports
+// false.
+func (tm *TypeMatcher) match(dst *Matrix, qClass, sClass []typeClass) bool {
+	if !slices.ContainsFunc(qClass, func(c typeClass) bool { return c != classUnknown }) {
+		return false
+	}
+	for i, row := range dst.Scores {
+		for j := range row {
+			if qClass[i] == classUnknown || sClass[j] == classUnknown {
+				row[j] = NotApplicable
+			} else {
+				row[j] = typeSim(qClass[i], sClass[j])
 			}
-			m.Set(i, j, typeSim(qClass[i], sClass[j]))
 		}
 	}
-	return m
+	return true
 }

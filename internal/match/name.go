@@ -47,14 +47,15 @@ func gramMass(l, maxGram int) int {
 	return m*l - m*(m-1)/2
 }
 
-// scatter expands a table over distinct names (row-major, stride columns)
-// into the row-major element×element matrix out.
-func scatter(tab []float64, stride int, rows, cols []int32, out []float64) {
+// scatter writes each cell of dst from a table over distinct names
+// (row-major, stride columns): cell (i, j) is the entry of rows[i] and
+// cols[j].
+func scatter(dst *Matrix, tab []float64, stride int, rows, cols []int32) {
 	for i, r := range rows {
 		src := tab[int(r)*stride : (int(r)+1)*stride]
-		dst := out[i*len(cols) : (i+1)*len(cols)]
+		out := dst.Scores[i]
 		for j, c := range cols {
-			dst[j] = src[c]
+			out[j] = src[c]
 		}
 	}
 }
@@ -81,23 +82,28 @@ func (nm *NameMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	for j, el := range se {
 		sName[j] = six.add(el.Name)
 	}
-	tab := simTable(qix.throwaway(nm.maxGram), six.throwaway(nm.maxGram))
-	return nameMatrix(qe, se, tab, len(six.norms), qName, sName)
+	m := new(grid).reshape(qe, se)
+	scatter(m, simTable(qix.throwaway(nm.maxGram), six.throwaway(nm.maxGram)), len(six.norms), qName, sName)
+	return m
 }
 
 // MatchProfiled implements ProfiledMatcher: schema names resolve to interned
 // entries and every distinct pair's similarity comes from the per-search
 // memo instead of being recomputed per cell and per candidate.
 func (nm *NameMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	if nm.maxGram != defaultMaxGram {
-		return nm.Match(qa.query, p.decode())
-	}
-	return nameMatrix(qa.elems, p.elems, qa.sims.table(qa.names, p.names), len(p.names), qa.elemName, p.elemName)
+	return freshMatch(nm, qa, p)
 }
 
-// nameMatrix lays a distinct-name similarity table out as the element matrix.
-func nameMatrix(qe []query.Element, se []model.Element, tab []float64, stride int, qName, sName []int32) *Matrix {
-	flat := make([]float64, len(qe)*len(se))
-	scatter(tab, stride, qName, sName, flat)
-	return matrixOver(qe, se, flat)
+// fill implements kernel: each cell is its name pair's entry in the
+// candidate's table.
+func (nm *NameMatcher) fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool {
+	if nm.maxGram != defaultMaxGram {
+		// Interned entries carry the default cap; score throwaway ones.
+		for i, row := range nm.Match(qa.query, p.decode()).Scores {
+			copy(dst.Scores[i], row)
+		}
+		return true
+	}
+	scatter(dst, sc.pairs(qa, p), len(p.names), qa.elemName, p.elemName)
+	return true
 }

@@ -246,15 +246,14 @@ func (t *nameTable) lookup(n string) *nameEntry {
 	return nil
 }
 
-// resolve returns the entries of the given IDs.
-func (t *nameTable) resolve(ids []nameID) []*nameEntry {
-	out := make([]*nameEntry, len(ids))
+// resolve appends the entries of the given IDs to dst.
+func (t *nameTable) resolve(dst []*nameEntry, ids []nameID) []*nameEntry {
 	t.mu.RLock()
-	for i, id := range ids {
-		out[i] = t.entries[id]
+	for _, id := range ids {
+		dst = append(dst, t.entries[id])
 	}
 	t.mu.RUnlock()
-	return out
+	return dst
 }
 
 // nameIndex assigns dense local indices to the distinct normalized names of
@@ -321,18 +320,17 @@ type pairMemo struct {
 	hits, misses atomic.Uint64
 }
 
-// table returns gramSim(qs[i], entry of ids[j]) for every pair, row-major
-// len(qs)×len(ids), taking each lock once per call rather than per name.
-func (pm *pairMemo) table(qs []*nameEntry, ids []nameID) []float64 {
+// table writes gramSim(qs[i], entry of ids[j]) for every pair into out,
+// row-major len(qs)×len(ids), taking each lock once per call rather than
+// per name. miss is reusable memory for the names the memo lacks.
+func (pm *pairMemo) table(out []float64, qs []*nameEntry, ids []nameID, miss *memoMiss) {
 	nq, ns := len(qs), len(ids)
-	out := make([]float64, nq*ns)
-	var missing []nameID // names absent from the memo
-	var missingAt []int  // their columns
+	miss.cols, miss.ids = miss.cols[:0], miss.ids[:0]
 	pm.mu.RLock()
 	for j, id := range ids {
 		at, ok := pm.rows[id]
 		if !ok {
-			missing, missingAt = append(missing, id), append(missingAt, j)
+			miss.cols, miss.ids = append(miss.cols, j), append(miss.ids, id)
 			continue
 		}
 		for qi, v := range pm.sims[at : int(at)+nq] {
@@ -340,29 +338,43 @@ func (pm *pairMemo) table(qs []*nameEntry, ids []nameID) []float64 {
 		}
 	}
 	pm.mu.RUnlock()
-	pm.hits.Add(uint64((ns - len(missing)) * nq))
-	if len(missing) == 0 {
-		return out
+	pm.hits.Add(uint64((ns - len(miss.cols)) * nq))
+	if len(miss.cols) == 0 {
+		return
 	}
-	pm.misses.Add(uint64(len(missing) * nq))
-	for k, s := range names.resolve(missing) {
+	pm.misses.Add(uint64(len(miss.cols) * nq))
+	miss.entries = names.resolve(miss.entries[:0], miss.ids)
+	for k, s := range miss.entries {
 		for qi, q := range qs {
-			out[qi*ns+missingAt[k]] = gramSim(q, s)
+			out[qi*ns+miss.cols[k]] = gramSim(q, s)
 		}
 	}
 	pm.mu.Lock()
 	if pm.rows == nil {
-		pm.rows = make(map[nameID]int32)
+		pm.rows = make(map[nameID]int32, memoNames)
+		pm.sims = make([]float64, 0, memoNames*nq)
 	}
-	for k, id := range missing {
+	for k, id := range miss.ids {
 		if _, ok := pm.rows[id]; ok {
 			continue
 		}
 		pm.rows[id] = int32(len(pm.sims))
 		for qi := range qs {
-			pm.sims = append(pm.sims, out[qi*ns+missingAt[k]])
+			pm.sims = append(pm.sims, out[qi*ns+miss.cols[k]])
 		}
 	}
 	pm.mu.Unlock()
-	return out
+}
+
+// memoNames is how many schema names a search's memo is first sized
+// for: about the distinct names of 50 web-table candidates, so a typical
+// search never regrows it.
+const memoNames = 256
+
+// memoMiss is pairMemo.table's reusable memory: the columns, IDs and
+// entries of the names a call found missing from the memo.
+type memoMiss struct {
+	cols    []int
+	ids     []nameID
+	entries []*nameEntry
 }

@@ -238,7 +238,7 @@ func TestInternSharesAndLooksUp(t *testing.T) {
 		t.Fatalf("one normalized name interned twice: %d and %d", a.names[0], b.names[0])
 	}
 	qa := NewQueryArtifacts(&query.Query{Keywords: []string{"shared intern probe", "never-interned-probe-zqx"}})
-	if qa.names[0] != names.resolve(a.names)[0] {
+	if qa.names[0] != names.resolve(nil, a.names)[0] {
 		t.Fatal("query artifacts rebuilt an interned name's entry")
 	}
 	if got := InternedNames(); got != before {
@@ -276,8 +276,10 @@ func TestInternConcurrent(t *testing.T) {
 	}
 }
 
-// TestMatchProfiledWarmAllocs: a warm profiled name match allocates the
-// matrix and the distinct-name table, nothing per cell.
+// TestMatchProfiledWarmAllocs: a warm profiled name match on fresh memory
+// allocates the scratch, the name-pair table, the matrix with its flat
+// scores and row headers, nothing per cell; and a whole-ensemble match
+// into a warm scratch allocates nothing at all.
 func TestMatchProfiledWarmAllocs(t *testing.T) {
 	q, err := query.Parse(query.Input{Keywords: "patient height gender diagnosis",
 		DDL: "CREATE TABLE patient (height FLOAT, gender VARCHAR(8), diagnosis VARCHAR(32));"})
@@ -287,10 +289,17 @@ func TestMatchProfiledWarmAllocs(t *testing.T) {
 	nm := NewNameMatcher()
 	qa, p := NewQueryArtifacts(q), NewProfile(clinicCandidate())
 	nm.MatchProfiled(qa, p) // fill the memo
-	const ceiling = 6       // table, flat scores, row headers, Matrix; slack for the runtime
+	const ceiling = 5       // scratch, table, grid, flat scores, row headers
 	if allocs := testing.AllocsPerRun(100, func() { nm.MatchProfiled(qa, p) }); allocs > ceiling {
 		t.Fatalf("warm NameMatcher.MatchProfiled allocates %v times per run (%d cells), ceiling %d",
 			allocs, len(qa.Elements())*len(p.Elements()), ceiling)
+	}
+	var sc Scratch
+	for _, en := range []*Ensemble{DefaultEnsemble(), ExtendedEnsemble()} {
+		en.MatchInto(&sc, qa, p) // grow the scratch
+		if allocs := testing.AllocsPerRun(100, func() { en.MatchInto(&sc, qa, p) }); allocs > 0 {
+			t.Fatalf("%v: warm Ensemble.MatchInto allocates %v times per run", en.MatcherNames(), allocs)
+		}
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // derive from one candidate schema: its element list, the IDs of its
 // distinct names in the name dictionary (gram vectors live there, shared
 // by every schema that uses the name), element names and context
-// neighbor-term sets as indices into that ID list, coarse type classes,
-// and the foreign-key hop distance between every pair of entities.
-// Every subsequent search reuses it, which is what makes the engine's
-// profile cache pay off.
+// neighbor-term sets as indices into that ID list (an attribute scored
+// from its entity's frame keeps no set of its own; see Frames in
+// context.go), coarse type classes, and the foreign-key hop distance
+// between every pair of entities. Every subsequent search reuses it,
+// which is what makes the engine's profile cache pay off.
 //
 // A Profile is immutable after construction and safe for concurrent use.
 // It is flat — slices of small integers beside the element list — and,
@@ -33,7 +34,7 @@ type Profile struct {
 
 	names    []nameID // the schema's distinct names (elements and context terms)
 	elemName []int32  // index into names of each element's name, aligned with elems
-	ctx      termSets // neighbor-term sets as indices into names, aligned with elems
+	ctx      termSets // context sets as indices into names, aligned with elems; framed attributes keep none
 
 	// FK hop distances. Entities are anchors, in sorted name order; the
 	// hop matrix holds one square block per connected component of the
@@ -190,7 +191,7 @@ type QueryArtifacts struct {
 	// when the corpus knows the name, a throwaway otherwise.
 	names    []*nameEntry
 	elemName []int32  // index into names, aligned with elems
-	ctx      termSets // context term sets as indices into names; empty for keywords
+	ctx      termSets // context sets as indices into names, as in Profile; empty for keywords
 
 	sims pairMemo
 }

@@ -79,14 +79,13 @@ func (e *Ensemble) NewProgressiveProfiled(qa *QueryArtifacts, p *Profile) *Progr
 		ens:     e,
 		qa:      qa,
 		p:       p,
-		weights: make([]float64, len(e.matchers)),
+		weights: e.weightsInto(nil),
 		order:   make([]int, len(e.matchers)),
 		mats:    make([]*Matrix, len(e.matchers)),
 		sum:     make([]float64, cells),
 		wsum:    make([]float64, cells),
 	}
-	for i, m := range e.matchers {
-		pm.weights[i] = e.weights[m.Name()]
+	for i := range pm.order {
 		pm.order[i] = i
 	}
 	sort.SliceStable(pm.order, func(a, b int) bool {
@@ -162,5 +161,7 @@ func (pm *Progressive) Combine() *Matrix {
 	if pm.Remaining() > 0 {
 		panic(fmt.Sprintf("match: Progressive.Combine with %d matchers unevaluated", pm.Remaining()))
 	}
-	return combineWeighted(pm.qa.elems, pm.p.elems, pm.mats, pm.weights)
+	out := new(grid).reshape(pm.qa.elems, pm.p.elems)
+	combine(out, pm.mats, pm.weights)
+	return out
 }

@@ -216,6 +216,7 @@ func (r *Repository) applyRecord(d *decoded) error {
 			delete(r.byPrint, old.print)
 		} else {
 			r.order = append(r.order, id)
+			r.added(id)
 		}
 		r.entries[id] = e
 		r.byPrint[e.print] = id
@@ -228,6 +229,7 @@ func (r *Repository) applyRecord(d *decoded) error {
 			return fmt.Errorf("repository: wal delete of unknown %q", rec.ID)
 		}
 		delete(r.entries, rec.ID)
+		r.removed(rec.ID)
 		delete(r.byPrint, e.print)
 		for i, oid := range r.order {
 			if oid == rec.ID {

@@ -107,6 +107,7 @@ type Repository struct {
 // InstallState replaces whole.
 type state struct {
 	entries map[string]*entry
+	counts  map[string]int       // live entries per tenant, by tenant.Owner of the id
 	order   []string             // insertion order of live ids
 	byPrint map[string]string    // tenant-scoped fingerprint → id, for dedupe
 	nextIDs map[string]int       // per-tenant ID counter ("" = default tenant)
@@ -131,6 +132,7 @@ var now = time.Now
 func New() *Repository {
 	return &Repository{state: state{
 		entries: make(map[string]*entry),
+		counts:  make(map[string]int),
 		byPrint: make(map[string]string),
 		nextIDs: make(map[string]int),
 		deleted: make(map[string]uint64),
@@ -155,13 +157,19 @@ func (r *Repository) Len() int {
 func (r *Repository) LenTenant(tn string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n := 0
-	for id := range r.entries {
-		if tenant.Owner(id) == tn {
-			n++
-		}
+	return r.counts[tn]
+}
+
+// added and removed keep the per-tenant counts in step with entries: every
+// path that adds a live entry calls added, every one that deletes it
+// calls removed.
+func (st *state) added(id string) { st.counts[tenant.Owner(id)]++ }
+
+func (st *state) removed(id string) {
+	tn := tenant.Owner(id)
+	if st.counts[tn]--; st.counts[tn] == 0 {
+		delete(st.counts, tn)
 	}
-	return n
 }
 
 // Seq returns the current change-feed sequence number. It increases on
@@ -237,6 +245,7 @@ func (r *Repository) putLocked(tn string, s *model.Schema) (string, error) {
 		delete(r.byPrint, old.print)
 	} else {
 		r.order = append(r.order, s.ID)
+		r.added(s.ID)
 	}
 	r.entries[s.ID] = e
 	r.byPrint[e.print] = s.ID
@@ -334,6 +343,7 @@ func (r *Repository) Delete(id string) bool {
 		return false
 	}
 	delete(r.entries, id)
+	r.removed(id)
 	delete(r.byPrint, e.print)
 	for i, oid := range r.order {
 		if oid == id {

@@ -3,11 +3,14 @@ package repository
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"schemr/internal/model"
+	"schemr/internal/tenant"
 )
 
 // dump renders the repository's full logical state deterministically (JSON
@@ -161,5 +164,68 @@ func randomOps(t *testing.T, r *Repository, rng *rand.Rand, n int) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// checkCounts asserts r's per-tenant counts equal a scan of its entries,
+// and that LenTenant reads them.
+func checkCounts(t *testing.T, label string, r *Repository) {
+	t.Helper()
+	scan := map[string]int{}
+	r.mu.RLock()
+	for id := range r.entries {
+		scan[tenant.Owner(id)]++
+	}
+	counts := maps.Clone(r.counts)
+	r.mu.RUnlock()
+	if !maps.Equal(counts, scan) {
+		t.Fatalf("%s: per-tenant counts %v, scan %v", label, counts, scan)
+	}
+	for _, tn := range []string{"", "acme", "globex"} {
+		if got := r.LenTenant(tn); got != scan[tn] {
+			t.Fatalf("%s: LenTenant(%q) = %d, scan %d", label, tn, got, scan[tn])
+		}
+	}
+}
+
+// TestTenantCountsMatchScan: the per-tenant counts LenTenant reads equal
+// a full scan of the entries after seeded put/replace/delete sequences
+// across two tenants, after recovery from snapshot + WAL, after WAL
+// replay alone, and after InstallState.
+func TestTenantCountsMatchScan(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		snap, walPath := filepath.Join(dir, "repo.json"), filepath.Join(dir, "repo.wal")
+		r, _ := recoverAt(t, snap, walPath)
+		randomOps(t, r, rng, 60+rng.Intn(60))
+		checkCounts(t, fmt.Sprintf("seed %d live", seed), r)
+
+		got, _ := recoverAt(t, filepath.Join(t.TempDir(), "none.json"), walPath)
+		checkCounts(t, fmt.Sprintf("seed %d WAL replay", seed), got)
+		got.Close()
+
+		if err := r.Snapshot(snap, r.Seq()); err != nil {
+			t.Fatal(err)
+		}
+		randomOps(t, r, rng, 30+rng.Intn(30))
+		checkCounts(t, fmt.Sprintf("seed %d live after snapshot", seed), r)
+		got, _ = recoverAt(t, snap, walPath)
+		checkCounts(t, fmt.Sprintf("seed %d snapshot + WAL", seed), got)
+		got.Close()
+
+		state, _, err := r.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		installed := New()
+		if _, err := installed.PutTenant("globex", sch("stale", "x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := installed.InstallState(state); err != nil {
+			t.Fatal(err)
+		}
+		checkCounts(t, fmt.Sprintf("seed %d InstallState", seed), installed)
+		r.Close()
 	}
 }

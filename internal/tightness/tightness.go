@@ -101,102 +101,143 @@ func (r Result) NumMatches() int { return len(r.Matched) }
 // Score computes the tightness-of-fit of schema s under the combined
 // similarity matrix m (whose schema columns must come from s.Elements()).
 func Score(s *model.Schema, m *match.Matrix, opts Options) Result {
-	return score(m, opts, func() ([]string, func(anchor, elem int) int) {
-		g := model.NewEntityGraph(s)
-		// "This calculation is repeated for all possible anchor entities":
-		// every entity is a candidate anchor, not just those containing a
-		// matched element — a hub entity adjacent to two disconnected match
-		// clusters can beat an anchor inside either cluster.
-		anchors := make([]string, 0, len(s.Entities))
-		for _, e := range s.Entities {
-			anchors = append(anchors, e.Name)
-		}
-		sort.Strings(anchors) // deterministic tie-breaking: first anchor wins
-		cur, dists := -1, map[string]int(nil)
-		return anchors, func(anchor, elem int) int {
-			if anchor != cur { // score asks anchor by anchor
-				cur, dists = anchor, g.DistancesFrom(anchors[anchor])
-			}
-			if d, ok := dists[m.Schema[elem].Ref.Entity]; ok {
-				return d
-			}
-			return -1
-		}
-	})
+	return new(Scratch).score(m, opts, &schemaGraph{s: s, m: m, cur: -1}, map[string]float64{})
 }
 
 // ScoreProfiled is Score reusing the candidate's cached match profile: the
 // sorted anchor list and the hop distance of every anchor to every
 // element come precomputed instead of being rebuilt per candidate per
 // search. The result is identical to Score(s, m, opts) for the schema s
-// the profile was built from.
+// the profile was built from. It is Scratch.Score on fresh memory, plus
+// AnchorScores.
 func ScoreProfiled(p *match.Profile, m *match.Matrix, opts Options) Result {
-	return score(m, opts, func() ([]string, func(anchor, elem int) int) {
-		return p.Anchors(), p.Hops
-	})
+	return new(Scratch).score(m, opts, p, map[string]float64{})
 }
 
-// score is the shared measurement: graphFn supplies the anchor list and
-// hops(anchor, elem), the FK distance from an anchor (by ordinal) to an
-// element's entity (-1 when unreachable), and is only invoked when
-// something matched.
-func score(m *match.Matrix, opts Options, graphFn func() ([]string, func(anchor, elem int) int)) Result {
+// graph is what the measurement reads of a schema's entity graph: the
+// anchors in scan order, and the FK distance from an anchor (by ordinal)
+// to an element's entity, -1 when unreachable. A match profile is one.
+type graph interface {
+	Anchors() []string
+	Hops(anchor, elem int) int
+}
+
+// schemaGraph is the graph of a schema without a profile, built on first
+// use: score only asks when something matched.
+type schemaGraph struct {
+	s       *model.Schema
+	m       *match.Matrix
+	g       *model.EntityGraph
+	anchors []string
+	cur     int            // the anchor dists holds
+	dists   map[string]int // hop distances from anchor cur
+}
+
+func (sg *schemaGraph) Anchors() []string {
+	if sg.g == nil {
+		sg.g = model.NewEntityGraph(sg.s)
+		// "This calculation is repeated for all possible anchor entities":
+		// every entity is a candidate anchor, not just those containing a
+		// matched element — a hub entity adjacent to two disconnected match
+		// clusters can beat an anchor inside either cluster.
+		for _, e := range sg.s.Entities {
+			sg.anchors = append(sg.anchors, e.Name)
+		}
+		sort.Strings(sg.anchors) // deterministic tie-breaking: first anchor wins
+	}
+	return sg.anchors
+}
+
+func (sg *schemaGraph) Hops(anchor, elem int) int {
+	if anchor != sg.cur { // score asks anchor by anchor
+		sg.cur, sg.dists = anchor, sg.g.DistancesFrom(sg.anchors[anchor])
+	}
+	if d, ok := sg.dists[sg.m.Schema[elem].Ref.Entity]; ok {
+		return d
+	}
+	return -1
+}
+
+// Scratch is one phase-3 worker's memory, reused across every candidate
+// it scores: the ElementBest buffers, the matched set, the penalties
+// under the anchor being scored and under the best anchor so far, and the
+// matched elements of the result. The zero value is ready to use; a
+// Scratch is not safe for concurrent use.
+type Scratch struct {
+	best    []float64
+	argmax  []int
+	matched []int     // schema element indices of the matched elements
+	pen     []float64 // penalties under the anchor being scored
+	bestPen []float64 // penalties under the best anchor so far
+	out     []ElementScore
+}
+
+// Score is ScoreProfiled into sc's memory, without AnchorScores: the
+// Result's Matched is sc's and valid until sc's next Score.
+func (sc *Scratch) Score(p *match.Profile, m *match.Matrix, opts Options) Result {
+	return sc.score(m, opts, p, nil)
+}
+
+// score is the measurement of m over graph g. Each anchor's penalized
+// average is recorded in anchorScores unless it is nil, which is also the
+// Result's AnchorScores.
+func (sc *Scratch) score(m *match.Matrix, opts Options, g graph, anchorScores map[string]float64) Result {
 	opts.defaults()
 
-	best, argmax := m.ElementBest()
-	type matchedEl struct {
-		idx   int // index into m.Schema
-		score float64
-	}
-	var matched []matchedEl
-	for si := range m.Schema {
-		if argmax[si] >= 0 && best[si] >= opts.MatchThreshold {
-			matched = append(matched, matchedEl{si, best[si]})
+	sc.best, sc.argmax = grow(sc.best, len(m.Schema)), grow(sc.argmax, len(m.Schema))
+	m.ElementBestInto(sc.best, sc.argmax)
+	sc.matched = sc.matched[:0]
+	for si, arg := range sc.argmax {
+		if arg >= 0 && sc.best[si] >= opts.MatchThreshold {
+			sc.matched = append(sc.matched, si)
 		}
 	}
-	if len(matched) == 0 {
-		return Result{AnchorScores: map[string]float64{}}
+	if len(sc.matched) == 0 {
+		return Result{AnchorScores: anchorScores}
 	}
 
-	anchors, hops := graphFn()
-
-	res := Result{AnchorScores: make(map[string]float64, len(anchors))}
+	sc.pen, sc.bestPen = grow(sc.pen, len(sc.matched)), grow(sc.bestPen, len(sc.matched))
 	bestScore, bestAnchor := -1.0, ""
-	var bestPenalties []float64
-
-	for a, anchor := range anchors {
+	for a, anchor := range g.Anchors() {
 		total := 0.0
-		penalties := make([]float64, len(matched))
-		for i, me := range matched {
-			p := penaltyFor(hops(a, me.idx), opts)
-			penalties[i] = p
-			adj := me.score - p
-			if adj > 0 {
+		for i, el := range sc.matched {
+			p := penaltyFor(g.Hops(a, el), opts)
+			sc.pen[i] = p
+			if adj := sc.best[el] - p; adj > 0 {
 				total += adj
 			}
 		}
-		avg := total / float64(len(matched))
-		res.AnchorScores[anchor] = avg
+		avg := total / float64(len(sc.matched))
+		if anchorScores != nil {
+			anchorScores[anchor] = avg
+		}
 		if avg > bestScore {
-			bestScore, bestAnchor, bestPenalties = avg, anchor, penalties
+			bestScore, bestAnchor = avg, anchor
+			sc.pen, sc.bestPen = sc.bestPen, sc.pen // keep the winner's penalties
 		}
 	}
 
-	res.Score = bestScore
-	res.Anchor = bestAnchor
-	res.Matched = make([]ElementScore, len(matched))
-	for i, me := range matched {
-		el := m.Schema[me.idx]
-		res.Matched[i] = ElementScore{
-			Element:    me.idx,
-			Ref:        el.Ref,
-			Kind:       el.Kind,
-			Score:      me.score,
-			QueryIndex: argmax[me.idx],
-			Penalty:    bestPenalties[i],
-		}
+	sc.out = sc.out[:0]
+	for i, el := range sc.matched {
+		e := m.Schema[el]
+		sc.out = append(sc.out, ElementScore{
+			Element:    el,
+			Ref:        e.Ref,
+			Kind:       e.Kind,
+			Score:      sc.best[el],
+			QueryIndex: sc.argmax[el],
+			Penalty:    sc.bestPen[i],
+		})
 	}
-	return res
+	return Result{Score: bestScore, Anchor: bestAnchor, Matched: sc.out, AnchorScores: anchorScores}
+}
+
+// grow returns buf resliced to length n, reallocated when too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // penaltyFor returns the penalty for a matched element d FK hops from the
