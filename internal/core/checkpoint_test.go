@@ -120,10 +120,12 @@ func TestSaveIndexUnderConcurrentWrites(t *testing.T) {
 }
 
 // TestSaveIndexBytesUnchanged pins the envelope bytes SaveIndex writes for
-// a single-tenant (V1) and a two-tenant (V3) engine: replicas, older
-// binaries and the data directory's size all rely on them staying the
-// same. The digests were taken from the build that still had in-process
-// sharding, whose one-shard files these are. An index stream's gob
+// a single-tenant (V1) and a two-tenant (V3) engine, so that no change to
+// schemas.idx goes unnoticed: it sets the data directory's size and the
+// index read at boot. Replicas never ship schemas.idx, and a binary that
+// cannot read one falls back to Reindex, so a deliberate format change
+// re-records the digests. They were last recorded when segments stopped
+// persisting per-document term lists. An index stream's gob
 // encoding walks Go maps, so the order of its records differs from run to
 // run; the digest therefore covers each stream's bytes sorted, which keeps
 // every byte and its count and drops only that order. Magic, cursor,
@@ -134,8 +136,8 @@ func TestSaveIndexBytesUnchanged(t *testing.T) {
 		tenants []string
 		digest  string
 	}{
-		{"v1", nil, "e5348b502bd42ec92bae863134cd9cdee5500bf2da236e31f4927f4e80ddc0d7"},
-		{"v3", []string{"acme"}, "b96d3ab3459be1dc601fd9133dc9f35c2e872c44c3e68749045bb9ebb36a08ee"},
+		{"v1", nil, "1e6ce5c78caddbe56d671014baff30e44708e2f7a532b34a1f08252bea080a7b"},
+		{"v3", []string{"acme"}, "5bbfdcb0d05d5e05df333255923f950041b07f858452b197f9ffd6df9b8e0365"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			repo, _ := seedRepo(t)

@@ -20,10 +20,10 @@ func liveHeap() int64 {
 }
 
 // TestResidentMemoryPerSchema is the resident-memory guard: over ~2 000
-// generated web-table schemas, the heap the repository retains per schema
-// and the heap the profile cache retains per schema (every profile built)
-// stay under ceilings set from measured values plus headroom, so neither
-// can quietly regrow. The split is logged under -v. The name dictionary
+// generated web-table schemas, the heap the repository retains per schema,
+// the heap the profile cache retains per schema (every profile built) and
+// the heap a compacted index retains per schema stay under ceilings set
+// from measured values plus headroom, so none can quietly regrow. The split is logged under -v. The name dictionary
 // is process-wide and shared with other tests, so it is reported, not
 // gated.
 func TestResidentMemoryPerSchema(t *testing.T) {
@@ -32,10 +32,13 @@ func TestResidentMemoryPerSchema(t *testing.T) {
 	}
 	// Measured on amd64, go1.24: repository ≈ 940 B and profile cache
 	// ≈ 1 810 B per schema (≈ 1 900 B under -race). Holding schema graphs
-	// and map-based profiles instead measured 1 374 B and 2 801 B.
+	// and map-based profiles instead measured 1 374 B and 2 801 B. The
+	// compacted index measured ≈ 406 B per schema; ≈ 878 B while its
+	// segments also held every document's term list.
 	const (
 		maxRepoBytes    = 1200
 		maxProfileBytes = 2400
+		maxIndexBytes   = 550
 	)
 	base := liveHeap()
 	repo := repository.New()
@@ -81,15 +84,26 @@ func TestResidentMemoryPerSchema(t *testing.T) {
 	e.profiles.reset()
 	withDictionary := liveHeap()
 
+	// The index as a checkpoint leaves it: every document in one segment.
+	if err := e.Reindex(); err != nil {
+		t.Fatal(err)
+	}
+	e.idx.Compact()
+	withIndex := liveHeap()
+
 	perRepo := float64(withRepo-base) / float64(n)
 	perProfile := float64(withProfiles-withDictionary) / float64(n)
-	t.Logf("%d schemas: repository %.0f B/schema, profile cache %.0f B/schema, name dictionary %+.1f KB (%d names interned)",
-		n, perRepo, perProfile, float64(withDictionary-withRepo)/1024, names)
+	perIndex := float64(withIndex-withDictionary) / float64(n)
+	t.Logf("%d schemas: repository %.0f B/schema, profile cache %.0f B/schema, index %.0f B/schema, name dictionary %+.1f KB (%d names interned)",
+		n, perRepo, perProfile, perIndex, float64(withDictionary-withRepo)/1024, names)
 	if perRepo > maxRepoBytes {
 		t.Errorf("repository retains %.0f B per schema, ceiling %d", perRepo, maxRepoBytes)
 	}
 	if perProfile > maxProfileBytes {
 		t.Errorf("profile cache retains %.0f B per schema, ceiling %d", perProfile, maxProfileBytes)
+	}
+	if perIndex > maxIndexBytes {
+		t.Errorf("index retains %.0f B per schema, ceiling %d", perIndex, maxIndexBytes)
 	}
 	runtime.KeepAlive(repo)
 	runtime.KeepAlive(e)

@@ -648,7 +648,8 @@ func (ix *Index) Delete(id string) bool {
 
 // deleteLocked tombstones the document at global ordinal ord. Head
 // documents get their head df decremented in place; segment documents get
-// per-term delDF corrections bumped atomically in place — O(terms in the
+// per-term delDF corrections bumped atomically in place, through the
+// segment's forward index (built by its first delete) — O(terms in the
 // document) per delete, no map cloning (segment postings stay immutable,
 // so their bounds stay stale-high — a valid, merely looser upper bound —
 // until a merge drops the dead postings and recomputes bounds exactly).
@@ -673,11 +674,7 @@ func (ix *Index) deleteLocked(ord int32) {
 		s := ix.segByOrdLocked(ord)
 		local := s.localOf(ord)
 		id = s.docIDs[local]
-		for _, t := range s.docTerms[local] {
-			if st, ok := s.terms[t]; ok {
-				st.delDF.Add(1)
-			}
-		}
+		s.countDeleted(local)
 	}
 	nd := ix.dels.cloneFor(ix.nextOrd)
 	nd.set(ord)
@@ -738,7 +735,6 @@ func (ix *Index) buildSegmentFromHeadLocked(hd *head) *segment {
 	remap := make([]int32, n) // head local → segment local, -1 dead
 	docIDs := make([]string, 0, n)
 	docOrds := make([]int32, 0, n)
-	docTerms := make([][]string, 0, n)
 	for local := 0; local < n; local++ {
 		if hd.deleted[local] {
 			remap[local] = -1
@@ -747,7 +743,6 @@ func (ix *Index) buildSegmentFromHeadLocked(hd *head) *segment {
 		remap[local] = int32(len(docIDs))
 		docIDs = append(docIDs, hd.docIDs[local])
 		docOrds = append(docOrds, hd.base+int32(local))
-		docTerms = append(docTerms, hd.docTerms[local])
 	}
 	if len(docIDs) == 0 {
 		return nil
@@ -784,7 +779,7 @@ func (ix *Index) buildSegmentFromHeadLocked(hd *head) *segment {
 			postings[t] = kept
 		}
 	}
-	return newSegment(docIDs, docOrds, docTerms, norms, postings, ix.boostByFid, ix.compress)
+	return newSegment(docIDs, docOrds, norms, postings, ix.boostByFid, ix.compress)
 }
 
 // Maintain runs the merge policy: whenever mergeFactor or more segments
@@ -832,7 +827,6 @@ func (ix *Index) mergeRangeLocked(lo, hi int) {
 	remaps := make([][]int32, len(ins))
 	docIDs := make([]string, 0, total)
 	docOrds := make([]int32, 0, total)
-	docTerms := make([][]string, 0, total)
 	for si, s := range ins {
 		remap := make([]int32, s.numDocs())
 		for local := 0; local < s.numDocs(); local++ {
@@ -844,7 +838,6 @@ func (ix *Index) mergeRangeLocked(lo, hi int) {
 			remap[local] = int32(len(docIDs))
 			docIDs = append(docIDs, s.docIDs[local])
 			docOrds = append(docOrds, ord)
-			docTerms = append(docTerms, s.docTerms[local])
 		}
 		remaps[si] = remap
 	}
@@ -884,7 +877,7 @@ func (ix *Index) mergeRangeLocked(lo, hi int) {
 		}
 	}
 
-	merged := newSegment(docIDs, docOrds, docTerms, norms, postings, ix.boostByFid, ix.compress)
+	merged := newSegment(docIDs, docOrds, norms, postings, ix.boostByFid, ix.compress)
 
 	newSegs := make([]*segment, 0, len(ix.segs)-(hi-lo)+1)
 	newSegs = append(newSegs, ix.segs[:lo]...)

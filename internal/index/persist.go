@@ -14,8 +14,9 @@ import (
 // indexMagic guards against loading files that are not Schemr indexes (or
 // are a newer format than this build understands). Format v3 persists the
 // segmented index: per-segment blocked postings (delta+varint payload or
-// raw), block-max bounds, the head, the tombstone bitmap and the df
-// corrections. v2 files (flat postings with per-term MaxScore bounds) and
+// raw), block-max bounds, the head and the tombstone bitmap; segment
+// documents' term lists and the df corrections are derived from the
+// postings. v2 files (flat postings with per-term MaxScore bounds) and
 // v1 files (no bounds) still load — into the head at ordinal base 0, with
 // v1 bounds left unavailable so the scorer falls back to exhaustive
 // scoring until the next flush or Compact recomputes them.
@@ -83,10 +84,12 @@ type persistedSegTerm struct {
 	MaxFreq     int32
 }
 
+// persistedSegment is one segment. Files written before the forward index
+// also carry a DocTerms field (each document's sorted terms); gob skips
+// it, since the terms are derived from the postings when needed.
 type persistedSegment struct {
 	DocIDs     []string
 	DocOrds    []int32
-	DocTerms   [][]string
 	Norms      [][]float32
 	Compressed bool
 	Terms      []persistedSegTerm
@@ -108,9 +111,9 @@ type persistedV3 struct {
 	NextOrd    int32
 	// DFDel is the legacy global df-correction map older v3 writers
 	// persisted. Current builds keep corrections per segment term
-	// (segTerm.delDF) and recompute them from Dels + DocTerms on load —
-	// exactly the increments deleteLocked performed — so this field is
-	// no longer written and is ignored when read.
+	// (segTerm.delDF) and recompute them from Dels and the postings on
+	// load — exactly the increments deleteLocked performed — so this field
+	// is no longer written and is ignored when read.
 	DFDel    map[string]int32
 	Dels     []uint64
 	Segments []persistedSegment
@@ -139,7 +142,6 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		ps := persistedSegment{
 			DocIDs:     s.docIDs,
 			DocOrds:    s.docOrds,
-			DocTerms:   s.docTerms,
 			Norms:      s.norms,
 			Compressed: s.compressed,
 		}
@@ -223,41 +225,53 @@ func (ix *Index) readV3(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return fmt.Errorf("index: decode: %w", err)
 	}
+	nFields := len(p.FieldNames)
+	// Ordinals only order documents, so the file's are replaced by dense
+	// ones in file order (segments, then the head): the tombstone bitmap
+	// is then sized by the documents the file holds, never by an ordinal
+	// it claims. The file's NextOrd and head base are not needed.
+	total := int64(len(p.Head.DocIDs))
+	for si := range p.Segments {
+		total += int64(len(p.Segments[si].DocIDs))
+	}
+	if total > math.MaxInt32 {
+		return fmt.Errorf("index: corrupt file: %d documents", total)
+	}
+	oldDels := bitset(p.Dels)
+	dels := bitset(nil).cloneFor(int32(total))
+	next := int32(0)
 
 	segs := make([]*segment, 0, len(p.Segments))
 	for si := range p.Segments {
 		ps := &p.Segments[si]
-		if len(ps.DocTerms) != len(ps.DocIDs) || len(ps.DocOrds) != len(ps.DocIDs) {
-			return fmt.Errorf("index: corrupt file: segment %d doc table lengths disagree", si)
+		if len(ps.DocIDs) == 0 || len(ps.DocOrds) != len(ps.DocIDs) {
+			return fmt.Errorf("index: corrupt file: segment %d has %d doc ids and %d ordinals", si, len(ps.DocIDs), len(ps.DocOrds))
 		}
 		for _, col := range ps.Norms {
 			if col != nil && len(col) != len(ps.DocIDs) {
 				return fmt.Errorf("index: corrupt file: segment %d norm column length %d, want %d", si, len(col), len(ps.DocIDs))
 			}
 		}
-		for i := 1; i < len(ps.DocOrds); i++ {
-			if ps.DocOrds[i] <= ps.DocOrds[i-1] {
+		for i, ord := range ps.DocOrds {
+			if ord < 0 || (i > 0 && ord <= ps.DocOrds[i-1]) {
 				return fmt.Errorf("index: corrupt file: segment %d ordinals not ascending", si)
 			}
 		}
 		s := &segment{
 			docIDs:     ps.DocIDs,
 			docOrds:    ps.DocOrds,
-			docTerms:   ps.DocTerms,
 			norms:      ps.Norms,
 			terms:      make(map[string]*segTerm, len(ps.Terms)),
 			compressed: ps.Compressed,
 		}
-		s.lenSum = make([]float64, len(s.norms))
-		s.lenCnt = make([]int64, len(s.norms))
-		for f, col := range s.norms {
-			for _, n := range col {
-				if n > 0 {
-					s.lenSum[f] += lenFromNorm(n)
-					s.lenCnt[f]++
-				}
+		for local, old := range s.docOrds {
+			if oldDels.get(old) {
+				dels.set(next)
 			}
+			s.docOrds[local] = next
+			next++
 		}
+		s.sumLens()
 		for ti := range ps.Terms {
 			pt := &ps.Terms[ti]
 			st := &segTerm{
@@ -265,21 +279,21 @@ func (ix *Index) readV3(r io.Reader) error {
 				maxClassic: pt.MaxClassic, maxBoostSum: pt.MaxBoostSum, maxFreq: pt.MaxFreq,
 			}
 			for _, pb := range pt.Blocks {
-				if pb.FirstLocal < 0 || int(pb.LastLocal) >= len(ps.DocIDs) || pb.FirstLocal > pb.LastLocal {
-					return fmt.Errorf("index: corrupt file: segment %d term %q block spans doc %d..%d of %d", si, pt.Term, pb.FirstLocal, pb.LastLocal, len(ps.DocIDs))
-				}
 				st.blocks = append(st.blocks, blockMeta{
 					off: pb.Off, count: pb.Count,
 					firstLocal: pb.FirstLocal, lastLocal: pb.LastLocal,
-					firstOrd: pb.FirstOrd, lastOrd: pb.LastOrd,
 					maxClassic: pb.MaxClassic, maxBoostSum: pb.MaxBoostSum, maxFreq: pb.MaxFreq,
 				})
 			}
 			for _, pp := range pt.Raw {
-				if pp.Doc < 0 || int(pp.Doc) >= len(ps.DocIDs) {
-					return fmt.Errorf("index: corrupt file: segment %d posting for %q references doc %d of %d", si, pt.Term, pp.Doc, len(ps.DocIDs))
-				}
 				st.raw = append(st.raw, posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq, positions: pp.Positions})
+			}
+			if err := s.checkTerm(st, nFields); err != nil {
+				return fmt.Errorf("index: corrupt file: segment %d term %q: %w", si, pt.Term, err)
+			}
+			for bi := range st.blocks {
+				bm := &st.blocks[bi]
+				bm.firstOrd, bm.lastOrd = s.docOrds[bm.firstLocal], s.docOrds[bm.lastLocal]
 			}
 			s.terms[pt.Term] = st
 		}
@@ -295,12 +309,17 @@ func (ix *Index) readV3(r io.Reader) error {
 			return fmt.Errorf("index: corrupt file: head norm column length %d, want %d", len(col), len(ph.DocIDs))
 		}
 	}
-	hd := newHead(ph.Base, len(p.FieldNames))
+	hd := newHead(next, nFields)
 	hd.docIDs = ph.DocIDs
 	hd.deleted = ph.Deleted
 	hd.docTerms = ph.DocTerms
 	if len(ph.Norms) > 0 {
 		hd.norms = ph.Norms
+	}
+	for local, gone := range hd.deleted {
+		if gone {
+			dels.set(next + int32(local))
+		}
 	}
 	for _, pt := range ph.Terms {
 		e := &termEntry{
@@ -311,26 +330,70 @@ func (ix *Index) readV3(r io.Reader) error {
 			if pp.Doc < 0 || int(pp.Doc) >= len(ph.DocIDs) {
 				return fmt.Errorf("index: corrupt file: head posting for %q references doc %d of %d", pt.Term, pp.Doc, len(ph.DocIDs))
 			}
-			if int(pp.Field) >= len(p.FieldNames) {
-				return fmt.Errorf("index: corrupt file: head posting for %q references field %d of %d", pt.Term, pp.Field, len(p.FieldNames))
+			if n := len(e.postings); n > 0 && pp.Doc < e.postings[n-1].doc {
+				return fmt.Errorf("index: corrupt file: head postings for %q not in document order", pt.Term)
+			}
+			if pp.Field < 0 || int(pp.Field) >= nFields {
+				return fmt.Errorf("index: corrupt file: head posting for %q references field %d of %d", pt.Term, pp.Field, nFields)
 			}
 			e.postings = append(e.postings, posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq, positions: pp.Positions})
 		}
 		hd.terms[pt.Term] = e
 	}
 
+	// Rebuild the per-segment-term df corrections from the tombstone
+	// bitmap: every tombstoned segment document bumps delDF for each of
+	// its terms, through the segment's forward index — the exact
+	// increments deleteLocked performed before the save (the legacy global
+	// DFDel map, when present, recorded the same totals and is superseded
+	// by this recomputation). Live documents fill the ID map.
+	docMap := make(map[string]int32)
+	for _, s := range segs {
+		for local, ord := range s.docOrds {
+			if dels.get(ord) {
+				s.countDeleted(int32(local))
+			} else if err := addLive(docMap, s.docIDs[local], ord); err != nil {
+				return err
+			}
+		}
+	}
+	for local := range hd.docIDs {
+		if !hd.deleted[local] {
+			if err := addLive(docMap, hd.docIDs[local], hd.base+int32(local)); err != nil {
+				return err
+			}
+			hd.nlive.Add(1)
+		}
+	}
+	ix.install(p.FieldNames, p.Boosts, segs, hd, dels, docMap)
+	return nil
+}
+
+// addLive maps a live document's ID to its ordinal, rejecting an ID that is
+// already live.
+func addLive(docMap map[string]int32, id string, ord int32) error {
+	if _, dup := docMap[id]; dup {
+		return fmt.Errorf("index: corrupt file: document %q is live twice", id)
+	}
+	docMap[id] = ord
+	return nil
+}
+
+// install replaces the index contents with a state a reader built and
+// checked, and publishes it.
+func (ix *Index) install(fieldNames []string, boosts map[string]float64, segs []*segment, hd *head, dels bitset, docMap map[string]int32) {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	ix.fieldNames = p.FieldNames
-	ix.fieldIDs = make(map[string]int, len(p.FieldNames))
-	for i, n := range p.FieldNames {
+	ix.fieldNames = fieldNames
+	ix.fieldIDs = make(map[string]int, len(fieldNames))
+	for i, n := range fieldNames {
 		ix.fieldIDs[n] = i
 	}
-	if p.Boosts != nil {
-		ix.boosts = p.Boosts
+	if boosts != nil {
+		ix.boosts = boosts
 	}
-	ix.boostByFid = make([]float64, len(p.FieldNames))
-	for i, n := range p.FieldNames {
+	ix.boostByFid = make([]float64, len(fieldNames))
+	for i, n := range fieldNames {
 		ix.boostByFid[i] = 1
 		if b, ok := ix.boosts[n]; ok {
 			ix.boostByFid[i] = b
@@ -338,55 +401,13 @@ func (ix *Index) readV3(r io.Reader) error {
 	}
 	ix.segs = segs
 	ix.hd = hd
-	ix.dels = bitset(p.Dels)
-	ix.nextOrd = p.NextOrd
-
-	// Rebuild the per-segment-term df corrections from the tombstone
-	// bitmap: every tombstoned segment document bumps delDF for each of
-	// its terms — the exact increments deleteLocked performed before the
-	// save (the legacy global DFDel map, when present, recorded the same
-	// totals and is superseded by this recomputation).
-	for _, s := range segs {
-		for local, ord := range s.docOrds {
-			if !ix.dels.get(ord) {
-				continue
-			}
-			for _, t := range s.docTerms[local] {
-				if st, ok := s.terms[t]; ok {
-					st.delDF.Add(1)
-				}
-			}
-		}
-	}
-
-	live := int64(0)
+	ix.dels = dels
+	ix.nextOrd = hd.base + int32(len(hd.docIDs))
 	ix.dmu.Lock()
-	ix.docMap = make(map[string]int32)
-	for _, s := range segs {
-		if s.maxOrd() >= ix.nextOrd {
-			ix.nextOrd = s.maxOrd() + 1
-		}
-		for local, ord := range s.docOrds {
-			if !ix.dels.get(ord) {
-				ix.docMap[s.docIDs[local]] = ord
-				live++
-			}
-		}
-	}
-	for local := range hd.docIDs {
-		if !hd.deleted[local] {
-			ix.docMap[hd.docIDs[local]] = hd.base + int32(local)
-			live++
-			hd.nlive.Add(1)
-		}
-	}
-	if end := hd.base + int32(len(hd.docIDs)); end > ix.nextOrd {
-		ix.nextOrd = end
-	}
+	ix.docMap = docMap
 	ix.dmu.Unlock()
-	ix.live.Store(live)
+	ix.live.Store(int64(len(docMap)))
 	ix.publishLocked()
-	return nil
 }
 
 // readLegacy loads a v1/v2 flat index into the head at ordinal base 0.
@@ -419,199 +440,25 @@ func (ix *Index) readLegacy(r io.Reader, v1 bool) error {
 			if pp.Doc < 0 || int(pp.Doc) >= len(p.DocIDs) {
 				return fmt.Errorf("index: corrupt file: posting for %q references doc %d of %d", pt.Term, pp.Doc, len(p.DocIDs))
 			}
-			if int(pp.Field) >= len(p.FieldNames) {
+			if i > 0 && pp.Doc < e.postings[i-1].doc {
+				return fmt.Errorf("index: corrupt file: postings for %q not in document order", pt.Term)
+			}
+			if pp.Field < 0 || int(pp.Field) >= len(p.FieldNames) {
 				return fmt.Errorf("index: corrupt file: posting for %q references field %d of %d", pt.Term, pp.Field, len(p.FieldNames))
 			}
 			e.postings[i] = posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq, positions: pp.Positions}
 		}
 		hd.terms[pt.Term] = e
 	}
-	hd.nlive.Store(int32(len(p.DocIDs)))
-
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-	ix.fieldNames = p.FieldNames
-	ix.fieldIDs = make(map[string]int, len(p.FieldNames))
-	for i, n := range p.FieldNames {
-		ix.fieldIDs[n] = i
-	}
-	if p.Boosts != nil {
-		ix.boosts = p.Boosts
-	}
-	ix.boostByFid = make([]float64, len(p.FieldNames))
-	for i, n := range p.FieldNames {
-		ix.boostByFid[i] = 1
-		if b, ok := ix.boosts[n]; ok {
-			ix.boostByFid[i] = b
-		}
-	}
-	ix.segs = nil
-	ix.hd = hd
-	ix.dels = nil
-	ix.nextOrd = int32(len(p.DocIDs))
-	ix.dmu.Lock()
-	ix.docMap = make(map[string]int32, len(p.DocIDs))
+	docMap := make(map[string]int32, len(p.DocIDs))
 	for i, id := range p.DocIDs {
-		ix.docMap[id] = int32(i)
+		if err := addLive(docMap, id, int32(i)); err != nil {
+			return err
+		}
 	}
-	ix.dmu.Unlock()
-	ix.live.Store(int64(len(p.DocIDs)))
-	ix.publishLocked()
+	hd.nlive.Store(int32(len(p.DocIDs)))
+	ix.install(p.FieldNames, p.Boosts, nil, hd, nil, docMap)
 	return nil
-}
-
-// writeLegacyV2 serializes the index in the flat v2 format older builds
-// read — live documents renumbered contiguously, per-term postings with
-// exact recomputed bounds. Used by the format-compatibility fixture tests.
-func (ix *Index) writeLegacyV2(w io.Writer) (int64, error) {
-	ix.wmu.Lock()
-	defer ix.wmu.Unlock()
-
-	cw := &countingWriter{w: w}
-	if _, err := io.WriteString(cw, indexMagicV2); err != nil {
-		return cw.n, err
-	}
-	p := persistedIndex{
-		FieldNames: ix.fieldNames,
-		Boosts:     ix.boosts,
-	}
-	hd := ix.hd
-
-	// Renumber live documents contiguously: segments in span order, head
-	// last — ascending global-ordinal order either way.
-	type src struct {
-		sg    *segment
-		local int32
-	}
-	var sources []src
-	ordOf := make(map[int32]int32) // global ordinal → new contiguous doc
-	for _, s := range ix.segs {
-		for local, ord := range s.docOrds {
-			if ix.dels.get(ord) {
-				continue
-			}
-			ordOf[ord] = int32(len(p.DocIDs))
-			p.DocIDs = append(p.DocIDs, s.docIDs[local])
-			p.DocTerms = append(p.DocTerms, s.docTerms[local])
-			sources = append(sources, src{sg: s, local: int32(local)})
-		}
-	}
-	for local := range hd.docIDs {
-		if hd.deleted[local] {
-			continue
-		}
-		ordOf[hd.base+int32(local)] = int32(len(p.DocIDs))
-		p.DocIDs = append(p.DocIDs, hd.docIDs[local])
-		p.DocTerms = append(p.DocTerms, hd.docTerms[local])
-		sources = append(sources, src{local: int32(local)})
-	}
-	p.Norms = make([][]float32, len(ix.fieldNames))
-	for f := range p.Norms {
-		col := make([]float32, len(p.DocIDs))
-		any := false
-		for i, sc := range sources {
-			v := float32(0)
-			if sc.sg != nil {
-				v = float32(sc.sg.norm(int8(f), sc.local))
-			} else if f < len(hd.norms) && hd.norms[f] != nil {
-				v = hd.norms[f][sc.local]
-			}
-			if v != 0 {
-				col[i] = v
-				any = true
-			}
-		}
-		if any {
-			p.Norms[f] = col
-		}
-	}
-
-	// Gather per-term postings in ascending new-doc order and recompute
-	// exact bounds over the live documents.
-	gather := make(map[string][]persistedPosting)
-	for _, s := range ix.segs {
-		for t, st := range s.terms {
-			for _, post := range s.materializeTerm(st) {
-				ord := s.docOrds[post.doc]
-				nd, ok := ordOf[ord]
-				if !ok {
-					continue
-				}
-				gather[t] = append(gather[t], persistedPosting{
-					Doc: nd, Field: post.field, Freq: post.freq, Positions: post.positions,
-				})
-			}
-		}
-	}
-	for t, e := range hd.terms {
-		for _, post := range e.postings {
-			if hd.deleted[post.doc] {
-				continue
-			}
-			gather[t] = append(gather[t], persistedPosting{
-				Doc: ordOf[hd.base+post.doc], Field: post.field, Freq: post.freq, Positions: post.positions,
-			})
-		}
-	}
-	boost := func(fid int8) float64 {
-		if int(fid) < len(ix.boostByFid) {
-			return ix.boostByFid[fid]
-		}
-		return 1
-	}
-	for t, ps := range gather {
-		if len(ps) == 0 {
-			continue
-		}
-		pt := persistedTerm{Term: t, Postings: ps}
-		var (
-			prev  int32 = -1
-			docC  float64
-			docBS float64
-			docMF int32
-		)
-		closeDoc := func() {
-			if prev < 0 {
-				return
-			}
-			if docC > pt.MaxClassic {
-				pt.MaxClassic = docC
-			}
-			if docBS > pt.MaxBoostSum {
-				pt.MaxBoostSum = docBS
-			}
-			if docMF > pt.MaxFreq {
-				pt.MaxFreq = docMF
-			}
-		}
-		for i := range ps {
-			pp := &ps[i]
-			if pp.Doc != prev {
-				closeDoc()
-				pt.DF++
-				docC, docBS, docMF = 0, 0, 0
-				prev = pp.Doc
-			}
-			norm := 0.0
-			if int(pp.Field) < len(p.Norms) && p.Norms[pp.Field] != nil {
-				norm = float64(p.Norms[pp.Field][pp.Doc])
-			}
-			bv := boost(pp.Field)
-			docC += bv * math.Sqrt(float64(pp.Freq)) * norm
-			if bv > 0 {
-				docBS += bv
-			}
-			if pp.Freq > docMF {
-				docMF = pp.Freq
-			}
-		}
-		closeDoc()
-		p.Terms = append(p.Terms, pt)
-	}
-	if err := gob.NewEncoder(cw).Encode(&p); err != nil {
-		return cw.n, fmt.Errorf("index: encode: %w", err)
-	}
-	return cw.n, nil
 }
 
 // Save compacts and durably writes the index: temp file, fsync, rename,

@@ -2,7 +2,9 @@ package index
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -73,14 +75,13 @@ func lenFromNorm(n float32) float64 {
 // segment is one immutable index segment: a doc-ordinal-sorted slice of
 // documents (docOrds maps local ordinal → global ordinal; spans of
 // distinct segments never overlap) with per-term blocked postings.
-// Nothing in a segment is ever mutated after newSegment returns; deletes
-// are tracked outside it (the snapshot's global tombstone bitmap and
-// per-term delDF counters) until a merge drops the dead documents.
+// Nothing a search reads is mutated after newSegment returns; deletes are
+// tracked outside it (the snapshot's global tombstone bitmap and per-term
+// delDF counters) until a merge drops the dead documents.
 type segment struct {
-	docIDs   []string
-	docOrds  []int32 // local → global ordinal, strictly ascending
-	docTerms [][]string
-	norms    [][]float32 // global field id → per-local-doc norm column (nil if absent)
+	docIDs  []string
+	docOrds []int32     // local → global ordinal, strictly ascending
+	norms   [][]float32 // global field id → per-local-doc norm column (nil if absent)
 	// lenSum/lenCnt are the per-field Σ token-length and document counts at
 	// build time, for the snapshot's BM25 average-length aggregates.
 	lenSum []float64
@@ -88,6 +89,124 @@ type segment struct {
 	terms  map[string]*segTerm
 
 	compressed bool
+
+	// fwd is the forward index, built from the postings by the segment's
+	// first delete (see forwardIndex). Writer-owned: read and written
+	// under Index.wmu only, never by a search.
+	fwd *forward
+}
+
+// forward is a segment's forward index in CSR form: local document d
+// holds the terms names[o] for o in ords[off[d]:off[d+1]], ascending, so
+// each document's list is sorted. Only the term table holds pointers.
+type forward struct {
+	names []string // the segment's terms, sorted
+	off   []int32  // numDocs+1 offsets into ords
+	ords  []int32  // term ordinals into names
+}
+
+// countDeleted bumps delDF for every term of local document d, which has
+// just been tombstoned. Caller holds Index.wmu.
+func (s *segment) countDeleted(d int32) {
+	f := s.forwardIndex()
+	for _, o := range f.ords[f.off[d]:f.off[d+1]] {
+		s.terms[f.names[o]].delDF.Add(1)
+	}
+}
+
+// forwardIndex returns the segment's forward index, building it on first
+// use: one streaming pass over every term's document deltas (field,
+// frequency and position varints are skipped, nothing is materialized),
+// then a counting sort by document. Terms are visited in sorted order, so
+// every document's ordinals come out ascending. Caller holds Index.wmu.
+func (s *segment) forwardIndex() *forward {
+	if s.fwd != nil {
+		return s.fwd
+	}
+	names := make([]string, 0, len(s.terms))
+	pairs := 0
+	for t, st := range s.terms {
+		names = append(names, t)
+		pairs += int(st.df)
+	}
+	slices.Sort(names)
+	// docs lists each term's documents, terms in names order; ends[o] is
+	// where term o's run stops.
+	docs := make([]int32, 0, pairs)
+	ends := make([]int32, len(names))
+	for o, t := range names {
+		docs = s.appendDocs(docs, s.terms[t])
+		ends[o] = int32(len(docs))
+	}
+	off := make([]int32, s.numDocs()+1)
+	for _, d := range docs {
+		off[d+1]++
+	}
+	for d := 1; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
+	next := slices.Clone(off[:s.numDocs()])
+	ords := make([]int32, len(docs))
+	i := 0
+	for o := range names {
+		for ; i < int(ends[o]); i++ {
+			d := docs[i]
+			ords[next[d]] = int32(o)
+			next[d]++
+		}
+	}
+	s.fwd = &forward{names: names, off: off, ords: ords}
+	return s.fwd
+}
+
+// appendDocs appends the distinct local documents of term st, ascending.
+func (s *segment) appendDocs(dst []int32, st *segTerm) []int32 {
+	last := int32(-1)
+	if !s.compressed {
+		for i := range st.raw {
+			if d := st.raw[i].doc; d != last {
+				dst = append(dst, d)
+				last = d
+			}
+		}
+		return dst
+	}
+	data := st.data
+	for bi := range st.blocks {
+		bm := &st.blocks[bi]
+		doc := bm.firstLocal
+		at := int(bm.off)
+		for j := int32(0); j < bm.count; j++ {
+			delta := uint64(data[at])
+			if delta < 0x80 {
+				at++
+			} else {
+				delta, at = uvarintAt(data, at)
+			}
+			doc += int32(delta)
+			for data[at] >= 0x80 { // field
+				at++
+			}
+			at++
+			freq := uint64(data[at])
+			if freq < 0x80 {
+				at++
+			} else {
+				freq, at = uvarintAt(data, at)
+			}
+			for ; freq > 0; freq-- { // positions
+				for data[at] >= 0x80 {
+					at++
+				}
+				at++
+			}
+			if doc != last {
+				dst = append(dst, doc)
+				last = doc
+			}
+		}
+	}
+	return dst
 }
 
 func (s *segment) numDocs() int { return len(s.docIDs) }
@@ -113,26 +232,11 @@ func (s *segment) norm(fid int8, local int32) float64 {
 	return float64(s.norms[fid][local])
 }
 
-// newSegment builds an immutable segment from prepared per-document data
-// and per-term postings. postings use local doc ordinals, sorted by doc
-// (multi-field postings of one doc adjacent, in field-appearance order —
-// the canonical accumulation order Explain shares). boostByFid resolves
-// field boosts for the bound computation. Returns nil for an empty input.
-func newSegment(docIDs []string, docOrds []int32, docTerms [][]string, norms [][]float32, postings map[string][]posting, boostByFid []float64, compress bool) *segment {
-	if len(docIDs) == 0 {
-		return nil
-	}
-	s := &segment{
-		docIDs:     docIDs,
-		docOrds:    docOrds,
-		docTerms:   docTerms,
-		norms:      norms,
-		terms:      make(map[string]*segTerm, len(postings)),
-		compressed: compress,
-	}
-	s.lenSum = make([]float64, len(norms))
-	s.lenCnt = make([]int64, len(norms))
-	for f, col := range norms {
+// sumLens computes lenSum and lenCnt from the norm columns.
+func (s *segment) sumLens() {
+	s.lenSum = make([]float64, len(s.norms))
+	s.lenCnt = make([]int64, len(s.norms))
+	for f, col := range s.norms {
 		for _, n := range col {
 			if n > 0 {
 				s.lenSum[f] += lenFromNorm(n)
@@ -140,6 +244,25 @@ func newSegment(docIDs []string, docOrds []int32, docTerms [][]string, norms [][
 			}
 		}
 	}
+}
+
+// newSegment builds an immutable segment from prepared per-document data
+// and per-term postings. postings use local doc ordinals, sorted by doc
+// (multi-field postings of one doc adjacent, in field-appearance order —
+// the canonical accumulation order Explain shares). boostByFid resolves
+// field boosts for the bound computation. Returns nil for an empty input.
+func newSegment(docIDs []string, docOrds []int32, norms [][]float32, postings map[string][]posting, boostByFid []float64, compress bool) *segment {
+	if len(docIDs) == 0 {
+		return nil
+	}
+	s := &segment{
+		docIDs:     docIDs,
+		docOrds:    docOrds,
+		norms:      norms,
+		terms:      make(map[string]*segTerm, len(postings)),
+		compressed: compress,
+	}
+	s.sumLens()
 	boost := func(fid int8) float64 {
 		if int(fid) < len(boostByFid) {
 			return boostByFid[fid]
@@ -354,6 +477,133 @@ func (s *segment) loadBlock(st *segTerm, bi int, dst *decBlock) {
 		dst.posBuf = append(dst.posBuf, p.positions...)
 	}
 	dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
+}
+
+// checkTerm verifies a term loaded from disk before anything decodes it:
+// its blocks tile the payload (offsets ascending from 0, every byte in
+// exactly one block, counts summing to count), each block decodes inside
+// its own bytes to exactly its postings, documents ascend within the
+// block's span and the spans ascend inside the segment, field ids lie in
+// the field table, and df is the number of distinct documents. The search
+// loop, decodeBlock and forwardIndex then read without bounds checks of
+// their own.
+func (s *segment) checkTerm(st *segTerm, nFields int) error {
+	size := len(st.data)
+	if !s.compressed {
+		size = len(st.raw)
+	}
+	if len(st.blocks) == 0 {
+		return fmt.Errorf("no blocks")
+	}
+	var count, df int64
+	prevLast := int32(-1)
+	for bi := range st.blocks {
+		bm := &st.blocks[bi]
+		start, end := int(bm.off), size
+		if bi+1 < len(st.blocks) {
+			end = int(st.blocks[bi+1].off)
+		}
+		if (bi == 0 && start != 0) || start >= end || end > size {
+			return fmt.Errorf("block %d covers %d..%d of %d", bi, start, end, size)
+		}
+		if bm.count < 1 || bm.firstLocal <= prevLast || bm.lastLocal < bm.firstLocal || int(bm.lastLocal) >= s.numDocs() {
+			return fmt.Errorf("block %d spans doc %d..%d (%d postings) after doc %d of %d", bi, bm.firstLocal, bm.lastLocal, bm.count, prevLast, s.numDocs())
+		}
+		var docs int
+		var err error
+		if s.compressed {
+			docs, err = checkBlockData(st.data[start:end], bm, nFields)
+		} else {
+			docs, err = checkBlockRaw(st.raw[start:end], bm, nFields)
+		}
+		if err != nil {
+			return fmt.Errorf("block %d: %w", bi, err)
+		}
+		count += int64(bm.count)
+		df += int64(docs)
+		prevLast = bm.lastLocal
+	}
+	if count != int64(st.count) || df != int64(st.df) {
+		return fmt.Errorf("%d postings in %d documents, header says %d in %d", count, df, st.count, st.df)
+	}
+	return nil
+}
+
+// checkBlockData decodes one compressed block's bytes (see decodeBlock for
+// the layout), bounds-checking every varint, and returns its distinct
+// documents.
+func checkBlockData(data []byte, bm *blockMeta, nFields int) (int, error) {
+	at, docs := 0, 0
+	doc, last := bm.firstLocal, int32(-1)
+	for j := int32(0); j < bm.count; j++ {
+		var delta, field, freq uint64
+		delta, at = checkedUvarint(data, at)
+		if at < 0 || delta > uint64(bm.lastLocal-doc) || (j == 0 && delta != 0) {
+			return 0, fmt.Errorf("posting %d: bad document delta", j)
+		}
+		doc += int32(delta)
+		field, at = checkedUvarint(data, at)
+		if at < 0 || field >= uint64(nFields) || field > math.MaxInt8 {
+			return 0, fmt.Errorf("posting %d: field %d of %d", j, field, nFields)
+		}
+		freq, at = checkedUvarint(data, at)
+		if at < 0 || freq > uint64(len(data)-at) {
+			return 0, fmt.Errorf("posting %d: frequency %d past the block", j, freq)
+		}
+		for k := uint64(0); k < freq; k++ {
+			if _, at = checkedUvarint(data, at); at < 0 {
+				return 0, fmt.Errorf("posting %d: position %d cut", j, k)
+			}
+		}
+		if doc != last {
+			docs++
+			last = doc
+		}
+	}
+	if at != len(data) || last != bm.lastLocal {
+		return 0, fmt.Errorf("decoded %d of %d bytes, ending at doc %d not %d", at, len(data), last, bm.lastLocal)
+	}
+	return docs, nil
+}
+
+// checkedUvarint decodes the uvarint at data[at:], returning the offset
+// past it, or -1 when it is cut or longer than the five bytes of a 32-bit
+// value: every value the writer encodes (document delta, field, frequency,
+// position delta) is a non-negative int32.
+func checkedUvarint(data []byte, at int) (uint64, int) {
+	var v uint64
+	for shift := 0; shift < 35 && at < len(data); shift += 7 {
+		c := data[at]
+		at++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v, at
+		}
+	}
+	return 0, -1
+}
+
+// checkBlockRaw is checkBlockData for an uncompressed block's postings.
+func checkBlockRaw(ps []posting, bm *blockMeta, nFields int) (int, error) {
+	if int(bm.count) != len(ps) || ps[0].doc != bm.firstLocal || ps[len(ps)-1].doc != bm.lastLocal {
+		return 0, fmt.Errorf("%d postings over doc %d..%d, header says %d over %d..%d",
+			len(ps), ps[0].doc, ps[len(ps)-1].doc, bm.count, bm.firstLocal, bm.lastLocal)
+	}
+	docs, last := 0, int32(-1)
+	for j := range ps {
+		p := &ps[j]
+		if p.doc < last {
+			return 0, fmt.Errorf("posting %d: document %d after %d", j, p.doc, last)
+		}
+		if p.field < 0 || int(p.field) >= nFields {
+			return 0, fmt.Errorf("posting %d: field %d of %d", j, p.field, nFields)
+		}
+		if p.doc != last {
+			docs++
+			last = p.doc
+		}
+	}
+	return docs, nil
 }
 
 // docPostings returns the postings of one document (local ordinal) for a

@@ -29,7 +29,6 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 
 		docIDs := make([]string, nDocs)
 		docOrds := make([]int32, nDocs)
-		docTerms := make([][]string, nDocs)
 		ord := int32(rng.Intn(5))
 		for i := range docIDs {
 			docIDs[i] = fmt.Sprintf("f%05d", i)
@@ -75,7 +74,7 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		for i := range boosts {
 			boosts[i] = 0.5 + rng.Float64()*2
 		}
-		sg := newSegment(docIDs, docOrds, docTerms, norms, map[string][]posting{"t": ps}, boosts, true)
+		sg := newSegment(docIDs, docOrds, norms, map[string][]posting{"t": ps}, boosts, true)
 		st := sg.terms["t"]
 		if int(st.count) != len(want) {
 			t.Fatalf("count = %d, want %d", st.count, len(want))
@@ -105,7 +104,7 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		}
 		// And per-block decode agrees with the loadBlock copy path of an
 		// equivalent raw segment.
-		rawSeg := newSegment(docIDs, docOrds, docTerms, norms, map[string][]posting{"t": want}, boosts, false)
+		rawSeg := newSegment(docIDs, docOrds, norms, map[string][]posting{"t": want}, boosts, false)
 		rst := rawSeg.terms["t"]
 		if len(rst.blocks) != len(st.blocks) {
 			t.Fatalf("raw segment carved %d blocks, compressed %d", len(rst.blocks), len(st.blocks))
