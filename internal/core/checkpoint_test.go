@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"schemr/internal/model"
+	"schemr/internal/query"
 	"schemr/internal/repository"
 )
 
@@ -125,7 +127,7 @@ func TestSaveIndexUnderConcurrentWrites(t *testing.T) {
 // index read at boot. Replicas never ship schemas.idx, and a binary that
 // cannot read one falls back to Reindex, so a deliberate format change
 // re-records the digests. They were last recorded when segments stopped
-// persisting per-document term lists. An index stream's gob
+// persisting MaxScore bounds and block ordinals. An index stream's gob
 // encoding walks Go maps, so the order of its records differs from run to
 // run; the digest therefore covers each stream's bytes sorted, which keeps
 // every byte and its count and drops only that order. Magic, cursor,
@@ -136,8 +138,8 @@ func TestSaveIndexBytesUnchanged(t *testing.T) {
 		tenants []string
 		digest  string
 	}{
-		{"v1", nil, "1e6ce5c78caddbe56d671014baff30e44708e2f7a532b34a1f08252bea080a7b"},
-		{"v3", []string{"acme"}, "5bbfdcb0d05d5e05df333255923f950041b07f858452b197f9ffd6df9b8e0365"},
+		{"v1", nil, "c9a0d8ce2f28cdd4c0ed75c7ccc1e5460ca0252ad3fb20cec1b597e614699252"},
+		{"v3", []string{"acme"}, "c90366235637117de50d9f1e85da45161a992a985741e477f4ca488f2d084d52"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			repo, _ := seedRepo(t)
@@ -229,4 +231,66 @@ func canonicalEnvelope(b []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%d trailing bytes", len(rest))
 	}
 	return out, nil
+}
+
+// TestOpenRebuildsOldIndexFormats: an index file whose stream is in a
+// format this build no longer reads (the index package's v2 and
+// uncompressed-v3 fixtures, each in a V1 envelope) makes Open report
+// Boot.IndexErr and rebuild, and the rebuilt engine serves the same pages
+// as one booted from a clean index file.
+func TestOpenRebuildsOldIndexFormats(t *testing.T) {
+	repo, _ := seedRepo(t)
+	recoverRepo := func() (*repository.Repository, error) { return repo, nil }
+	pages := func(e *Engine) string {
+		var b strings.Builder
+		for _, in := range digestQueries {
+			q, err := query.Parse(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := e.Search(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%+v\n", rs)
+		}
+		return b.String()
+	}
+
+	dir := t.TempDir()
+	clean := filepath.Join(dir, "clean.idx")
+	e := NewEngine(repo, Options{})
+	if err := e.Reindex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveIndex(clean); err != nil {
+		t.Fatal(err)
+	}
+	ce, boot, err := Open(clean, Options{}, recoverRepo)
+	if err != nil || boot.IndexErr != nil {
+		t.Fatalf("clean boot: %v, index error %v", err, boot.IndexErr)
+	}
+	want := pages(ce)
+
+	for _, name := range []string{"v2.idx", "v3_raw.idx"} {
+		stream, err := os.ReadFile(filepath.Join("..", "index", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		env := binary.LittleEndian.AppendUint64([]byte(indexEnvelopeMagic), e.Cursor())
+		if err := os.WriteFile(path, append(env, stream...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		oe, boot, err := Open(path, Options{}, recoverRepo)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if boot.IndexErr == nil {
+			t.Errorf("%s: boot used the index file; want it rejected and rebuilt", name)
+		}
+		if got := pages(oe); got != want {
+			t.Errorf("%s: rebuilt engine serves different pages:\n got %s\nwant %s", name, got, want)
+		}
+	}
 }

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -89,9 +91,8 @@ func checkMatchesFresh(t *testing.T, stage string, ix *Index, live map[string]Do
 }
 
 // TestForwardIndexMatchesFreshIndex is the forward index's property test:
-// seeded random adds, updates, deletes, flushes and merges over compressed
-// and raw segments, then a save and load, then more of the same on the
-// loaded index. At each stage every DocFreq and every hit must equal an
+// seeded random adds, updates, deletes, flushes and merges, then a save
+// and load, then more of the same on the loaded index. At each stage every DocFreq and every hit must equal an
 // index freshly built from the live documents, so the delDF corrections
 // the forward index drives are exact.
 func TestForwardIndexMatchesFreshIndex(t *testing.T) {
@@ -101,7 +102,6 @@ func TestForwardIndexMatchesFreshIndex(t *testing.T) {
 			opts := []Option{
 				WithFlushDocs(6 + rng.Intn(20)),
 				WithMergeFactor(3 + rng.Intn(3)),
-				WithCompression(seed%2 == 1),
 			}
 			pool, vocab := randDocs(rng, 80)
 			ix := New(opts...)
@@ -251,9 +251,9 @@ func multiBlock(t *testing.T, p *persistedV3) *persistedSegTerm {
 // with an index out of range, as did a field id of 128 or more (a negative
 // int8).
 func TestReadFromRejectsCorruptPostings(t *testing.T) {
-	build := func(compress bool) *Index {
+	build := func() *Index {
 		docs, _ := randDocs(rand.New(rand.NewSource(9)), 150)
-		ix := New(WithFlushDocs(100), WithCompression(compress))
+		ix := New(WithFlushDocs(100))
 		for _, d := range docs {
 			if err := ix.Add(d); err != nil {
 				t.Fatal(err)
@@ -280,67 +280,55 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name     string
-		compress bool
-		mutate   func(p *persistedV3)
+		name   string
+		mutate func(p *persistedV3)
 	}{
-		{"truncated payload", true, func(p *persistedV3) {
+		{"truncated payload", func(p *persistedV3) {
 			pt := &p.Segments[0].Terms[0]
 			pt.Data = pt.Data[:len(pt.Data)-1]
 		}},
-		{"payload with trailing bytes", true, func(p *persistedV3) {
+		{"payload with trailing bytes", func(p *persistedV3) {
 			pt := &p.Segments[0].Terms[0]
 			pt.Data = append(pt.Data, 0)
 		}},
-		{"field past the table", true, withTerm(oneField(7))},
-		{"field read as a negative int8", true, func(p *persistedV3) {
+		{"field past the table", withTerm(oneField(7))},
+		{"field read as a negative int8", func(p *persistedV3) {
 			for len(p.FieldNames) < 256 {
 				p.FieldNames = append(p.FieldNames, fmt.Sprintf("f%d", len(p.FieldNames)))
 			}
 			withTerm(oneField(200))(p)
 		}},
-		{"block offsets descending", true, func(p *persistedV3) {
+		{"block offsets descending", func(p *persistedV3) {
 			b := multiBlock(t, p).Blocks
 			b[0].Off, b[1].Off = b[1].Off, b[0].Off
 		}},
-		{"block offset past the payload", true, func(p *persistedV3) {
+		{"block offset past the payload", func(p *persistedV3) {
 			pt := multiBlock(t, p)
 			pt.Blocks[1].Off = int32(len(pt.Data) + 5)
 		}},
-		{"block counts disagree with count", true, func(p *persistedV3) {
+		{"block counts disagree with count", func(p *persistedV3) {
 			p.Segments[0].Terms[0].Count++
 		}},
-		{"block count larger than its bytes", true, func(p *persistedV3) {
+		{"block count larger than its bytes", func(p *persistedV3) {
 			p.Segments[0].Terms[0].Blocks[0].Count += 1 << 20
 		}},
-		{"df disagrees with the documents", true, func(p *persistedV3) {
+		{"df disagrees with the documents", func(p *persistedV3) {
 			p.Segments[0].Terms[0].DF++
 		}},
-		{"block past the segment", true, func(p *persistedV3) {
+		{"block past the segment", func(p *persistedV3) {
 			pt := multiBlock(t, p)
 			pt.Blocks[len(pt.Blocks)-1].LastLocal = int32(len(p.Segments[0].DocIDs))
 		}},
-		{"empty segment", true, func(p *persistedV3) {
+		{"empty segment", func(p *persistedV3) {
 			p.Segments = append(p.Segments, persistedSegment{})
 		}},
-		{"raw posting with a negative field", false, func(p *persistedV3) {
-			p.Segments[0].Terms[0].Raw[0].Field = -1
+		{"segment of uncompressed postings", func(p *persistedV3) {
+			p.Segments[0].Compressed = false
 		}},
-		{"raw postings out of document order", false, func(p *persistedV3) {
-			pt := multiBlock(t, p)
-			r := pt.Raw[:pt.Blocks[0].Count-1] // keep the block's first and last
-			for k := 1; k+1 < len(r); k++ {
-				if r[k].Doc < r[k+1].Doc {
-					r[k], r[k+1] = r[k+1], r[k]
-					return
-				}
-			}
-			t.Fatal("no two documents to swap")
-		}},
-		{"head posting with a negative field", true, func(p *persistedV3) {
+		{"head posting with a negative field", func(p *persistedV3) {
 			p.Head.Terms[0].Postings[0].Field = -1
 		}},
-		{"head postings out of document order", true, func(p *persistedV3) {
+		{"head postings out of document order", func(p *persistedV3) {
 			for ti := range p.Head.Terms {
 				if ps := p.Head.Terms[ti].Postings; len(ps) > 1 && ps[0].Doc != ps[len(ps)-1].Doc {
 					ps[0], ps[len(ps)-1] = ps[len(ps)-1], ps[0]
@@ -349,18 +337,16 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 			}
 			t.Fatal("no head term in two documents")
 		}},
-		{"document live twice", true, func(p *persistedV3) {
+		{"document live twice", func(p *persistedV3) {
 			p.Head.DocIDs[len(p.Head.DocIDs)-1] = p.Segments[0].DocIDs[0]
 		}},
 	}
-	for _, compress := range []bool{true, false} {
-		if _, err := New().ReadFrom(bytes.NewReader(corruptV3(t, build(compress), func(*persistedV3) {}))); err != nil {
-			t.Fatalf("unmodified file (compress=%v) rejected: %v", compress, err)
-		}
+	if _, err := New().ReadFrom(bytes.NewReader(corruptV3(t, build(), func(*persistedV3) {}))); err != nil {
+		t.Fatalf("unmodified file rejected: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := corruptV3(t, build(tc.compress), tc.mutate)
+			data := corruptV3(t, build(), tc.mutate)
 			ix := New()
 			if _, err := ix.ReadFrom(bytes.NewReader(data)); err == nil {
 				ix.SearchTerms([]string{"qqq", "aaa", "bbb"}, 10, SearchOptions{Proximity: true})
@@ -370,42 +356,56 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 	}
 }
 
+// TestReadFromRejectsOldFormats: files in the formats this build no longer
+// reads fail to load rather than loading wrong. testdata/v2.idx is a flat
+// v2 stream (randDocs(seed 42, 60 docs), every seventh document deleted,
+// the 51 live ones written); testdata/v3_raw.idx is a v3 file whose two
+// segments hold uncompressed postings and tombstones, plus a head
+// (randDocs(seed 43, 90 docs), WithFlushDocs(16), WithMergeFactor(4),
+// every seventh document deleted, written uncompacted). Both were written
+// by the last build that also read them.
+func TestReadFromRejectsOldFormats(t *testing.T) {
+	for _, tc := range []struct{ file, why string }{
+		{"testdata/v2.idx", "bad magic"},
+		{"testdata/v3_raw.idx", "uncompressed postings"},
+	} {
+		ix, err := Load(tc.file)
+		if err == nil || !strings.Contains(err.Error(), tc.why) {
+			t.Errorf("Load(%s) = %v, %v; want an error mentioning %q", tc.file, ix, err, tc.why)
+		}
+	}
+}
+
 // FuzzIndexReadFrom feeds arbitrary bytes to ReadFrom. It must return an
 // error or an index, never panic; an index it returns must survive a
 // search of every term, an Explain and a delete, and a search after the
 // delete. Nothing may allocate more than a fixed 32 MiB (gob allocates up
 // to 10 MiB for a length it has not yet found short) plus 1 KiB per input
-// byte. Seeds: compressed and raw v3 files with segments, tombstones and a
-// head, a v2 file, and the pre-forward-index fixture.
+// byte. Seeds: a v3 file with segments, tombstones and a head, the
+// pre-forward-index fixture, and the two fixtures in formats ReadFrom
+// rejects (v2, uncompressed v3).
 func FuzzIndexReadFrom(f *testing.F) {
-	for _, compress := range []bool{true, false} {
-		docs, _ := randDocs(rand.New(rand.NewSource(4)), 24)
-		ix := New(WithFlushDocs(8), WithMergeFactor(3), WithCompression(compress))
-		for _, d := range docs {
-			if err := ix.Add(d); err != nil {
-				f.Fatal(err)
-			}
-		}
-		ix.Delete(docs[2].ID)
-		ix.Delete(docs[20].ID)
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
+	docs, _ := randDocs(rand.New(rand.NewSource(4)), 24)
+	ix := New(WithFlushDocs(8), WithMergeFactor(3))
+	for _, d := range docs {
+		if err := ix.Add(d); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		if compress {
-			var v2 bytes.Buffer
-			if _, err := ix.writeLegacyV2(&v2); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(v2.Bytes())
-		}
 	}
-	fixture, err := os.ReadFile("testdata/v3_doc_terms.idx")
-	if err != nil {
+	ix.Delete(docs[2].ID)
+	ix.Delete(docs[20].ID)
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(fixture)
+	f.Add(buf.Bytes())
+	for _, name := range []string{"v3_doc_terms.idx", "v2.idx", "v3_raw.idx"} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(fixture)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats

@@ -10,15 +10,15 @@
 // The index is segmented, LSM-style: a small mutable head absorbs Add and
 // Delete under its own lock and is flushed into immutable segments whose
 // postings are doc-ordinal-sorted, delta+varint-encoded and carved into
-// blocks carrying per-block max scores; a merger compacts segments,
-// physically dropping tombstoned documents and re-tightening those bounds.
+// blocks; a merger compacts segments, physically dropping tombstoned
+// documents.
 // Searches take an immutable snapshot via one atomic pointer load — no lock
 // on the read path while the head is empty — and score exhaustively,
 // term-at-a-time into a dense per-segment accumulator (see search.go).
 //
 // The index is safe for concurrent use, supports incremental adds, updates
 // and deletes (the repository re-indexes "at scheduled intervals"), and
-// persists itself to a single file (format v3; v2/v1 files still load).
+// persists itself to a single file (format v3).
 package index
 
 import (
@@ -69,13 +69,9 @@ const (
 	DefaultMergeFactor = 8
 )
 
-// Analyzer converts field text to a token stream. The default analyzer
-// splits identifiers (camelCase, delimiters) and lower-cases; summary-like
-// fields additionally drop stopwords.
-type Analyzer func(field, content string) []string
-
-// DefaultAnalyzer tokenizes with identifier splitting; FieldSummary also
-// removes stopwords.
+// DefaultAnalyzer converts field text to the index's token stream: it
+// splits identifiers (camelCase, delimiters) and lower-cases; FieldSummary
+// also drops stopwords.
 func DefaultAnalyzer(field, content string) []string {
 	if field == FieldSummary {
 		return text.TokenizeStop(content)
@@ -96,47 +92,9 @@ type posting struct {
 // termEntry is the head's dictionary entry for one term: its live document
 // frequency and postings. Postings of deleted documents linger until the
 // head flushes; df is kept live so IDF stays correct.
-//
-// The max* fields are MaxScore bounds (see DESIGN.md): query-independent
-// caps on the term's per-document score contribution, computed and
-// persisted but not read at query time. Adds raise them exactly; deletes
-// leave them stale-high (still a valid upper bound, just looser) until a
-// flush or merge recomputes them. maxFreq == 0 marks the bounds
-// unavailable — the state of entries loaded from a v1 persisted index.
 type termEntry struct {
 	df       int32
 	postings []posting
-
-	// maxClassic is the max over documents of Σ_fields boost·√freq·norm —
-	// the classic TF/IDF per-doc contribution without the IDF factor.
-	maxClassic float64
-	// maxBoostSum is the max over documents of Σ_fields max(boost, 0) for
-	// the fields the term occurs in — the BM25 bound's boost cap.
-	maxBoostSum float64
-	// maxFreq is the max single-posting term frequency (BM25 saturation
-	// cap); 0 means the bounds are unavailable.
-	maxFreq int32
-}
-
-// boundsOK reports whether the entry's bounds are available.
-func (e *termEntry) boundsOK() bool { return e.maxFreq > 0 }
-
-// raiseBounds folds one document's aggregates into the entry's bounds. A
-// fresh entry (no postings yet) adopts them; an entry with unavailable
-// bounds (v1 load) stays unavailable until a flush recomputes everything.
-func (e *termEntry) raiseBounds(classic, boostSum float64, maxFreq int32, fresh bool) {
-	if !fresh && !e.boundsOK() {
-		return
-	}
-	if classic > e.maxClassic || fresh {
-		e.maxClassic = classic
-	}
-	if boostSum > e.maxBoostSum || fresh {
-		e.maxBoostSum = boostSum
-	}
-	if maxFreq > e.maxFreq || fresh {
-		e.maxFreq = maxFreq
-	}
 }
 
 // bitset is a global-ordinal tombstone bitmap. The master copy on Index is
@@ -263,8 +221,7 @@ type Index struct {
 	// Searches never take it: they load the current snapshot atomically.
 	wmu sync.Mutex
 
-	analyzer Analyzer
-	boosts   map[string]float64
+	boosts map[string]float64
 
 	// Writer-owned master state; the snapshot publishes immutable views.
 	fieldNames []string
@@ -285,7 +242,6 @@ type Index struct {
 
 	flushDocs   int
 	mergeFactor int
-	compress    bool
 
 	// met, when non-nil, receives per-search counters (see Metrics).
 	met *Metrics
@@ -338,11 +294,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // Option configures a new Index.
 type Option func(*Index)
 
-// WithAnalyzer replaces the default analyzer.
-func WithAnalyzer(a Analyzer) Option {
-	return func(ix *Index) { ix.analyzer = a }
-}
-
 // WithMetrics attaches search counters to the index.
 func WithMetrics(m *Metrics) Option {
 	return func(ix *Index) { ix.met = m }
@@ -374,25 +325,15 @@ func WithMergeFactor(n int) Option {
 	return func(ix *Index) { ix.mergeFactor = n }
 }
 
-// WithCompression toggles delta+varint postings compression in flushed
-// segments (default on). Raw segments keep decoded postings in memory —
-// faster to scan, several times larger; the block metadata is identical
-// either way.
-func WithCompression(enabled bool) Option {
-	return func(ix *Index) { ix.compress = enabled }
-}
-
 // New returns an empty index.
 func New(opts ...Option) *Index {
 	ix := &Index{
-		analyzer:    DefaultAnalyzer,
 		boosts:      DefaultFieldBoosts,
 		fieldIDs:    make(map[string]int),
 		docMap:      make(map[string]int32),
 		hd:          newHead(0, 0),
 		flushDocs:   DefaultFlushDocs,
 		mergeFactor: DefaultMergeFactor,
-		compress:    true,
 	}
 	for _, o := range opts {
 		o(ix)
@@ -516,7 +457,7 @@ func (ix *Index) Add(doc Document) error {
 	fields := make([]analyzedField, 0, len(doc.Fields))
 	newField := false
 	for _, f := range doc.Fields {
-		toks := ix.analyzer(f.Name, f.Text)
+		toks := DefaultAnalyzer(f.Name, f.Text)
 		if len(toks) == 0 {
 			continue
 		}
@@ -548,16 +489,6 @@ func (ix *Index) Add(doc Document) error {
 		}
 	}
 
-	// bounds aggregates this document's MaxScore bound inputs per term
-	// across fields: the classic per-doc contribution (sans IDF), the
-	// positive-boost sum, and the max per-posting frequency.
-	type docAgg struct {
-		classic  float64
-		boostSum float64
-		maxFreq  int32
-		fresh    bool // term entry created by this document
-	}
-	bounds := make(map[string]*docAgg)
 	distinct := make(map[string]bool)
 	for _, af := range fields {
 		// Accumulate frequency and positions per term within this field.
@@ -579,38 +510,20 @@ func (ix *Index) Add(doc Document) error {
 		// A field may appear twice in one document (rare); last write wins,
 		// as documented by tests.
 		hd.norms[af.fid][local] = norm
-		boost := ix.boostByFid[af.fid]
 		for tok, o := range occs {
 			e := hd.terms[tok]
-			fresh := false
 			if e == nil {
 				e = &termEntry{}
 				hd.terms[tok] = e
-				fresh = true
 			}
 			if !distinct[tok] {
 				distinct[tok] = true
 				e.df++
 			}
-			agg := bounds[tok]
-			if agg == nil {
-				agg = &docAgg{fresh: fresh || len(e.postings) == 0}
-				bounds[tok] = agg
-			}
-			agg.classic += boost * math.Sqrt(float64(o.freq)) * float64(norm)
-			if boost > 0 {
-				agg.boostSum += boost
-			}
-			if o.freq > agg.maxFreq {
-				agg.maxFreq = o.freq
-			}
 			e.postings = append(e.postings, posting{
 				doc: local, field: int8(af.fid), freq: o.freq, positions: o.positions,
 			})
 		}
-	}
-	for tok, agg := range bounds {
-		hd.terms[tok].raiseBounds(agg.classic, agg.boostSum, agg.maxFreq, agg.fresh)
 	}
 	termList := make([]string, 0, len(distinct))
 	for t := range distinct {
@@ -650,10 +563,9 @@ func (ix *Index) Delete(id string) bool {
 // documents get their head df decremented in place; segment documents get
 // per-term delDF corrections bumped atomically in place, through the
 // segment's forward index (built by its first delete) — O(terms in the
-// document) per delete, no map cloning (segment postings stay immutable,
-// so their bounds stay stale-high — a valid, merely looser upper bound —
-// until a merge drops the dead postings and recomputes bounds exactly).
-// Caller holds wmu; a fresh snapshot is published.
+// document) per delete, no map cloning; segment postings stay immutable
+// until a merge drops the dead ones. Caller holds wmu; a fresh snapshot is
+// published.
 func (ix *Index) deleteLocked(ord int32) {
 	var id string
 	hd := ix.hd
@@ -695,7 +607,7 @@ func (ix *Index) segByOrdLocked(ord int32) *segment {
 }
 
 // Flush converts the head into an immutable segment (dropping tombstoned
-// head documents and computing exact block-max bounds), installs a fresh
+// head documents), installs a fresh
 // empty head, and then applies the merge policy — the same sequence Add's
 // automatic flush runs, so manual flush callers cannot accumulate
 // segments past mergeFactor indefinitely. A no-op when the head is empty.
@@ -779,7 +691,7 @@ func (ix *Index) buildSegmentFromHeadLocked(hd *head) *segment {
 			postings[t] = kept
 		}
 	}
-	return newSegment(docIDs, docOrds, norms, postings, ix.boostByFid, ix.compress)
+	return newSegment(docIDs, docOrds, norms, postings)
 }
 
 // Maintain runs the merge policy: whenever mergeFactor or more segments
@@ -810,8 +722,7 @@ func (ix *Index) maybeMergeLocked() {
 }
 
 // mergeRangeLocked merges segs[lo:hi) into a single segment, physically
-// dropping tombstoned documents along with their delDF corrections and
-// recomputing exact per-term and per-block bounds. Global
+// dropping tombstoned documents along with their delDF corrections. Global
 // ordinals are preserved, so searches on older snapshots stay valid and
 // segment spans stay disjoint. Caller holds wmu.
 func (ix *Index) mergeRangeLocked(lo, hi int) {
@@ -877,7 +788,7 @@ func (ix *Index) mergeRangeLocked(lo, hi int) {
 		}
 	}
 
-	merged := newSegment(docIDs, docOrds, norms, postings, ix.boostByFid, ix.compress)
+	merged := newSegment(docIDs, docOrds, norms, postings)
 
 	newSegs := make([]*segment, 0, len(ix.segs)-(hi-lo)+1)
 	newSegs = append(newSegs, ix.segs[:lo]...)
@@ -893,9 +804,8 @@ func (ix *Index) mergeRangeLocked(lo, hi int) {
 }
 
 // Compact flushes the head and merges every segment into one, physically
-// dropping all tombstoned postings, reclaiming memory after heavy churn
-// and recomputing every MaxScore bound exactly (restoring them after a v1
-// load). External IDs and global ordinals are stable.
+// dropping all tombstoned postings and reclaiming memory after heavy
+// churn. External IDs and global ordinals are stable.
 func (ix *Index) Compact() {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()

@@ -11,20 +11,16 @@ import (
 	"schemr/internal/fsutil"
 )
 
-// indexMagic guards against loading files that are not Schemr indexes (or
-// are a newer format than this build understands). Format v3 persists the
-// segmented index: per-segment blocked postings (delta+varint payload or
-// raw), block-max bounds, the head and the tombstone bitmap; segment
-// documents' term lists and the df corrections are derived from the
-// postings. v2 files (flat postings with per-term MaxScore bounds) and
-// v1 files (no bounds) still load — into the head at ordinal base 0, with
-// v1 bounds left unavailable so the scorer falls back to exhaustive
-// scoring until the next flush or Compact recomputes them.
-const (
-	indexMagic   = "SCHEMR-INDEX-3\n"
-	indexMagicV2 = "SCHEMR-INDEX-2\n"
-	indexMagicV1 = "SCHEMR-INDEX-1\n"
-)
+// indexMagic guards against loading files that are not Schemr indexes in
+// the one format this build reads. Format v3 persists the segmented index:
+// per-segment blocked delta+varint postings, the head and the tombstone
+// bitmap; segment documents' term lists and the df corrections are derived
+// from the postings. Older files with the same magic also carry MaxScore
+// bounds, block ordinals, per-document term lists or a df-correction map;
+// gob skips fields the structs below lack, so they still load. v1/v2 files
+// (magic SCHEMR-INDEX-1/-2) fail with "bad magic", and a caller holding one
+// rebuilds the index from its source data.
+const indexMagic = "SCHEMR-INDEX-3\n"
 
 // persistedPosting mirrors posting with exported fields for gob.
 type persistedPosting struct {
@@ -34,27 +30,11 @@ type persistedPosting struct {
 	Positions []int32
 }
 
-// persistedTerm is the v1/v2 (and v3 head) dictionary entry shape.
+// persistedTerm is one head dictionary entry.
 type persistedTerm struct {
 	Term     string
 	DF       int32
 	Postings []persistedPosting
-	// MaxScore bounds (format v2+; zero after a v1 load, meaning
-	// unavailable — see termEntry).
-	MaxClassic  float64
-	MaxBoostSum float64
-	MaxFreq     int32
-}
-
-// persistedIndex is the v1/v2 on-disk shape (kept for loading old files
-// and for the legacy writer the compatibility tests use).
-type persistedIndex struct {
-	FieldNames []string
-	Boosts     map[string]float64
-	DocIDs     []string
-	DocTerms   [][]string
-	Norms      [][]float32
-	Terms      []persistedTerm
 }
 
 // persistedBlock mirrors blockMeta.
@@ -63,30 +43,19 @@ type persistedBlock struct {
 	Count      int32
 	FirstLocal int32
 	LastLocal  int32
-	FirstOrd   int32
-	LastOrd    int32
-
-	MaxClassic  float64
-	MaxBoostSum float64
-	MaxFreq     int32
 }
 
 type persistedSegTerm struct {
 	Term   string
 	DF     int32
 	Count  int32
-	Data   []byte             // compressed payload (delta+varint)
-	Raw    []persistedPosting // raw payload when the segment is uncompressed
+	Data   []byte // delta+varint payload
 	Blocks []persistedBlock
-
-	MaxClassic  float64
-	MaxBoostSum float64
-	MaxFreq     int32
 }
 
-// persistedSegment is one segment. Files written before the forward index
-// also carry a DocTerms field (each document's sorted terms); gob skips
-// it, since the terms are derived from the postings when needed.
+// persistedSegment is one segment. Compressed is always true: files from
+// builds that could also write raw postings mark such segments false, and
+// the reader rejects them.
 type persistedSegment struct {
 	DocIDs     []string
 	DocOrds    []int32
@@ -109,15 +78,9 @@ type persistedV3 struct {
 	FieldNames []string
 	Boosts     map[string]float64
 	NextOrd    int32
-	// DFDel is the legacy global df-correction map older v3 writers
-	// persisted. Current builds keep corrections per segment term
-	// (segTerm.delDF) and recompute them from Dels and the postings on
-	// load — exactly the increments deleteLocked performed — so this field
-	// is no longer written and is ignored when read.
-	DFDel    map[string]int32
-	Dels     []uint64
-	Segments []persistedSegment
-	Head     persistedHead
+	Dels       []uint64
+	Segments   []persistedSegment
+	Head       persistedHead
 }
 
 // WriteTo serializes the index in format v3. The writer mutex is held for
@@ -143,24 +106,13 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			DocIDs:     s.docIDs,
 			DocOrds:    s.docOrds,
 			Norms:      s.norms,
-			Compressed: s.compressed,
+			Compressed: true,
 		}
 		for t, st := range s.terms {
-			pt := persistedSegTerm{
-				Term: t, DF: st.df, Count: st.count, Data: st.data,
-				MaxClassic: st.maxClassic, MaxBoostSum: st.maxBoostSum, MaxFreq: st.maxFreq,
-			}
+			pt := persistedSegTerm{Term: t, DF: st.df, Count: st.count, Data: st.data}
 			for _, bm := range st.blocks {
 				pt.Blocks = append(pt.Blocks, persistedBlock{
-					Off: bm.off, Count: bm.count,
-					FirstLocal: bm.firstLocal, LastLocal: bm.lastLocal,
-					FirstOrd: bm.firstOrd, LastOrd: bm.lastOrd,
-					MaxClassic: bm.maxClassic, MaxBoostSum: bm.maxBoostSum, MaxFreq: bm.maxFreq,
-				})
-			}
-			for _, rp := range st.raw {
-				pt.Raw = append(pt.Raw, persistedPosting{
-					Doc: rp.doc, Field: rp.field, Freq: rp.freq, Positions: rp.positions,
+					Off: bm.off, Count: bm.count, FirstLocal: bm.firstLocal, LastLocal: bm.lastLocal,
 				})
 			}
 			ps.Terms = append(ps.Terms, pt)
@@ -176,10 +128,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		Norms:    hd.norms,
 	}
 	for t, e := range hd.terms {
-		pt := persistedTerm{
-			Term: t, DF: e.df,
-			MaxClassic: e.maxClassic, MaxBoostSum: e.maxBoostSum, MaxFreq: e.maxFreq,
-		}
+		pt := persistedTerm{Term: t, DF: e.df}
 		for _, post := range e.postings {
 			if hd.deleted[post.doc] {
 				continue
@@ -199,25 +148,18 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom replaces the index contents with a previously serialized index.
-// v3 restores the segmented state; v2 and v1 files load into the head at
-// ordinal base 0 (v1 with MaxScore bounds unavailable until a flush or
-// Compact recomputes them).
+// ReadFrom replaces the index contents with a previously serialized v3
+// index, checking it first (see indexMagic and segment.checkTerm).
 func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
 	magic := make([]byte, len(indexMagic))
 	if _, err := io.ReadFull(cr, magic); err != nil {
 		return cr.n, fmt.Errorf("index: reading header: %w", err)
 	}
-	switch string(magic) {
-	case indexMagic:
-		return cr.n, ix.readV3(cr)
-	case indexMagicV2:
-		return cr.n, ix.readLegacy(cr, false)
-	case indexMagicV1:
-		return cr.n, ix.readLegacy(cr, true)
+	if string(magic) != indexMagic {
+		return cr.n, fmt.Errorf("index: bad magic %q: not a schemr index file in format v3", string(magic))
 	}
-	return cr.n, fmt.Errorf("index: bad magic %q: not a schemr index file", string(magic))
+	return cr.n, ix.readV3(cr)
 }
 
 func (ix *Index) readV3(r io.Reader) error {
@@ -244,6 +186,9 @@ func (ix *Index) readV3(r io.Reader) error {
 	segs := make([]*segment, 0, len(p.Segments))
 	for si := range p.Segments {
 		ps := &p.Segments[si]
+		if !ps.Compressed {
+			return fmt.Errorf("index: segment %d holds uncompressed postings, which this build does not read", si)
+		}
 		if len(ps.DocIDs) == 0 || len(ps.DocOrds) != len(ps.DocIDs) {
 			return fmt.Errorf("index: corrupt file: segment %d has %d doc ids and %d ordinals", si, len(ps.DocIDs), len(ps.DocOrds))
 		}
@@ -258,11 +203,10 @@ func (ix *Index) readV3(r io.Reader) error {
 			}
 		}
 		s := &segment{
-			docIDs:     ps.DocIDs,
-			docOrds:    ps.DocOrds,
-			norms:      ps.Norms,
-			terms:      make(map[string]*segTerm, len(ps.Terms)),
-			compressed: ps.Compressed,
+			docIDs:  ps.DocIDs,
+			docOrds: ps.DocOrds,
+			norms:   ps.Norms,
+			terms:   make(map[string]*segTerm, len(ps.Terms)),
 		}
 		for local, old := range s.docOrds {
 			if oldDels.get(old) {
@@ -274,26 +218,14 @@ func (ix *Index) readV3(r io.Reader) error {
 		s.sumLens()
 		for ti := range ps.Terms {
 			pt := &ps.Terms[ti]
-			st := &segTerm{
-				df: pt.DF, count: pt.Count, data: pt.Data,
-				maxClassic: pt.MaxClassic, maxBoostSum: pt.MaxBoostSum, maxFreq: pt.MaxFreq,
-			}
+			st := &segTerm{df: pt.DF, count: pt.Count, data: pt.Data}
 			for _, pb := range pt.Blocks {
 				st.blocks = append(st.blocks, blockMeta{
-					off: pb.Off, count: pb.Count,
-					firstLocal: pb.FirstLocal, lastLocal: pb.LastLocal,
-					maxClassic: pb.MaxClassic, maxBoostSum: pb.MaxBoostSum, maxFreq: pb.MaxFreq,
+					off: pb.Off, count: pb.Count, firstLocal: pb.FirstLocal, lastLocal: pb.LastLocal,
 				})
-			}
-			for _, pp := range pt.Raw {
-				st.raw = append(st.raw, posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq, positions: pp.Positions})
 			}
 			if err := s.checkTerm(st, nFields); err != nil {
 				return fmt.Errorf("index: corrupt file: segment %d term %q: %w", si, pt.Term, err)
-			}
-			for bi := range st.blocks {
-				bm := &st.blocks[bi]
-				bm.firstOrd, bm.lastOrd = s.docOrds[bm.firstLocal], s.docOrds[bm.lastLocal]
 			}
 			s.terms[pt.Term] = st
 		}
@@ -322,10 +254,7 @@ func (ix *Index) readV3(r io.Reader) error {
 		}
 	}
 	for _, pt := range ph.Terms {
-		e := &termEntry{
-			df:         pt.DF,
-			maxClassic: pt.MaxClassic, maxBoostSum: pt.MaxBoostSum, maxFreq: pt.MaxFreq,
-		}
+		e := &termEntry{df: pt.DF}
 		for _, pp := range pt.Postings {
 			if pp.Doc < 0 || int(pp.Doc) >= len(ph.DocIDs) {
 				return fmt.Errorf("index: corrupt file: head posting for %q references doc %d of %d", pt.Term, pp.Doc, len(ph.DocIDs))
@@ -344,9 +273,9 @@ func (ix *Index) readV3(r io.Reader) error {
 	// Rebuild the per-segment-term df corrections from the tombstone
 	// bitmap: every tombstoned segment document bumps delDF for each of
 	// its terms, through the segment's forward index — the exact
-	// increments deleteLocked performed before the save (the legacy global
-	// DFDel map, when present, recorded the same totals and is superseded
-	// by this recomputation). Live documents fill the ID map.
+	// increments deleteLocked performed before the save (older files'
+	// df-correction map recorded the same totals; gob skips it). Live
+	// documents fill the ID map.
 	docMap := make(map[string]int32)
 	for _, s := range segs {
 		for local, ord := range s.docOrds {
@@ -410,57 +339,6 @@ func (ix *Index) install(fieldNames []string, boosts map[string]float64, segs []
 	ix.publishLocked()
 }
 
-// readLegacy loads a v1/v2 flat index into the head at ordinal base 0.
-func (ix *Index) readLegacy(r io.Reader, v1 bool) error {
-	var p persistedIndex
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
-		return fmt.Errorf("index: decode: %w", err)
-	}
-	if len(p.DocTerms) != len(p.DocIDs) {
-		return fmt.Errorf("index: corrupt file: %d doc ids but %d doc term lists", len(p.DocIDs), len(p.DocTerms))
-	}
-	for _, col := range p.Norms {
-		if len(col) != len(p.DocIDs) {
-			return fmt.Errorf("index: corrupt file: norm column length %d, want %d", len(col), len(p.DocIDs))
-		}
-	}
-	hd := newHead(0, len(p.FieldNames))
-	hd.docIDs = p.DocIDs
-	hd.docTerms = p.DocTerms
-	if len(p.Norms) > 0 {
-		hd.norms = p.Norms
-	}
-	hd.deleted = make([]bool, len(p.DocIDs))
-	for _, pt := range p.Terms {
-		e := &termEntry{df: pt.DF, postings: make([]posting, len(pt.Postings))}
-		if !v1 {
-			e.maxClassic, e.maxBoostSum, e.maxFreq = pt.MaxClassic, pt.MaxBoostSum, pt.MaxFreq
-		}
-		for i, pp := range pt.Postings {
-			if pp.Doc < 0 || int(pp.Doc) >= len(p.DocIDs) {
-				return fmt.Errorf("index: corrupt file: posting for %q references doc %d of %d", pt.Term, pp.Doc, len(p.DocIDs))
-			}
-			if i > 0 && pp.Doc < e.postings[i-1].doc {
-				return fmt.Errorf("index: corrupt file: postings for %q not in document order", pt.Term)
-			}
-			if pp.Field < 0 || int(pp.Field) >= len(p.FieldNames) {
-				return fmt.Errorf("index: corrupt file: posting for %q references field %d of %d", pt.Term, pp.Field, len(p.FieldNames))
-			}
-			e.postings[i] = posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq, positions: pp.Positions}
-		}
-		hd.terms[pt.Term] = e
-	}
-	docMap := make(map[string]int32, len(p.DocIDs))
-	for i, id := range p.DocIDs {
-		if err := addLive(docMap, id, int32(i)); err != nil {
-			return err
-		}
-	}
-	hd.nlive.Store(int32(len(p.DocIDs)))
-	ix.install(p.FieldNames, p.Boosts, nil, hd, nil, docMap)
-	return nil
-}
-
 // Save compacts and durably writes the index: temp file, fsync, rename,
 // parent-directory fsync — a crash right after Save cannot leave a
 // missing or empty index file.
@@ -476,7 +354,7 @@ func (ix *Index) Save(path string) error {
 }
 
 // Load reads an index saved by Save. The returned index uses the default
-// analyzer unless overridden by opts; boosts come from the file.
+// options unless overridden by opts; boosts come from the file.
 func Load(path string, opts ...Option) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {

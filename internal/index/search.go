@@ -65,11 +65,11 @@ type SearchInfo struct {
 }
 
 // Search runs a free-text query and returns the top n hits by descending
-// score. Query analysis uses the index's analyzer on the elements field
+// score. Query analysis uses DefaultAnalyzer on the elements field
 // convention (identifier splitting, no stopword removal), so "patientHeight"
 // and "patient height" search identically. n <= 0 means no limit.
 func (ix *Index) Search(query string, n int, opts SearchOptions) []Hit {
-	return ix.SearchTerms(ix.analyzer(FieldElements, query), n, opts)
+	return ix.SearchTerms(DefaultAnalyzer(FieldElements, query), n, opts)
 }
 
 // SearchTerms runs a pre-analyzed term list. Duplicate terms are collapsed
@@ -230,9 +230,9 @@ func (fs *fieldScoring) norm(local int32) float64 {
 	return float64(fs.norms[local])
 }
 
-// addPostings accumulates query term k over a local-doc-sorted postings
-// list (a raw segment's or the head's; one document's postings adjacent,
-// in field-appearance order). Each document's postings are summed in list
+// addPostings accumulates query term k over the head's local-doc-sorted
+// postings list (one document's postings adjacent, in field-appearance
+// order). Each document's postings are summed in list
 // order before the sum enters the accumulator — the canonical grouping
 // Explain shares.
 func (sc *searchScratch) addPostings(ps []posting, k int, idf float64, p *scoring) {
@@ -256,7 +256,7 @@ func (sc *searchScratch) addPostings(ps []posting, k int, idf float64, p *scorin
 	}
 }
 
-// addBlocks is addPostings over a compressed segment term, decoding its
+// addBlocks is addPostings over a segment term, decoding its
 // blocks in one streaming pass without materializing them (see
 // segment.decodeBlock for the layout). Single-byte varints, nearly every
 // doc delta, field and frequency, are read inline.
@@ -472,11 +472,7 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 			if !ok {
 				continue
 			}
-			if sg.compressed {
-				sc.addBlocks(st, k, qt.idf, &p)
-			} else {
-				sc.addPostings(st.raw, k, qt.idf, &p)
-			}
+			sc.addBlocks(st, k, qt.idf, &p)
 			info.PostingsTouched += int(st.count)
 		}
 		collect(sg.docIDs, sg.docOrds, 0)
@@ -773,7 +769,7 @@ type Explanation struct {
 // for this document exactly. It returns nil when the document would not
 // match at all (including failing MinShouldMatch) or does not exist.
 func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanation {
-	terms := ix.analyzer(FieldElements, query)
+	terms := DefaultAnalyzer(FieldElements, query)
 	uniq := make([]string, 0, len(terms))
 	seen := make(map[string]bool, len(terms))
 	for _, t := range terms {

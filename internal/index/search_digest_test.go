@@ -18,7 +18,7 @@ const rankingDigestWant = "c93403197779f7236e46e402fb49becd69441591664bd2ab15fcb
 
 // TestRankingDigestPinned pins the ranking bytes of phase 1 across scorer
 // rewrites: seeded randomized-topology corpora (head-only, many small
-// segments, merged, tombstoned, compressed and raw), random queries, every
+// segments, merged, tombstoned), random queries, every
 // option combination of daatOptionGrid and a spread of top-n limits,
 // hashed hit by hit — IDs, float64 score bits, TermsMatched, order.
 //
@@ -36,15 +36,10 @@ func TestRankingDigestPinned(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	hits, raw, dels := 0, 0, 0
+	hits, dels := 0, 0
 	for round := 0; round < 12; round++ {
 		ix, vocab := randTopoCorpus(t, rng, 100+rng.Intn(250))
 		sn := ix.snap.Load()
-		for _, sg := range sn.segs {
-			if !sg.compressed {
-				raw++
-			}
-		}
 		for i := int32(0); i < ix.nextOrd; i++ {
 			if sn.dels.get(i) {
 				dels++
@@ -66,8 +61,8 @@ func TestRankingDigestPinned(t *testing.T) {
 			}
 		}
 	}
-	if hits == 0 || raw == 0 || dels == 0 {
-		t.Fatalf("digest corpus too narrow: %d hits, %d raw segments, %d tombstones", hits, raw, dels)
+	if hits == 0 || dels == 0 {
+		t.Fatalf("digest corpus too narrow: %d hits, %d tombstones", hits, dels)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != rankingDigestWant {
 		t.Fatalf("ranking digest %s, want %s (%d hits)", got, rankingDigestWant, hits)

@@ -10,41 +10,29 @@ import (
 )
 
 // blockDocs is the number of distinct documents carved into one postings
-// block. Blocks always end on a document boundary so the per-block max
-// scores are sound per-document aggregates; 64 documents keeps the block
-// metadata overhead around 1% of the postings. The block layout and bounds
-// are part of the v3 file format (TestSaveIndexBytesUnchanged pins its
-// bytes); searches decode every block and read no bound.
+// block. Blocks always end on a document boundary, so one document's
+// postings sit in one block (Explain decodes just that block); 64
+// documents keeps the block metadata overhead around 1% of the postings.
+// The block layout is part of the v3 file format
+// (TestSaveIndexBytesUnchanged pins its bytes).
 const blockDocs = 64
 
-// blockMeta describes one postings block: where the block starts, which
-// documents it spans (local and global ordinals), and the block-local
-// MaxScore bounds (same meaning as the per-term bounds in termEntry, but
-// over this block's documents only).
+// blockMeta describes one postings block: where its bytes start and which
+// local documents it spans.
 type blockMeta struct {
-	off        int32 // byte offset into segTerm.data, or posting index into segTerm.raw
+	off        int32 // byte offset into segTerm.data
 	count      int32 // postings in the block
 	firstLocal int32
 	lastLocal  int32
-	firstOrd   int32 // global ordinal of the block's first document
-	lastOrd    int32 // global ordinal of the block's last document
-
-	maxClassic  float64
-	maxBoostSum float64
-	maxFreq     int32
 }
 
-// segTerm is one term's postings within an immutable segment: either a
-// delta+varint-encoded byte stream (data) or, when the index was built
-// with compression disabled, the raw postings (raw) — both carved into
-// blocks described by blocks. The max* fields are the list-wide MaxScore
-// bounds (the max over blocks), exact at build time because segments are
-// built from live documents only.
+// segTerm is one term's postings within an immutable segment: a
+// delta+varint-encoded byte stream (data) carved into the blocks described
+// by blocks.
 type segTerm struct {
 	df     int32 // documents containing the term, live at build time
 	count  int32 // total postings
 	data   []byte
-	raw    []posting
 	blocks []blockMeta
 
 	// delDF counts build-time documents of this term that have since been
@@ -53,10 +41,6 @@ type segTerm struct {
 	// place (O(terms-in-doc) per delete), searches read it once when
 	// computing IDF, and merges discard it along with the tombstones.
 	delDF atomic.Int32
-
-	maxClassic  float64
-	maxBoostSum float64
-	maxFreq     int32
 }
 
 // liveDF is the term's live document frequency within this segment.
@@ -87,8 +71,6 @@ type segment struct {
 	lenSum []float64
 	lenCnt []int64
 	terms  map[string]*segTerm
-
-	compressed bool
 
 	// fwd is the forward index, built from the postings by the segment's
 	// first delete (see forwardIndex). Writer-owned: read and written
@@ -162,15 +144,6 @@ func (s *segment) forwardIndex() *forward {
 // appendDocs appends the distinct local documents of term st, ascending.
 func (s *segment) appendDocs(dst []int32, st *segTerm) []int32 {
 	last := int32(-1)
-	if !s.compressed {
-		for i := range st.raw {
-			if d := st.raw[i].doc; d != last {
-				dst = append(dst, d)
-				last = d
-			}
-		}
-		return dst
-	}
 	data := st.data
 	for bi := range st.blocks {
 		bm := &st.blocks[bi]
@@ -211,7 +184,6 @@ func (s *segment) appendDocs(dst []int32, st *segTerm) []int32 {
 
 func (s *segment) numDocs() int { return len(s.docIDs) }
 
-func (s *segment) minOrd() int32 { return s.docOrds[0] }
 func (s *segment) maxOrd() int32 { return s.docOrds[len(s.docOrds)-1] }
 
 // localOf returns the local ordinal of global ordinal g, or -1.
@@ -249,125 +221,57 @@ func (s *segment) sumLens() {
 // newSegment builds an immutable segment from prepared per-document data
 // and per-term postings. postings use local doc ordinals, sorted by doc
 // (multi-field postings of one doc adjacent, in field-appearance order —
-// the canonical accumulation order Explain shares). boostByFid resolves
-// field boosts for the bound computation. Returns nil for an empty input.
-func newSegment(docIDs []string, docOrds []int32, norms [][]float32, postings map[string][]posting, boostByFid []float64, compress bool) *segment {
+// the canonical accumulation order Explain shares). Returns nil for an
+// empty input.
+func newSegment(docIDs []string, docOrds []int32, norms [][]float32, postings map[string][]posting) *segment {
 	if len(docIDs) == 0 {
 		return nil
 	}
 	s := &segment{
-		docIDs:     docIDs,
-		docOrds:    docOrds,
-		norms:      norms,
-		terms:      make(map[string]*segTerm, len(postings)),
-		compressed: compress,
+		docIDs:  docIDs,
+		docOrds: docOrds,
+		norms:   norms,
+		terms:   make(map[string]*segTerm, len(postings)),
 	}
 	s.sumLens()
-	boost := func(fid int8) float64 {
-		if int(fid) < len(boostByFid) {
-			return boostByFid[fid]
-		}
-		return 1
-	}
 	for term, ps := range postings {
 		if len(ps) == 0 {
 			continue
 		}
 		st := &segTerm{count: int32(len(ps))}
 		var (
-			blk       blockMeta
-			blkOpen   bool
 			blkNDocs  int
-			docC      float64 // current doc's classic aggregate
-			docBS     float64 // current doc's positive-boost sum
-			docMF     int32   // current doc's max posting freq
-			prevLocal int32   = -1
+			prevLocal int32 = -1
+			encPrev   int32 // previous local doc in the encode stream (per block)
 		)
-		closeDoc := func() {
-			if prevLocal < 0 {
-				return
-			}
-			if docC > blk.maxClassic {
-				blk.maxClassic = docC
-			}
-			if docBS > blk.maxBoostSum {
-				blk.maxBoostSum = docBS
-			}
-			if docMF > blk.maxFreq {
-				blk.maxFreq = docMF
-			}
-			blk.lastLocal = prevLocal
-			blk.lastOrd = docOrds[prevLocal]
-		}
-		closeBlock := func() {
-			if !blkOpen {
-				return
-			}
-			if blk.maxClassic > st.maxClassic {
-				st.maxClassic = blk.maxClassic
-			}
-			if blk.maxBoostSum > st.maxBoostSum {
-				st.maxBoostSum = blk.maxBoostSum
-			}
-			if blk.maxFreq > st.maxFreq {
-				st.maxFreq = blk.maxFreq
-			}
-			st.blocks = append(st.blocks, blk)
-			blkOpen = false
-		}
-		var encPrev int32 // previous local doc in the encode stream (per block)
 		for i := range ps {
 			p := &ps[i]
 			if p.doc != prevLocal {
-				closeDoc()
 				st.df++
-				if blkOpen && blkNDocs >= blockDocs {
-					closeBlock()
-				}
-				if !blkOpen {
-					blk = blockMeta{firstLocal: p.doc, firstOrd: docOrds[p.doc]}
-					if compress {
-						blk.off = int32(len(st.data))
-					} else {
-						blk.off = int32(i)
-					}
-					blkOpen = true
+				if len(st.blocks) == 0 || blkNDocs >= blockDocs {
+					st.blocks = append(st.blocks, blockMeta{off: int32(len(st.data)), firstLocal: p.doc})
 					blkNDocs = 0
 					encPrev = p.doc
 				}
 				blkNDocs++
-				docC, docBS, docMF = 0, 0, 0
 				prevLocal = p.doc
 			}
+			blk := &st.blocks[len(st.blocks)-1]
 			blk.count++
-			bv := boost(p.field)
-			docC += bv * math.Sqrt(float64(p.freq)) * s.norm(p.field, p.doc)
-			if bv > 0 {
-				docBS += bv
-			}
-			if p.freq > docMF {
-				docMF = p.freq
-			}
-			if compress {
-				st.data = binary.AppendUvarint(st.data, uint64(p.doc-encPrev))
-				encPrev = p.doc
-				st.data = binary.AppendUvarint(st.data, uint64(p.field))
-				st.data = binary.AppendUvarint(st.data, uint64(p.freq))
-				prev := int32(0)
-				for k, pos := range p.positions {
-					if k == 0 {
-						st.data = binary.AppendUvarint(st.data, uint64(pos))
-					} else {
-						st.data = binary.AppendUvarint(st.data, uint64(pos-prev))
-					}
-					prev = pos
+			blk.lastLocal = p.doc
+			st.data = binary.AppendUvarint(st.data, uint64(p.doc-encPrev))
+			encPrev = p.doc
+			st.data = binary.AppendUvarint(st.data, uint64(p.field))
+			st.data = binary.AppendUvarint(st.data, uint64(p.freq))
+			prev := int32(0)
+			for k, pos := range p.positions {
+				if k == 0 {
+					st.data = binary.AppendUvarint(st.data, uint64(pos))
+				} else {
+					st.data = binary.AppendUvarint(st.data, uint64(pos-prev))
 				}
+				prev = pos
 			}
-		}
-		closeDoc()
-		closeBlock()
-		if !compress {
-			st.raw = ps
 		}
 		s.terms[term] = st
 	}
@@ -410,7 +314,7 @@ func uvarintAt(data []byte, p int) (uint64, int) {
 	return v, p + w
 }
 
-// decodeBlock decodes block bi of a compressed term into dst. The stream
+// decodeBlock decodes block bi of a term into dst. The stream
 // layout per posting is: uvarint local-doc delta (0 continues the same
 // document; the block's first posting is the block's firstLocal), uvarint
 // field, uvarint freq, then freq position varints (first absolute, then
@@ -453,32 +357,6 @@ func (s *segment) decodeBlock(st *segTerm, bi int, dst *decBlock) {
 	dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
 }
 
-// loadBlock materializes block bi into dst: varint-decoding compressed
-// segments, copying raw ones — either way the caller sees the same
-// decBlock shape.
-func (s *segment) loadBlock(st *segTerm, bi int, dst *decBlock) {
-	if s.compressed {
-		s.decodeBlock(st, bi, dst)
-		return
-	}
-	bm := &st.blocks[bi]
-	end := len(st.raw)
-	if bi+1 < len(st.blocks) {
-		end = int(st.blocks[bi+1].off)
-	}
-	n := end - int(bm.off)
-	dst.resize(n)
-	for j := 0; j < n; j++ {
-		p := &st.raw[int(bm.off)+j]
-		dst.locals[j] = p.doc
-		dst.fields[j] = p.field
-		dst.freqs[j] = p.freq
-		dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
-		dst.posBuf = append(dst.posBuf, p.positions...)
-	}
-	dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
-}
-
 // checkTerm verifies a term loaded from disk before anything decodes it:
 // its blocks tile the payload (offsets ascending from 0, every byte in
 // exactly one block, counts summing to count), each block decodes inside
@@ -489,9 +367,6 @@ func (s *segment) loadBlock(st *segTerm, bi int, dst *decBlock) {
 // their own.
 func (s *segment) checkTerm(st *segTerm, nFields int) error {
 	size := len(st.data)
-	if !s.compressed {
-		size = len(st.raw)
-	}
 	if len(st.blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
@@ -509,13 +384,7 @@ func (s *segment) checkTerm(st *segTerm, nFields int) error {
 		if bm.count < 1 || bm.firstLocal <= prevLast || bm.lastLocal < bm.firstLocal || int(bm.lastLocal) >= s.numDocs() {
 			return fmt.Errorf("block %d spans doc %d..%d (%d postings) after doc %d of %d", bi, bm.firstLocal, bm.lastLocal, bm.count, prevLast, s.numDocs())
 		}
-		var docs int
-		var err error
-		if s.compressed {
-			docs, err = checkBlockData(st.data[start:end], bm, nFields)
-		} else {
-			docs, err = checkBlockRaw(st.raw[start:end], bm, nFields)
-		}
+		docs, err := checkBlockData(st.data[start:end], bm, nFields)
 		if err != nil {
 			return fmt.Errorf("block %d: %w", bi, err)
 		}
@@ -529,7 +398,7 @@ func (s *segment) checkTerm(st *segTerm, nFields int) error {
 	return nil
 }
 
-// checkBlockData decodes one compressed block's bytes (see decodeBlock for
+// checkBlockData decodes one block's bytes (see decodeBlock for
 // the layout), bounds-checking every varint, and returns its distinct
 // documents.
 func checkBlockData(data []byte, bm *blockMeta, nFields int) (int, error) {
@@ -583,29 +452,6 @@ func checkedUvarint(data []byte, at int) (uint64, int) {
 	return 0, -1
 }
 
-// checkBlockRaw is checkBlockData for an uncompressed block's postings.
-func checkBlockRaw(ps []posting, bm *blockMeta, nFields int) (int, error) {
-	if int(bm.count) != len(ps) || ps[0].doc != bm.firstLocal || ps[len(ps)-1].doc != bm.lastLocal {
-		return 0, fmt.Errorf("%d postings over doc %d..%d, header says %d over %d..%d",
-			len(ps), ps[0].doc, ps[len(ps)-1].doc, bm.count, bm.firstLocal, bm.lastLocal)
-	}
-	docs, last := 0, int32(-1)
-	for j := range ps {
-		p := &ps[j]
-		if p.doc < last {
-			return 0, fmt.Errorf("posting %d: document %d after %d", j, p.doc, last)
-		}
-		if p.field < 0 || int(p.field) >= nFields {
-			return 0, fmt.Errorf("posting %d: field %d of %d", j, p.field, nFields)
-		}
-		if p.doc != last {
-			docs++
-			last = p.doc
-		}
-	}
-	return docs, nil
-}
-
 // docPostings returns the postings of one document (local ordinal) for a
 // term — at most one block holds them, since blocks end on doc boundaries.
 // Cold path (Explain); allocates.
@@ -615,7 +461,7 @@ func (s *segment) docPostings(st *segTerm, local int32) []posting {
 		return nil
 	}
 	var dec decBlock
-	s.loadBlock(st, bi, &dec)
+	s.decodeBlock(st, bi, &dec)
 	var out []posting
 	for i := range dec.locals {
 		if dec.locals[i] != local {
@@ -633,17 +479,9 @@ func (s *segment) docPostings(st *segTerm, local int32) []posting {
 
 // materializeTerm decodes a term's full postings list into local-ordinal
 // postings (allocating; used by merges, persistence and Explain — never
-// the search hot path). Raw segments return a copy so callers may remap.
+// the search hot path).
 func (s *segment) materializeTerm(st *segTerm) []posting {
 	out := make([]posting, 0, st.count)
-	if !s.compressed {
-		for _, p := range st.raw {
-			q := p
-			q.positions = append([]int32(nil), p.positions...)
-			out = append(out, q)
-		}
-		return out
-	}
 	var dec decBlock
 	for bi := range st.blocks {
 		s.decodeBlock(st, bi, &dec)
@@ -657,23 +495,4 @@ func (s *segment) materializeTerm(st *segTerm) []posting {
 		}
 	}
 	return out
-}
-
-// sizeBytes reports the approximate in-memory footprint of the segment's
-// postings payload (compressed bytes or raw posting structs), for the
-// merge policy and the compression-ratio diagnostics.
-func (s *segment) sizeBytes() int64 {
-	var n int64
-	for _, st := range s.terms {
-		if s.compressed {
-			n += int64(len(st.data))
-		} else {
-			n += int64(len(st.raw)) * 24
-			for i := range st.raw {
-				n += int64(len(st.raw[i].positions)) * 4
-			}
-		}
-		n += int64(len(st.blocks)) * 48
-	}
-	return n
 }

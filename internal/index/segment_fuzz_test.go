@@ -10,7 +10,9 @@ import (
 // FuzzPostingsRoundTrip drives the delta+varint block encoder through
 // randomized postings lists — many docs, sparse and dense fields, freq
 // spikes, long position runs, block-boundary counts — and asserts the
-// decoded postings are identical to what went in, block metadata included.
+// decoded postings are identical to what went in, block metadata included:
+// the whole list (materializeTerm, the merge path) and each document's
+// postings (docPostings, the Explain path).
 // The fuzzer varies (seed, nDocs, maxFreq); the generator derives a valid
 // postings list (doc-sorted, len(positions) == freq, ascending positions)
 // from them, so every fuzz input is a structurally legal list and the
@@ -70,11 +72,7 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		want := make([]posting, len(ps))
 		copy(want, ps)
 
-		boosts := make([]float64, nFields)
-		for i := range boosts {
-			boosts[i] = 0.5 + rng.Float64()*2
-		}
-		sg := newSegment(docIDs, docOrds, norms, map[string][]posting{"t": ps}, boosts, true)
+		sg := newSegment(docIDs, docOrds, norms, map[string][]posting{"t": ps})
 		st := sg.terms["t"]
 		if int(st.count) != len(want) {
 			t.Fatalf("count = %d, want %d", st.count, len(want))
@@ -83,40 +81,40 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, want)
 		}
-		// Block metadata must tile the list: ascending disjoint local spans,
-		// counts summing to the posting count, ordinals mirroring docOrds.
-		total := int32(0)
+		// Blocks must tile the input: each block starts where the previous
+		// one ended, spans the documents of its postings, ends on a document
+		// boundary and holds at most blockDocs documents.
+		off := 0
 		for bi := range st.blocks {
 			bm := &st.blocks[bi]
-			total += bm.count
-			if bm.firstLocal > bm.lastLocal {
-				t.Fatalf("block %d: firstLocal %d > lastLocal %d", bi, bm.firstLocal, bm.lastLocal)
+			blk := want[off : off+int(bm.count)]
+			off += int(bm.count)
+			if blk[0].doc != bm.firstLocal || blk[len(blk)-1].doc != bm.lastLocal {
+				t.Fatalf("block %d spans doc %d..%d, its postings %d..%d", bi, bm.firstLocal, bm.lastLocal, blk[0].doc, blk[len(blk)-1].doc)
 			}
-			if bm.firstOrd != docOrds[bm.firstLocal] || bm.lastOrd != docOrds[bm.lastLocal] {
-				t.Fatalf("block %d: ordinal span (%d,%d) does not mirror docOrds", bi, bm.firstOrd, bm.lastOrd)
+			if off < len(want) && want[off].doc == bm.lastLocal {
+				t.Fatalf("block %d splits doc %d", bi, bm.lastLocal)
 			}
-			if bi > 0 && st.blocks[bi-1].lastLocal >= bm.firstLocal {
-				t.Fatalf("blocks %d,%d overlap", bi-1, bi)
+			docs := 0
+			for i := range blk {
+				if i > 0 && blk[i].doc == blk[i-1].doc {
+					continue
+				}
+				docs++
+				j := i
+				for j < len(blk) && blk[j].doc == blk[i].doc {
+					j++
+				}
+				if dp := sg.docPostings(st, blk[i].doc); !reflect.DeepEqual(dp, blk[i:j]) {
+					t.Fatalf("doc %d: docPostings %+v, want %+v", blk[i].doc, dp, blk[i:j])
+				}
+			}
+			if docs > blockDocs {
+				t.Fatalf("block %d holds %d documents, more than %d", bi, docs, blockDocs)
 			}
 		}
-		if total != st.count {
-			t.Fatalf("block counts sum to %d, want %d", total, st.count)
-		}
-		// And per-block decode agrees with the loadBlock copy path of an
-		// equivalent raw segment.
-		rawSeg := newSegment(docIDs, docOrds, norms, map[string][]posting{"t": want}, boosts, false)
-		rst := rawSeg.terms["t"]
-		if len(rst.blocks) != len(st.blocks) {
-			t.Fatalf("raw segment carved %d blocks, compressed %d", len(rst.blocks), len(st.blocks))
-		}
-		var cd, rd decBlock
-		for bi := range st.blocks {
-			sg.loadBlock(st, bi, &cd)
-			rawSeg.loadBlock(rst, bi, &rd)
-			if !reflect.DeepEqual(cd.locals, rd.locals) || !reflect.DeepEqual(cd.fields, rd.fields) ||
-				!reflect.DeepEqual(cd.freqs, rd.freqs) || !reflect.DeepEqual(cd.posBuf, rd.posBuf) {
-				t.Fatalf("block %d: compressed decode differs from raw copy", bi)
-			}
+		if off != len(want) {
+			t.Fatalf("block counts sum to %d, want %d", off, len(want))
 		}
 	})
 }
