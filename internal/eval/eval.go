@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"schemr/internal/model"
@@ -587,17 +586,4 @@ func ProbeHitRate(sim Similarity, probes []Probe) (hitRate, margin float64) {
 // matching).
 func ExactTokenSimilarity(a, b string) float64 {
 	return text.JaccardTokens(text.Tokenize(a), text.Tokenize(b))
-}
-
-// SortStable sorts ids by descending score with id tie-break — a helper
-// for building deterministic baseline rankings.
-func SortStable(ids []string, score map[string]float64) Ranking {
-	out := append(Ranking(nil), ids...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if score[out[i]] != score[out[j]] {
-			return score[out[i]] > score[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
 }

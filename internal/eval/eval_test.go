@@ -293,13 +293,3 @@ func TestStructureProbesSeparateTightness(t *testing.T) {
 		t.Errorf("+extras win rate %.2f too low", wins["+extras"])
 	}
 }
-
-func TestSortStable(t *testing.T) {
-	got := SortStable([]string{"c", "a", "b"}, map[string]float64{"a": 1, "b": 2, "c": 1})
-	want := Ranking{"b", "a", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v", got)
-		}
-	}
-}

@@ -128,40 +128,6 @@ func sigmoid(z float64) float64 {
 	return e / (1 + e)
 }
 
-// Loss returns the mean cross-entropy of the model on a dataset, for
-// convergence tests.
-func (m *Model) Loss(examples []Example) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	const eps = 1e-12
-	total := 0.0
-	for _, ex := range examples {
-		p := m.Predict(ex.Features)
-		if ex.Label {
-			total += -math.Log(p + eps)
-		} else {
-			total += -math.Log(1 - p + eps)
-		}
-	}
-	return total / float64(len(examples))
-}
-
-// Accuracy returns the fraction of examples classified correctly at the
-// 0.5 threshold.
-func (m *Model) Accuracy(examples []Example) float64 {
-	if len(examples) == 0 {
-		return 0
-	}
-	correct := 0
-	for _, ex := range examples {
-		if (m.Predict(ex.Features) >= 0.5) == ex.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(examples))
-}
-
 // MatcherWeights converts the fitted coefficients into an ensemble weight
 // table: negative coefficients clamp to zero (a matcher anticorrelated
 // with relevance contributes nothing; the ensemble API forbids negative

@@ -220,21 +220,6 @@ func (e *Ensemble) WithWeights(w map[string]float64) (*Ensemble, error) {
 	return &Ensemble{matchers: e.matchers, weights: nw}, nil
 }
 
-// SharesMatchers reports whether o was built over the same matcher slice
-// as e (WithWeights guarantees this), which is what makes per-matcher
-// matrices from one ensemble safe to recombine with the other's weights.
-func (e *Ensemble) SharesMatchers(o *Ensemble) bool {
-	if o == nil || len(e.matchers) != len(o.matchers) {
-		return false
-	}
-	for i := range e.matchers {
-		if e.matchers[i] != o.matchers[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Match runs every matcher and combines the similarity matrices into a
 // single matrix of total similarity scores: the per-cell weighted average
 // over the matchers that had an opinion (NotApplicable cells are excluded
@@ -264,14 +249,6 @@ func (e *Ensemble) MatchMatrices(q *query.Query, s *model.Schema) []*Matrix {
 // MatchInto on fresh memory.
 func (e *Ensemble) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	return e.MatchInto(new(Scratch), qa, p)
-}
-
-// MatchMatricesProfiled is MatchMatrices on the profiled fast path, on
-// fresh memory.
-func (e *Ensemble) MatchMatricesProfiled(qa *QueryArtifacts, p *Profile) []*Matrix {
-	sc := new(Scratch)
-	e.matchAll(sc, qa, p)
-	return sc.matrices()
 }
 
 // MatchInto is MatchProfiled into sc's memory: the candidate's name-pair
@@ -350,7 +327,7 @@ func matchProfiled(m Matcher, qa *QueryArtifacts, p *Profile) *Matrix {
 }
 
 // CombineMatrices merges per-matcher matrices (in ensemble order, as
-// returned by MatchMatrices / MatchMatricesProfiled) with this ensemble's
+// returned by MatchMatrices) with this ensemble's
 // current weight table, on fresh memory. Combined with WithWeights it is
 // the shadow-scoring primitive: one set of matcher evaluations, two
 // weightings, identical arithmetic to Match.

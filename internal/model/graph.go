@@ -80,49 +80,11 @@ func (g *EntityGraph) Adjacent(name string) []string {
 	return out
 }
 
-// Distance returns the minimum number of foreign-key hops between two
-// entities, 0 for the same entity, or -1 if they are unreachable from each
-// other (or either is unknown). It is a plain BFS; schemas are small enough
-// (tens to low hundreds of entities) that no preprocessing is warranted.
-func (g *EntityGraph) Distance(from, to string) int {
-	src, ok := g.idx[from]
-	if !ok {
-		return -1
-	}
-	dst, ok := g.idx[to]
-	if !ok {
-		return -1
-	}
-	if src == dst {
-		return 0
-	}
-	dist := make([]int, len(g.names))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.adj[cur] {
-			if dist[nb] >= 0 {
-				continue
-			}
-			dist[nb] = dist[cur] + 1
-			if nb == dst {
-				return dist[nb]
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return -1
-}
-
 // DistancesFrom returns the hop distance from the given entity to every
 // entity in the graph, keyed by entity name; unreachable entities are absent
 // from the map. The anchor-entity scan of the tightness measurement calls
-// this once per anchor rather than calling Distance per pair.
+// this once per anchor. It is a plain BFS; schemas are small enough (tens
+// to low hundreds of entities) that no preprocessing is warranted.
 func (g *EntityGraph) DistancesFrom(from string) map[string]int {
 	src, ok := g.idx[from]
 	if !ok {
@@ -167,33 +129,4 @@ func (g *EntityGraph) TransitiveClosure(name string) map[string]bool {
 		out[n] = true
 	}
 	return out
-}
-
-// Components returns the connected components of the entity graph, each a
-// slice of entity names in graph declaration order. Components are ordered
-// by their first entity.
-func (g *EntityGraph) Components() [][]string {
-	visited := make([]bool, len(g.names))
-	var comps [][]string
-	for i := range g.names {
-		if visited[i] {
-			continue
-		}
-		var comp []string
-		queue := []int{i}
-		visited[i] = true
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			comp = append(comp, g.names[cur])
-			for _, nb := range g.adj[cur] {
-				if !visited[nb] {
-					visited[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
 }

@@ -256,19 +256,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels)
 	return h
 }
 
-// FamilyNames returns the registered metric family names, sorted — the
-// contract the CI scrape check validates against.
-func (r *Registry) FamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for n := range r.families {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // renderLabels canonicalizes a label set into its exposition form:
 // `{a="x",b="y"}` with keys sorted, or "" when empty.
 func renderLabels(labels Labels) string {

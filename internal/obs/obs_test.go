@@ -195,13 +195,3 @@ func TestTraceSpans(t *testing.T) {
 		t.Errorf("span 1 = %+v", spans[1])
 	}
 }
-
-func TestFamilyNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b_total", "h", nil)
-	r.Gauge("a", "h", nil)
-	names := r.FamilyNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b_total" {
-		t.Fatalf("names = %v", names)
-	}
-}
