@@ -141,7 +141,7 @@ func (s *Server) writeJSONErr(w http.ResponseWriter, r *http.Request, e *apiErr)
 }
 
 func (s *Server) v1Search(w http.ResponseWriter, r *http.Request) {
-	out, aerr := s.runSearch(r)
+	out, aerr := s.runSearch(w, r)
 	if aerr != nil {
 		s.writeJSONErr(w, r, aerr)
 		return

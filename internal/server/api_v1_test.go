@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -338,5 +339,88 @@ func TestLegacyXMLDebugTrace(t *testing.T) {
 	sr := searchXML(t, body)
 	if sr.Trace == nil || len(sr.Trace.Spans) < 3 {
 		t.Fatalf("missing trace in %s", body)
+	}
+}
+
+// TestV1SearchRejectsOversizedRequests: every search carrier refuses a
+// query graph of more than maxQueryElements elements (keywords, or a
+// fragment's entities and attributes) with 400 bad_request, and both POST
+// carriers refuse a body past maxBodyBytes, while a query of exactly
+// maxQueryElements elements is served.
+func TestV1SearchRejectsOversizedRequests(t *testing.T) {
+	engine := wardEngine(t, 1)
+	ts := httptest.NewServer(NewWithConfig(engine, quietConfig()))
+	defer ts.Close()
+
+	keywords := func(n int) string {
+		ks := make([]string, n)
+		for i := range ks {
+			ks[i] = fmt.Sprintf("k%d", i)
+		}
+		return strings.Join(ks, " ")
+	}
+	// One entity plus n-1 attributes: n fragment elements.
+	fragment := func(n int) string {
+		cols := make([]string, n-1)
+		for i := range cols {
+			cols[i] = fmt.Sprintf("c%d INT", i)
+		}
+		return "CREATE TABLE t (" + strings.Join(cols, ", ") + ");"
+	}
+	jsonBody := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	post := func(contentType, body string) (int, string) {
+		resp, err := http.Post(ts.URL+"/api/v1/search", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	const form = "application/x-www-form-urlencoded"
+
+	if code, body, _ := get(t, ts.URL+"/api/v1/search?q="+url.QueryEscape(keywords(maxQueryElements))); code != 200 {
+		t.Fatalf("query of %d elements: status %d: %s", maxQueryElements, code, body)
+	}
+	cases := []struct {
+		name string
+		send func() (int, string)
+	}{
+		{"GET keywords", func() (int, string) {
+			code, body, _ := get(t, ts.URL+"/api/v1/search?q="+url.QueryEscape(keywords(maxQueryElements+1)))
+			return code, body
+		}},
+		{"form keywords", func() (int, string) {
+			return post(form, "q="+url.QueryEscape(keywords(maxQueryElements+1)))
+		}},
+		{"form fragment", func() (int, string) {
+			return post(form, "ddl="+url.QueryEscape(fragment(maxQueryElements+1)))
+		}},
+		{"form body", func() (int, string) {
+			return post(form, "q=patient&pad="+strings.Repeat("a", maxBodyBytes))
+		}},
+		{"JSON keywords", func() (int, string) {
+			return post("application/json", jsonBody(map[string]string{"q": keywords(maxQueryElements + 1)}))
+		}},
+		{"JSON fragment", func() (int, string) {
+			return post("application/json", jsonBody(map[string]string{"q": "patient", "ddl": fragment(maxQueryElements)}))
+		}},
+		{"JSON body", func() (int, string) {
+			return post("application/json", jsonBody(map[string]string{"q": "patient", "pad": strings.Repeat("a", maxBodyBytes)}))
+		}},
+	}
+	for _, tc := range cases {
+		code, body := tc.send()
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %.200s", tc.name, code, body)
+			continue
+		}
+		wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 	}
 }

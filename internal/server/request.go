@@ -67,13 +67,26 @@ type SearchRequest struct {
 // maxBodyBytes bounds decoded request bodies.
 const maxBodyBytes = 1 << 20
 
+// maxQueryElements bounds a search's query graph: its keywords plus every
+// entity and attribute of its fragments. Phase 2 scores each of them
+// against every element of every candidate, so a search's time and memory
+// grow linearly with their number. The largest query that the tests, the
+// examples, the experiments and the benchmark's query pools send has 14
+// elements (the pools draw at most six element names plus a fragment of at
+// most two entities with five attributes each), so 1024 leaves room for any
+// hand-written query.
+const maxQueryElements = 1024
+
 // decodeSearchRequest decodes and validates a search request from any of
-// the supported carriers. Limit defaults to 10.
-func decodeSearchRequest(r *http.Request) (*SearchRequest, *apiErr) {
+// the supported carriers; a POST body, JSON or form-encoded, may hold at
+// most maxBodyBytes. Limit defaults to 10.
+func decodeSearchRequest(w http.ResponseWriter, r *http.Request) (*SearchRequest, *apiErr) {
 	req := &SearchRequest{Limit: 10}
+	if r.Method == http.MethodPost {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	}
 	if r.Method == http.MethodPost && isJSONRequest(r) {
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		if err := dec.Decode(req); err != nil {
+		if err := json.NewDecoder(r.Body).Decode(req); err != nil {
 			return nil, badRequest("decoding json body: %v", err)
 		}
 		if req.Limit == 0 {
@@ -114,11 +127,14 @@ func decodeSearchRequest(r *http.Request) (*SearchRequest, *apiErr) {
 }
 
 // Query parses the request's keywords and schema fragments into a query
-// graph.
+// graph of at most maxQueryElements elements.
 func (sr *SearchRequest) Query() (*query.Query, *apiErr) {
 	q, err := query.Parse(query.Input{Keywords: sr.Keywords, DDL: sr.DDL, XSD: sr.XSD})
 	if err != nil {
 		return nil, badRequest("%v", err)
+	}
+	if n := q.NumElements(); n > maxQueryElements {
+		return nil, badRequest("query has %d elements (keywords plus fragment entities and attributes), more than %d", n, maxQueryElements)
 	}
 	return q, nil
 }

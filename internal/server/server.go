@@ -387,8 +387,8 @@ type searchOutcome struct {
 // runSearch decodes, validates and executes a search request: the single
 // search path behind GET/POST /api/search and /api/v1/search. The returned
 // outcome's rows are already paginated and recorded as impressions.
-func (s *Server) runSearch(r *http.Request) (*searchOutcome, *apiErr) {
-	req, aerr := decodeSearchRequest(r)
+func (s *Server) runSearch(w http.ResponseWriter, r *http.Request) (*searchOutcome, *apiErr) {
+	req, aerr := decodeSearchRequest(w, r)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -434,7 +434,7 @@ func (s *Server) runSearch(r *http.Request) (*searchOutcome, *apiErr) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	out, aerr := s.runSearch(r)
+	out, aerr := s.runSearch(w, r)
 	if aerr != nil {
 		s.writeXMLErr(w, r, aerr)
 		return
@@ -512,13 +512,13 @@ func (s *Server) schemaByID(w http.ResponseWriter, r *http.Request) *model.Schem
 // resultScores re-runs matching for one schema when the request carries a
 // query, so the visualization can encode similarity ("visually encoded
 // similarity measures"). Returns nil when no query is supplied.
-func (s *Server) resultScores(r *http.Request, schema *model.Schema) (map[string]float64, error) {
-	if r.FormValue("q") == "" && r.FormValue("ddl") == "" && r.FormValue("xsd") == "" {
-		return nil, nil
-	}
-	req, aerr := decodeSearchRequest(r)
+func (s *Server) resultScores(w http.ResponseWriter, r *http.Request, schema *model.Schema) (map[string]float64, error) {
+	req, aerr := decodeSearchRequest(w, r)
 	if aerr != nil {
 		return nil, aerr
+	}
+	if req.Keywords == "" && req.DDL == "" && req.XSD == "" {
+		return nil, nil
 	}
 	q, aerr := req.Query()
 	if aerr != nil {
@@ -540,7 +540,7 @@ func (s *Server) handleSchemaGraphML(w http.ResponseWriter, r *http.Request) {
 	if schema == nil {
 		return
 	}
-	scores, err := s.resultScores(r, schema)
+	scores, err := s.resultScores(w, r, schema)
 	if err != nil {
 		s.xmlError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -560,7 +560,7 @@ func (s *Server) handleSchemaSVG(w http.ResponseWriter, r *http.Request) {
 	if schema == nil {
 		return
 	}
-	scores, err := s.resultScores(r, schema)
+	scores, err := s.resultScores(w, r, schema)
 	if err != nil {
 		s.xmlError(w, http.StatusBadRequest, "%v", err)
 		return
