@@ -513,12 +513,12 @@ func (s *Server) schemaByID(w http.ResponseWriter, r *http.Request) *model.Schem
 // query, so the visualization can encode similarity ("visually encoded
 // similarity measures"). Returns nil when no query is supplied.
 func (s *Server) resultScores(w http.ResponseWriter, r *http.Request, schema *model.Schema) (map[string]float64, error) {
+	if r.FormValue("q") == "" && r.FormValue("ddl") == "" && r.FormValue("xsd") == "" {
+		return nil, nil
+	}
 	req, aerr := decodeSearchRequest(w, r)
 	if aerr != nil {
 		return nil, aerr
-	}
-	if req.Keywords == "" && req.DDL == "" && req.XSD == "" {
-		return nil, nil
 	}
 	q, aerr := req.Query()
 	if aerr != nil {
