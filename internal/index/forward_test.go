@@ -92,9 +92,9 @@ func checkMatchesFresh(t *testing.T, stage string, ix *Index, live map[string]Do
 
 // TestForwardIndexMatchesFreshIndex is the forward index's property test:
 // seeded random adds, updates, deletes, flushes and merges, then a save
-// and load, then more of the same on the loaded index. At each stage every DocFreq and every hit must equal an
-// index freshly built from the live documents, so the delDF corrections
-// the forward index drives are exact.
+// and load, then more of the same on the loaded index. At each stage every
+// DocFreq and every hit must equal an index freshly built from the live
+// documents, so the delDF corrections the forward index drives are exact.
 func TestForwardIndexMatchesFreshIndex(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
@@ -321,9 +321,6 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 		}},
 		{"empty segment", func(p *persistedV3) {
 			p.Segments = append(p.Segments, persistedSegment{})
-		}},
-		{"segment of uncompressed postings", func(p *persistedV3) {
-			p.Segments[0].Compressed = false
 		}},
 		{"head posting with a negative field", func(p *persistedV3) {
 			p.Head.Terms[0].Postings[0].Field = -1
