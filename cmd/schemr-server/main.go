@@ -15,7 +15,8 @@
 // + index and truncates the WAL, and boot recovers snapshot + WAL replay
 // while the saved index is read beside it — kill -9 at any point loses no
 // acknowledged mutation. A fresh data directory starts empty. Boot logs
-// one "boot:" line with the time of each phase.
+// one "boot:" line with the time of each phase and the bytes and objects
+// the boot allocated.
 //
 // -replica-of turns the server into a read-only replica that streams the
 // named primary's WAL (mutating routes answer 403). When the primary runs
@@ -60,6 +61,7 @@ import (
 	"log"
 	"net/http"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -105,10 +107,13 @@ func main() {
 	// acknowledged. The persisted index loads too — recovery is snapshot +
 	// replay + incremental sync, never a cold full reindex of an existing
 	// deployment.
+	var before, booted runtime.MemStats
+	runtime.ReadMemStats(&before)
 	sys, stats, err := schemr.OpenDurableWithOptions(*data, opts)
 	if err != nil {
 		log.Fatalf("schemr-server: %v", err)
 	}
+	runtime.ReadMemStats(&booted)
 	switch {
 	case stats.TornTail:
 		log.Printf("recovered %s: snapshot=%v, %d WAL records replayed, torn tail truncated at byte %d",
@@ -121,8 +126,9 @@ func main() {
 	if b.IndexErr != nil {
 		index = fmt.Sprintf("rebuilt (%v)", b.IndexErr)
 	}
-	log.Printf("boot: repository %v, index read %v (beside it), catch-up %v; index %s",
-		b.Repository.Round(time.Millisecond), b.Index.Round(time.Millisecond), b.Catchup.Round(time.Millisecond), index)
+	log.Printf("boot: repository %v, index read %v (beside it), catch-up %v; index %s; allocated %.1f MB in %d objects",
+		b.Repository.Round(time.Millisecond), b.Index.Round(time.Millisecond), b.Catchup.Round(time.Millisecond), index,
+		float64(booted.TotalAlloc-before.TotalAlloc)/1e6, booted.Mallocs-before.Mallocs)
 	log.Printf("loaded %d schemas from %s, %d indexed", sys.Repo.Len(), *data, sys.Engine.IndexedDocs())
 
 	srv := server.NewWithConfig(sys.Engine, server.Config{

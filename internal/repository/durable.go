@@ -151,24 +151,16 @@ type RecoveryStats struct {
 }
 
 // Recover opens a durable repository: it loads the snapshot at
-// snapshotPath if one exists (otherwise starts empty; a legacy JSON
-// snapshot is rewritten in the framed format first), replays the WAL at
+// snapshotPath if one exists (otherwise starts empty), replays the WAL at
 // walPath (created if absent, torn tail tolerated), and leaves the WAL
 // attached so every subsequent mutation is logged and fsynced before it
 // is acknowledged. met may be nil to run without instrumentation.
 func Recover(snapshotPath, walPath string, met *Metrics) (*Repository, RecoveryStats, error) {
 	var stats RecoveryStats
-	r, legacy, err := openSnapshot(snapshotPath)
+	r, err := Open(snapshotPath)
 	switch {
 	case err == nil:
 		stats.SnapshotLoaded = true
-		if legacy {
-			// Upgrade in place: the framed rewrite holds the same state
-			// and LSN, so the WAL replays against it unchanged.
-			if err := r.saveLocked(snapshotPath); err != nil {
-				return nil, stats, err
-			}
-		}
 	case errors.Is(err, fs.ErrNotExist):
 		r = New()
 	default:
@@ -211,7 +203,7 @@ func (r *Repository) applyRecord(d *decoded) error {
 	switch rec := &d.rec; rec.Op {
 	case opPut:
 		e, id := rec.Entry, d.id
-		e.print = printKey(id, d.fp)
+		e.print = d.print
 		if old, replacing := r.entries[id]; replacing {
 			delete(r.byPrint, old.print)
 		} else {

@@ -9,8 +9,9 @@ import (
 // FuzzOpenSnapshot feeds arbitrary bytes to Open as repository.json. It
 // must return a repository or an error and never panic, and a repository
 // it does return must come back unchanged through Save and Open. Seeds in
-// testdata/fuzz/FuzzOpenSnapshot: a framed snapshot, a legacy JSON one, a
-// truncated frame, a bad CRC and an oversized length.
+// testdata/fuzz/FuzzOpenSnapshot: a framed snapshot, a single-object JSON
+// one (which Open rejects), a truncated frame, a bad CRC and an oversized
+// length.
 func FuzzOpenSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "repository.json")

@@ -18,13 +18,17 @@ import (
 
 // FuzzDecodePut is the decoder's differential test: for any bytes,
 // decodePut either declines or decodes exactly what json.Unmarshal does,
-// and json.Unmarshal accepts them. Seeds in testdata/fuzz/FuzzDecodePut:
-// every record kind, rich puts, escapes, non-ASCII and invalid UTF-8,
-// repeated and case-variant keys, null, awkward numbers, trailing bytes.
+// and json.Unmarshal accepts them. The transient graph it leaves has the
+// ID, fingerprint, header and Validate verdict of the schema
+// json.Unmarshal decodes from the entry's bytes. Seeds in
+// testdata/fuzz/FuzzDecodePut: every record kind, rich puts, escapes,
+// non-ASCII and invalid UTF-8, repeated and case-variant keys, null,
+// awkward numbers, trailing bytes.
 func FuzzDecodePut(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got walRecord
-		if !new(putDecoder).decode(data, &got) {
+		pd := new(putDecoder)
+		if !pd.decode(data, string(data), &got) {
 			return
 		}
 		var want walRecord
@@ -34,7 +38,27 @@ func FuzzDecodePut(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decodePut differs from json.Unmarshal on %q:\n got %+v\nwant %+v", data, got, want)
 		}
+		var s *model.Schema
+		if want.Entry != nil && want.Entry.Schema != nil {
+			if err := json.Unmarshal(want.Entry.Schema, &s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g := pd.graph; g == nil || s == nil {
+			if g != nil || s != nil {
+				t.Fatalf("transient graph %v, unmarshalled schema %v on %q", g, s, data)
+			}
+		} else if derived(g, want.Entry.Seq) != derived(s, want.Entry.Seq) {
+			t.Fatalf("transient graph differs from json.Unmarshal on %q:\n got %s\nwant %s",
+				data, derived(g, want.Entry.Seq), derived(s, want.Entry.Seq))
+		}
 	})
+}
+
+// derived renders what recovery derives from a put's schema: its ID,
+// fingerprint, header and Validate verdict.
+func derived(s *model.Schema, seq uint64) string {
+	return fmt.Sprintf("%q %s %+v %v", s.ID, s.Fingerprint(), headerOf(s, seq), s.Validate())
 }
 
 // FuzzDecodeSchema is the same differential test for stored schema bytes
@@ -176,7 +200,7 @@ func TestDecodePutCoversWrittenPuts(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got walRecord
-			ok := new(putDecoder).decode(p, &got)
+			ok := new(putDecoder).decode(p, string(p), &got)
 			if want.Op != opPut {
 				if ok {
 					t.Fatalf("seed %d: decodePut accepted a %q record", seed, want.Op)
@@ -202,7 +226,7 @@ func TestDecodePutCoversWrittenPuts(t *testing.T) {
 func TestDecodePutDeclines(t *testing.T) {
 	const put = `{"op":"put","lsn":3,"seq":2,"entry":{"schema":{"id":"s000001","name":"n","entities":[{"name":"e","attributes":[{"name":"a"}]}]},"addedAt":"2009-06-29T00:00:00Z","seq":2},"nextId":1}`
 	var rec walRecord
-	if !new(putDecoder).decode([]byte(put+"\n"), &rec) {
+	if !new(putDecoder).decode([]byte(put+"\n"), put+"\n", &rec) {
 		t.Fatal("declined a plain put")
 	}
 	for name, p := range map[string]string{
@@ -231,7 +255,7 @@ func TestDecodePutDeclines(t *testing.T) {
 		"truncated":      put[:len(put)-1],
 	} {
 		var rec walRecord
-		if new(putDecoder).decode([]byte(p), &rec) {
+		if new(putDecoder).decode([]byte(p), p, &rec) {
 			t.Errorf("%s: decodePut accepted %s", name, p)
 		}
 	}
@@ -261,7 +285,8 @@ func BenchmarkDecodePut(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var rec walRecord
-		if !pd.decode(ps[i%len(ps)], &rec) {
+		p := ps[i%len(ps)]
+		if !pd.decode(p, string(p), &rec) {
 			b.Fatal("declined")
 		}
 	}

@@ -113,7 +113,7 @@ func (r *Repository) ExportState() ([]byte, uint64, error) {
 // Pending usage deltas and the retention ring are discarded: both
 // described the replaced state.
 func (r *Repository) InstallState(data []byte) error {
-	fresh, _, err := readSnapshot(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
+	fresh, err := readSnapshot(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
 	if err != nil {
 		return fmt.Errorf("repository: install state: %w", err)
 	}
@@ -135,7 +135,7 @@ func (r *Repository) InstallState(data []byte) error {
 // applied.
 func (r *Repository) ApplyReplicated(payload []byte) (bool, error) {
 	d := decoded{payload: payload}
-	if d.decode(new(putDecoder)); d.err != nil {
+	if d.decode(new(putDecoder), string(payload)); d.err != nil {
 		return false, fmt.Errorf("repository: replicated record: %w", d.err)
 	}
 	rec := &d.rec

@@ -140,10 +140,14 @@ func New() *Repository {
 	}}
 }
 
-// printKey scopes a schema fingerprint to the tenant owning id, so
-// structurally identical schemas under two tenants dedupe independently.
-func printKey(id, fingerprint string) string {
-	return tenant.Owner(id) + "\x00" + fingerprint
+// printKey scopes a schema fingerprint to tenant tn, so structurally
+// identical schemas under two tenants dedupe independently. A fingerprint
+// has no NUL, so the default tenant's key is the fingerprint itself.
+func printKey(tn, fingerprint string) string {
+	if tn != "" {
+		return tn + "\x00" + fingerprint
+	}
+	return fingerprint
 }
 
 // Len returns the number of stored schemas across all tenants.
@@ -229,7 +233,7 @@ func (r *Repository) putLocked(tn string, s *model.Schema) (string, error) {
 	}
 	old, replacing := r.entries[s.ID]
 	e := &entry{Schema: raw, AddedAt: now().UTC(), Seq: seq,
-		head: headerOf(s, seq), print: printKey(s.ID, s.Fingerprint())}
+		head: headerOf(s, seq), print: printKey(tenant.Owner(s.ID), s.Fingerprint())}
 	if replacing {
 		e.Tags = old.Tags
 		e.Comments = old.Comments
@@ -273,7 +277,7 @@ func (r *Repository) PutDedupTenant(tn string, s *model.Schema) (id string, dup 
 	if err := s.Validate(); err != nil {
 		return "", false, fmt.Errorf("repository: %w", err)
 	}
-	fp := tn + "\x00" + s.Fingerprint()
+	fp := printKey(tn, s.Fingerprint())
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if existing, ok := r.byPrint[fp]; ok {

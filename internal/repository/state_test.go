@@ -76,12 +76,12 @@ func checkPrints(t *testing.T, r *Repository, complete bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for k, id := range r.byPrint {
-		if e := r.entries[id]; e == nil || printKey(id, mustDecode(e.Schema).Fingerprint()) != k {
+		if e := r.entries[id]; e == nil || printKey(tenant.Owner(id), mustDecode(e.Schema).Fingerprint()) != k {
 			t.Fatalf("dedupe map: %q -> %q does not hold that fingerprint", k, id)
 		}
 	}
 	for id, e := range r.entries {
-		if _, ok := r.byPrint[printKey(id, mustDecode(e.Schema).Fingerprint())]; complete && !ok {
+		if _, ok := r.byPrint[printKey(tenant.Owner(id), mustDecode(e.Schema).Fingerprint())]; complete && !ok {
 			t.Fatalf("dedupe map lacks the fingerprint of %q", id)
 		}
 	}

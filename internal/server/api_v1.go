@@ -227,7 +227,7 @@ func (s *Server) v1DDL(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1Import(w http.ResponseWriter, r *http.Request) {
-	id, name, aerr := s.importSchema(r)
+	id, name, aerr := s.importSchema(w, r)
 	if aerr != nil {
 		s.writeJSONErr(w, r, aerr)
 		return

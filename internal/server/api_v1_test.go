@@ -424,3 +424,51 @@ func TestV1SearchRejectsOversizedRequests(t *testing.T) {
 		wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 	}
 }
+
+// TestImportBodyBound: on both surfaces, both import carriers read at most
+// maxBodyBytes. A body of exactly that size imports; one byte more is a
+// 400 bad_request that stores nothing.
+func TestImportBodyBound(t *testing.T) {
+	engine := wardEngine(t, 1)
+	ts := httptest.NewServer(NewWithConfig(engine, quietConfig()))
+	defer ts.Close()
+
+	// Each body holds a one-column DDL padded with spaces to size bytes.
+	const ddl = "CREATE TABLE big (a INT);"
+	carriers := map[string]func(size int) string{
+		"application/x-www-form-urlencoded": func(size int) string {
+			b := "name=big&ddl=" + url.QueryEscape(ddl)
+			return b + strings.Repeat("+", size-len(b))
+		},
+		"application/json": func(size int) string {
+			b := `{"name":"big","ddl":"` + ddl
+			return b + strings.Repeat(" ", size-len(b)-2) + `"}`
+		},
+	}
+	for _, path := range []string{"/api/schemas", "/api/v1/schemas"} {
+		for contentType, body := range carriers {
+			for _, size := range []int{maxBodyBytes, maxBodyBytes + 1} {
+				before := engine.Repository().Len()
+				b := body(size)
+				if len(b) != size {
+					t.Fatalf("built a %d-byte body, want %d", len(b), size)
+				}
+				resp, err := http.Post(ts.URL+path, contentType, strings.NewReader(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				stored := engine.Repository().Len() - before
+				switch {
+				case size == maxBodyBytes && (resp.StatusCode != http.StatusCreated || stored != 1):
+					t.Errorf("%s %s, %d bytes: status %d, %d stored; want 201, 1: %.200s", path, contentType, size, resp.StatusCode, stored, got)
+				case size > maxBodyBytes && (resp.StatusCode != http.StatusBadRequest || stored != 0):
+					t.Errorf("%s %s, %d bytes: status %d, %d stored; want 400, 0: %.200s", path, contentType, size, resp.StatusCode, stored, got)
+				case size > maxBodyBytes && !strings.Contains(string(got), "bad_request"):
+					t.Errorf("%s %s, %d bytes: want code bad_request: %.200s", path, contentType, size, got)
+				}
+			}
+		}
+	}
+}

@@ -603,18 +603,18 @@ func (s *Server) handleSchemaDDL(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, ddl.Print(schema))
 }
 
-// importSchema decodes an import request (form fields or a JSON body:
-// name plus ddl or xsd) and stores the schema. The document index picks
-// it up on the next scheduled sync (or Reindex).
-func (s *Server) importSchema(r *http.Request) (id, name string, aerr *apiErr) {
+// importSchema decodes an import request (form fields or a JSON body of
+// at most maxBodyBytes: name plus ddl or xsd) and stores the schema. The
+// document index picks it up on the next scheduled sync (or Reindex).
+func (s *Server) importSchema(w http.ResponseWriter, r *http.Request) (id, name string, aerr *apiErr) {
 	var in struct {
 		Name string `json:"name"`
 		DDL  string `json:"ddl"`
 		XSD  string `json:"xsd"`
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if isJSONRequest(r) {
-		dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-		if err := dec.Decode(&in); err != nil {
+		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
 			return "", "", badRequest("decoding json body: %v", err)
 		}
 	} else {
@@ -651,7 +651,7 @@ func (s *Server) importSchema(r *http.Request) (id, name string, aerr *apiErr) {
 }
 
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
-	id, name, aerr := s.importSchema(r)
+	id, name, aerr := s.importSchema(w, r)
 	if aerr != nil {
 		s.writeXMLErr(w, r, aerr)
 		return

@@ -336,41 +336,6 @@ func TestOpenDurableCrashRecovery(t *testing.T) {
 	}
 }
 
-// A data directory written before snapshots became framed logs still
-// opens, and the first durable open rewrites its snapshot in the new
-// format without changing what it holds.
-func TestOpenDurableUpgradesLegacySnapshot(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("internal", "repository", "testdata", "legacy_snapshot.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	snap := filepath.Join(dir, repoFile)
-	if err := os.WriteFile(snap, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sys, stats, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := sys.Repo.IDs()
-	if !stats.SnapshotLoaded || len(ids) != 16 {
-		t.Fatalf("legacy open: stats %+v, %d schemas", stats, len(ids))
-	}
-	sys.Close()
-	if b, _ := os.ReadFile(snap); !strings.HasPrefix(string(b), "schemr-snapshot/") {
-		t.Fatalf("snapshot not rewritten as a framed log: %.40q", b)
-	}
-	sys2, _, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys2.Close()
-	if got := sys2.Repo.IDs(); strings.Join(got, ",") != strings.Join(ids, ",") {
-		t.Fatalf("upgraded snapshot holds %v, want %v", got, ids)
-	}
-}
-
 // copyDir copies a flat data directory.
 func copyDir(t *testing.T, from string) string {
 	t.Helper()
