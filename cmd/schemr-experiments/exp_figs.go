@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/xml"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -229,7 +229,7 @@ func expFig4(cfg config) error {
 }
 
 // expFig5 exercises the Figure 5 architecture end to end over real HTTP:
-// import → scheduled offline indexing → XML search → GraphML → SVG.
+// import → scheduled offline indexing → search → GraphML → SVG.
 func expFig5(cfg config) error {
 	sys := schemr.New()
 	if _, err := sys.Repo.Put(clinicSchema()); err != nil {
@@ -247,40 +247,26 @@ func expFig5(cfg config) error {
 
 	// 1. GUI imports a schema.
 	start := time.Now()
-	resp, err := http.PostForm(ts.URL+"/api/schemas", url.Values{
+	var imp server.ImportedJSON
+	err := v1Call(http.PostForm(ts.URL+"/api/v1/schemas", url.Values{
 		"name": {"greenhouse"},
 		"ddl":  {"CREATE TABLE sensor (humidity FLOAT, soil_moisture FLOAT, lux INT, co2 INT);"},
-	})
+	}))(&imp)
 	if err != nil {
-		return err
+		return fmt.Errorf("import: %w", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 201 {
-		return fmt.Errorf("import: %d %s", resp.StatusCode, body)
-	}
-	var imp server.ImportResponse
-	if err := xml.Unmarshal(body, &imp); err != nil {
-		return err
-	}
-	fmt.Printf("1. POST /api/schemas        → %s (%v)\n", imp.ID, time.Since(start).Round(time.Microsecond))
+	fmt.Printf("1. POST /api/v1/schemas      → %s (%v)\n", imp.ID, time.Since(start).Round(time.Microsecond))
 
 	// 2. Wait for the scheduled indexer to pick it up.
 	start = time.Now()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		r, err := http.Get(ts.URL + "/api/search?q=humidity+soil")
-		if err != nil {
-			return err
-		}
-		b, _ := io.ReadAll(r.Body)
-		r.Body.Close()
-		var sr server.SearchResponse
-		if err := xml.Unmarshal(b, &sr); err != nil {
+		var sr server.SearchDataJSON
+		if err := v1Call(http.Get(ts.URL + "/api/v1/search?q=humidity+soil"))(&sr); err != nil {
 			return err
 		}
 		if sr.Total > 0 && sr.Results[0].ID == imp.ID {
-			fmt.Printf("2. offline indexer sync     → searchable after %v\n", time.Since(start).Round(time.Millisecond))
+			fmt.Printf("2. offline indexer sync      → searchable after %v\n", time.Since(start).Round(time.Millisecond))
 			break
 		}
 		if time.Now().After(deadline) {
@@ -289,49 +275,74 @@ func expFig5(cfg config) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// 3. The paper query as an XML search round trip.
+	// 3. The paper query as a search round trip.
 	start = time.Now()
 	form := url.Values{"q": {"patient height gender diagnosis"}, "ddl": {"CREATE TABLE patient (height FLOAT, gender VARCHAR(8));"}}
-	resp, err = http.PostForm(ts.URL+"/api/search", form)
-	if err != nil {
-		return err
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var sr server.SearchResponse
-	if err := xml.Unmarshal(body, &sr); err != nil {
+	var sr server.SearchDataJSON
+	if err := v1Call(http.PostForm(ts.URL+"/api/v1/search", form))(&sr); err != nil {
 		return err
 	}
 	if sr.Total == 0 {
 		return fmt.Errorf("no results")
 	}
-	fmt.Printf("3. POST /api/search (XML)   → %d results, top %q score %.3f (%v)\n",
+	fmt.Printf("3. POST /api/v1/search       → %d results, top %q score %.3f (%v)\n",
 		sr.Total, sr.Results[0].Name, sr.Results[0].Score, time.Since(start).Round(time.Microsecond))
 
 	// 4. Drill-in: GraphML then SVG.
 	id := sr.Results[0].ID
 	start = time.Now()
-	r, err := http.Get(ts.URL + "/api/schema/" + id + "?q=patient+height+gender+diagnosis")
+	gml, err := v1Document(ts.URL + "/api/v1/schema/" + id + "/graphml?q=patient+height+gender+diagnosis")
 	if err != nil {
 		return err
 	}
-	gml, _ := io.ReadAll(r.Body)
-	r.Body.Close()
-	fmt.Printf("4. GET /api/schema/{id}     → %d bytes GraphML (%v)\n", len(gml), time.Since(start).Round(time.Microsecond))
+	fmt.Printf("4. GET …/schema/{id}/graphml → %d bytes GraphML (%v)\n", len(gml), time.Since(start).Round(time.Microsecond))
 
 	start = time.Now()
-	r, err = http.Get(ts.URL + "/api/schema/" + id + "/svg?layout=radial&q=patient+height+gender+diagnosis")
+	svgBytes, err := v1Document(ts.URL + "/api/v1/schema/" + id + "/svg?layout=radial&q=patient+height+gender+diagnosis")
 	if err != nil {
 		return err
 	}
-	svgBytes, _ := io.ReadAll(r.Body)
-	r.Body.Close()
 	if !strings.Contains(string(svgBytes), "<svg") {
 		return fmt.Errorf("svg endpoint returned %q", svgBytes[:min(len(svgBytes), 60)])
 	}
-	fmt.Printf("5. GET .../svg?layout=radial → %d bytes SVG (%v)\n", len(svgBytes), time.Since(start).Round(time.Microsecond))
+	fmt.Printf("5. GET …/svg?layout=radial   → %d bytes SVG (%v)\n", len(svgBytes), time.Since(start).Round(time.Microsecond))
 	fmt.Println("\narchitecture round trip complete: GUI ⇄ search service ⇄ match engine ⇄ repository + offline indexer.")
 	return nil
+}
+
+// v1Call returns a decoder for one /api/v1 response: it unmarshals the
+// envelope's data into the value it is given, or returns the envelope's
+// error.
+func v1Call(resp *http.Response, err error) func(data any) error {
+	return func(data any) error {
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		env := server.Envelope{Data: data}
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			return fmt.Errorf("status %d: decoding envelope: %w", resp.StatusCode, err)
+		}
+		if env.Error != nil {
+			return fmt.Errorf("status %d: %s: %s", resp.StatusCode, env.Error.Code, env.Error.Message)
+		}
+		return nil
+	}
+}
+
+// v1Document fetches a GraphML or SVG rendering, which the API serves as
+// the document itself rather than in the envelope.
+func v1Document(url string) ([]byte, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	return body, err
 }
 
 func trunc(s string, n int) string {

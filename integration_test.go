@@ -1,7 +1,7 @@
 package schemr
 
 import (
-	"encoding/xml"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"schemr/internal/server"
 )
 
 // TestDeploymentLifecycle drives a full deployment the way an operator
@@ -70,18 +72,12 @@ func TestDeploymentLifecycle(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(b)
 	}
-	code, body := fetch("/api/search?q=patient+height+gender+diagnosis&limit=5")
+	code, body := fetch("/api/v1/search?q=patient+height+gender+diagnosis&limit=5")
 	if code != 200 {
 		t.Fatalf("search status %d", code)
 	}
-	type searchResp struct {
-		Total   int `xml:"total,attr"`
-		Results []struct {
-			ID string `xml:"id,attr"`
-		} `xml:"result"`
-	}
-	var sr searchResp
-	if err := xml.Unmarshal([]byte(body), &sr); err != nil {
+	var sr server.SearchDataJSON
+	if err := json.Unmarshal([]byte(body), &server.Envelope{Data: &sr}); err != nil {
 		t.Fatal(err)
 	}
 	if len(sr.Results) == 0 || sr.Results[0].ID != refID {
@@ -89,12 +85,15 @@ func TestDeploymentLifecycle(t *testing.T) {
 	}
 
 	// 4. Click-through on the reference schema, then drill in.
-	resp, err := http.Post(ts.URL+"/api/schema/"+refID+"/select", "", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/schema/"+refID+"/select", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	code, body = fetch("/api/schema/" + refID + "/svg?layout=radial&q=patient+height")
+	if resp.StatusCode != 200 {
+		t.Fatalf("select status %d", resp.StatusCode)
+	}
+	code, body = fetch("/api/v1/schema/" + refID + "/svg?layout=radial&q=patient+height")
 	if code != 200 || !strings.Contains(body, "<svg") {
 		t.Fatalf("svg status %d", code)
 	}

@@ -22,8 +22,7 @@ import (
 // in the resolved namespace. Auth failures use the stable error codes
 // unauthorized (401, no or unknown credential), forbidden (403, known
 // credential with insufficient rights) and quota_exceeded (429 with
-// Retry-After), rendered in the surface's envelope — JSON for /api/v1,
-// XML for the legacy routes.
+// Retry-After), rendered in the JSON error envelope.
 
 // tenantLabelFrom is the request's tenant metric label ("default",
 // "admin", or the tenant ID).
@@ -49,22 +48,6 @@ func displayID(who tenant.Info, id string) string {
 	return tenant.Bare(id)
 }
 
-// legacyDeprecationDate is the Deprecation header value on the legacy
-// /api/* XML routes: the RFC 9745 sf-date for 2026-01-01T00:00:00Z.
-const legacyDeprecationDate = "@1767225600"
-
-// deprecated marks a legacy route with its /api/v1 successor: the
-// Deprecation header carries the date the surface was declared
-// deprecated, and the Link header names the successor route (RFC 8288
-// successor-version relation). Responses are otherwise bit-identical.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", legacyDeprecationDate)
-		w.Header().Set("Link", `<`+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
 // bearerKey extracts the presented API key: Authorization: Bearer <key>
 // preferred, X-API-Key accepted.
 func bearerKey(r *http.Request) string {
@@ -74,15 +57,6 @@ func bearerKey(r *http.Request) string {
 		}
 	}
 	return r.Header.Get("X-API-Key")
-}
-
-// authErrWriter picks the error envelope for middleware that runs before
-// mux routing: JSON for the versioned surface, XML for everything legacy.
-func (s *Server) authErrWriter(r *http.Request) errorWriter {
-	if strings.HasPrefix(r.URL.Path, "/api/v1/") || isJSONRequest(r) {
-		return s.writeJSONErr
-	}
-	return s.writeXMLErr
 }
 
 // isAdminKey constant-time-compares the presented key with the bootstrap
@@ -113,7 +87,7 @@ func (s *Server) withTenant(h http.Handler) http.Handler {
 		if key == "" {
 			s.met.authFailure("missing")
 			w.Header().Set("WWW-Authenticate", `Bearer realm="schemr"`)
-			s.authErrWriter(r)(w, r, unauthorized("missing API key: send Authorization: Bearer <key>"))
+			s.writeJSONErr(w, r, unauthorized("missing API key: send Authorization: Bearer <key>"))
 			return
 		}
 		var who tenant.Info
@@ -124,7 +98,7 @@ func (s *Server) withTenant(h http.Handler) http.Handler {
 		} else {
 			s.met.authFailure("unknown")
 			w.Header().Set("WWW-Authenticate", `Bearer realm="schemr"`)
-			s.authErrWriter(r)(w, r, unauthorized("unknown API key"))
+			s.writeJSONErr(w, r, unauthorized("unknown API key"))
 			return
 		}
 		h.ServeHTTP(w, r.WithContext(tenant.With(r.Context(), who)))
@@ -157,7 +131,7 @@ func (s *Server) admitted(h http.Handler) http.Handler {
 		release, denial := s.limiter.Acquire(who.ID)
 		if denial != nil {
 			s.met.tenantThrottle(label, denial.Reason)
-			s.authErrWriter(r)(w, r, quotaExceeded(denial))
+			s.writeJSONErr(w, r, quotaExceeded(denial))
 			return
 		}
 		gauge := s.met.tenantInFlight(label)
@@ -242,7 +216,7 @@ func (s *Server) v1CreateKey(w http.ResponseWriter, r *http.Request) {
 	}
 	plaintext, err := s.engine.Repository().CreateKey(tn, in.Name)
 	if err != nil {
-		s.writeJSONErr(w, r, &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()})
+		s.writeJSONErr(w, r, internalErr(err))
 		return
 	}
 	s.writeJSON(w, r, http.StatusCreated, KeyJSON{
@@ -270,7 +244,7 @@ func (s *Server) v1RevokeKey(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	ok, err := s.engine.Repository().RevokeKey(hash)
 	if err != nil {
-		s.writeJSONErr(w, r, &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()})
+		s.writeJSONErr(w, r, internalErr(err))
 		return
 	}
 	if !ok {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"encoding/xml"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,42 +76,24 @@ func mintKey(t *testing.T, baseURL, tn string) (plaintext, hash string) {
 }
 
 // TestAuthRequired pins the 401 surface: no credential and an unknown
-// credential are both rejected with the stable unauthorized code, rendered
-// in the envelope matching the surface (XML for legacy, JSON for v1), and
-// the response advertises the Bearer challenge.
+// credential are both rejected with the stable unauthorized code in the
+// JSON error envelope — on any /api path, registered or not — and the
+// response advertises the Bearer challenge.
 func TestAuthRequired(t *testing.T) {
 	engine := wardEngine(t, 2)
 	ts := httptest.NewServer(NewWithConfig(engine, authConfig()))
 	defer ts.Close()
 
-	// Legacy surface: XML envelope with the code attribute.
-	code, body, hdr := reqAs(t, "GET", ts.URL+"/api/search?q=patient", "", "", "")
-	if code != 401 {
-		t.Fatalf("no-key legacy status %d: %s", code, body)
-	}
-	if hdr.Get("WWW-Authenticate") == "" {
-		t.Error("missing WWW-Authenticate challenge")
-	}
-	var xe ErrorXML
-	if err := xml.Unmarshal([]byte(body), &xe); err != nil {
-		t.Fatalf("bad xml error: %v\n%s", err, body)
-	}
-	if xe.Code != "unauthorized" {
-		t.Errorf("legacy 401 code = %q, want unauthorized", xe.Code)
-	}
-
-	// v1 surface: JSON envelope with error.code.
-	code, body, _ = reqAs(t, "GET", ts.URL+"/api/v1/search?q=patient", "", "", "")
-	if code != 401 {
-		t.Fatalf("no-key v1 status %d: %s", code, body)
-	}
-	env := envelope(t, body)
-	if env.Error == nil || env.Error.Code != "unauthorized" {
-		t.Errorf("v1 401 envelope = %+v", env)
+	for _, path := range []string{"/api/v1/search?q=patient", "/api/search?q=patient"} {
+		code, body, hdr := reqAs(t, "GET", ts.URL+path, "", "", "")
+		wantErrEnvelope(t, code, body, http.StatusUnauthorized, "unauthorized")
+		if hdr.Get("WWW-Authenticate") == "" {
+			t.Errorf("%s: missing WWW-Authenticate challenge", path)
+		}
 	}
 
 	// Unknown key: still 401 unauthorized.
-	code, body, _ = reqAs(t, "GET", ts.URL+"/api/v1/stats", "sk_notarealkey", "", "")
+	code, body, _ := reqAs(t, "GET", ts.URL+"/api/v1/stats", "sk_notarealkey", "", "")
 	if code != 401 {
 		t.Fatalf("unknown-key status %d: %s", code, body)
 	}
@@ -407,52 +388,6 @@ func TestQuotaExceeded(t *testing.T) {
 		if code, body, _ := reqAs(t, "GET", ts.URL+"/api/v1/stats", testAdminKey, "", ""); code != 200 {
 			t.Fatalf("admin request %d throttled: status %d: %s", i, code, body)
 		}
-	}
-
-	// Legacy surface renders the same 429 in XML.
-	code, body, hdr := reqAs(t, "GET", ts.URL+"/api/stats", key, "", "")
-	for code == 200 { // burn any token refilled since the hammer
-		code, body, hdr = reqAs(t, "GET", ts.URL+"/api/stats", key, "", "")
-	}
-	if code != 429 {
-		t.Fatalf("legacy throttle status %d: %s", code, body)
-	}
-	var xe ErrorXML
-	if err := xml.Unmarshal([]byte(body), &xe); err != nil {
-		t.Fatalf("bad xml 429: %v\n%s", err, body)
-	}
-	if xe.Code != "quota_exceeded" || hdr.Get("Retry-After") == "" {
-		t.Errorf("legacy 429: code=%q retry-after=%q", xe.Code, hdr.Get("Retry-After"))
-	}
-}
-
-// TestDeprecationHeaders pins the legacy-surface migration headers: every
-// aliased /api route advertises its /api/v1 successor, and the v1 routes
-// carry no deprecation marker.
-func TestDeprecationHeaders(t *testing.T) {
-	ts, _, ids := testServer(t)
-
-	for path, successor := range map[string]string{
-		"/api/search?q=patient":                 "/api/v1/search",
-		"/api/stats":                            "/api/v1/stats",
-		"/api/schemas":                          "/api/v1/schemas",
-		"/api/schema/" + ids["clinic"] + "/ddl": "/api/v1/schema/{id}/ddl",
-	} {
-		code, body, hdr := get(t, ts.URL+path)
-		if code != 200 {
-			t.Fatalf("%s: status %d: %s", path, code, body)
-		}
-		if hdr.Get("Deprecation") != legacyDeprecationDate {
-			t.Errorf("%s: Deprecation = %q, want %q", path, hdr.Get("Deprecation"), legacyDeprecationDate)
-		}
-		if link := hdr.Get("Link"); !strings.Contains(link, successor) || !strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("%s: Link = %q, want successor %s", path, link, successor)
-		}
-	}
-
-	_, _, hdr := get(t, ts.URL+"/api/v1/stats")
-	if hdr.Get("Deprecation") != "" {
-		t.Errorf("v1 route carries Deprecation = %q", hdr.Get("Deprecation"))
 	}
 }
 

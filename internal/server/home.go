@@ -57,30 +57,29 @@ async function run(offset) {
   if (ddl) body.set('ddl', ddl);
   lastQuery = body.toString();
   body.set('offset', offset || 0);
-  const resp = await fetch('/api/search', {method: 'POST', body});
-  const text = await resp.text();
-  const doc = new DOMParser().parseFromString(text, 'application/xml');
+  const resp = await fetch('/api/v1/search', {method: 'POST', body});
+  const env = await resp.json();
   const rows = document.querySelector('#results tbody');
   rows.innerHTML = '';
-  const results = doc.querySelectorAll('result');
+  if (env.error) {
+    document.getElementById('count').textContent = env.error.message;
+    return;
+  }
+  const results = env.data.results;
   nextOffset = (offset || 0) + results.length;
   document.getElementById('count').textContent = results.length + ' results (from #' + ((offset||0)+1) + ')';
   results.forEach(r => {
     const tr = document.createElement('tr');
-    const name = r.querySelector('name').textContent;
-    tr.innerHTML = '<td>' + name + '</td><td>' +
-      (+r.getAttribute('score')).toFixed(3) + '</td><td>' +
-      r.querySelector('matches').textContent + '</td><td>' +
-      r.querySelector('entities').textContent + '</td><td>' +
-      r.querySelector('attributes').textContent + '</td>';
-    tr.onclick = () => addViz(r.getAttribute('id'), name);
+    tr.innerHTML = '<td>' + r.name + '</td><td>' + r.score.toFixed(3) + '</td><td>' +
+      r.matches + '</td><td>' + r.entities + '</td><td>' + r.attributes + '</td>';
+    tr.onclick = () => addViz(r.id, r.name);
     rows.appendChild(tr);
   });
 }
 async function addViz(id, name, focus) {
-  if (!focus) fetch('/api/schema/' + id + '/select', {method: 'POST'}); // usage statistics
+  if (!focus) fetch('/api/v1/schema/' + id + '/select', {method: 'POST'}); // usage statistics
   const kind = document.querySelector('input[name=layout]:checked').value;
-  let url = '/api/schema/' + id + '/svg?layout=' + kind;
+  let url = '/api/v1/schema/' + id + '/svg?layout=' + kind;
   if (lastQuery) url += '&' + lastQuery;
   if (focus) url += '&focus=' + encodeURIComponent(focus);
   const svg = await (await fetch(url)).text();

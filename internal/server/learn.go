@@ -146,7 +146,7 @@ func (s *Server) v1Feedback(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := s.engine.Repository().AppendFeedback(events...); err != nil {
-		s.writeJSONErr(w, r, &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()})
+		s.writeJSONErr(w, r, internalErr(err))
 		return
 	}
 	s.learnMet.feedbackEvents.Add(uint64(len(events)))
@@ -427,7 +427,7 @@ func (s *Server) promoteVersion(version uint64) *apiErr {
 		return badRequest("%v", err)
 	}
 	if err := repo.PromoteWeights(version); err != nil {
-		return &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
+		return internalErr(err)
 	}
 	if s.engine.ShadowVersion() == version {
 		s.engine.ClearShadowWeights()

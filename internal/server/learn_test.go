@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
@@ -79,33 +78,24 @@ func TestV1FeedbackEndpoint(t *testing.T) {
 func TestSelectCapturesFeedback(t *testing.T) {
 	ts, engine, ids := testServer(t)
 	// A plain select stays a usage bump only.
-	resp, err := http.Post(ts.URL+"/api/schema/"+ids["clinic"]+"/select", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 204 {
-		t.Fatalf("select status %d", resp.StatusCode)
+	if code, body := postForm(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/select", nil); code != 200 {
+		t.Fatalf("select status %d: %s", code, body)
 	}
 	if n := engine.Repository().FeedbackCount(); n != 0 {
 		t.Fatalf("plain select logged %d feedback events", n)
 	}
-	// A select carrying its originating query becomes a feedback event.
+	// A select carrying its originating query in a form body becomes a
+	// feedback event.
 	form := url.Values{"q": {"patient height gender"}, "rank": {"1"}}
-	resp, err = http.PostForm(ts.URL+"/api/schema/"+ids["clinic"]+"/select", form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 204 {
-		t.Fatalf("select-with-query status %d", resp.StatusCode)
+	if code, body := postForm(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/select", form); code != 200 {
+		t.Fatalf("select-with-query status %d: %s", code, body)
 	}
 	fb := engine.Repository().Feedback()
 	if len(fb) != 1 || fb[0].Query != "patient height gender" ||
 		fb[0].ID != ids["clinic"] || fb[0].Rank != 1 || !fb[0].Selected {
 		t.Fatalf("captured feedback = %+v", fb)
 	}
-	// The v1 select surface captures identically.
+	// A query in the query string captures identically.
 	code, body := postJSON(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/select?q=diagnosis", "")
 	if code != 200 {
 		t.Fatalf("v1 select status %d: %s", code, body)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"log"
@@ -76,15 +75,6 @@ func quietConfig() Config {
 	return Config{Logger: log.New(io.Discard, "", 0)}
 }
 
-func searchXML(t *testing.T, body string) SearchResponse {
-	t.Helper()
-	var sr SearchResponse
-	if err := xml.Unmarshal([]byte(body), &sr); err != nil {
-		t.Fatalf("bad xml: %v\n%s", err, body)
-	}
-	return sr
-}
-
 // TestSearchTotalTrueCount pins the pagination contract: total is the full
 // ranked-result count for every offset/limit combination, pages never
 // exceed limit, and pages tile the full ranking without gaps or overlap.
@@ -94,13 +84,13 @@ func TestSearchTotalTrueCount(t *testing.T) {
 	ts := httptest.NewServer(NewWithConfig(engine, quietConfig()))
 	defer ts.Close()
 
-	page := func(offset, limit int) SearchResponse {
+	page := func(offset, limit int) SearchDataJSON {
 		t.Helper()
-		code, body, _ := get(t, fmt.Sprintf("%s/api/search?q=patient&limit=%d&offset=%d", ts.URL, limit, offset))
+		code, body, _ := get(t, fmt.Sprintf("%s/api/v1/search?q=patient&limit=%d&offset=%d", ts.URL, limit, offset))
 		if code != 200 {
 			t.Fatalf("offset=%d limit=%d: status %d: %s", offset, limit, code, body)
 		}
-		return searchXML(t, body)
+		return searchData(t, body)
 	}
 
 	full := page(0, 500)
@@ -153,7 +143,7 @@ func TestSearchLoadShed(t *testing.T) {
 	}
 	first := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/api/search?q=patient")
+		resp, err := http.Get(ts.URL + "/api/v1/search?q=patient")
 		if err != nil {
 			first <- result{code: -1, body: err.Error()}
 			return
@@ -171,25 +161,14 @@ func TestSearchLoadShed(t *testing.T) {
 	}
 
 	// The gate is full: a second search is shed with 503 + Retry-After.
-	resp, err := http.Get(ts.URL + "/api/search?q=patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed status %d: %s", resp.StatusCode, body)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+	code, body, hdr := get(t, ts.URL+"/api/v1/search?q=patient")
+	wantErrEnvelope(t, code, body, http.StatusServiceUnavailable, "overloaded")
+	if ra := hdr.Get("Retry-After"); ra != "2" {
 		t.Errorf("Retry-After = %q, want \"2\"", ra)
-	}
-	var e ErrorXML
-	if err := xml.Unmarshal(body, &e); err != nil || e.Status != http.StatusServiceUnavailable {
-		t.Errorf("shed envelope = %q", body)
 	}
 
 	// Non-search endpoints are not gated.
-	if code, _, _ := get(t, ts.URL+"/api/stats"); code != 200 {
+	if code, _, _ := get(t, ts.URL+"/api/v1/stats"); code != 200 {
 		t.Errorf("stats during saturation: status %d", code)
 	}
 
@@ -199,7 +178,7 @@ func TestSearchLoadShed(t *testing.T) {
 	if r.code != 200 {
 		t.Fatalf("first search status %d: %s", r.code, r.body)
 	}
-	if code, _, _ := get(t, ts.URL+"/api/search?q=patient"); code != 200 {
+	if code, _, _ := get(t, ts.URL+"/api/v1/search?q=patient"); code != 200 {
 		t.Errorf("post-release search status %d", code)
 	}
 }
@@ -219,16 +198,10 @@ func TestSearchDeadlineExceeded(t *testing.T) {
 	ts := httptest.NewServer(NewWithConfig(engine, cfg))
 	defer ts.Close()
 
-	code, body, hdr := get(t, ts.URL+"/api/search?q=patient")
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("status %d: %s", code, body)
-	}
+	code, body, hdr := get(t, ts.URL+"/api/v1/search?q=patient")
+	wantErrEnvelope(t, code, body, http.StatusGatewayTimeout, "timeout")
 	if hdr.Get("Retry-After") == "" {
 		t.Error("missing Retry-After on timeout")
-	}
-	var e ErrorXML
-	if err := xml.Unmarshal([]byte(body), &e); err != nil || e.Status != http.StatusGatewayTimeout {
-		t.Errorf("timeout envelope = %q", body)
 	}
 }
 
@@ -240,16 +213,13 @@ func TestPanicRecovery(t *testing.T) {
 		panic("boom")
 	}))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/search?q=patient", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status %d", rec.Code)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/search?q=patient", nil))
+	env := wantErrEnvelope(t, rec.Code, rec.Body.String(), http.StatusInternalServerError, "internal")
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("panic Content-Type = %q", ct)
 	}
-	if rec.Header().Get("X-Request-ID") == "" {
-		t.Error("missing X-Request-ID")
-	}
-	var e ErrorXML
-	if err := xml.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Status != http.StatusInternalServerError {
-		t.Errorf("panic envelope = %q", rec.Body.String())
+	if id := rec.Header().Get("X-Request-ID"); id == "" || env.RequestID != id {
+		t.Errorf("envelope request_id %q, X-Request-ID %q", env.RequestID, id)
 	}
 
 	// A panic after a partial write must not try to rewrite the header.
@@ -267,7 +237,7 @@ func TestPanicRecovery(t *testing.T) {
 	// The server keeps serving after a recovered panic.
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	if code, _, _ := get(t, ts.URL+"/api/search?q=patient"); code != 200 {
+	if code, _, _ := get(t, ts.URL+"/api/v1/search?q=patient"); code != 200 {
 		t.Errorf("post-panic search status %d", code)
 	}
 }
@@ -276,8 +246,8 @@ func TestRequestIDsAssigned(t *testing.T) {
 	engine := wardEngine(t, 1)
 	ts := httptest.NewServer(NewWithConfig(engine, quietConfig()))
 	defer ts.Close()
-	_, _, hdr1 := get(t, ts.URL+"/api/stats")
-	_, _, hdr2 := get(t, ts.URL+"/api/stats")
+	_, _, hdr1 := get(t, ts.URL+"/api/v1/stats")
+	_, _, hdr2 := get(t, ts.URL+"/api/v1/stats")
 	id1, id2 := hdr1.Get("X-Request-ID"), hdr2.Get("X-Request-ID")
 	if id1 == "" || id2 == "" || id1 == id2 {
 		t.Errorf("request ids = %q, %q", id1, id2)
@@ -323,27 +293,4 @@ func TestStartIndexerStopIdempotentAndShutdown(t *testing.T) {
 	stop3 := s.StartIndexer(time.Hour) // exits immediately: baseCtx is done
 	stop3()
 	stop3()
-}
-
-// TestSearchXMLShapeUnchanged guards the response envelope: an unloaded
-// search through the full middleware stack still yields the same XML
-// document shape and content as the handler contract promises.
-func TestSearchXMLShapeUnchanged(t *testing.T) {
-	engine := wardEngine(t, 2)
-	ts := httptest.NewServer(NewWithConfig(engine, quietConfig()))
-	defer ts.Close()
-	code, body, hdr := get(t, ts.URL+"/api/search?q=patient&limit=1")
-	if code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if !strings.HasPrefix(body, xml.Header) {
-		t.Errorf("missing xml header: %.60q", body)
-	}
-	if !strings.Contains(hdr.Get("Content-Type"), "application/xml") {
-		t.Errorf("content type = %s", hdr.Get("Content-Type"))
-	}
-	sr := searchXML(t, body)
-	if sr.Total != 2 || len(sr.Results) != 1 || sr.Query == "" {
-		t.Errorf("response = %+v", sr)
-	}
 }

@@ -115,7 +115,7 @@ type routeSeries struct {
 }
 
 // route wraps a handler with per-route instrumentation keyed by the
-// ServeMux pattern it is registered under ("GET /api/search"): a request
+// ServeMux pattern it is registered under ("GET /api/v1/search"): a request
 // counter per status class, a latency histogram, the shared in-flight
 // gauge, and the timeout counter on 504s. Series are per tenant (label
 // resolved from the request context, "default" outside auth) and created

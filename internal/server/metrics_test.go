@@ -69,7 +69,7 @@ func TestMetricsScrape(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				code, body, _ := get(t, ts.URL+"/api/search?q=patient")
+				code, body, _ := get(t, ts.URL+"/api/v1/search?q=patient")
 				if code != 200 {
 					t.Errorf("search status %d: %s", code, body)
 					return
@@ -128,16 +128,16 @@ func TestMetricsScrape(t *testing.T) {
 	for _, phase := range []string{"extract", "match", "tightness"} {
 		assertHistogram(t, first, "schemr_search_phase_seconds", fmt.Sprintf(`phase="%s",tenant="default"`, phase), float64(total))
 	}
-	assertHistogram(t, first, "schemr_http_request_seconds", `method="GET",route="/api/search",tenant="default"`, float64(total))
+	assertHistogram(t, first, "schemr_http_request_seconds", `method="GET",route="/api/v1/search",tenant="default"`, float64(total))
 
-	reqSeries := `schemr_http_requests_total{class="2xx",method="GET",route="/api/search",tenant="default"}`
+	reqSeries := `schemr_http_requests_total{class="2xx",method="GET",route="/api/v1/search",tenant="default"}`
 	if got := first.samples[reqSeries]; got != float64(total) {
 		t.Errorf("%s = %v, want %d", reqSeries, got, total)
 	}
 
 	// Counters are monotone between scrapes: another search strictly grows
 	// them, and nothing else shrinks.
-	if code, body, _ := get(t, ts.URL+"/api/search?q=patient"); code != 200 {
+	if code, body, _ := get(t, ts.URL+"/api/v1/search?q=patient"); code != 200 {
 		t.Fatalf("follow-up search status %d: %s", code, body)
 	}
 	second := scrapeMetrics(t, ts.URL)
@@ -192,7 +192,7 @@ func TestMetricsEndpointDisabled(t *testing.T) {
 		t.Errorf("/metrics with endpoint disabled: status %d, want 404", code)
 	}
 	// Instruments still record even without the endpoint.
-	if code, _, _ := get(t, ts.URL+"/api/search?q=patient"); code != 200 {
+	if code, _, _ := get(t, ts.URL+"/api/v1/search?q=patient"); code != 200 {
 		t.Fatalf("search status %d", code)
 	}
 }
@@ -227,7 +227,7 @@ func TestShedAndTimeoutCounters(t *testing.T) {
 	ts := httptest.NewServer(NewWithConfig(engine, cfg))
 	defer ts.Close()
 
-	code, _, _ := get(t, ts.URL+"/api/search?q=patient")
+	code, _, _ := get(t, ts.URL+"/api/v1/search?q=patient")
 	if code != 504 {
 		t.Fatalf("status %d, want 504", code)
 	}
@@ -235,7 +235,7 @@ func TestShedAndTimeoutCounters(t *testing.T) {
 	if got := sr.samples["schemr_http_timeouts_total"]; got < 1 {
 		t.Errorf("schemr_http_timeouts_total = %v, want >= 1", got)
 	}
-	series := `schemr_http_requests_total{class="5xx",method="GET",route="/api/search",tenant="default"}`
+	series := `schemr_http_requests_total{class="5xx",method="GET",route="/api/v1/search",tenant="default"}`
 	if got := sr.samples[series]; got < 1 {
 		t.Errorf("%s = %v, want >= 1", series, got)
 	}

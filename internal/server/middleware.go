@@ -177,7 +177,8 @@ func (s *Server) instrumented(h http.Handler) http.Handler {
 				s.cfg.Logger.Printf("server: request %s %s %s panicked: %v\n%s",
 					id, r.Method, r.URL.Path, p, debug.Stack())
 				if !sw.wrote {
-					s.xmlError(sw, http.StatusInternalServerError, "internal error (request %s)", id)
+					s.writeJSONErr(sw, r, &apiErr{status: http.StatusInternalServerError, code: "internal",
+						msg: fmt.Sprintf("internal error (request %s)", id)})
 				}
 				return
 			}
@@ -206,15 +207,10 @@ func (s *Server) deadlined(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// errorWriter renders an apiErr in a surface's envelope (XML for the
-// legacy routes, JSON for /api/v1).
-type errorWriter func(http.ResponseWriter, *http.Request, *apiErr)
-
 // shed is the bounded in-flight gate for search requests: when MaxInFlight
 // searches are already executing, new ones are shed immediately with 503 +
-// Retry-After rather than queued into the match worker pool. werr picks
-// the surface's error envelope.
-func (s *Server) shed(h http.HandlerFunc, werr errorWriter) http.HandlerFunc {
+// Retry-After rather than queued into the match worker pool.
+func (s *Server) shed(h http.HandlerFunc) http.HandlerFunc {
 	if s.inflight == nil {
 		return h
 	}
@@ -226,7 +222,7 @@ func (s *Server) shed(h http.HandlerFunc, werr errorWriter) http.HandlerFunc {
 			h(w, r)
 		default:
 			s.met.sheds.Inc()
-			werr(w, r, &apiErr{
+			s.writeJSONErr(w, r, &apiErr{
 				status: http.StatusServiceUnavailable, code: "overloaded",
 				msg: fmt.Sprintf("too many concurrent searches (%d in flight); retry shortly",
 					cap(s.inflight)),

@@ -32,9 +32,7 @@ type ReplicationWALJSON struct {
 func (s *Server) v1ReplicationState(w http.ResponseWriter, r *http.Request) {
 	data, _, err := s.engine.Repository().ExportState()
 	if err != nil {
-		s.writeJSONErr(w, r, &apiErr{
-			status: http.StatusInternalServerError, code: "internal", msg: err.Error(),
-		})
+		s.writeJSONErr(w, r, internalErr(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -61,13 +59,13 @@ func (s *Server) v1ReplicationWAL(w http.ResponseWriter, r *http.Request) {
 }
 
 // readOnly rejects a mutating route with 403 when the server is a
-// read-only replica; werr picks the surface's error envelope.
-func (s *Server) readOnly(h http.HandlerFunc, werr errorWriter) http.HandlerFunc {
+// read-only replica.
+func (s *Server) readOnly(h http.HandlerFunc) http.HandlerFunc {
 	if !s.cfg.ReadOnly {
 		return h
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		werr(w, r, &apiErr{
+		s.writeJSONErr(w, r, &apiErr{
 			status: http.StatusForbidden, code: "read_only",
 			msg: "this server is a read-only replica; send writes to the primary",
 		})

@@ -13,9 +13,8 @@ import (
 	"schemr/internal/query"
 )
 
-// apiErr is the transport-independent API error: a status, a stable
-// machine-readable code, and a human message. The legacy surface renders
-// it as the XML <error> envelope, /api/v1 as the JSON error envelope.
+// apiErr is an API error: a status, a stable machine-readable code, and a
+// human message, rendered as the JSON error envelope.
 type apiErr struct {
 	status     int
 	code       string
@@ -33,6 +32,10 @@ func notFound(format string, args ...any) *apiErr {
 	return &apiErr{status: http.StatusNotFound, code: "not_found", msg: fmt.Sprintf(format, args...)}
 }
 
+func internalErr(err error) *apiErr {
+	return &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
+}
+
 // searchAPIErr maps engine search failures onto API errors: a fired
 // per-request deadline is 504 (retry is cheap, match profiles stay
 // cached), a vanished client or shutting-down server is 503, anything
@@ -45,14 +48,14 @@ func searchAPIErr(err error) *apiErr {
 	case errors.Is(err, context.Canceled):
 		return &apiErr{status: http.StatusServiceUnavailable, code: "canceled", msg: "search canceled"}
 	default:
-		return &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
+		return internalErr(err)
 	}
 }
 
-// SearchRequest is the one decoded form of a search call, shared by the
-// legacy XML surface and /api/v1: GET query parameters, POST form bodies
-// and POST JSON bodies all decode into it once, and every handler
-// validates through the same rules.
+// SearchRequest is the one decoded form of a search call: GET query
+// parameters, POST form bodies and POST JSON bodies all decode into it
+// once and validate through the same rules. The GraphML and SVG routes
+// decode their optional query through it too.
 type SearchRequest struct {
 	Keywords string `json:"q"`
 	DDL      string `json:"ddl"`
@@ -139,8 +142,7 @@ func (sr *SearchRequest) Query() (*query.Query, *apiErr) {
 	return q, nil
 }
 
-// ListRequest is the decoded browse/list call (offset, limit, tag filter),
-// shared by the legacy and v1 list handlers.
+// ListRequest is the decoded browse/list call (offset, limit, tag filter).
 type ListRequest struct {
 	Offset int
 	Limit  int

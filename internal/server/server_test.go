@@ -1,12 +1,13 @@
 package server
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -74,19 +75,23 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 	return resp.StatusCode, string(body), resp.Header
 }
 
+// postForm posts a form-encoded body, returning status and body.
+func postForm(t *testing.T, rawURL string, form url.Values) (int, string) {
+	t.Helper()
+	code, body, _ := reqAs(t, "POST", rawURL, "", "application/x-www-form-urlencoded", form.Encode())
+	return code, body
+}
+
 func TestSearchEndpointGET(t *testing.T) {
 	ts, _, ids := testServer(t)
-	code, body, hdr := get(t, ts.URL+"/api/search?q=patient+height+gender+diagnosis")
+	code, body, hdr := get(t, ts.URL+"/api/v1/search?q=patient+height+gender+diagnosis")
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	if !strings.Contains(hdr.Get("Content-Type"), "application/xml") {
+	if !strings.HasPrefix(hdr.Get("Content-Type"), "application/json") {
 		t.Errorf("content type = %s", hdr.Get("Content-Type"))
 	}
-	var resp SearchResponse
-	if err := xml.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatalf("bad xml: %v\n%s", err, body)
-	}
+	resp := searchData(t, body)
 	if resp.Total < 1 || resp.Results[0].ID != ids["clinic"] {
 		t.Fatalf("response = %+v", resp)
 	}
@@ -106,19 +111,11 @@ func TestSearchEndpointPOSTWithFragment(t *testing.T) {
 		"q":     {"diagnosis"},
 		"limit": {"5"},
 	}
-	resp, err := http.PostForm(ts.URL+"/api/search", form)
-	if err != nil {
-		t.Fatal(err)
+	code, body := postForm(t, ts.URL+"/api/v1/search", form)
+	if code != 200 {
+		t.Fatalf("status %d: %s", code, body)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var sr SearchResponse
-	if err := xml.Unmarshal(body, &sr); err != nil {
-		t.Fatal(err)
-	}
+	sr := searchData(t, body)
 	if sr.Total < 1 || sr.Results[0].ID != ids["clinic"] {
 		t.Fatalf("response = %+v", sr)
 	}
@@ -130,26 +127,20 @@ func TestSearchEndpointPOSTWithFragment(t *testing.T) {
 func TestSearchEndpointErrors(t *testing.T) {
 	ts, _, _ := testServer(t)
 	for _, bad := range []string{
-		"/api/search",                 // empty query
-		"/api/search?q=x&limit=0",     // bad limit
-		"/api/search?q=x&limit=wat",   // bad limit
-		"/api/search?q=x&limit=10000", // limit too large
-		"/api/search?ddl=NOT+SQL",     // bad fragment
+		"/api/v1/search",                 // empty query
+		"/api/v1/search?q=x&limit=0",     // bad limit
+		"/api/v1/search?q=x&limit=wat",   // bad limit
+		"/api/v1/search?q=x&limit=10000", // limit too large
+		"/api/v1/search?ddl=NOT+SQL",     // bad fragment
 	} {
 		code, body, _ := get(t, ts.URL+bad)
-		if code != 400 {
-			t.Errorf("%s: status %d", bad, code)
-		}
-		var e ErrorXML
-		if err := xml.Unmarshal([]byte(body), &e); err != nil || e.Status != 400 {
-			t.Errorf("%s: error envelope = %q", bad, body)
-		}
+		wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 	}
 }
 
 func TestSchemaGraphMLEndpoint(t *testing.T) {
 	ts, _, ids := testServer(t)
-	code, body, _ := get(t, ts.URL+"/api/schema/"+ids["clinic"])
+	code, body, _ := get(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/graphml")
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -167,7 +158,7 @@ func TestSchemaGraphMLEndpoint(t *testing.T) {
 		}
 	}
 	// With a query, matched nodes carry scores.
-	code, body, _ = get(t, ts.URL+"/api/schema/"+ids["clinic"]+"?q=height+diagnosis")
+	code, body, _ = get(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/graphml?q=height+diagnosis")
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
@@ -180,16 +171,15 @@ func TestSchemaGraphMLEndpoint(t *testing.T) {
 		t.Errorf("scored node = %+v", h)
 	}
 
-	code, _, _ = get(t, ts.URL+"/api/schema/nope")
-	if code != 404 {
-		t.Errorf("missing schema status = %d", code)
-	}
+	code, body, _ = get(t, ts.URL+"/api/v1/schema/nope/graphml")
+	wantErrEnvelope(t, code, body, http.StatusNotFound, "not_found")
 }
 
 func TestSchemaSVGEndpoint(t *testing.T) {
 	ts, _, ids := testServer(t)
+	svgURL := ts.URL + "/api/v1/schema/" + ids["clinic"] + "/svg"
 	for _, kind := range []string{"tree", "radial"} {
-		code, body, hdr := get(t, ts.URL+"/api/schema/"+ids["clinic"]+"/svg?layout="+kind+"&q=height")
+		code, body, hdr := get(t, svgURL+"?layout="+kind+"&q=height")
 		if code != 200 {
 			t.Fatalf("%s: status %d: %s", kind, code, body)
 		}
@@ -201,17 +191,17 @@ func TestSchemaSVGEndpoint(t *testing.T) {
 		}
 	}
 	// Focus drill-in.
-	code, body, _ := get(t, ts.URL+"/api/schema/"+ids["clinic"]+"/svg?focus=e:patient")
+	code, body, _ := get(t, svgURL+"?focus=e:patient")
 	if code != 200 || strings.Contains(body, ">case<") {
 		t.Errorf("focus: status %d, case visible: %v", code, strings.Contains(body, ">case<"))
 	}
 	// Depth control.
-	code, body, _ = get(t, ts.URL+"/api/schema/"+ids["clinic"]+"/svg?depth=1")
+	code, body, _ = get(t, svgURL+"?depth=1")
 	if code != 200 || !strings.Contains(body, "[+") {
 		t.Errorf("depth=1 should collapse entities: %d", code)
 	}
 	// Summarization: keep only the most important entity.
-	code, body, _ = get(t, ts.URL+"/api/schema/"+ids["clinic"]+"/svg?summarize=1")
+	code, body, _ = get(t, svgURL+"?summarize=1")
 	if code != 200 {
 		t.Fatalf("summarize status %d", code)
 	}
@@ -220,17 +210,22 @@ func TestSchemaSVGEndpoint(t *testing.T) {
 	}
 	// Errors.
 	for _, bad := range []string{"?layout=pie", "?depth=wat", "?focus=zz", "?q=&ddl=NOT+SQL", "?summarize=0", "?summarize=wat"} {
-		code, _, _ := get(t, ts.URL+"/api/schema/"+ids["clinic"]+"/svg"+bad)
+		code, body, _ := get(t, svgURL+bad)
 		if code != 400 {
 			t.Errorf("%s: status %d", bad, code)
+			continue
 		}
+		wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 	}
+	code, body, _ = get(t, ts.URL+"/api/v1/schema/nope/svg")
+	wantErrEnvelope(t, code, body, http.StatusNotFound, "not_found")
 }
 
 func TestSchemaDDLEndpoint(t *testing.T) {
 	ts, _, ids := testServer(t)
-	code, body, _ := get(t, ts.URL+"/api/schema/"+ids["clinic"]+"/ddl")
-	if code != 200 || !strings.Contains(body, "CREATE TABLE patient") {
+	code, body, _ := get(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/ddl")
+	var d DDLJSON
+	if decodeData(t, body, &d); code != 200 || !strings.Contains(d.DDL, "CREATE TABLE patient") {
 		t.Errorf("status %d body %.80s", code, body)
 	}
 }
@@ -245,32 +240,23 @@ func TestImportAndIndexerLifecycle(t *testing.T) {
 		"name": {"greenhouse"},
 		"ddl":  {"CREATE TABLE sensor (humidity FLOAT, soil_moisture FLOAT, lux INT, co2 INT);"},
 	}
-	resp, err := http.PostForm(ts.URL+"/api/schemas", form)
-	if err != nil {
-		t.Fatal(err)
+	code, body := postForm(t, ts.URL+"/api/v1/schemas", form)
+	if code != 201 {
+		t.Fatalf("import status %d: %s", code, body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 201 {
-		t.Fatalf("import status %d: %s", resp.StatusCode, body)
-	}
-	var imp ImportResponse
-	if err := xml.Unmarshal(body, &imp); err != nil || imp.ID == "" {
-		t.Fatalf("import response %q: %v", body, err)
+	var imp ImportedJSON
+	if decodeData(t, body, &imp); imp.ID == "" {
+		t.Fatalf("import response %q", body)
 	}
 
 	// The scheduled indexer picks it up.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		code, out, _ := get(t, ts.URL+"/api/search?q=humidity+soil")
+		code, out, _ := get(t, ts.URL+"/api/v1/search?q=humidity+soil")
 		if code != 200 {
 			t.Fatalf("status %d", code)
 		}
-		var sr SearchResponse
-		if err := xml.Unmarshal([]byte(out), &sr); err != nil {
-			t.Fatal(err)
-		}
-		if sr.Total >= 1 && sr.Results[0].ID == imp.ID {
+		if sr := searchData(t, out); sr.Total >= 1 && sr.Results[0].ID == imp.ID {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -280,21 +266,11 @@ func TestImportAndIndexerLifecycle(t *testing.T) {
 	}
 
 	// Delete via API.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/schema/"+imp.ID, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if code, body, _ := reqAs(t, http.MethodDelete, ts.URL+"/api/v1/schema/"+imp.ID, "", "", ""); code != 204 {
+		t.Errorf("delete status %d: %s", code, body)
 	}
-	dresp.Body.Close()
-	if dresp.StatusCode != 204 {
-		t.Errorf("delete status %d", dresp.StatusCode)
-	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/api/schema/"+imp.ID, nil)
-	dresp, _ = http.DefaultClient.Do(req)
-	dresp.Body.Close()
-	if dresp.StatusCode != 404 {
-		t.Errorf("double delete status %d", dresp.StatusCode)
-	}
+	code, body, _ = reqAs(t, http.MethodDelete, ts.URL+"/api/v1/schema/"+imp.ID, "", "", "")
+	wantErrEnvelope(t, code, body, http.StatusNotFound, "not_found")
 }
 
 func TestImportXSD(t *testing.T) {
@@ -308,19 +284,12 @@ func TestImportXSD(t *testing.T) {
 		  </xs:sequence></xs:complexType></xs:element>
 		</xs:schema>`},
 	}
-	resp, err := http.PostForm(ts.URL+"/api/schemas", form)
-	if err != nil {
-		t.Fatal(err)
+	code, body := postForm(t, ts.URL+"/api/v1/schemas", form)
+	if code != 201 {
+		t.Fatalf("xsd import status %d: %s", code, body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 201 {
-		t.Fatalf("xsd import status %d: %s", resp.StatusCode, body)
-	}
-	var imp ImportResponse
-	if err := xml.Unmarshal(body, &imp); err != nil {
-		t.Fatal(err)
-	}
+	var imp ImportedJSON
+	decodeData(t, body, &imp)
 	if s := engine.Repository().Get(imp.ID); s == nil || s.Format != "xsd" || s.Entity("order") == nil {
 		t.Errorf("imported schema = %+v", s)
 	}
@@ -334,15 +303,9 @@ func TestImportErrors(t *testing.T) {
 		{"name": {"x"}, "ddl": {"(("}},  // bad ddl
 		{"name": {"x"}, "xsd": {"<p/"}}, // bad xsd
 	}
-	for i, form := range cases {
-		resp, err := http.PostForm(ts.URL+"/api/schemas", form)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 400 {
-			t.Errorf("case %d: status %d", i, resp.StatusCode)
-		}
+	for _, form := range cases {
+		code, body := postForm(t, ts.URL+"/api/v1/schemas", form)
+		wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 	}
 }
 
@@ -363,17 +326,13 @@ func TestSearchPagination(t *testing.T) {
 	if _, _, err := engine.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	page := func(offset int) SearchResponse {
+	page := func(offset int) SearchDataJSON {
 		t.Helper()
-		code, body, _ := get(t, fmt.Sprintf("%s/api/search?q=patient+height+gender&limit=3&offset=%d", ts.URL, offset))
+		code, body, _ := get(t, fmt.Sprintf("%s/api/v1/search?q=patient+height+gender&limit=3&offset=%d", ts.URL, offset))
 		if code != 200 {
 			t.Fatalf("status %d: %s", code, body)
 		}
-		var sr SearchResponse
-		if err := xml.Unmarshal([]byte(body), &sr); err != nil {
-			t.Fatal(err)
-		}
-		return sr
+		return searchData(t, body)
 	}
 	p0 := page(0)
 	p1 := page(3)
@@ -399,25 +358,19 @@ func TestSearchPagination(t *testing.T) {
 		t.Errorf("past-the-end page has %d results", len(pEnd.Results))
 	}
 	// Bad offset.
-	code, _, _ := get(t, ts.URL+"/api/search?q=patient&offset=-1")
-	if code != 400 {
-		t.Errorf("bad offset status %d", code)
-	}
+	code, body, _ := get(t, ts.URL+"/api/v1/search?q=patient&offset=-1")
+	wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 }
 
 func TestCodebookAnnotationsAndEndpoint(t *testing.T) {
 	ts, _, _ := testServer(t)
 	// Matched elements carry concepts: height → length, id → identifier.
-	code, body, _ := get(t, ts.URL+"/api/search?q=patient+height+diagnosis")
+	code, body, _ := get(t, ts.URL+"/api/v1/search?q=patient+height+diagnosis")
 	if code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	var sr SearchResponse
-	if err := xml.Unmarshal([]byte(body), &sr); err != nil {
-		t.Fatal(err)
-	}
 	foundLength := false
-	for _, r := range sr.Results {
+	for _, r := range searchData(t, body).Results {
 		for _, el := range r.Elements {
 			if el.Ref == "patient.height" && strings.Contains(el.Concepts, "length") {
 				foundLength = true
@@ -429,23 +382,21 @@ func TestCodebookAnnotationsAndEndpoint(t *testing.T) {
 	}
 
 	// Corpus profile endpoint.
-	code, body, _ = get(t, ts.URL+"/api/codebook")
+	code, body, _ = get(t, ts.URL+"/api/v1/codebook")
 	if code != 200 {
 		t.Fatalf("codebook status %d", code)
 	}
-	var cb CodebookXML
-	if err := xml.Unmarshal([]byte(body), &cb); err != nil {
-		t.Fatal(err)
-	}
-	concepts := map[string]CodebookConcept{}
+	var cb CodebookJSON
+	decodeData(t, body, &cb)
+	concepts := map[string]ConceptJSON{}
 	for _, c := range cb.Concepts {
 		concepts[c.Name] = c
 	}
 	if concepts["identifier"].Count == 0 || concepts["length"].Count == 0 {
 		t.Errorf("profile = %+v", cb)
 	}
-	if !strings.Contains(concepts["length"].TopNames, "height") {
-		t.Errorf("length names = %q", concepts["length"].TopNames)
+	if !slices.Contains(concepts["length"].CommonNames, "height") {
+		t.Errorf("length names = %q", concepts["length"].CommonNames)
 	}
 }
 
@@ -454,60 +405,45 @@ func TestListEndpoint(t *testing.T) {
 	engine.Repository().Tag(ids["clinic"], "health")
 	engine.Repository().AddComment(ids["clinic"], repository.Comment{Author: "kc", Text: "good", Rating: 4})
 
-	code, body, _ := get(t, ts.URL+"/api/schemas")
-	if code != 200 {
-		t.Fatalf("status %d", code)
+	list := func(query string) (int, SchemaListJSON) {
+		t.Helper()
+		code, body, _ := get(t, ts.URL+"/api/v1/schemas"+query)
+		var l SchemaListJSON
+		decodeData(t, body, &l)
+		return code, l
 	}
-	var list SchemaListXML
-	if err := xml.Unmarshal([]byte(body), &list); err != nil {
-		t.Fatal(err)
+	code, all := list("")
+	if code != 200 || all.Total != 2 || len(all.Schemas) != 2 {
+		t.Fatalf("status %d, list = %+v", code, all)
 	}
-	if list.Total != 2 || len(list.Items) != 2 {
-		t.Fatalf("list = %+v", list)
-	}
-	if list.Items[0].Name != "clinic records" || list.Items[0].Entities != 2 ||
-		list.Items[0].Tags != "health" || list.Items[0].Rating != 4 {
-		t.Errorf("row = %+v", list.Items[0])
-	}
-
-	// Tag filter. (Fresh structs each time: Unmarshal appends to slices.)
-	code, body, _ = get(t, ts.URL+"/api/schemas?tag=health")
-	if code != 200 {
-		t.Fatal("tag filter failed")
-	}
-	var tagged SchemaListXML
-	xml.Unmarshal([]byte(body), &tagged)
-	if tagged.Total != 1 || tagged.Items[0].ID != ids["clinic"] {
-		t.Errorf("tag filter = %+v", tagged)
+	if row := all.Schemas[0]; row.Name != "clinic records" || row.Entities != 2 ||
+		!slices.Equal(row.Tags, []string{"health"}) || row.Rating != 4 {
+		t.Errorf("row = %+v", row)
 	}
 
+	// Tag filter.
+	if code, tagged := list("?tag=health"); code != 200 || tagged.Total != 1 || tagged.Schemas[0].ID != ids["clinic"] {
+		t.Errorf("tag filter: status %d, %+v", code, tagged)
+	}
 	// Paging.
-	code, body, _ = get(t, ts.URL+"/api/schemas?limit=1&offset=1")
-	var paged SchemaListXML
-	xml.Unmarshal([]byte(body), &paged)
-	if code != 200 || len(paged.Items) != 1 || paged.Items[0].ID != ids["retail"] {
-		t.Errorf("paged list = %+v", paged)
+	if code, paged := list("?limit=1&offset=1"); code != 200 || len(paged.Schemas) != 1 || paged.Schemas[0].ID != ids["retail"] {
+		t.Errorf("paged list: status %d, %+v", code, paged)
 	}
 	// Past the end.
-	code, body, _ = get(t, ts.URL+"/api/schemas?offset=99")
-	var past SchemaListXML
-	xml.Unmarshal([]byte(body), &past)
-	if code != 200 || len(past.Items) != 0 || past.Total != 2 {
-		t.Errorf("past-end list = %+v", past)
+	if code, past := list("?offset=99"); code != 200 || len(past.Schemas) != 0 || past.Total != 2 {
+		t.Errorf("past-end list: status %d, %+v", code, past)
 	}
 	// Errors.
 	for _, bad := range []string{"?offset=-1", "?limit=0", "?limit=wat"} {
-		code, _, _ := get(t, ts.URL+"/api/schemas"+bad)
-		if code != 400 {
-			t.Errorf("%s status %d", bad, code)
-		}
+		code, body, _ := get(t, ts.URL+"/api/v1/schemas"+bad)
+		wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
 	}
 }
 
 func TestUsageEndpoints(t *testing.T) {
 	ts, engine, ids := testServer(t)
 	// A search records impressions on returned results.
-	code, _, _ := get(t, ts.URL+"/api/search?q=patient+height")
+	code, _, _ := get(t, ts.URL+"/api/v1/search?q=patient+height")
 	if code != 200 {
 		t.Fatal("search failed")
 	}
@@ -515,47 +451,83 @@ func TestUsageEndpoints(t *testing.T) {
 		t.Errorf("impressions = %+v", u)
 	}
 	// A click-through records a selection.
-	resp, err := http.Post(ts.URL+"/api/schema/"+ids["clinic"]+"/select", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 204 {
-		t.Errorf("select status %d", resp.StatusCode)
+	code, body := postForm(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/select", nil)
+	var sel SelectedJSON
+	if decodeData(t, body, &sel); code != 200 || sel.ID != ids["clinic"] || !sel.Selected {
+		t.Errorf("select: status %d: %s", code, body)
 	}
 	if u := engine.Repository().Usage(ids["clinic"]); u.Selections != 1 {
 		t.Errorf("selections = %+v", u)
 	}
-	resp, _ = http.Post(ts.URL+"/api/schema/missing/select", "", nil)
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Errorf("missing select status %d", resp.StatusCode)
-	}
+	code, body = postForm(t, ts.URL+"/api/v1/schema/missing/select", nil)
+	wantErrEnvelope(t, code, body, http.StatusNotFound, "not_found")
 }
 
 func TestStatsAndHome(t *testing.T) {
 	ts, _, _ := testServer(t)
-	code, body, _ := get(t, ts.URL+"/api/stats")
+	code, body, _ := get(t, ts.URL+"/api/v1/stats")
 	if code != 200 {
 		t.Fatalf("stats status %d", code)
 	}
-	var st StatsXML
-	if err := xml.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Schemas != 2 || st.Indexed != 2 {
+	var st StatsJSON
+	if decodeData(t, body, &st); st.Schemas != 2 || st.Indexed != 2 {
 		t.Errorf("stats = %+v", st)
 	}
 	code, body, hdr := get(t, ts.URL+"/")
 	if code != 200 || !strings.Contains(hdr.Get("Content-Type"), "text/html") {
 		t.Fatalf("home status %d type %s", code, hdr.Get("Content-Type"))
 	}
-	if !strings.Contains(body, "Schemr") || !strings.Contains(body, "/api/search") {
+	if !strings.Contains(body, "Schemr") || !strings.Contains(body, "/api/v1/search") {
 		t.Error("home page content wrong")
 	}
 	// Unknown path under root 404s (the {$} pattern).
 	code, _, _ = get(t, ts.URL+"/nope")
 	if code != 404 {
 		t.Errorf("unknown path status %d", code)
+	}
+}
+
+// jsPath matches a JavaScript path expression in the GUI: a string
+// literal that starts with /api/, concatenated with further literals and
+// identifiers.
+var jsPath = regexp.MustCompile(`'/api/[^']*'(?:\s*\+\s*(?:'[^']*'|\w+))*`)
+
+// jsPart is one literal or identifier of such an expression.
+var jsPart = regexp.MustCompile(`'([^']*)'|\w+`)
+
+// TestHomePageUsesRegisteredRoutes guards the embedded GUI against routes
+// that no longer exist: every /api path it builds must resolve to a
+// registered /api/v1 pattern, and the retired pre-v1 paths answer 404.
+func TestHomePageUsesRegisteredRoutes(t *testing.T) {
+	ts, engine, _ := testServer(t)
+	srv := New(engine)
+	exprs := jsPath.FindAllString(homePage, -1)
+	if len(exprs) < 3 { // search, select, svg
+		t.Fatalf("found %d /api paths in the home page: %q", len(exprs), exprs)
+	}
+	for _, expr := range exprs {
+		var path strings.Builder
+		for _, m := range jsPart.FindAllStringSubmatch(expr, -1) {
+			if strings.HasPrefix(m[0], "'") {
+				path.WriteString(m[1])
+			} else {
+				path.WriteString("x") // an identifier: a schema ID, a layout name
+			}
+		}
+		target, _, _ := strings.Cut(path.String(), "?")
+		var patterns []string
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if _, p := srv.mux.Handler(httptest.NewRequest(method, target, nil)); p != "" {
+				patterns = append(patterns, p)
+			}
+		}
+		if len(patterns) == 0 || !strings.Contains(patterns[0], " /api/v1/") {
+			t.Errorf("home page path %s (%s) resolves to %q, want a registered /api/v1 route", target, expr, patterns)
+		}
+	}
+	for _, path := range []string{"/api/search", "/api/schema/x", "/api/schema/x/svg", "/api/codebook", "/api/stats"} {
+		if code, _, _ := get(t, ts.URL+path); code != http.StatusNotFound {
+			t.Errorf("retired path %s: status %d, want 404", path, code)
+		}
 	}
 }

@@ -148,7 +148,7 @@ func TestFacadeServerAndCorpus(t *testing.T) {
 	}
 	ts := httptest.NewServer(sys.NewServer())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/api/stats")
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

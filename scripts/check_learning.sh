@@ -73,7 +73,7 @@ curl -fsS -X POST "http://$ADDR/api/v1/feedback" \
         {"query":"patient diagnosis","id":"%s","rank":2,"selected":false},
         {"query":"height gender diagnosis","id":"%s","rank":1,"selected":true}
     ]}' "$CLINIC" "$RETAIL" "$CLINIC" "$CLINIC" "$RETAIL" "$CLINIC")" >/dev/null
-curl -fsS -X POST "http://$ADDR/api/schema/$CLINIC/select" \
+curl -fsS -X POST "http://$ADDR/api/v1/schema/$CLINIC/select" \
     --data-urlencode "q=patient gender diagnosis" --data-urlencode "rank=1" \
     -o /dev/null
 

@@ -41,13 +41,13 @@ for i in $(seq 1 50); do
     sleep 0.2
 done
 
-# Drive the instrumented paths once: import through the API, search through
-# both surfaces (legacy XML and v1 JSON with a debug trace), browse, stats.
+# Drive the instrumented paths once: import through the API, search (plain
+# and with a debug trace), browse.
 curl -fsS -X POST "http://$ADDR/api/v1/schemas" \
     --data-urlencode "name=ward" \
     --data-urlencode "ddl=CREATE TABLE patient (id INT PRIMARY KEY, height FLOAT, gender VARCHAR(8));" \
     >/dev/null
-curl -fsS "http://$ADDR/api/search?q=patient" >/dev/null
+curl -fsS "http://$ADDR/api/v1/search?q=patient" >/dev/null
 curl -fsS "http://$ADDR/api/v1/search?q=patient&debug=1" >/dev/null
 curl -fsS "http://$ADDR/api/v1/schemas" >/dev/null
 

@@ -9,7 +9,7 @@
 #     while each tenant resolves its own bare IDs;
 #   - hammering past the per-tenant rate limit answers 429 quota_exceeded
 #     with a Retry-After header;
-#   - legacy /api routes carry Deprecation + successor Link headers;
+#   - the retired pre-v1 /api routes answer 404;
 #   - key revocation takes effect on the next request, no restart.
 #
 # Run from the repository root: ./scripts/check_tenancy.sh
@@ -106,11 +106,10 @@ done
 [ "$(jget "$WORK/throttle.json" error.code)" = quota_exceeded ] || fail "429 error code"
 grep -qi '^retry-after:' "$WORK/hdr429.txt" || fail "429 without Retry-After header"
 
-# --- legacy deprecation headers ---
-curl -fsS -D "$WORK/hdrdep.txt" -o /dev/null \
-    -H "Authorization: Bearer $ACME_KEY" "http://$ADDR/api/stats"
-grep -qi '^deprecation:' "$WORK/hdrdep.txt" || fail "legacy route missing Deprecation header"
-grep -qi 'successor-version' "$WORK/hdrdep.txt" || fail "legacy route missing successor Link"
+# --- the retired pre-v1 routes are gone ---
+code=$(curl -s -o /dev/null -w '%{http_code}' -H "Authorization: Bearer $ACME_KEY" \
+    "http://$ADDR/api/stats")
+[ "$code" = 404 ] || fail "legacy /api/stats: status $code, want 404"
 
 # --- revocation without restart ---
 curl -fsS -X DELETE -H "Authorization: Bearer $ADMIN" \
@@ -119,4 +118,4 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -H "Authorization: Bearer $ACME_KE
     "http://$ADDR/api/v1/stats")
 [ "$code" = 401 ] || fail "revoked key still accepted: status $code"
 
-echo "OK: tenancy contract holds (401/403/404/429, deprecation headers, live revocation)."
+echo "OK: tenancy contract holds (401/403/404/429, no legacy routes, live revocation)."
