@@ -1,13 +1,13 @@
 // Command schemr-server runs the Schemr web service (the paper's Figure 5):
-// an XML search API, GraphML and SVG schema endpoints, an embedded HTML GUI,
-// and a scheduled offline indexer that keeps the document index in sync
-// with the schema repository. The serving stack carries a full request
-// lifecycle: per-request deadlines, panic recovery, a bounded in-flight
-// search gate that sheds load with 503 + Retry-After, and graceful shutdown
-// on SIGINT/SIGTERM. Alongside the legacy XML routes it serves the
-// versioned JSON surface under /api/v1/*, Prometheus-format metrics at
-// GET /metrics (disable with -metrics=false), and — when -pprof is set —
-// net/http/pprof under /debug/pprof/ plus expvar at /debug/vars.
+// the versioned JSON API under /api/v1/* — search, GraphML and SVG schema
+// endpoints among it — an embedded HTML GUI, and a scheduled offline
+// indexer that keeps the document index in sync with the schema
+// repository. The serving stack carries a full request lifecycle:
+// per-request deadlines, panic recovery, a bounded in-flight search gate
+// that sheds load with 503 + Retry-After, and graceful shutdown on
+// SIGINT/SIGTERM. It also serves Prometheus-format metrics at GET /metrics
+// (disable with -metrics=false) and — when -pprof is set — net/http/pprof
+// under /debug/pprof/ plus expvar at /debug/vars.
 //
 // The repository is durable: every mutation accepted over the API
 // (import, delete, comment) is written to a write-ahead log and fsynced

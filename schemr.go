@@ -420,9 +420,9 @@ func ResultScores(r Result) map[string]float64 {
 // deadline, in-flight search gate, slow-request logging.
 type ServerConfig = server.Config
 
-// NewServer returns the Schemr web service (XML search API, GraphML and
-// SVG schema endpoints, embedded GUI) over the system's engine, with
-// default lifecycle settings.
+// NewServer returns the Schemr web service (the /api/v1 search API,
+// GraphML and SVG schema endpoints, embedded GUI) over the system's
+// engine, with default lifecycle settings.
 func (s *System) NewServer() http.Handler {
 	return server.New(s.Engine)
 }
