@@ -247,12 +247,12 @@ func BenchmarkFig4Tightness(b *testing.B) {
 	if s == nil {
 		b.Fatal("no multi-entity schema")
 	}
-	q := paperQuery(b)
-	m := match.DefaultEnsemble().Match(q, s)
+	p := match.NewProfile(s)
+	m := match.DefaultEnsemble().MatchProfiled(match.NewQueryArtifacts(paperQuery(b)), p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tightness.Score(s, m, tightness.Options{})
+		tightness.ScoreProfiled(p, m, tightness.Options{})
 	}
 }
 
@@ -313,12 +313,12 @@ func BenchmarkEnsembleMatch(b *testing.B) {
 	if s == nil {
 		s = repo.All()[0]
 	}
-	q := paperQuery(b)
+	qa, p := match.NewQueryArtifacts(paperQuery(b)), match.NewProfile(s)
 	en := match.DefaultEnsemble()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		en.Match(q, s)
+		en.MatchProfiled(qa, p)
 	}
 }
 

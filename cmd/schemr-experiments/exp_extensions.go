@@ -44,12 +44,13 @@ func expExtensions(cfg config) error {
 	if err != nil {
 		return err
 	}
-	plain := match.DefaultEnsemble().Match(q, clinic)
-	withConcept, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), codebook.NewConceptMatcher())
+	qa, clinicProfile := match.NewQueryArtifacts(q), match.NewProfile(clinic)
+	plain := match.DefaultEnsemble().MatchProfiled(qa, clinicProfile)
+	withConcept, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), match.NewConceptMatcher())
 	if err != nil {
 		return err
 	}
-	conceptM := withConcept.Match(q, clinic)
+	conceptM := withConcept.MatchProfiled(qa, clinicProfile)
 	var plainScore, conceptScore float64
 	for qi, qe := range conceptM.Query {
 		if qe.Ref.String() != "bird.wingspan" {

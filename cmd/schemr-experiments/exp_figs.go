@@ -206,7 +206,7 @@ func expFig4(cfg config) error {
 			}
 		}
 	}
-	res := tightness.Score(s, m, tightness.Options{})
+	res := tightness.ScoreProfiled(match.NewProfile(s), m, tightness.Options{})
 	fmt.Println("\nper-anchor penalized averages (near penalty 0.1, far penalty 0.3):")
 	for _, anchor := range []string{"case", "patient", "doctor"} {
 		marker := "  "

@@ -7,9 +7,10 @@
 // `hght` in one schema and `height_cm` in another both carry concept
 // length/unit can standardize on one representation.
 //
-// The codebook also powers an additional ensemble matcher
-// (ConceptMatcher): two attributes that carry the same concept are
-// semantically related even when their names share nothing.
+// The codebook also powers an additional ensemble matcher, which lives
+// with the other matchers in the match package (match.ConceptMatcher):
+// two attributes that carry the same concept are semantically related even
+// when their names share nothing.
 package codebook
 
 import (

@@ -991,7 +991,7 @@ type History struct {
 // candidates yields negatives. Features are the per-matcher scores of the
 // chosen cell (NotApplicable → 0).
 func (e *Engine) CollectExamples(h History, negatives int) ([]learn.Example, error) {
-	rel := e.repo.Get(h.Relevant)
+	rel := e.profiles.get(e.repo, h.Relevant)
 	if rel == nil {
 		return nil, fmt.Errorf("core: history references unknown schema %q", h.Relevant)
 	}
@@ -1000,8 +1000,10 @@ func (e *Engine) CollectExamples(h History, negatives int) ([]learn.Example, err
 	idx := e.idx
 	e.mu.RUnlock()
 
+	qa := match.NewQueryArtifacts(h.Query)
+	var sc match.Scratch
 	var out []learn.Example
-	out = append(out, e.pairExamples(ensemble, h.Query, rel, true)...)
+	out = append(out, pairExamples(ensemble, &sc, qa, rel.profile, true)...)
 
 	hits := idx.SearchTerms(h.Query.Flatten(), negatives+1, e.opts.Index)
 	taken := 0
@@ -1009,8 +1011,8 @@ func (e *Engine) CollectExamples(h History, negatives int) ([]learn.Example, err
 		if hit.ID == h.Relevant || taken >= negatives {
 			continue
 		}
-		if s := e.repo.Get(hit.ID); s != nil {
-			out = append(out, e.pairExamples(ensemble, h.Query, s, false)...)
+		if c := e.profiles.get(e.repo, hit.ID); c != nil {
+			out = append(out, pairExamples(ensemble, &sc, qa, c.profile, false)...)
 			taken++
 		}
 	}
@@ -1019,10 +1021,9 @@ func (e *Engine) CollectExamples(h History, negatives int) ([]learn.Example, err
 
 // pairExamples extracts one example per query element: the per-matcher
 // feature vector of the schema element with the best combined score.
-func (e *Engine) pairExamples(ensemble *match.Ensemble, q *query.Query, s *model.Schema, label bool) []learn.Example {
-	combined := ensemble.Match(q, s)
-	perMatcher := ensemble.PerMatcher(q, s)
-	names := ensemble.MatcherNames()
+func pairExamples(ensemble *match.Ensemble, sc *match.Scratch, qa *match.QueryArtifacts, p *match.Profile, label bool) []learn.Example {
+	combined := ensemble.MatchInto(sc, qa, p)
+	perMatcher := sc.CopyMatrices()
 	var out []learn.Example
 	for qi := range combined.Query {
 		bestSi, bestV := -1, -1.0
@@ -1034,9 +1035,9 @@ func (e *Engine) pairExamples(ensemble *match.Ensemble, q *query.Query, s *model
 		if bestSi < 0 {
 			continue
 		}
-		features := make([]float64, len(names))
-		for j, n := range names {
-			v := perMatcher[n].Scores[qi][bestSi]
+		features := make([]float64, len(perMatcher))
+		for j, m := range perMatcher {
+			v := m.Scores[qi][bestSi]
 			if v == match.NotApplicable {
 				v = 0
 			}
@@ -1064,6 +1065,7 @@ func (e *Engine) TrainFromFeedback(events []repository.FeedbackEvent, negatives 
 	ensemble := e.ensemble
 	e.mu.RUnlock()
 	var examples []learn.Example
+	var sc match.Scratch
 	for _, ev := range events {
 		q, err := query.Parse(query.Input{Keywords: ev.Query})
 		if err != nil || q.IsEmpty() {
@@ -1075,8 +1077,8 @@ func (e *Engine) TrainFromFeedback(events []repository.FeedbackEvent, negatives 
 				continue // schema deleted since the event was captured
 			}
 			examples = append(examples, ex...)
-		} else if s := e.repo.Get(ev.ID); s != nil {
-			examples = append(examples, e.pairExamples(ensemble, q, s, false)...)
+		} else if c := e.profiles.get(e.repo, ev.ID); c != nil {
+			examples = append(examples, pairExamples(ensemble, &sc, match.NewQueryArtifacts(q), c.profile, false)...)
 		}
 	}
 	names := ensemble.MatcherNames()

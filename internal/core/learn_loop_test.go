@@ -63,7 +63,7 @@ func TestShadowParityIdenticalWeights(t *testing.T) {
 // popularity the served score read instead of reading usage again.
 func TestShadowParityUnderMidSearchSelections(t *testing.T) {
 	e, _ := newEngine(t, Options{PopularityBoost: 1})
-	en, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), selectingMatcher{e.Repository()})
+	en, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), selectingMatcher{e})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,35 +16,32 @@ import (
 
 // gateMatcher is a test matcher that can block mid-phase-2 and counts how
 // many candidates it was asked to score. onFirst runs exactly once, from the
-// first Match call (e.g. to cancel the search's context).
+// first Fill call (e.g. to cancel the search's context).
 type gateMatcher struct {
 	calls   atomic.Int32
 	onFirst func()
-	block   chan struct{} // when non-nil, every Match waits on it
+	block   chan struct{} // when non-nil, every Fill waits on it
 }
 
 func (m *gateMatcher) Name() string { return "gate" }
 
-func (m *gateMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
+func (m *gateMatcher) Fill(dst *match.Matrix, _ *match.Scratch, _ *match.QueryArtifacts, _ *match.Profile) bool {
 	if m.calls.Add(1) == 1 && m.onFirst != nil {
 		m.onFirst()
 	}
 	if m.block != nil {
 		<-m.block
 	}
-	mm := match.NewMatrix(q.Elements(), s.Elements())
-	for qi := range mm.Query {
-		for si := range mm.Schema {
-			mm.Set(qi, si, 1)
+	for qi := range dst.Query {
+		for si := range dst.Schema {
+			dst.Set(qi, si, 1)
 		}
 	}
-	return mm
+	return true
 }
 
 // cancelEngine builds an engine over n near-identical schemas that all match
 // the query "patient", with the gate matcher installed and serial dispatch.
-// The gate matcher has no profiled path, so the engine calls its plain
-// Match.
 func cancelEngine(t *testing.T, n int, gm *gateMatcher) *Engine {
 	t.Helper()
 	repo := repository.New()

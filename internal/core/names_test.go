@@ -9,24 +9,35 @@ import (
 	"schemr/internal/match"
 	"schemr/internal/model"
 	"schemr/internal/query"
-	"schemr/internal/repository"
 )
 
-// selectingMatcher is a do-nothing matcher (every cell NotApplicable, so no
-// score moves) that records click-throughs on whatever schema it is asked
-// to match — usage changing in the middle of that candidate's evaluation,
-// after the engine has read its popularity.
+// selectingMatcher is a do-nothing matcher (no cell applies, so no score
+// moves) that records click-throughs on whatever schema it is asked to
+// match — usage changing in the middle of that candidate's evaluation,
+// after the engine has read its popularity. It finds the schema's ID by
+// its profile in the engine's profile cache.
 type selectingMatcher struct {
-	repo *repository.Repository // nil: record nothing
+	e *Engine // nil: record nothing
 }
 
 func (selectingMatcher) Name() string { return "selecting" }
 func (selectingMatcher) Cost() int    { return match.CostTrivial }
-func (m selectingMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
-	for k := 0; m.repo != nil && k < 50; k++ {
-		m.repo.RecordSelection(s.ID)
+func (m selectingMatcher) Fill(_ *match.Matrix, _ *match.Scratch, _ *match.QueryArtifacts, p *match.Profile) bool {
+	if m.e == nil {
+		return false
 	}
-	return match.NewMatrix(q.Elements(), s.Elements())
+	var id string
+	m.e.profiles.mu.RLock()
+	for k, c := range m.e.profiles.m {
+		if c.profile == p {
+			id = k
+		}
+	}
+	m.e.profiles.mu.RUnlock()
+	for k := 0; k < 50; k++ {
+		m.e.repo.RecordSelection(id)
+	}
+	return false
 }
 
 // TestCascadeUsageBumpedMidSearch: selections recorded while a candidate is
@@ -34,8 +45,8 @@ func (m selectingMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
 // candidate's popularity once, before matching it, so its results equal
 // the reference ranking taken at the usage the search began with.
 func TestCascadeUsageBumpedMidSearch(t *testing.T) {
-	ensemble := func(repo *repository.Repository) *match.Ensemble {
-		en, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), selectingMatcher{repo})
+	ensemble := func(e *Engine) *match.Ensemble {
+		en, err := match.NewEnsemble(match.NewNameMatcher(), match.NewContextMatcher(), selectingMatcher{e})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +62,7 @@ func TestCascadeUsageBumpedMidSearch(t *testing.T) {
 			DDL: "CREATE TABLE orders (customer INT, price FLOAT, quantity INT);"})
 
 		want := top(referenceRank(t, e, ensemble(nil), q), limit)
-		e.SetEnsemble(ensemble(repo))
+		e.SetEnsemble(ensemble(e))
 		got, err := e.Search(q, limit)
 		if err != nil {
 			t.Fatal(err)

@@ -56,11 +56,11 @@ type profileCache struct {
 
 // cached is the cache entry of one schema version: the row header (whose
 // Seq is the version), the match profile, and the codebook concepts of
-// the profile's elements. Concepts depend on nothing but the schema, and
-// codebook imports match, so they live here rather than in the profile.
-// Detecting them costs about as much as building the profile, and most
-// candidates never reach a served page, so they are detected the first
-// time a row of the entry is served.
+// the profile's elements. Concepts depend on nothing but the schema, but
+// detecting them costs about as much as building the profile, and most
+// candidates never reach a served page, so they live here rather than in
+// the profile and are detected the first time a row of the entry is
+// served.
 type cached struct {
 	head    repository.Header
 	profile *match.Profile
@@ -81,11 +81,7 @@ func newCached(head repository.Header, raw []byte) *cached {
 	if err != nil || s == nil {
 		panic(fmt.Sprintf("core: stored schema does not decode: %v", err))
 	}
-	p := match.NewProfileDecoding(s, func() *model.Schema {
-		s, _ := repository.DecodeSchema(raw) // raw decoded just above
-		return s
-	})
-	return &cached{head: head, profile: p}
+	return &cached{head: head, profile: match.NewProfile(s)}
 }
 
 // detectConcepts fills c.concepts: codebook.Annotate of the schema, read

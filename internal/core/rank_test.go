@@ -20,9 +20,12 @@ import (
 
 // referenceRank is the oracle the ranking property tests compare the
 // engine against. It takes phase 1 from the engine's own index, then
-// matches every candidate sequentially with the unprofiled Ensemble.Match,
-// scores it with tightness.Score, and ranks with the final-score
-// arithmetic written out here rather than shared with the engine. It
+// matches every candidate sequentially through a fresh profile of its
+// decoded schema with Ensemble.MatchProfiled, scores it with
+// tightness.ScoreProfiled — on fresh memory, independent of the engine's
+// profile cache, scratch pool, workers and rankResults — and ranks with
+// the final-score arithmetic written out here rather than shared with the
+// engine. It
 // returns every candidate that ranked with a positive score, in ranking
 // order. The tests using it keep the default match threshold and leave
 // the trigram fallback off.
@@ -34,8 +37,9 @@ func referenceRank(t *testing.T, e *Engine, en *match.Ensemble, q *query.Query) 
 		if s == nil {
 			continue
 		}
-		m := en.Match(q, s)
-		tr := tightness.Score(s, m, e.opts.Tightness)
+		p := match.NewProfile(s)
+		m := en.MatchProfiled(match.NewQueryArtifacts(q), p)
+		tr := tightness.ScoreProfiled(p, m, e.opts.Tightness)
 		covered := 0
 		for qi := range m.Query {
 			for si := range m.Schema {

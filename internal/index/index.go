@@ -402,14 +402,6 @@ func (ix *Index) NumTerms() int {
 	return len(seen)
 }
 
-// Has reports whether a live document with the given ID exists.
-func (ix *Index) Has(id string) bool {
-	ix.dmu.RLock()
-	_, ok := ix.docMap[id]
-	ix.dmu.RUnlock()
-	return ok
-}
-
 // DocFreq returns the live document frequency of term (after analysis by
 // the caller — the term is matched verbatim against the dictionary).
 func (ix *Index) DocFreq(term string) int {

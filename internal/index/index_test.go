@@ -306,8 +306,8 @@ func TestDelete(t *testing.T) {
 	if ix.Delete("nope") {
 		t.Error("deleting unknown id should report false")
 	}
-	if ix.NumDocs() != 3 || ix.Has("clinic") {
-		t.Error("doc count or Has wrong after delete")
+	if _, live := ix.docMap["clinic"]; ix.NumDocs() != 3 || live {
+		t.Error("doc count or live-document map wrong after delete")
 	}
 	for _, h := range ix.Search("patient diagnosis", 10, SearchOptions{}) {
 		if h.ID == "clinic" {

@@ -317,7 +317,7 @@ func TestPersistV3RoundTrip(t *testing.T) {
 	if err := loaded.Add(doc("fresh", "fresh doc", "", vocab[0])); err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Has("fresh") {
+	if _, live := loaded.docMap["fresh"]; !live {
 		t.Fatal("added doc missing after v3 load")
 	}
 }

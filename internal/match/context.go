@@ -19,7 +19,6 @@ import (
 // Bare keywords have no neighborhood, so the matcher reports NotApplicable
 // for keyword rows; the ensemble renormalizes weights there.
 type ContextMatcher struct {
-	nm *NameMatcher
 	// minTermSim is the per-term similarity below which two context terms
 	// are considered unrelated (soft-Jaccard credit 0).
 	minTermSim float64
@@ -28,7 +27,7 @@ type ContextMatcher struct {
 // NewContextMatcher returns a context matcher with the default term
 // threshold (0.3).
 func NewContextMatcher() *ContextMatcher {
-	return &ContextMatcher{nm: NewNameMatcher(), minTermSim: 0.3}
+	return &ContextMatcher{minTermSim: 0.3}
 }
 
 // Name implements Matcher.
@@ -376,34 +375,11 @@ func (cm *ContextMatcher) match(dst *Matrix, f *frameScratch, tab []float64, str
 	}
 }
 
-// Match implements Matcher, scoring each distinct term pair once on
-// throwaway entries.
-func (cm *ContextMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
-	qe := q.Elements()
-	se := s.Elements()
-	m := new(grid).reshape(qe, se)
-	if len(q.Fragments) == 0 {
-		fillNotApplicable(m)
-		return m
-	}
-	var qix, six nameIndex
-	qName, qctx := qix.addQuery(q, qe)
-	sName, sctx := six.addSchema(model.NewEntityGraph(s), s, se)
-	tab := simTable(qix.throwaway(cm.nm.maxGram), six.throwaway(cm.nm.maxGram))
-	cm.match(m, new(frameScratch), tab, len(six.norms), qName, qctx, sName, sctx)
-	return m
-}
-
-// MatchProfiled implements ProfiledMatcher: context sets and frames come
-// indexed from the query artifacts and the schema profile, and the
-// term-pair similarities from the candidate's name-pair table.
-func (cm *ContextMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	return freshMatch(cm, qa, p)
-}
-
-// fill implements kernel. A query without fragments has no context to
-// compare, so nothing applies and nothing is written.
-func (cm *ContextMatcher) fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool {
+// Fill implements Matcher: context sets and frames come indexed from the
+// query artifacts and the schema profile, and the term-pair similarities
+// from the candidate's name-pair table. A query without fragments has no
+// context to compare, so nothing applies and nothing is written.
+func (cm *ContextMatcher) Fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool {
 	if len(qa.query.Fragments) == 0 {
 		return false
 	}

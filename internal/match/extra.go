@@ -6,7 +6,6 @@ import (
 
 	"schemr/internal/model"
 	"schemr/internal/query"
-	"schemr/internal/text"
 )
 
 // ExactMatcher scores 1 when two element names are identical after
@@ -24,39 +23,9 @@ func (em *ExactMatcher) Name() string { return "exact" }
 // Cost implements CostTiered: each cell is a string equality test.
 func (em *ExactMatcher) Cost() int { return CostTrivial }
 
-// Match implements Matcher.
-func (em *ExactMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
-	qe := q.Elements()
-	se := s.Elements()
-	m := NewMatrix(qe, se)
-	qNorm := make([]string, len(qe))
-	for i, el := range qe {
-		qNorm[i] = text.Normalize(el.Name)
-	}
-	sNorm := make([]string, len(se))
-	for j, el := range se {
-		sNorm[j] = text.Normalize(el.Name)
-	}
-	for i := range qe {
-		for j := range se {
-			if qNorm[i] != "" && qNorm[i] == sNorm[j] {
-				m.Set(i, j, 1)
-			} else {
-				m.Set(i, j, 0)
-			}
-		}
-	}
-	return m
-}
-
-// MatchProfiled implements ProfiledMatcher using the normalized names both
-// sides' name entries already hold.
-func (em *ExactMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	return freshMatch(em, qa, p)
-}
-
-// fill implements kernel.
-func (em *ExactMatcher) fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool {
+// Fill implements Matcher, comparing the normalized names both sides'
+// name entries hold.
+func (em *ExactMatcher) Fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool {
 	sc.entries = names.resolve(sc.entries[:0], p.names)
 	for i, row := range dst.Scores {
 		qn := qa.names[qa.elemName[i]].norm
@@ -177,40 +146,19 @@ func schemaTypeClasses(se []model.Element) []typeClass {
 	return sClass
 }
 
-// Match implements Matcher.
-func (tm *TypeMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
-	qe := q.Elements()
-	se := s.Elements()
-	m := new(grid).reshape(qe, se)
-	if !tm.match(m, queryTypeClasses(q, qe), schemaTypeClasses(se)) {
-		fillNotApplicable(m)
-	}
-	return m
-}
-
-// MatchProfiled implements ProfiledMatcher using precomputed type classes.
-func (tm *TypeMatcher) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
-	return freshMatch(tm, qa, p)
-}
-
-// fill implements kernel.
-func (tm *TypeMatcher) fill(dst *Matrix, _ *Scratch, qa *QueryArtifacts, p *Profile) bool {
-	return tm.match(dst, qa.class, p.class)
-}
-
-// match fills dst from both sides' type classes. A query without a typed
-// element has no applicable cell, and match writes nothing and reports
-// false.
-func (tm *TypeMatcher) match(dst *Matrix, qClass, sClass []typeClass) bool {
-	if !slices.ContainsFunc(qClass, func(c typeClass) bool { return c != classUnknown }) {
+// Fill implements Matcher from both sides' precomputed type classes. A
+// query without a typed element has no applicable cell, and Fill writes
+// nothing and reports false.
+func (tm *TypeMatcher) Fill(dst *Matrix, _ *Scratch, qa *QueryArtifacts, p *Profile) bool {
+	if !slices.ContainsFunc(qa.class, func(c typeClass) bool { return c != classUnknown }) {
 		return false
 	}
 	for i, row := range dst.Scores {
 		for j := range row {
-			if qClass[i] == classUnknown || sClass[j] == classUnknown {
+			if qa.class[i] == classUnknown || p.class[j] == classUnknown {
 				row[j] = NotApplicable
 			} else {
-				row[j] = typeSim(qClass[i], sClass[j])
+				row[j] = typeSim(qa.class[i], p.class[j])
 			}
 		}
 	}

@@ -36,7 +36,7 @@ func setBySetContext(q *query.Query, s *model.Schema) *Matrix {
 	for j, el := range se {
 		sSets[j] = ids(&six, sCtx[el.Ref])
 	}
-	tab := simTable(qix.throwaway(defaultMaxGram), six.throwaway(defaultMaxGram))
+	tab := simTable(qix.throwaway(), six.throwaway())
 	m := NewMatrix(qe, se)
 	for i, qel := range qe {
 		for j, sel := range se {
@@ -69,7 +69,7 @@ func checkFrames(t *testing.T, label string, q *query.Query, s *model.Schema, sc
 		m    *Matrix
 	}{
 		{"scratch", sc.matrices()[0]},
-		{"profiled", NewContextMatcher().MatchProfiled(qa, p)},
+		{"fresh", freshMatch(NewContextMatcher(), qa, p)},
 		{"unprofiled", NewContextMatcher().Match(q, s)},
 	} {
 		for i := range want.Scores {
@@ -170,14 +170,19 @@ func TestContextFramesMatchSetBySet(t *testing.T) {
 var fuzzVocab = []string{"id", "ID", "sample_id", "sampleId", "patient", "Patient", "patient id",
 	"name", "a", "", "x_y", "xY", "height", "hght"}
 
+// fuzzTypes are the declared attribute types fuzzSchema draws from: none,
+// and one per coarse class the type and concept matchers tell apart.
+var fuzzTypes = []string{"", "INT", "VARCHAR(8)", "DATE", "FLOAT", "DECIMAL(10,2)", "BOOLEAN"}
+
 // fuzzSchema builds a schema from fuzz bytes: each byte adds an entity
 // (low bit 0, or no entity yet) or an attribute of the last entity, named
-// from fuzzVocab by its upper bits; every third entity links to the one
-// before it.
+// from fuzzVocab by its upper bits and typed from fuzzTypes by what is
+// left of them; every third entity links to the one before it.
 func fuzzSchema(id string, data []byte) *model.Schema {
 	s := &model.Schema{ID: id, Name: id}
 	for _, b := range data {
-		n := fuzzVocab[int(b>>1)%len(fuzzVocab)]
+		v := int(b >> 1)
+		n := fuzzVocab[v%len(fuzzVocab)]
 		if b&1 == 0 || len(s.Entities) == 0 {
 			s.Entities = append(s.Entities, &model.Entity{Name: n})
 			if k := len(s.Entities); k%3 == 0 {
@@ -186,18 +191,40 @@ func fuzzSchema(id string, data []byte) *model.Schema {
 			continue
 		}
 		e := s.Entities[len(s.Entities)-1]
-		e.Attributes = append(e.Attributes, &model.Attribute{Name: n})
+		e.Attributes = append(e.Attributes, &model.Attribute{Name: n, Type: fuzzTypes[v/len(fuzzVocab)%len(fuzzTypes)]})
 	}
 	return s
 }
 
-// FuzzContextFrames: for any fragment and schema built from the input,
-// the frame kernel's context matrix equals the set-by-set one bit for bit.
-// The first byte splits the rest into one or two fragments and a schema.
+// checkKernels runs the six-matcher ensemble into sc and compares every
+// matcher's matrix with its oracle bit for bit.
+func checkKernels(t *testing.T, label string, en *Ensemble, q *query.Query, s *model.Schema, sc *Scratch) {
+	t.Helper()
+	en.MatchInto(sc, NewQueryArtifacts(q), NewProfile(s))
+	for k, got := range sc.matrices() {
+		want := en.matchers[k].(oracle).Match(q, s)
+		for i := range want.Scores {
+			for j := range want.Scores[i] {
+				if g, w := got.Scores[i][j], want.Scores[i][j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s %s: cell (%d,%d) %q × %q = %v, oracle %v", label, en.matchers[k].Name(), i, j,
+						want.Query[i].Name, want.Schema[j].Name, g, w)
+				}
+			}
+		}
+	}
+}
+
+// FuzzContextFrames: for any query and schema built from the input, the
+// frame kernel's context matrix equals the set-by-set one, and every
+// kernel of the six-matcher ensemble, run into one reused scratch, equals
+// its oracle — all bit for bit. The first byte splits the rest into one
+// or two fragments and a schema, and picks the keywords.
 func FuzzContextFrames(f *testing.F) {
 	f.Add([]byte{0x23, 0x08, 0x03, 0x07, 0x00, 0x09, 0x0b, 0x08, 0x09, 0x0d, 0x0f})
 	f.Add([]byte{0x42, 0x08, 0x09, 0x09, 0x09, 0x06, 0x09, 0x03, 0x05, 0x02, 0x07, 0x07})
 	f.Add([]byte{0x11, 0x06, 0x07, 0x12, 0x13, 0x15, 0x04, 0x05, 0x06, 0x0b})
+	f.Add([]byte{0xa2, 0x08, 0x3b, 0x19, 0x59, 0x06, 0x1d, 0x33, 0x21, 0x02, 0x39, 0x47, 0x1b})
+	en := sixEnsemble(f)
 	var sc Scratch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 64 {
@@ -212,6 +239,11 @@ func FuzzContextFrames(f *testing.F) {
 		if data[0]&0x20 != 0 {
 			q.Keywords = []string{"patient"}
 		}
-		checkFrames(t, "fuzz", q, fuzzSchema("fuzz", data[cut:]), &sc)
+		if data[0]&0x80 != 0 {
+			q.Keywords = append(q.Keywords, "dob", "hght")
+		}
+		s := fuzzSchema("fuzz", data[cut:])
+		checkFrames(t, "fuzz", q, s, &sc)
+		checkKernels(t, "fuzz", en, q, s, &sc)
 	})
 }

@@ -77,24 +77,19 @@ func (m *Matrix) ElementBestInto(scores []float64, argmax []int) {
 }
 
 // Matcher scores the semantic similarity between query elements and the
-// elements of one candidate schema.
+// elements of one candidate schema. Every matcher is a profile kernel: it
+// reads the candidate through its Profile and the query through the
+// search's QueryArtifacts, never the schema itself.
 type Matcher interface {
 	// Name identifies the matcher in weight tables and reports.
 	Name() string
-	// Match fills a matrix for the query against the candidate schema.
-	Match(q *query.Query, s *model.Schema) *Matrix
-}
-
-// ProfiledMatcher is the optional fast path of a Matcher: MatchProfiled must
-// produce exactly the same matrix as Match, reading schema-side artifacts
-// from the precomputed Profile and query-side artifacts from the per-search
-// QueryArtifacts instead of recomputing them per candidate. The built-in
-// matchers implement it on fresh memory over the same kernels MatchInto
-// runs in a scratch; for any other matcher the ensemble uses it when
-// implemented and falls back to Match otherwise.
-type ProfiledMatcher interface {
-	Matcher
-	MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix
+	// Fill writes every cell of the candidate's matrix into dst, shaped
+	// len(qa.Elements()) × len(p.Elements()) over memory the caller owns,
+	// and reports whether any cell applies; when none does it may leave
+	// dst unwritten, and callers read every cell as NotApplicable. sc is
+	// the calling worker's scratch, through which this package's matchers
+	// share the candidate's name-pair table; other matchers ignore it.
+	Fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool
 }
 
 // Ensemble combines several matchers with a weighting scheme, initially
@@ -220,33 +215,13 @@ func (e *Ensemble) WithWeights(w map[string]float64) (*Ensemble, error) {
 	return &Ensemble{matchers: e.matchers, weights: nw}, nil
 }
 
-// Match runs every matcher and combines the similarity matrices into a
-// single matrix of total similarity scores: the per-cell weighted average
-// over the matchers that had an opinion (NotApplicable cells are excluded
-// and the weights renormalized, so a keyword's score is not diluted by
-// matchers that cannot apply to keywords).
-func (e *Ensemble) Match(q *query.Query, s *model.Schema) *Matrix {
-	return e.CombineMatrices(q.Elements(), s.Elements(), e.MatchMatrices(q, s))
-}
-
-// MatchMatrices runs every matcher and returns the per-matcher matrices in
-// ensemble order, uncombined — the inputs CombineMatrices (and so shadow
-// scoring) recombines under different weight tables without re-running the
-// matchers.
-func (e *Ensemble) MatchMatrices(q *query.Query, s *model.Schema) []*Matrix {
-	mats := make([]*Matrix, len(e.matchers))
-	for i, m := range e.matchers {
-		mats[i] = m.Match(q, s)
-	}
-	return mats
-}
-
-// MatchProfiled is Match on the profiled fast path: schema-side artifacts
-// come from the candidate's cached Profile and query-side artifacts from the
-// per-search QueryArtifacts. Matchers that do not implement ProfiledMatcher
-// fall back to their plain Match. The result is identical to
-// Match(qa.Query(), s) for the schema s the profile was built from. It is
-// MatchInto on fresh memory.
+// MatchProfiled runs every matcher and combines the similarity matrices
+// into a single matrix of total similarity scores: the per-cell weighted
+// average over the matchers that had an opinion (NotApplicable cells are
+// excluded and the weights renormalized, so a keyword's score is not
+// diluted by matchers that cannot apply to keywords). Schema-side
+// artifacts come from the candidate's Profile and query-side artifacts
+// from the per-search QueryArtifacts. It is MatchInto on fresh memory.
 func (e *Ensemble) MatchProfiled(qa *QueryArtifacts, p *Profile) *Matrix {
 	return e.MatchInto(new(Scratch), qa, p)
 }
@@ -266,8 +241,7 @@ func (e *Ensemble) MatchInto(sc *Scratch, qa *QueryArtifacts, p *Profile) *Matri
 }
 
 // matchAll fills sc.view with every matcher's matrix of the candidate, in
-// ensemble order: a kernel matcher's over sc's memory (nil when no cell
-// applies), any other matcher's from its own allocating path.
+// ensemble order, over sc's memory (nil when no cell applies).
 func (e *Ensemble) matchAll(sc *Scratch, qa *QueryArtifacts, p *Profile) {
 	sc.hasTab = false // a new candidate
 	if len(sc.mats) < len(e.matchers) {
@@ -275,14 +249,9 @@ func (e *Ensemble) matchAll(sc *Scratch, qa *QueryArtifacts, p *Profile) {
 	}
 	sc.view = grow(sc.view, len(e.matchers))
 	for i, m := range e.matchers {
-		k, ok := m.(kernel)
-		if !ok {
-			sc.view[i] = matchProfiled(m, qa, p)
-			continue
-		}
 		dst := sc.mats[i].reshape(qa.elems, p.elems)
 		sc.view[i] = nil
-		if k.fill(dst, sc, qa, p) {
+		if m.Fill(dst, sc, qa, p) {
 			sc.view[i] = dst
 		}
 	}
@@ -317,20 +286,11 @@ func (sc *Scratch) CopyMatrices() []*Matrix {
 	return out
 }
 
-// matchProfiled runs one matcher on the profiled fast path when it has one
-// and on its plain Match otherwise.
-func matchProfiled(m Matcher, qa *QueryArtifacts, p *Profile) *Matrix {
-	if pm, ok := m.(ProfiledMatcher); ok {
-		return pm.MatchProfiled(qa, p)
-	}
-	return m.Match(qa.query, p.decode())
-}
-
 // CombineMatrices merges per-matcher matrices (in ensemble order, as
-// returned by MatchMatrices) with this ensemble's
-// current weight table, on fresh memory. Combined with WithWeights it is
-// the shadow-scoring primitive: one set of matcher evaluations, two
-// weightings, identical arithmetic to Match.
+// Scratch.CopyMatrices returns them) with this ensemble's current weight
+// table, on fresh memory. Combined with WithWeights it is the
+// shadow-scoring primitive: one set of matcher evaluations, two
+// weightings, identical arithmetic to MatchInto.
 func (e *Ensemble) CombineMatrices(qe []query.Element, se []model.Element, mats []*Matrix) *Matrix {
 	if len(mats) != len(e.matchers) {
 		panic(fmt.Sprintf("match: CombineMatrices got %d matrices for %d matchers", len(mats), len(e.matchers)))
@@ -376,16 +336,6 @@ func combine(dst *Matrix, mats []*Matrix, w []float64) {
 			}
 		}
 	}
-}
-
-// PerMatcher runs every matcher separately and returns the matrices keyed
-// by matcher name — the feature extraction path for the meta-learner.
-func (e *Ensemble) PerMatcher(q *query.Query, s *model.Schema) map[string]*Matrix {
-	out := make(map[string]*Matrix, len(e.matchers))
-	for _, m := range e.matchers {
-		out[m.Name()] = m.Match(q, s)
-	}
-	return out
 }
 
 // TopPairs lists the strongest (query element, schema element) pairs of a

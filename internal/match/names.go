@@ -79,8 +79,8 @@ func (e *nameEntry) split() (keys, meta []uint64) {
 }
 
 // newNameEntry builds the entry of an already-normalized name. Interned
-// entries (nameTable) and throwaway ones (unprofiled matching, query names
-// the corpus has never seen) come from here, so there is one gram kernel.
+// entries (nameTable) and throwaway ones (query names the corpus has never
+// seen) come from here, so there is one gram kernel.
 func newNameEntry(n string, maxGram int) *nameEntry {
 	offs := make([]int, 0, len(n)+1) // byte offset of each rune, then len(n)
 	for i := range n {
@@ -283,27 +283,6 @@ func (ix *nameIndex) add(raw string) int32 {
 	}
 	ix.byRaw[raw] = i
 	return i
-}
-
-// throwaway builds non-interned entries for the index's names — the
-// unprofiled matchers' side of the kernel.
-func (ix *nameIndex) throwaway(maxGram int) []*nameEntry {
-	out := make([]*nameEntry, len(ix.norms))
-	for i, n := range ix.norms {
-		out[i] = newNameEntry(n, maxGram)
-	}
-	return out
-}
-
-// simTable returns gramSim(q, s) for every pair, row-major len(qs)×len(ss).
-func simTable(qs, ss []*nameEntry) []float64 {
-	out := make([]float64, 0, len(qs)*len(ss))
-	for _, q := range qs {
-		for _, s := range ss {
-			out = append(out, gramSim(q, s))
-		}
-	}
-	return out
 }
 
 // pairMemo remembers gramSim(query name, schema name) for one search: one

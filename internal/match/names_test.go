@@ -162,11 +162,12 @@ func (g nameGen) query() *query.Query {
 }
 
 // TestGramKernelMatchesOracle: the sorted-vector kernel equals the map
-// oracle bit for bit, at the default cap and at caps small enough to bite.
+// oracle bit for bit, at the default cap and at caps small enough to bite,
+// and so does Similarity, which uses the default cap.
 func TestGramKernelMatchesOracle(t *testing.T) {
 	g := nameGen{rand.New(rand.NewSource(41))}
+	nm := NewNameMatcher()
 	for _, maxGram := range []int{defaultMaxGram, 3, 1} {
-		nm := &NameMatcher{maxGram: maxGram}
 		for i := 0; i < 1500; i++ {
 			a, b := g.name(), g.name()
 			na, nb := text.Normalize(a), text.Normalize(b)
@@ -174,7 +175,7 @@ func TestGramKernelMatchesOracle(t *testing.T) {
 			if got := gramSim(newNameEntry(na, maxGram), newNameEntry(nb, maxGram)); got != want {
 				t.Fatalf("cap %d: gramSim(%q, %q) = %v, oracle %v", maxGram, na, nb, got, want)
 			}
-			if got := nm.Similarity(a, b); got != want {
+			if got := nm.Similarity(a, b); maxGram == defaultMaxGram && got != want {
 				t.Fatalf("cap %d: Similarity(%q, %q) = %v, oracle %v", maxGram, a, b, got, want)
 			}
 		}
@@ -214,8 +215,8 @@ func TestMemoisedMatchMatchesOracle(t *testing.T) {
 				s := schemas[i]
 				wantName, wantCtx := oracleMatrices(q, s)
 				label := fmt.Sprintf("q%d %s pass %d", qi, s.ID, pass)
-				sameMatrix(t, label+" name profiled", nm.MatchProfiled(qa, p), wantName)
-				sameMatrix(t, label+" context profiled", cm.MatchProfiled(qa, p), wantCtx)
+				sameMatrix(t, label+" name profiled", freshMatch(nm, qa, p), wantName)
+				sameMatrix(t, label+" context profiled", freshMatch(cm, qa, p), wantCtx)
 				if pass == 0 {
 					sameMatrix(t, label+" name", nm.Match(q, s), wantName)
 					sameMatrix(t, label+" context", cm.Match(q, s), wantCtx)
@@ -261,7 +262,7 @@ func TestInternConcurrent(t *testing.T) {
 				s := &model.Schema{ID: "c", Entities: []*model.Entity{{Name: fmt.Sprintf("concurrent_intern_%d", i)}}}
 				p := NewProfile(s)
 				ids[w] = append(ids[w], p.names[0])
-				NewNameMatcher().MatchProfiled(qa, p)
+				freshMatch(NewNameMatcher(), qa, p)
 				NewQueryArtifacts(q)
 			}
 		}(w)
@@ -288,10 +289,10 @@ func TestMatchProfiledWarmAllocs(t *testing.T) {
 	}
 	nm := NewNameMatcher()
 	qa, p := NewQueryArtifacts(q), NewProfile(clinicCandidate())
-	nm.MatchProfiled(qa, p) // fill the memo
-	const ceiling = 5       // scratch, table, grid, flat scores, row headers
-	if allocs := testing.AllocsPerRun(100, func() { nm.MatchProfiled(qa, p) }); allocs > ceiling {
-		t.Fatalf("warm NameMatcher.MatchProfiled allocates %v times per run (%d cells), ceiling %d",
+	freshMatch(nm, qa, p) // fill the memo
+	const ceiling = 5     // scratch, table, grid, flat scores, row headers
+	if allocs := testing.AllocsPerRun(100, func() { freshMatch(nm, qa, p) }); allocs > ceiling {
+		t.Fatalf("warm fresh name match allocates %v times per run (%d cells), ceiling %d",
 			allocs, len(qa.Elements())*len(p.Elements()), ceiling)
 	}
 	var sc Scratch

@@ -18,17 +18,16 @@ import (
 // between every pair of entities. Every subsequent search reuses it,
 // which is what makes the engine's profile cache pay off.
 //
+// Every matcher reads the candidate through its profile; none reads the
+// schema itself.
+//
 // A Profile is immutable after construction and safe for concurrent use.
-// It is flat — slices of small integers beside the element list — and,
-// built by NewProfileDecoding, keeps neither the schema graph nor its
-// entity graph, so a cache of profiles holds little beyond the element
-// names. Callers cache profiles
+// It is flat — slices of small integers beside the element list — and
+// keeps neither the schema graph nor its entity graph, so a cache of
+// profiles holds little beyond the element names. Callers cache profiles
 // keyed by schema version, so a replaced schema is never scored through
 // a stale profile.
 type Profile struct {
-	// decode returns the schema, for matchers without a profiled path.
-	decode func() *model.Schema
-
 	elems []model.Element
 	class []typeClass // coarse type classes, aligned with elems
 
@@ -55,22 +54,13 @@ type hopBlock struct{ base, size, pos int32 }
 const MaxHops = 255
 
 // NewProfile precomputes the match profile of a schema, interning its
-// names in the name dictionary. Matchers without a profiled path match s
-// itself, which the profile keeps for them.
+// names in the name dictionary. The profile does not keep s.
 func NewProfile(s *model.Schema) *Profile {
-	return NewProfileDecoding(s, func() *model.Schema { return s })
-}
-
-// NewProfileDecoding is NewProfile for a caller that keeps schemas encoded:
-// the profile keeps decode instead of s, and matchers without a profiled
-// path call it for a private copy of the schema.
-func NewProfileDecoding(s *model.Schema, decode func() *model.Schema) *Profile {
 	elems := s.Elements()
 	g := model.NewEntityGraph(s)
 	p := &Profile{
-		decode: decode,
-		elems:  elems,
-		class:  schemaTypeClasses(elems),
+		elems: elems,
+		class: schemaTypeClasses(elems),
 	}
 	var ix nameIndex
 	p.elemName, p.ctx = ix.addSchema(g, s, elems)

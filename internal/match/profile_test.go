@@ -82,28 +82,63 @@ func goldenQueries(t *testing.T) []*query.Query {
 	return out
 }
 
-// goldenEnsembles covers the default pair, the extended quad, and a mixed
-// ensemble whose synonym matcher has no profiled path — exercising the
-// per-matcher fallback inside MatchProfiled.
+// goldenEnsembles covers the default pair, the extended quad, and all six
+// matchers: the quad plus the synonym and concept matchers.
 func goldenEnsembles(t *testing.T) map[string]*Ensemble {
 	t.Helper()
-	mixed, err := NewEnsemble(NewNameMatcher(), NewContextMatcher(), NewExactMatcher(), NewTypeMatcher(), NewSynonymMatcher())
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]*Ensemble{
 		"default":  DefaultEnsemble(),
 		"extended": ExtendedEnsemble(),
-		"mixed":    mixed,
+		"six":      sixEnsemble(t),
 	}
+}
+
+// sixEnsemble returns every matcher the package has, in one ensemble.
+func sixEnsemble(t testing.TB) *Ensemble {
+	t.Helper()
+	en, err := NewEnsemble(NewNameMatcher(), NewContextMatcher(), NewExactMatcher(), NewTypeMatcher(),
+		NewConceptMatcher(), NewSynonymMatcher())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return en
+}
+
+// searchCorpus and searchQueries are the mixed generated corpus and the
+// queries of core's end-to-end TestProfiledSearchMatchesUnprofiled, whose
+// reference ranker matches through the profiles: the unprofiled oracles
+// are checked on its inputs here instead.
+func searchCorpus() []*model.Schema {
+	out := webtables.GenerateRelational(31, 20)
+	out = append(out, webtables.GenerateHierarchical(32, 10)...)
+	flat, _ := webtables.Filter(webtables.NewGenerator(webtables.Options{Seed: 33, NumTables: 2000}).All())
+	return append(out, flat...)
+}
+
+func searchQueries(t *testing.T) []*query.Query {
+	t.Helper()
+	var out []*query.Query
+	for _, in := range []query.Input{
+		{Keywords: "patient height gender diagnosis"},
+		{Keywords: "order date total", DDL: "CREATE TABLE orders (id INT, total DECIMAL(8,2));"},
+		{Keywords: "name price quantity"},
+	} {
+		q, err := query.Parse(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, q)
+	}
+	return out
 }
 
 // TestMatchProfiledGoldenEquivalence asserts the profiled and unprofiled
 // match paths produce bitwise-identical matrices for every golden schema,
-// query and ensemble — the profile cache must be a pure optimization.
+// query and ensemble, and on the corpus and queries of core's end-to-end
+// search test — the profile cache must be a pure optimization.
 func TestMatchProfiledGoldenEquivalence(t *testing.T) {
-	schemas := goldenSchemas(t)
-	queries := goldenQueries(t)
+	schemas := append(goldenSchemas(t), searchCorpus()...)
+	queries := append(goldenQueries(t), searchQueries(t)...)
 	for name, en := range goldenEnsembles(t) {
 		for qi, q := range queries {
 			qa := NewQueryArtifacts(q)

@@ -45,8 +45,8 @@ func matcherCost(m Matcher) int {
 // an admissible upper bound on every cell of the final combined matrix.
 // The engine does not use it — it matches every candidate with the whole
 // ensemble — and its only caller is the benchmark's traced-pass probe
-// (cmd/schemr-bench/probe.go), which pins this API; ROADMAP item 2 deletes
-// the probe, and this type with it.
+// (cmd/schemr-bench/probe.go), which pins this API; ROADMAP item 3(a)
+// deletes the probe, and this type with it.
 //
 // Bound. The combined cell is the weighted average over the applicable
 // matchers, sum(w_i v_i)/sum(w_i). With S and W the weighted score and
@@ -109,7 +109,7 @@ func (pm *Progressive) Step() {
 	}
 	i := pm.order[pm.next]
 	pm.next++
-	mat := matchProfiled(pm.ens.matchers[i], pm.qa, pm.p)
+	mat := freshMatch(pm.ens.matchers[i], pm.qa, pm.p)
 	pm.mats[i] = mat
 	w := pm.weights[i]
 	if w == 0 {

@@ -18,7 +18,7 @@ type Scratch struct {
 	hasTab bool      // tab holds the current candidate's table
 	miss   memoMiss
 
-	mats []grid    // per-matcher matrices of the kernel matchers, ensemble order
+	mats []grid    // per-matcher matrices, ensemble order
 	view []*Matrix // per-matcher matrices, ensemble order; nil: every cell NotApplicable
 	out  grid      // the combined matrix
 	w    []float64 // the ensemble's weights, ensemble order
@@ -78,22 +78,12 @@ func fillNotApplicable(m *Matrix) {
 	}
 }
 
-// kernel is a built-in matcher's profiled path, writing into memory the
-// caller owns. fill writes every cell of dst — shaped len(qa.elems) ×
-// len(p.elems) — reading the candidate's shared name-pair table through
-// sc, and reports whether any cell applies. When none does it may leave
-// dst unwritten, and callers read every cell as NotApplicable.
-type kernel interface {
-	fill(dst *Matrix, sc *Scratch, qa *QueryArtifacts, p *Profile) bool
-}
-
-// freshMatch runs one kernel on fresh memory: the profiled Match of a
-// single matcher.
-func freshMatch(k kernel, qa *QueryArtifacts, p *Profile) *Matrix {
+// freshMatch runs one matcher on fresh memory.
+func freshMatch(m Matcher, qa *QueryArtifacts, p *Profile) *Matrix {
 	var sc Scratch
-	m := new(grid).reshape(qa.elems, p.elems)
-	if !k.fill(m, &sc, qa, p) {
-		fillNotApplicable(m)
+	dst := new(grid).reshape(qa.elems, p.elems)
+	if !m.Fill(dst, &sc, qa, p) {
+		fillNotApplicable(dst)
 	}
-	return m
+	return dst
 }

@@ -1,10 +1,6 @@
 package match
 
-import (
-	"schemr/internal/model"
-	"schemr/internal/query"
-	"schemr/internal/text"
-)
+import "schemr/internal/text"
 
 // SynonymMatcher scores element names by thesaurus lookup: "gender" and
 // "sex" share no n-grams, but a domain synonym table knows they name the
@@ -106,27 +102,28 @@ func (sm *SynonymMatcher) wordSets(name string) map[int]bool {
 	return out
 }
 
-// Match implements Matcher: the score is the Jaccard overlap of the
-// synonym sets touched by the two names; rows/columns with no thesaurus
-// entry stay NotApplicable.
-func (sm *SynonymMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
-	qe := q.Elements()
-	se := s.Elements()
-	m := NewMatrix(qe, se)
-	qSets := make([]map[int]bool, len(qe))
-	for i, el := range qe {
+// Fill implements Matcher: the score is the Jaccard overlap of the
+// synonym sets touched by the two names; rows and columns with no
+// thesaurus entry are NotApplicable. A query with no thesaurus word has
+// no applicable cell, and Fill writes nothing and reports false.
+func (sm *SynonymMatcher) Fill(dst *Matrix, _ *Scratch, qa *QueryArtifacts, p *Profile) bool {
+	qSets := make([]map[int]bool, len(qa.elems))
+	applies := false
+	for i, el := range qa.elems {
 		qSets[i] = sm.wordSets(el.Name)
+		applies = applies || qSets[i] != nil
 	}
-	sSets := make([]map[int]bool, len(se))
-	for j, el := range se {
+	if !applies {
+		return false
+	}
+	sSets := make([]map[int]bool, len(p.elems))
+	for j, el := range p.elems {
 		sSets[j] = sm.wordSets(el.Name)
 	}
-	for i := range qe {
-		if qSets[i] == nil {
-			continue
-		}
-		for j := range se {
-			if sSets[j] == nil {
+	for i, row := range dst.Scores {
+		for j := range row {
+			if qSets[i] == nil || sSets[j] == nil {
+				row[j] = NotApplicable
 				continue
 			}
 			inter := 0
@@ -135,9 +132,8 @@ func (sm *SynonymMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 					inter++
 				}
 			}
-			union := len(qSets[i]) + len(sSets[j]) - inter
-			m.Set(i, j, float64(inter)/float64(union))
+			row[j] = float64(inter) / float64(len(qSets[i])+len(sSets[j])-inter)
 		}
 	}
-	return m
+	return true
 }

@@ -10,6 +10,7 @@ import (
 	"schemr/internal/ddl"
 	"schemr/internal/graphml"
 	"schemr/internal/layout"
+	"schemr/internal/match"
 	"schemr/internal/model"
 	"schemr/internal/obs"
 	"schemr/internal/repository"
@@ -499,7 +500,7 @@ func (s *Server) schemaGraph(w http.ResponseWriter, r *http.Request) (*graphml.G
 	if aerr != nil {
 		return nil, aerr
 	}
-	m := s.engine.Ensemble().Match(q, schema)
+	m := s.engine.Ensemble().MatchProfiled(match.NewQueryArtifacts(q), match.NewProfile(schema))
 	best, argmax := m.ElementBest()
 	scores := make(map[string]float64)
 	for si, el := range m.Schema {

@@ -70,8 +70,11 @@ async function run(offset) {
   document.getElementById('count').textContent = results.length + ' results (from #' + ((offset||0)+1) + ')';
   results.forEach(r => {
     const tr = document.createElement('tr');
-    tr.innerHTML = '<td>' + r.name + '</td><td>' + r.score.toFixed(3) + '</td><td>' +
-      r.matches + '</td><td>' + r.entities + '</td><td>' + r.attributes + '</td>';
+    [r.name, r.score.toFixed(3), r.matches, r.entities, r.attributes].forEach(v => {
+      const td = document.createElement('td');
+      td.textContent = v; // schema names are user data: never parse them as HTML
+      tr.appendChild(td);
+    });
     tr.onclick = () => addViz(r.id, r.name);
     rows.appendChild(tr);
   });
@@ -85,7 +88,11 @@ async function addViz(id, name, focus) {
   const svg = await (await fetch(url)).text();
   const box = document.createElement('div');
   box.className = 'svgbox';
-  box.innerHTML = '<div style="font-size:12px;padding:2px">' + name + '</div>' + svg;
+  box.innerHTML = svg; // the server escapes every label in the SVG
+  const title = document.createElement('div');
+  title.style.cssText = 'font-size:12px;padding:2px';
+  title.textContent = name;
+  box.prepend(title);
   box.querySelectorAll('text').forEach(t => {
     t.style.cursor = 'pointer';
     t.onclick = () => { box.remove(); addViz(id, name + ' › ' + t.textContent, nodeIdFor(t.textContent)); };

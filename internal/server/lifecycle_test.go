@@ -14,12 +14,11 @@ import (
 	"schemr/internal/core"
 	"schemr/internal/match"
 	"schemr/internal/model"
-	"schemr/internal/query"
 	"schemr/internal/repository"
 )
 
 // blockMatcher lets lifecycle tests hold a search mid-phase-2: the first
-// Match call signals started, then every call waits on block (when set) or
+// Fill call signals started, then every call waits on block (when set) or
 // sleeps for delay.
 type blockMatcher struct {
 	once    sync.Once
@@ -30,7 +29,7 @@ type blockMatcher struct {
 
 func (m *blockMatcher) Name() string { return "block" }
 
-func (m *blockMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
+func (m *blockMatcher) Fill(dst *match.Matrix, _ *match.Scratch, _ *match.QueryArtifacts, _ *match.Profile) bool {
 	if m.started != nil {
 		m.once.Do(func() { close(m.started) })
 	}
@@ -40,13 +39,12 @@ func (m *blockMatcher) Match(q *query.Query, s *model.Schema) *match.Matrix {
 	if m.delay > 0 {
 		time.Sleep(m.delay)
 	}
-	mm := match.NewMatrix(q.Elements(), s.Elements())
-	for qi := range mm.Query {
-		for si := range mm.Schema {
-			mm.Set(qi, si, 1)
+	for qi := range dst.Query {
+		for si := range dst.Schema {
+			dst.Set(qi, si, 1)
 		}
 	}
-	return mm
+	return true
 }
 
 // wardEngine builds an engine over n schemas that all match "patient".

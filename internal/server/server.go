@@ -21,6 +21,7 @@ package server
 import (
 	"context"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -128,6 +129,11 @@ func NewWithConfig(engine *core.Engine, cfg Config) *Server {
 	s.handle("GET /api/v1/replication/state", s.replicationGuard(s.deadlined(s.v1ReplicationState)))
 	s.handle("GET /api/v1/replication/wal", s.replicationGuard(s.deadlined(s.v1ReplicationWAL)))
 
+	// Any other /api/ request answers the JSON error envelope, not
+	// ServeMux's plain text. It is registered without per-route
+	// instrumentation, so unmatched paths add no metric series.
+	s.mux.HandleFunc("/api/", s.unrouted)
+
 	// Observability endpoints.
 	if !cfg.DisableMetricsEndpoint {
 		s.mux.Handle("GET /metrics", reg.Handler())
@@ -148,6 +154,26 @@ func NewWithConfig(engine *core.Engine, cfg Config) *Server {
 	// identity and the chain is byte-identical to the single-tenant one.
 	s.handler = s.instrumented(s.withTenant(s.admitted(s.mux)))
 	return s
+}
+
+// unrouted answers an /api/ request no route matched: 405 with the Allow
+// header when the path has a route under another method, 404 otherwise.
+func (s *Server) unrouted(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	probe := r.Clone(r.Context())
+	for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
+		probe.Method = method
+		if _, pattern := s.mux.Handler(probe); pattern != "" && pattern != "/api/" {
+			allow = append(allow, method)
+		}
+	}
+	if len(allow) == 0 {
+		s.writeJSONErr(w, r, notFound("no route for %s", r.URL.Path))
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	s.writeJSONErr(w, r, &apiErr{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
+		msg: fmt.Sprintf("method %s not allowed on %s", r.Method, r.URL.Path)})
 }
 
 // Metrics returns the registry the server's HTTP instruments live on

@@ -497,7 +497,8 @@ var jsPart = regexp.MustCompile(`'([^']*)'|\w+`)
 
 // TestHomePageUsesRegisteredRoutes guards the embedded GUI against routes
 // that no longer exist: every /api path it builds must resolve to a
-// registered /api/v1 pattern, and the retired pre-v1 paths answer 404.
+// registered /api/v1 pattern, and the retired pre-v1 paths answer 404 in
+// the JSON error envelope, as does a wrong method on a v1 path (405).
 func TestHomePageUsesRegisteredRoutes(t *testing.T) {
 	ts, engine, _ := testServer(t)
 	srv := New(engine)
@@ -517,7 +518,7 @@ func TestHomePageUsesRegisteredRoutes(t *testing.T) {
 		target, _, _ := strings.Cut(path.String(), "?")
 		var patterns []string
 		for _, method := range []string{http.MethodGet, http.MethodPost} {
-			if _, p := srv.mux.Handler(httptest.NewRequest(method, target, nil)); p != "" {
+			if _, p := srv.mux.Handler(httptest.NewRequest(method, target, nil)); p != "" && p != "/api/" { // "/api/": unrouted
 				patterns = append(patterns, p)
 			}
 		}
@@ -526,8 +527,54 @@ func TestHomePageUsesRegisteredRoutes(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"/api/search", "/api/schema/x", "/api/schema/x/svg", "/api/codebook", "/api/stats"} {
-		if code, _, _ := get(t, ts.URL+path); code != http.StatusNotFound {
-			t.Errorf("retired path %s: status %d, want 404", path, code)
+		code, body, hdr := get(t, ts.URL+path)
+		wantErrEnvelope(t, code, body, http.StatusNotFound, "not_found")
+		if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("retired path %s: Content-Type %q, want JSON", path, ct)
+		}
+	}
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/search", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	wantErrEnvelope(t, resp.StatusCode, string(body), http.StatusMethodNotAllowed, "method_not_allowed")
+	if allow := resp.Header.Get("Allow"); allow != "GET, HEAD, POST" {
+		t.Errorf("DELETE /api/v1/search: Allow %q, want \"GET, HEAD, POST\"", allow)
+	}
+}
+
+// innerHTMLAssignment matches an innerHTML assignment in the GUI's script
+// and captures its right-hand side.
+var innerHTMLAssignment = regexp.MustCompile(`innerHTML\s*=\s*([^;\n"]*)`)
+
+// TestHomePageNeverParsesNamesAsHTML: a schema name is user data — anyone
+// who can import can name a schema <img src=x onerror=…> — so the served
+// GUI puts names into the page as text. The only markup it parses is a
+// constant or the SVG body, whose labels the server escapes.
+func TestHomePageNeverParsesNamesAsHTML(t *testing.T) {
+	ts, _, _ := testServer(t)
+	code, page, _ := get(t, ts.URL+"/")
+	if code != http.StatusOK {
+		t.Fatalf("home page: status %d", code)
+	}
+	assignments := innerHTMLAssignment.FindAllStringSubmatch(page, -1)
+	if len(assignments) == 0 {
+		t.Fatal("no innerHTML assignment found; the check is vacuous")
+	}
+	for _, m := range assignments {
+		if rhs := strings.TrimSpace(m[1]); rhs != "''" && rhs != "svg" {
+			t.Errorf("the page parses %q as HTML; only '' and the SVG body may be", rhs)
+		}
+	}
+	for _, want := range []string{"td.textContent = v", "title.textContent = name"} {
+		if !strings.Contains(page, want) {
+			t.Errorf("the page does not set %q", want)
 		}
 	}
 }

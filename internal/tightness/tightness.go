@@ -16,8 +16,6 @@
 package tightness
 
 import (
-	"sort"
-
 	"schemr/internal/match"
 	"schemr/internal/model"
 )
@@ -98,64 +96,22 @@ type Result struct {
 // NumMatches returns the number of matched elements.
 func (r Result) NumMatches() int { return len(r.Matched) }
 
-// Score computes the tightness-of-fit of schema s under the combined
-// similarity matrix m (whose schema columns must come from s.Elements()).
-func Score(s *model.Schema, m *match.Matrix, opts Options) Result {
-	return new(Scratch).score(m, opts, &schemaGraph{s: s, m: m, cur: -1}, map[string]float64{})
-}
-
-// ScoreProfiled is Score reusing the candidate's cached match profile: the
-// sorted anchor list and the hop distance of every anchor to every
-// element come precomputed instead of being rebuilt per candidate per
-// search. The result is identical to Score(s, m, opts) for the schema s
-// the profile was built from. It is Scratch.Score on fresh memory, plus
-// AnchorScores.
+// ScoreProfiled computes the tightness-of-fit of the candidate profiled by
+// p under the combined similarity matrix m (whose schema columns must be
+// p.Elements()). The candidate's sorted anchor list and the hop distance
+// of every anchor to every element come precomputed in the profile. It is
+// Scratch.Score on fresh memory, plus AnchorScores.
 func ScoreProfiled(p *match.Profile, m *match.Matrix, opts Options) Result {
 	return new(Scratch).score(m, opts, p, map[string]float64{})
 }
 
 // graph is what the measurement reads of a schema's entity graph: the
 // anchors in scan order, and the FK distance from an anchor (by ordinal)
-// to an element's entity, -1 when unreachable. A match profile is one.
+// to an element's entity, -1 when unreachable. A match profile is one;
+// the tests' oracle reads the schema's own entity graph through it.
 type graph interface {
 	Anchors() []string
 	Hops(anchor, elem int) int
-}
-
-// schemaGraph is the graph of a schema without a profile, built on first
-// use: score only asks when something matched.
-type schemaGraph struct {
-	s       *model.Schema
-	m       *match.Matrix
-	g       *model.EntityGraph
-	anchors []string
-	cur     int            // the anchor dists holds
-	dists   map[string]int // hop distances from anchor cur
-}
-
-func (sg *schemaGraph) Anchors() []string {
-	if sg.g == nil {
-		sg.g = model.NewEntityGraph(sg.s)
-		// "This calculation is repeated for all possible anchor entities":
-		// every entity is a candidate anchor, not just those containing a
-		// matched element — a hub entity adjacent to two disconnected match
-		// clusters can beat an anchor inside either cluster.
-		for _, e := range sg.s.Entities {
-			sg.anchors = append(sg.anchors, e.Name)
-		}
-		sort.Strings(sg.anchors) // deterministic tie-breaking: first anchor wins
-	}
-	return sg.anchors
-}
-
-func (sg *schemaGraph) Hops(anchor, elem int) int {
-	if anchor != sg.cur { // score asks anchor by anchor
-		sg.cur, sg.dists = anchor, sg.g.DistancesFrom(sg.anchors[anchor])
-	}
-	if d, ok := sg.dists[sg.m.Schema[elem].Ref.Entity]; ok {
-		return d
-	}
-	return -1
 }
 
 // Scratch is one phase-3 worker's memory, reused across every candidate

@@ -357,7 +357,7 @@ func TestEndToEndWithEnsemble(t *testing.T) {
 			{FromEntity: "case", FromColumns: []string{"patient"}, ToEntity: "patient", ToColumns: []string{"id"}},
 		},
 	}
-	m := match.DefaultEnsemble().Match(q, s)
+	m := match.DefaultEnsemble().MatchProfiled(match.NewQueryArtifacts(q), match.NewProfile(s))
 	res := Score(s, m, Options{})
 	if res.Score < 0.5 {
 		t.Errorf("clinic schema scored %v for its own query", res.Score)

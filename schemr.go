@@ -458,7 +458,7 @@ func (s *System) ConfigureEnsemble(cfg MatcherConfig) error {
 		matchers = append(matchers, match.NewTypeMatcher())
 	}
 	if cfg.Concept {
-		matchers = append(matchers, codebook.NewConceptMatcher())
+		matchers = append(matchers, match.NewConceptMatcher())
 	}
 	if cfg.Synonym {
 		matchers = append(matchers, match.NewSynonymMatcher())
