@@ -97,6 +97,36 @@ func buildMixedRepo(seed int64, n int) (*repository.Repository, error) {
 	return repo, nil
 }
 
+// benchCorpus builds the corpus of about n schemas that the Go benchmarks'
+// benchRepo builds (bench_test.go): relational and hierarchical reference
+// schemas from fixed seeds, then retained flat web tables. It takes no
+// seed, so every experiment seed runs against the same corpus.
+func benchCorpus(n int) (*repository.Repository, error) {
+	repo := repository.New()
+	for _, s := range webtables.GenerateRelational(1, n/10+5) {
+		if _, err := repo.Put(s); err != nil {
+			return nil, err
+		}
+	}
+	for _, s := range webtables.GenerateHierarchical(2, n/20+3) {
+		if _, err := repo.Put(s); err != nil {
+			return nil, err
+		}
+	}
+	for seed := int64(3); repo.Len() < n; seed++ {
+		flat, _ := webtables.Filter(webtables.NewGenerator(webtables.Options{Seed: seed, NumTables: 40 * (n - repo.Len() + 100)}).All())
+		for _, s := range flat {
+			if repo.Len() >= n {
+				break
+			}
+			if _, _, err := repo.PutDedup(s); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return repo, nil
+}
+
 // newSystem wraps a repository in an engine-backed system, indexed.
 func newSystem(repo *repository.Repository) (*schemr.System, error) {
 	sys := &schemr.System{Repo: repo, Engine: core.NewEngine(repo, core.Options{})}

@@ -9,7 +9,7 @@
 //	schemr-experiments -exp fig2 -out DIR       # experiments that write SVG/GraphML
 //
 // Experiments: fig1 fig2 fig3 fig4 fig5 corpus rank abbrev coord weights
-// scale depth.
+// scale depth extensions knobs phase1.
 package main
 
 import (
@@ -48,6 +48,7 @@ var experiments = []experiment{
 	{"depth", "depth cap and drill-in on deep schemas", expDepth},
 	{"extensions", "§Applications extensions: codebook, usage statistics, summarization", expExtensions},
 	{"knobs", "design-choice ablation: penalties, hops, threshold, coverage exponent", expKnobs},
+	{"phase1", "candidate extraction recall: ground truth in phase 1's top 50", expPhase1},
 }
 
 func main() {
