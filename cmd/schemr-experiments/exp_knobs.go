@@ -5,7 +5,6 @@ import (
 
 	"schemr/internal/core"
 	"schemr/internal/eval"
-	"schemr/internal/index"
 	"schemr/internal/repository"
 	"schemr/internal/tightness"
 )
@@ -102,8 +101,6 @@ func expKnobs(cfg config) error {
 		}},
 		{"coarse scoring scheme", []row{
 			{"tf/idf variant (paper)", core.Options{}},
-			{"bm25 (k1=1.2, b=0.75)", core.Options{Index: index.SearchOptions{BM25: true}}},
-			{"tf/idf + proximity", core.Options{Index: index.SearchOptions{Proximity: true}}},
 		}},
 	}
 	fmt.Printf("workload: %d queries over %d schemas; %d structure probes\n", len(cases), n, len(structProbes))

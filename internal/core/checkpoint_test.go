@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"schemr/internal/index"
 	"schemr/internal/model"
 	"schemr/internal/query"
 	"schemr/internal/repository"
@@ -126,8 +127,8 @@ func TestSaveIndexUnderConcurrentWrites(t *testing.T) {
 // schemas.idx goes unnoticed: it sets the data directory's size and the
 // index read at boot. Replicas never ship schemas.idx, and a binary that
 // cannot read one falls back to Reindex, so a deliberate format change
-// re-records the digests. They were last recorded when segments stopped
-// persisting MaxScore bounds and block ordinals. An index stream's gob
+// re-records the digests. They were last recorded when postings stopped
+// carrying token positions (index format v4). An index stream's gob
 // encoding walks Go maps, so the order of its records differs from run to
 // run; the digest therefore covers each stream's bytes sorted, which keeps
 // every byte and its count and drops only that order. Magic, cursor,
@@ -138,8 +139,8 @@ func TestSaveIndexBytesUnchanged(t *testing.T) {
 		tenants []string
 		digest  string
 	}{
-		{"v1", nil, "c9a0d8ce2f28cdd4c0ed75c7ccc1e5460ca0252ad3fb20cec1b597e614699252"},
-		{"v3", []string{"acme"}, "c90366235637117de50d9f1e85da45161a992a985741e477f4ca488f2d084d52"},
+		{"v1", nil, "65badbe7b0f003876aa95e5f3898250f7d76c6cb0c2cee028096f873691962bc"},
+		{"v3", []string{"acme"}, "948bbd33a60720e515b1048fa7939869508ae23092cd4629e6d8597ddd7e692e"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			repo, _ := seedRepo(t)
@@ -234,10 +235,13 @@ func canonicalEnvelope(b []byte) ([]byte, error) {
 }
 
 // TestOpenRebuildsOldIndexFormats: an index file whose stream is in a
-// format this build no longer reads (the index package's v2 and
-// uncompressed-v3 fixtures, each in a V1 envelope) makes Open report
-// Boot.IndexErr and rebuild, and the rebuilt engine serves the same pages
-// as one booted from a clean index file.
+// format this build no longer reads makes Open report Boot.IndexErr and
+// rebuild, and the rebuilt engine serves the same pages as one booted from
+// a clean index file. testdata/schemas_v3.idx is the schemas.idx an engine
+// over seedRepo saved in index format v3, whose postings still carried
+// token positions; the index package's v2 and uncompressed-v3 fixtures are
+// wrapped in a V1 envelope here. Every one of their index streams fails
+// index.ReadFrom's magic check.
 func TestOpenRebuildsOldIndexFormats(t *testing.T) {
 	repo, _ := seedRepo(t)
 	recoverRepo := func() (*repository.Repository, error) { return repo, nil }
@@ -272,6 +276,7 @@ func TestOpenRebuildsOldIndexFormats(t *testing.T) {
 	}
 	want := pages(ce)
 
+	paths := []string{filepath.Join("testdata", "schemas_v3.idx")}
 	for _, name := range []string{"v2.idx", "v3_raw.idx"} {
 		stream, err := os.ReadFile(filepath.Join("..", "index", "testdata", name))
 		if err != nil {
@@ -282,12 +287,27 @@ func TestOpenRebuildsOldIndexFormats(t *testing.T) {
 		if err := os.WriteFile(path, append(env, stream...), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		paths = append(paths, path)
+	}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := len(indexEnvelopeMagic) + 8 // magic + cursor
+		if len(b) < head || string(b[:len(indexEnvelopeMagic)]) != indexEnvelopeMagic {
+			t.Fatalf("%s is not a single-tenant index envelope", name)
+		}
+		if _, err := index.New().ReadFrom(bytes.NewReader(b[head:])); err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("%s: index.ReadFrom error %v, want bad magic", name, err)
+		}
 		oe, boot, err := Open(path, Options{}, recoverRepo)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if boot.IndexErr == nil {
-			t.Errorf("%s: boot used the index file; want it rejected and rebuilt", name)
+		if boot.IndexErr == nil || !strings.Contains(boot.IndexErr.Error(), "bad magic") {
+			t.Errorf("%s: boot index error %v; want the file rejected for its magic and rebuilt", name, boot.IndexErr)
 		}
 		if got := pages(oe); got != want {
 			t.Errorf("%s: rebuilt engine serves different pages:\n got %s\nwant %s", name, got, want)

@@ -44,9 +44,6 @@ type Options struct {
 	CandidateN int
 	// Tightness tunes the tightness-of-fit measurement.
 	Tightness tightness.Options
-	// Index tunes coarse-grain retrieval (coordination factor on by
-	// default, per the paper).
-	Index index.SearchOptions
 	// CoverageExponent controls how strongly the final score rewards
 	// covering many query elements: final = tightness × coverage^exp.
 	// 0 means the default 1; negative disables the factor entirely. This
@@ -868,7 +865,7 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	start := time.Now()
 	terms := q.Flatten()
 	stats.QueryTerms = len(terms)
-	hits, sinfo := idx.SearchTermsStats(terms, e.opts.CandidateN, e.opts.Index)
+	hits, sinfo := idx.SearchTermsStats(terms, e.opts.CandidateN, index.SearchOptions{})
 	stats.PostingsSkipped += sinfo.PostingsSkipped
 	stats.CandidatesPruned += sinfo.DocsPruned
 	stats.BlocksSkipped += sinfo.BlocksSkipped
@@ -880,7 +877,7 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		for _, h := range hits {
 			seen[h.ID] = true
 		}
-		extra, tinfo := idx.SearchTermsStats(trigramsOf(terms), e.opts.CandidateN, e.opts.Index)
+		extra, tinfo := idx.SearchTermsStats(trigramsOf(terms), e.opts.CandidateN, index.SearchOptions{})
 		stats.PostingsSkipped += tinfo.PostingsSkipped
 		stats.CandidatesPruned += tinfo.DocsPruned
 		stats.BlocksSkipped += tinfo.BlocksSkipped
@@ -1005,7 +1002,7 @@ func (e *Engine) CollectExamples(h History, negatives int) ([]learn.Example, err
 	var out []learn.Example
 	out = append(out, pairExamples(ensemble, &sc, qa, rel.profile, true)...)
 
-	hits := idx.SearchTerms(h.Query.Flatten(), negatives+1, e.opts.Index)
+	hits := idx.SearchTerms(h.Query.Flatten(), negatives+1, index.SearchOptions{})
 	taken := 0
 	for _, hit := range hits {
 		if hit.ID == h.Relevant || taken >= negatives {

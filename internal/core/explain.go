@@ -69,10 +69,10 @@ func (e *Engine) ExplainContext(ctx context.Context, q *query.Query, id string) 
 	ex := &Explanation{ID: id}
 	terms := q.Flatten()
 	// index.Explain takes the raw query string path; reuse the term list by
-	// joining (the analyzer re-splits identically). The engine's index
-	// options ride along so the coarse explanation scores exactly as
-	// candidate extraction does under BM25/proximity/coord configurations.
-	ex.Coarse = idx.Explain(join(terms), id, e.opts.Index)
+	// joining (the analyzer re-splits identically). Candidate extraction
+	// runs with the zero SearchOptions, so the coarse explanation does too
+	// and scores exactly as the search did.
+	ex.Coarse = idx.Explain(join(terms), id, index.SearchOptions{})
 
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -32,7 +32,7 @@ import (
 func referenceRank(t *testing.T, e *Engine, en *match.Ensemble, q *query.Query) []Result {
 	t.Helper()
 	var results []Result
-	for _, h := range e.idx.SearchTerms(q.Flatten(), e.opts.CandidateN, e.opts.Index) {
+	for _, h := range e.idx.SearchTerms(q.Flatten(), e.opts.CandidateN, index.SearchOptions{}) {
 		s := e.repo.Get(h.ID)
 		if s == nil {
 			continue
@@ -146,8 +146,8 @@ func extendedEnsemble(t *testing.T, weights map[string]float64) *match.Ensemble 
 }
 
 // TestCascadeMatchesExhaustiveRandomized is the ranking's exactness
-// property test: across randomized corpora, index scoring modes, candidate
-// pool sizes, result limits and ensemble weights, the engine's parallel,
+// property test: across randomized corpora, candidate pool sizes, result
+// limits and ensemble weights, the engine's parallel,
 // profiled results must be byte-identical to the sequential, unprofiled
 // reference — same IDs, same order, same scores, same matched-element
 // explanations, same TotalRanked. Run under -race it also exercises the
@@ -165,52 +165,40 @@ func TestCascadeMatchesExhaustiveRandomized(t *testing.T) {
 	learned := map[string]float64{
 		"name": 0.9, "context": 1.6, "exact": 0.4, "type": 0.15, "synonym": 0.7,
 	}
-	indexModes := []struct {
-		name string
-		opts index.SearchOptions
-	}{
-		{"classic", index.SearchOptions{}},
-		{"bm25", index.SearchOptions{BM25: true}},
-		{"proximity", index.SearchOptions{Proximity: true}},
-	}
-
 	for _, seed := range []int64{3, 19} {
 		repo := rankCorpus(t, seed, 280)
-		for _, mode := range indexModes {
-			for _, candN := range []int{10, 50, 200} {
-				e := NewEngine(repo, Options{
-					CandidateN:      candN,
-					Index:           mode.opts,
-					PopularityBoost: 0.2,
-				})
-				if err := e.Reindex(); err != nil {
+		for _, candN := range []int{10, 50, 200} {
+			e := NewEngine(repo, Options{
+				CandidateN:      candN,
+				PopularityBoost: 0.2,
+			})
+			if err := e.Reindex(); err != nil {
+				t.Fatal(err)
+			}
+			for wi, weights := range []map[string]float64{nil, learned} {
+				e.SetEnsemble(extendedEnsemble(t, weights))
+				// Rotate through the query pool rather than crossing it
+				// with every other dimension: every query still runs
+				// across the sweep (this test also rides the CI -race job).
+				qi := (int(seed) + candN + wi) % len(queries)
+				q, err := query.Parse(queries[qi])
+				if err != nil {
 					t.Fatal(err)
 				}
-				for wi, weights := range []map[string]float64{nil, learned} {
-					e.SetEnsemble(extendedEnsemble(t, weights))
-					// Rotate through the query pool rather than crossing it
-					// with every other dimension: every query still runs
-					// across the sweep (this test also rides the CI -race job).
-					qi := (int(seed) + candN + wi) % len(queries)
-					q, err := query.Parse(queries[qi])
+				ref := referenceRank(t, e, e.Ensemble(), q)
+				for _, limit := range []int{1, 10, 50} {
+					label := fmt.Sprintf("seed=%d candN=%d learned=%v limit=%d q=%d",
+						seed, candN, weights != nil, limit, qi)
+					got, stats, err := e.SearchWithStats(q, limit)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref := referenceRank(t, e, e.Ensemble(), q)
-					for _, limit := range []int{1, 10, 50} {
-						label := fmt.Sprintf("seed=%d mode=%s candN=%d learned=%v limit=%d q=%d",
-							seed, mode.name, candN, weights != nil, limit, qi)
-						got, stats, err := e.SearchWithStats(q, limit)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := top(ref, limit); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: engine results differ from the reference\nengine:    %+v\nreference: %+v",
-								label, got, want)
-						}
-						if stats.TotalRanked != len(ref) {
-							t.Fatalf("%s: TotalRanked %d, reference ranked %d", label, stats.TotalRanked, len(ref))
-						}
+					if want := top(ref, limit); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: engine results differ from the reference\nengine:    %+v\nreference: %+v",
+							label, got, want)
+					}
+					if stats.TotalRanked != len(ref) {
+						t.Fatalf("%s: TotalRanked %d, reference ranked %d", label, stats.TotalRanked, len(ref))
 					}
 				}
 			}

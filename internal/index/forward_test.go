@@ -163,62 +163,15 @@ func TestForwardIndexMatchesFreshIndex(t *testing.T) {
 	}
 }
 
-// TestLoadV3FileWithDocTerms loads testdata/v3_doc_terms.idx, written by a
-// build whose segments still persisted each document's term list: two
-// segments holding tombstoned documents, plus a head. Generated with
-// randDocs(seed 38, 90 docs), WithFlushDocs(16), WithMergeFactor(4); every
-// seventh document deleted; d0010 then re-added with summary "zzz yyy".
-// The loaded index must answer like a fresh build of the live documents.
-func TestLoadV3FileWithDocTerms(t *testing.T) {
-	docs, vocab := randDocs(rand.New(rand.NewSource(38)), 90)
-	live := map[string]Document{}
-	for i, d := range docs {
-		if i%7 != 0 {
-			live[d.ID] = d
-		}
-	}
-	upd := docs[10]
-	upd.Fields = append(slices.Clone(upd.Fields), Field{Name: FieldSummary, Text: "zzz yyy"})
-	live[upd.ID] = upd
-
-	ix, err := Load("testdata/v3_doc_terms.idx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.NumSegments() != 2 {
-		t.Fatalf("fixture loaded %d segments, want 2", ix.NumSegments())
-	}
-	tombstoned := 0
-	for _, s := range ix.segs {
-		for _, ord := range s.docOrds {
-			if ix.dels.get(ord) {
-				tombstoned++
-			}
-		}
-	}
-	if tombstoned == 0 {
-		t.Fatal("fixture has no tombstoned segment documents")
-	}
-	rng := rand.New(rand.NewSource(1))
-	checkMatchesFresh(t, "fixture", ix, live, append(vocab, "zzz", "yyy"), rng)
-	for i, d := range docs {
-		if i%7 == 1 {
-			ix.Delete(d.ID)
-			delete(live, d.ID)
-		}
-	}
-	checkMatchesFresh(t, "fixture after deletes", ix, live, append(vocab, "zzz", "yyy"), rng)
-}
-
-// corruptV3 writes ix in format v3, lets mutate edit the decoded file and
+// corruptV4 writes ix in format v4, lets mutate edit the decoded file and
 // returns the re-encoded bytes.
-func corruptV3(t *testing.T, ix *Index, mutate func(p *persistedV3)) []byte {
+func corruptV4(t *testing.T, ix *Index, mutate func(p *persistedV4)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var p persistedV3
+	var p persistedV4
 	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[len(indexMagic):])).Decode(&p); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +187,7 @@ func corruptV3(t *testing.T, ix *Index, mutate func(p *persistedV3)) []byte {
 }
 
 // multiBlock returns the first term of segment 0 with at least two blocks.
-func multiBlock(t *testing.T, p *persistedV3) *persistedSegTerm {
+func multiBlock(t *testing.T, p *persistedV4) *persistedSegTerm {
 	for ti := range p.Segments[0].Terms {
 		if pt := &p.Segments[0].Terms[ti]; len(pt.Blocks) > 1 {
 			return pt
@@ -244,7 +197,7 @@ func multiBlock(t *testing.T, p *persistedV3) *persistedSegTerm {
 	return nil
 }
 
-// TestReadFromRejectsCorruptPostings: a v3 file whose segment payloads do
+// TestReadFromRejectsCorruptPostings: a v4 file whose segment payloads do
 // not decode inside their blocks, whose documents leave the segment or
 // whose field ids leave the field table is rejected at load. Before load
 // checked payloads, a truncated term loaded and its first search panicked
@@ -262,17 +215,17 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 		ix.Delete(docs[3].ID)
 		return ix
 	}
-	// oneField is a one-posting payload: doc delta 0, the given field,
-	// freq 1, position 0.
-	oneField := func(field uint64) []byte {
+	// onePosting is a one-posting payload: doc delta 0, the given field
+	// and frequency.
+	onePosting := func(field, freq uint64) []byte {
 		var b []byte
-		for _, v := range []uint64{0, field, 1, 0} {
+		for _, v := range []uint64{0, field, freq} {
 			b = binary.AppendUvarint(b, v)
 		}
 		return b
 	}
-	withTerm := func(data []byte) func(p *persistedV3) {
-		return func(p *persistedV3) {
+	withTerm := func(data []byte) func(p *persistedV4) {
+		return func(p *persistedV4) {
 			p.Segments[0].Terms = append(p.Segments[0].Terms, persistedSegTerm{
 				Term: "qqq", DF: 1, Count: 1, Data: data,
 				Blocks: []persistedBlock{{Count: 1}},
@@ -281,51 +234,56 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(p *persistedV3)
+		mutate func(p *persistedV4)
 	}{
-		{"truncated payload", func(p *persistedV3) {
+		{"truncated payload", func(p *persistedV4) {
 			pt := &p.Segments[0].Terms[0]
 			pt.Data = pt.Data[:len(pt.Data)-1]
 		}},
-		{"payload with trailing bytes", func(p *persistedV3) {
+		{"payload with trailing bytes", func(p *persistedV4) {
 			pt := &p.Segments[0].Terms[0]
 			pt.Data = append(pt.Data, 0)
 		}},
-		{"field past the table", withTerm(oneField(7))},
-		{"field read as a negative int8", func(p *persistedV3) {
+		{"field past the table", withTerm(onePosting(7, 1))},
+		{"zero frequency", withTerm(onePosting(0, 0))},
+		{"frequency past int32", withTerm(onePosting(0, 1<<31))},
+		{"field read as a negative int8", func(p *persistedV4) {
 			for len(p.FieldNames) < 256 {
 				p.FieldNames = append(p.FieldNames, fmt.Sprintf("f%d", len(p.FieldNames)))
 			}
-			withTerm(oneField(200))(p)
+			withTerm(onePosting(200, 1))(p)
 		}},
-		{"block offsets descending", func(p *persistedV3) {
+		{"block offsets descending", func(p *persistedV4) {
 			b := multiBlock(t, p).Blocks
 			b[0].Off, b[1].Off = b[1].Off, b[0].Off
 		}},
-		{"block offset past the payload", func(p *persistedV3) {
+		{"block offset past the payload", func(p *persistedV4) {
 			pt := multiBlock(t, p)
 			pt.Blocks[1].Off = int32(len(pt.Data) + 5)
 		}},
-		{"block counts disagree with count", func(p *persistedV3) {
+		{"block counts disagree with count", func(p *persistedV4) {
 			p.Segments[0].Terms[0].Count++
 		}},
-		{"block count larger than its bytes", func(p *persistedV3) {
+		{"block count larger than its bytes", func(p *persistedV4) {
 			p.Segments[0].Terms[0].Blocks[0].Count += 1 << 20
 		}},
-		{"df disagrees with the documents", func(p *persistedV3) {
+		{"df disagrees with the documents", func(p *persistedV4) {
 			p.Segments[0].Terms[0].DF++
 		}},
-		{"block past the segment", func(p *persistedV3) {
+		{"block past the segment", func(p *persistedV4) {
 			pt := multiBlock(t, p)
 			pt.Blocks[len(pt.Blocks)-1].LastLocal = int32(len(p.Segments[0].DocIDs))
 		}},
-		{"empty segment", func(p *persistedV3) {
+		{"empty segment", func(p *persistedV4) {
 			p.Segments = append(p.Segments, persistedSegment{})
 		}},
-		{"head posting with a negative field", func(p *persistedV3) {
+		{"head posting with a negative field", func(p *persistedV4) {
 			p.Head.Terms[0].Postings[0].Field = -1
 		}},
-		{"head postings out of document order", func(p *persistedV3) {
+		{"head posting with zero frequency", func(p *persistedV4) {
+			p.Head.Terms[0].Postings[0].Freq = 0
+		}},
+		{"head postings out of document order", func(p *persistedV4) {
 			for ti := range p.Head.Terms {
 				if ps := p.Head.Terms[ti].Postings; len(ps) > 1 && ps[0].Doc != ps[len(ps)-1].Doc {
 					ps[0], ps[len(ps)-1] = ps[len(ps)-1], ps[0]
@@ -334,19 +292,19 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 			}
 			t.Fatal("no head term in two documents")
 		}},
-		{"document live twice", func(p *persistedV3) {
+		{"document live twice", func(p *persistedV4) {
 			p.Head.DocIDs[len(p.Head.DocIDs)-1] = p.Segments[0].DocIDs[0]
 		}},
 	}
-	if _, err := New().ReadFrom(bytes.NewReader(corruptV3(t, build(), func(*persistedV3) {}))); err != nil {
+	if _, err := New().ReadFrom(bytes.NewReader(corruptV4(t, build(), func(*persistedV4) {}))); err != nil {
 		t.Fatalf("unmodified file rejected: %v", err)
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := corruptV3(t, build(), tc.mutate)
+			data := corruptV4(t, build(), tc.mutate)
 			ix := New()
 			if _, err := ix.ReadFrom(bytes.NewReader(data)); err == nil {
-				ix.SearchTerms([]string{"qqq", "aaa", "bbb"}, 10, SearchOptions{Proximity: true})
+				ix.SearchTerms([]string{"qqq", "aaa", "bbb"}, 10, SearchOptions{})
 				t.Fatal("corrupt file loaded")
 			}
 		})
@@ -359,18 +317,36 @@ func TestReadFromRejectsCorruptPostings(t *testing.T) {
 // the 51 live ones written); testdata/v3_raw.idx is a v3 file whose two
 // segments hold uncompressed postings and tombstones, plus a head
 // (randDocs(seed 43, 90 docs), WithFlushDocs(16), WithMergeFactor(4),
-// every seventh document deleted, written uncompacted). Both were written
-// by the last build that also read them.
+// every seventh document deleted, written uncompacted);
+// testdata/v3_doc_terms.idx is a v3 file whose segments still persisted
+// each document's term list (randDocs(seed 38, 90 docs), WithFlushDocs(16),
+// WithMergeFactor(4), every seventh document deleted, d0010 re-added). Each
+// was written by the last build that also read it. All three fail the
+// magic check; a v3 file relabelled v4 fails the payload check, because
+// its postings still carry token positions.
 func TestReadFromRejectsOldFormats(t *testing.T) {
-	for _, tc := range []struct{ file, why string }{
-		{"testdata/v2.idx", "bad magic"},
-		{"testdata/v3_raw.idx", "uncompressed postings"},
-	} {
-		ix, err := Load(tc.file)
-		if err == nil || !strings.Contains(err.Error(), tc.why) {
-			t.Errorf("Load(%s) = %v, %v; want an error mentioning %q", tc.file, ix, err, tc.why)
+	for _, file := range []string{"testdata/v2.idx", "testdata/v3_raw.idx", "testdata/v3_doc_terms.idx"} {
+		ix, err := Load(file)
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("Load(%s) = %v, %v; want an error mentioning %q", file, ix, err, "bad magic")
 		}
 	}
+	relabelled, err := relabelV4("testdata/v3_doc_terms.idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New().ReadFrom(bytes.NewReader(relabelled)); err == nil || !strings.Contains(err.Error(), "corrupt file") {
+		t.Errorf("v3 postings under the v4 magic: ReadFrom error %v, want a corrupt-file error", err)
+	}
+}
+
+// relabelV4 reads an index file and replaces its magic with v4's.
+func relabelV4(path string) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(indexMagic), b[len(indexMagic):]...), nil
 }
 
 // FuzzIndexReadFrom feeds arbitrary bytes to ReadFrom. It must return an
@@ -378,9 +354,10 @@ func TestReadFromRejectsOldFormats(t *testing.T) {
 // search of every term, an Explain and a delete, and a search after the
 // delete. Nothing may allocate more than a fixed 32 MiB (gob allocates up
 // to 10 MiB for a length it has not yet found short) plus 1 KiB per input
-// byte. Seeds: a v3 file with segments, tombstones and a head, the
-// pre-forward-index fixture, and the two fixtures in formats ReadFrom
-// rejects (v2, uncompressed v3).
+// byte. Seeds: a v4 file with segments, tombstones and a head, the three
+// fixtures in formats ReadFrom rejects by their magic (v3 with document
+// term lists, v2, uncompressed v3), and the first of them relabelled v4,
+// whose position-carrying postings the payload check rejects.
 func FuzzIndexReadFrom(f *testing.F) {
 	docs, _ := randDocs(rand.New(rand.NewSource(4)), 24)
 	ix := New(WithFlushDocs(8), WithMergeFactor(3))
@@ -403,6 +380,11 @@ func FuzzIndexReadFrom(f *testing.F) {
 		}
 		f.Add(fixture)
 	}
+	relabelled, err := relabelV4(filepath.Join("testdata", "v3_doc_terms.idx"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(relabelled)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -427,13 +409,12 @@ func exercise(ix *Index) {
 	}
 	for _, term := range all {
 		ix.SearchTerms([]string{term}, 10, SearchOptions{})
-		ix.SearchTerms([]string{term}, 10, SearchOptions{BM25: true})
 	}
-	hits := ix.SearchTerms(all, 0, SearchOptions{Proximity: true})
+	hits := ix.SearchTerms(all, 0, SearchOptions{DisableCoord: true})
 	victim := ""
 	if len(hits) > 0 {
 		victim = hits[0].ID
-		ix.Explain(all[0], victim, SearchOptions{Proximity: true})
+		ix.Explain(all[0], victim, SearchOptions{})
 	} else {
 		ix.dmu.RLock()
 		for id := range ix.docMap {
@@ -443,5 +424,5 @@ func exercise(ix *Index) {
 		ix.dmu.RUnlock()
 	}
 	ix.Delete(victim)
-	ix.SearchTerms(all, 0, SearchOptions{BM25: true, Proximity: true})
+	ix.SearchTerms(all, 0, SearchOptions{})
 }

@@ -2,10 +2,12 @@
 // extraction phase — the role Apache Lucene plays in the paper. Each schema
 // is indexed as a document with a title, a summary, an ID and a flattened
 // representation of its elements; the inverted index keeps a term dictionary
-// with frequency data, proximity data (token positions) and normalization
-// factors, and serves top-n retrieval with a TF/IDF variant whose per-term
-// scores are computed independently and summed, multiplied by a coordination
-// factor that rewards documents matching more of the query's terms.
+// with frequency data and normalization factors, and serves top-n retrieval
+// with a TF/IDF variant whose per-term scores are computed independently and
+// summed, multiplied by a coordination factor that rewards documents matching
+// more of the query's terms. Postings hold a document, a field and a
+// frequency only (Lucene's DOCS_AND_FREQS): no query reads token positions,
+// so none are stored.
 //
 // The index is segmented, LSM-style: a small mutable head absorbs Add and
 // Delete under its own lock and is flushed into immutable segments whose
@@ -18,7 +20,7 @@
 //
 // The index is safe for concurrent use, supports incremental adds, updates
 // and deletes (the repository re-indexes "at scheduled intervals"), and
-// persists itself to a single file (format v3).
+// persists itself to a single file (format v4).
 package index
 
 import (
@@ -83,10 +85,9 @@ func DefaultAnalyzer(field, content string) []string {
 // document. In the head, doc is the head-local ordinal (global ordinal
 // minus head.base); in segment builders it is the segment-local ordinal.
 type posting struct {
-	doc       int32
-	field     int8
-	freq      int32
-	positions []int32
+	doc   int32
+	field int8
+	freq  int32
 }
 
 // termEntry is the head's dictionary entry for one term: its live document
@@ -158,14 +159,6 @@ type snapshot struct {
 	dels       bitset
 	fieldNames []string
 	boostByFid []float64
-
-	// Lazily computed BM25 aggregates over the snapshot's segments: per
-	// field, the Σ token-length and count of live documents. Computed once
-	// per snapshot (satellite of the avgFieldLens cache bug: a snapshot can
-	// never observe mixed-generation averages).
-	avgOnce   sync.Once
-	segLenSum []float64
-	segLenCnt []int64
 }
 
 func (sn *snapshot) boost(fid int8) float64 {
@@ -173,45 +166,6 @@ func (sn *snapshot) boost(fid int8) float64 {
 		return sn.boostByFid[fid]
 	}
 	return 1
-}
-
-// segLens computes (once) the per-field length sums over live segment
-// documents: each segment's build-time aggregates minus its tombstoned
-// documents' lengths, recovered from the stored norms.
-func (sn *snapshot) segLens() ([]float64, []int64) {
-	sn.avgOnce.Do(func() {
-		var sum []float64
-		var cnt []int64
-		grow := func(n int) {
-			for len(sum) < n {
-				sum = append(sum, 0)
-				cnt = append(cnt, 0)
-			}
-		}
-		for _, s := range sn.segs {
-			grow(len(s.lenSum))
-			for f := range s.lenSum {
-				sum[f] += s.lenSum[f]
-				cnt[f] += s.lenCnt[f]
-			}
-			for local, ord := range s.docOrds {
-				if !sn.dels.get(ord) {
-					continue
-				}
-				for f, col := range s.norms {
-					if col == nil {
-						continue
-					}
-					if n := col[local]; n > 0 {
-						sum[f] -= lenFromNorm(n)
-						cnt[f]--
-					}
-				}
-			}
-		}
-		sn.segLenSum, sn.segLenCnt = sum, cnt
-	})
-	return sn.segLenSum, sn.segLenCnt
 }
 
 // Index is a segmented in-memory inverted index with persistence. The zero
@@ -483,26 +437,16 @@ func (ix *Index) Add(doc Document) error {
 
 	distinct := make(map[string]bool)
 	for _, af := range fields {
-		// Accumulate frequency and positions per term within this field.
-		type occ struct {
-			freq      int32
-			positions []int32
-		}
-		occs := make(map[string]*occ, len(af.toks))
-		for pos, tok := range af.toks {
-			o := occs[tok]
-			if o == nil {
-				o = &occ{}
-				occs[tok] = o
-			}
-			o.freq++
-			o.positions = append(o.positions, int32(pos))
+		// Count each term's occurrences within this field.
+		freqs := make(map[string]int32, len(af.toks))
+		for _, tok := range af.toks {
+			freqs[tok]++
 		}
 		norm := float32(1 / math.Sqrt(float64(len(af.toks))))
 		// A field may appear twice in one document (rare); last write wins,
 		// as documented by tests.
 		hd.norms[af.fid][local] = norm
-		for tok, o := range occs {
+		for tok, freq := range freqs {
 			e := hd.terms[tok]
 			if e == nil {
 				e = &termEntry{}
@@ -512,9 +456,7 @@ func (ix *Index) Add(doc Document) error {
 				distinct[tok] = true
 				e.df++
 			}
-			e.postings = append(e.postings, posting{
-				doc: local, field: int8(af.fid), freq: o.freq, positions: o.positions,
-			})
+			e.postings = append(e.postings, posting{doc: local, field: int8(af.fid), freq: freq})
 		}
 	}
 	termList := make([]string, 0, len(distinct))

@@ -70,6 +70,11 @@ func TestSearchBasics(t *testing.T) {
 			t.Errorf("%s score %v", h.ID, h.Score)
 		}
 	}
+	// A document matching any one term is a candidate: no doc has both
+	// terms here, yet every doc with either one comes back.
+	if hits := ix.Search("patient shipping", 10, SearchOptions{}); len(hits) != 3 {
+		t.Errorf("recall-preserving OR semantics should match any term: %v", ids(hits))
+	}
 }
 
 func TestSearchNoMatch(t *testing.T) {
@@ -188,83 +193,6 @@ func TestLengthNorm(t *testing.T) {
 	hits := ix.Search("patient", 2, SearchOptions{})
 	if hits[0].ID != "short" {
 		t.Errorf("length norm should favor the short doc: %v", ids(hits))
-	}
-}
-
-func TestMinShouldMatch(t *testing.T) {
-	ix := seedIndex(t)
-	hits := ix.Search("patient shipping", 10, SearchOptions{})
-	if len(hits) != 3 {
-		t.Fatalf("recall-preserving default should match any term: %v", ids(hits))
-	}
-	hits = ix.Search("patient shipping", 10, SearchOptions{MinShouldMatch: 2})
-	if len(hits) != 0 {
-		t.Errorf("no doc has both terms: %v", ids(hits))
-	}
-}
-
-func TestProximityBonus(t *testing.T) {
-	ix := New()
-	ix.Add(doc("near", "", "", "patient height apart words at the end"))
-	ix.Add(doc("far", "", "", "patient word word word word word word height"))
-	with := ix.Search("patient height", 2, SearchOptions{Proximity: true})
-	if with[0].ID != "near" {
-		t.Errorf("proximity should favor adjacent terms: %v", ids(with))
-	}
-	// The bonus only applies to multi-term matches; single term is a no-op.
-	single := ix.Search("patient", 2, SearchOptions{Proximity: true})
-	plain := ix.Search("patient", 2, SearchOptions{})
-	if score(single, "near") != score(plain, "near") {
-		t.Error("proximity changed a single-term score")
-	}
-}
-
-func TestBM25Scoring(t *testing.T) {
-	ix := seedIndex(t)
-	hits := ix.Search("patient diagnosis", 10, SearchOptions{BM25: true})
-	if len(hits) != 2 {
-		t.Fatalf("bm25 hits = %v", ids(hits))
-	}
-	for i, h := range hits {
-		if h.Score <= 0 {
-			t.Errorf("score %v", h.Score)
-		}
-		if i > 0 && hits[i-1].Score < h.Score {
-			t.Error("not sorted")
-		}
-	}
-	// Rare terms still dominate common ones.
-	ix2 := New()
-	for i := 0; i < 20; i++ {
-		ix2.Add(doc(fmt.Sprintf("c%d", i), "", "", "patient record"))
-	}
-	ix2.Add(doc("rare", "", "", "patient thorax"))
-	rare := ix2.Search("thorax", 0, SearchOptions{BM25: true})
-	common := ix2.Search("patient", 0, SearchOptions{BM25: true})
-	if len(rare) != 1 || rare[0].Score <= common[0].Score {
-		t.Errorf("bm25 idf: rare %v vs common %v", rare, common)
-	}
-	// TF saturation: 9 repetitions score less than 9× one occurrence.
-	ix3 := New()
-	ix3.Add(doc("one", "", "", "patient x x x x x x x x"))
-	ix3.Add(doc("nine", "", "", "patient patient patient patient patient patient patient patient patient"))
-	hits = ix3.Search("patient", 2, SearchOptions{BM25: true})
-	ratio := score(hits, "nine") / score(hits, "one")
-	if ratio >= 4 {
-		t.Errorf("bm25 tf not saturating: ratio %v", ratio)
-	}
-	// Length norm: the short doc wins at equal tf.
-	ix4 := New()
-	ix4.Add(doc("short", "", "", "patient gender"))
-	ix4.Add(doc("long", "", "", "patient gender "+strings.Repeat("filler ", 100)))
-	hits = ix4.Search("patient", 2, SearchOptions{BM25: true})
-	if hits[0].ID != "short" {
-		t.Errorf("bm25 length norm: %v", ids(hits))
-	}
-	// Coordination factor composes identically.
-	full := ix3.Search("patient x", 2, SearchOptions{BM25: true})
-	if full[0].ID != "one" || full[0].TermsMatched != 2 {
-		t.Errorf("bm25 + coordination: %+v", full)
 	}
 }
 
@@ -407,14 +335,8 @@ func TestExplainMatchesSearchOptions(t *testing.T) {
 		"patient",
 	}
 	configs := map[string]SearchOptions{
-		"classic":        {},
-		"coord-off":      {DisableCoord: true},
-		"bm25":           {BM25: true},
-		"bm25-tuned":     {BM25: true, K1: 0.9, B: 0.3},
-		"proximity":      {Proximity: true},
-		"proximity-w":    {Proximity: true, ProximityWeight: 0.5},
-		"bm25-proximity": {BM25: true, Proximity: true, DisableCoord: true},
-		"minmatch":       {MinShouldMatch: 2},
+		"classic":   {},
+		"coord-off": {DisableCoord: true},
 	}
 	for name, opts := range configs {
 		for _, q := range queries {
@@ -435,72 +357,9 @@ func TestExplainMatchesSearchOptions(t *testing.T) {
 			}
 		}
 	}
-	// MinShouldMatch: a document Search drops must explain nil.
-	if ex := ix.Explain("patient shipping", "clinic", SearchOptions{MinShouldMatch: 2}); ex != nil {
-		t.Errorf("below-minmatch doc should explain nil, got %+v", ex)
-	}
 	// DisableCoord reports a neutral coordination factor.
 	if ex := ix.Explain("patient diagnosis shipping", "clinic", SearchOptions{DisableCoord: true}); ex == nil || ex.Coord != 1 {
 		t.Errorf("coord-off explanation = %+v", ex)
-	}
-	// Proximity surfaces the bonus it added.
-	ex := ix.Explain("patient diagnosis", "clinic", SearchOptions{Proximity: true})
-	if ex == nil || ex.Proximity <= 0 {
-		t.Errorf("proximity explanation = %+v", ex)
-	}
-}
-
-// TestMinSpanListsMatchesBruteForce checks the linear sorted-merge against
-// the quadratic cross-product reference on randomized position lists,
-// including unsorted multi-field concatenations.
-func TestMinSpanListsMatchesBruteForce(t *testing.T) {
-	brute := func(lists [][]int32) int32 {
-		best := int32(-1)
-		for i := 0; i < len(lists); i++ {
-			for j := i + 1; j < len(lists); j++ {
-				for _, a := range lists[i] {
-					for _, b := range lists[j] {
-						d := a - b
-						if d < 0 {
-							d = -d
-						}
-						if best < 0 || d < best {
-							best = d
-						}
-					}
-				}
-			}
-		}
-		return best
-	}
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 500; trial++ {
-		nLists := rng.Intn(5)
-		lists := make([][]int32, 0, nLists)
-		for i := 0; i < nLists; i++ {
-			// One or two sorted runs per list, mimicking per-field
-			// concatenation (the second run restarts at position 0).
-			var pos []int32
-			for runs := 1 + rng.Intn(2); runs > 0; runs-- {
-				p := int32(rng.Intn(5))
-				for n := 1 + rng.Intn(6); n > 0; n-- {
-					pos = append(pos, p)
-					p += int32(1 + rng.Intn(10))
-				}
-			}
-			lists = append(lists, pos)
-		}
-		// Brute force first: minSpanLists may sort the lists in place.
-		want := brute(lists)
-		if got := minSpanLists(lists); got != want {
-			t.Fatalf("trial %d: merge span %d != brute-force span %d (lists %v)", trial, got, want, lists)
-		}
-	}
-	if minSpanLists(nil) != -1 {
-		t.Error("no lists should span -1")
-	}
-	if minSpanLists([][]int32{{1, 2, 3}}) != -1 {
-		t.Error("single list should span -1")
 	}
 }
 

@@ -12,22 +12,20 @@ import (
 )
 
 // indexMagic guards against loading files that are not Schemr indexes in
-// the one format this build reads. Format v3 persists the segmented index:
-// per-segment blocked delta+varint postings, the head and the tombstone
-// bitmap; segment documents' term lists and the df corrections are derived
-// from the postings. Older files with the same magic also carry MaxScore
-// bounds, block ordinals, per-document term lists or a df-correction map;
-// gob skips fields the structs below lack, so they still load. v1/v2 files
-// (magic SCHEMR-INDEX-1/-2) fail with "bad magic", and a caller holding one
-// rebuilds the index from its source data.
-const indexMagic = "SCHEMR-INDEX-3\n"
+// the one format this build reads. Format v4 persists the segmented index:
+// per-segment blocked delta+varint postings of (document, field,
+// frequency), the head and the tombstone bitmap; segment documents' term
+// lists and the df corrections are derived from the postings. Files in
+// earlier formats (magic SCHEMR-INDEX-1 to -3; v3 postings also carried
+// token positions) fail with "bad magic", and a caller holding one rebuilds
+// the index from its source data.
+const indexMagic = "SCHEMR-INDEX-4\n"
 
 // persistedPosting mirrors posting with exported fields for gob.
 type persistedPosting struct {
-	Doc       int32
-	Field     int8
-	Freq      int32
-	Positions []int32
+	Doc   int32
+	Field int8
+	Freq  int32
 }
 
 // persistedTerm is one head dictionary entry.
@@ -53,15 +51,12 @@ type persistedSegTerm struct {
 	Blocks []persistedBlock
 }
 
-// persistedSegment is one segment. Compressed is always true: files from
-// builds that could also write raw postings mark such segments false, and
-// the reader rejects them.
+// persistedSegment is one segment.
 type persistedSegment struct {
-	DocIDs     []string
-	DocOrds    []int32
-	Norms      [][]float32
-	Compressed bool
-	Terms      []persistedSegTerm
+	DocIDs  []string
+	DocOrds []int32
+	Norms   [][]float32
+	Terms   []persistedSegTerm
 }
 
 type persistedHead struct {
@@ -73,8 +68,8 @@ type persistedHead struct {
 	Terms    []persistedTerm
 }
 
-// persistedV3 is the v3 on-disk shape: the full segmented state.
-type persistedV3 struct {
+// persistedV4 is the v4 on-disk shape: the full segmented state.
+type persistedV4 struct {
 	FieldNames []string
 	Boosts     map[string]float64
 	NextOrd    int32
@@ -83,7 +78,7 @@ type persistedV3 struct {
 	Head       persistedHead
 }
 
-// WriteTo serializes the index in format v3. The writer mutex is held for
+// WriteTo serializes the index in format v4. The writer mutex is held for
 // the duration (mutations wait; searches do not). Tombstoned segment
 // documents are written as-is with the tombstone bitmap; call Compact
 // first to drop them (Save does this automatically).
@@ -95,19 +90,14 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if _, err := io.WriteString(cw, indexMagic); err != nil {
 		return cw.n, err
 	}
-	p := persistedV3{
+	p := persistedV4{
 		FieldNames: ix.fieldNames,
 		Boosts:     ix.boosts,
 		NextOrd:    ix.nextOrd,
 		Dels:       ix.dels,
 	}
 	for _, s := range ix.segs {
-		ps := persistedSegment{
-			DocIDs:     s.docIDs,
-			DocOrds:    s.docOrds,
-			Norms:      s.norms,
-			Compressed: true,
-		}
+		ps := persistedSegment{DocIDs: s.docIDs, DocOrds: s.docOrds, Norms: s.norms}
 		for t, st := range s.terms {
 			pt := persistedSegTerm{Term: t, DF: st.df, Count: st.count, Data: st.data}
 			for _, bm := range st.blocks {
@@ -133,9 +123,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			if hd.deleted[post.doc] {
 				continue
 			}
-			pt.Postings = append(pt.Postings, persistedPosting{
-				Doc: post.doc, Field: post.field, Freq: post.freq, Positions: post.positions,
-			})
+			pt.Postings = append(pt.Postings, persistedPosting{Doc: post.doc, Field: post.field, Freq: post.freq})
 		}
 		if len(pt.Postings) == 0 && e.df == 0 {
 			continue
@@ -148,7 +136,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, nil
 }
 
-// ReadFrom replaces the index contents with a previously serialized v3
+// ReadFrom replaces the index contents with a previously serialized v4
 // index, checking it first (see indexMagic and segment.checkTerm).
 func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 	cr := &countingReader{r: r}
@@ -157,13 +145,13 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 		return cr.n, fmt.Errorf("index: reading header: %w", err)
 	}
 	if string(magic) != indexMagic {
-		return cr.n, fmt.Errorf("index: bad magic %q: not a schemr index file in format v3", string(magic))
+		return cr.n, fmt.Errorf("index: bad magic %q: not a schemr index file in format v4", string(magic))
 	}
-	return cr.n, ix.readV3(cr)
+	return cr.n, ix.readV4(cr)
 }
 
-func (ix *Index) readV3(r io.Reader) error {
-	var p persistedV3
+func (ix *Index) readV4(r io.Reader) error {
+	var p persistedV4
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return fmt.Errorf("index: decode: %w", err)
 	}
@@ -186,9 +174,6 @@ func (ix *Index) readV3(r io.Reader) error {
 	segs := make([]*segment, 0, len(p.Segments))
 	for si := range p.Segments {
 		ps := &p.Segments[si]
-		if !ps.Compressed {
-			return fmt.Errorf("index: segment %d holds uncompressed postings, which this build does not read", si)
-		}
 		if len(ps.DocIDs) == 0 || len(ps.DocOrds) != len(ps.DocIDs) {
 			return fmt.Errorf("index: corrupt file: segment %d has %d doc ids and %d ordinals", si, len(ps.DocIDs), len(ps.DocOrds))
 		}
@@ -215,7 +200,6 @@ func (ix *Index) readV3(r io.Reader) error {
 			s.docOrds[local] = next
 			next++
 		}
-		s.sumLens()
 		for ti := range ps.Terms {
 			pt := &ps.Terms[ti]
 			st := &segTerm{df: pt.DF, count: pt.Count, data: pt.Data}
@@ -265,7 +249,10 @@ func (ix *Index) readV3(r io.Reader) error {
 			if pp.Field < 0 || int(pp.Field) >= nFields {
 				return fmt.Errorf("index: corrupt file: head posting for %q references field %d of %d", pt.Term, pp.Field, nFields)
 			}
-			e.postings = append(e.postings, posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq, positions: pp.Positions})
+			if pp.Freq < 1 {
+				return fmt.Errorf("index: corrupt file: head posting for %q has frequency %d", pt.Term, pp.Freq)
+			}
+			e.postings = append(e.postings, posting{doc: pp.Doc, field: pp.Field, freq: pp.Freq})
 		}
 		hd.terms[pt.Term] = e
 	}
@@ -273,9 +260,8 @@ func (ix *Index) readV3(r io.Reader) error {
 	// Rebuild the per-segment-term df corrections from the tombstone
 	// bitmap: every tombstoned segment document bumps delDF for each of
 	// its terms, through the segment's forward index — the exact
-	// increments deleteLocked performed before the save (older files'
-	// df-correction map recorded the same totals; gob skips it). Live
-	// documents fill the ID map.
+	// increments deleteLocked performed before the save. Live documents
+	// fill the ID map.
 	docMap := make(map[string]int32)
 	for _, s := range segs {
 		for local, ord := range s.docOrds {

@@ -15,34 +15,16 @@ type Hit struct {
 	TermsMatched int
 }
 
-// SearchOptions tunes Search. The zero value means: coordination factor on
-// (as in the paper), no proximity bonus, no minimum match.
+// SearchOptions tunes Search. The zero value is the paper's scorer:
+// Lucene-classic TF/IDF (sqrt-tf · log-idf · length norm · field boost)
+// summed over the matched terms and multiplied by the coordination factor.
+// Any document matching at least one term is a candidate ("the candidate
+// extraction algorithm need not match all search terms").
 type SearchOptions struct {
 	// DisableCoord turns off the coordination factor (matched/|terms|). The
 	// paper multiplies it in "to reward results which match the most terms";
 	// the COORD experiment flips this switch.
 	DisableCoord bool
-	// Proximity adds a small bonus when distinct query terms occur close
-	// together in the same field, using the stored position data.
-	Proximity bool
-	// ProximityWeight scales the proximity bonus; default 0.1 when
-	// Proximity is set and this is zero.
-	ProximityWeight float64
-	// MinShouldMatch drops documents matching fewer than this many distinct
-	// query terms. 0 or 1 keeps every match (the paper's recall-preserving
-	// default: "the candidate extraction algorithm need not match all search
-	// terms").
-	MinShouldMatch int
-	// BM25 switches per-term scoring from the paper's Lucene-classic
-	// TF/IDF variant (sqrt-tf · log-idf · length norm) to Okapi BM25 with
-	// parameters K1 and B. The coordination factor, proximity bonus and
-	// field boosts apply identically, so the two schemes are directly
-	// comparable (the knobs experiment does).
-	BM25 bool
-	// K1 is BM25's term-frequency saturation (default 1.2).
-	K1 float64
-	// B is BM25's length-normalization strength (default 0.75).
-	B float64
 }
 
 // SearchInfo reports one search's work counters — the observability payload
@@ -86,10 +68,6 @@ type queryTerm struct {
 	idf  float64
 }
 
-// proxRun locates one document's positions for one query term in
-// searchScratch.pos (proximity searches only).
-type proxRun struct{ local, start, end int32 }
-
 // searchScratch holds every per-search buffer of the term-at-a-time scorer,
 // pooled across searches so the steady state allocates nothing but the
 // result slice. acc is a dense accumulator indexed by the local ordinal of
@@ -100,11 +78,6 @@ type searchScratch struct {
 	qterms  []queryTerm
 	acc     []docAcc
 	touched []int32 // local ordinals with a nonzero acc cell, in first-touch order
-	prox    bool    // collect positions for the proximity bonus
-	pos     []int32 // the current source's positions, grouped by proxRun
-	runs    [][]proxRun
-	lists   [][]int32 // minSpanLists input scratch
-	avgLen  []float64 // per-field BM25 average lengths for this search
 	fields  []fieldScoring
 	coord   []float64 // coordination factor by terms matched
 	heap    hitHeap
@@ -142,82 +115,52 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// begin readies the accumulators for a source of numDocs local ordinals.
-// Grown cells come back zeroed, and release/collect re-zero every cell they
-// touched, so the accumulators are all zero here.
-func (sc *searchScratch) begin(numDocs, numTerms int) {
+// begin readies the accumulators for a source of numDocs local ordinals
+// and fills the field table with the source's norm columns. Grown cells
+// come back zeroed, and release/collect re-zero every cell they touched,
+// so the accumulators are all zero here.
+func (sc *searchScratch) begin(sn *snapshot, numDocs int, norms [][]float32) {
 	if cap(sc.acc) < numDocs {
 		sc.acc = make([]docAcc, numDocs)
 	}
 	sc.acc = sc.acc[:numDocs]
-	if sc.prox {
-		sc.pos = sc.pos[:0]
-		for len(sc.runs) < numTerms {
-			sc.runs = append(sc.runs, nil)
+	nf := max(len(sn.boostByFid), len(norms))
+	sc.fields = sc.fields[:0]
+	for f := 0; f < nf; f++ {
+		fs := fieldScoring{boost: sn.boost(int8(f))}
+		if f < len(norms) {
+			fs.norms = norms[f]
 		}
-		for k := range sc.runs {
-			sc.runs[k] = sc.runs[k][:0]
-		}
+		sc.fields = append(sc.fields, fs)
 	}
 }
 
-// add folds query term k's summed contribution to one document into the
-// accumulators; its positions, when collected, are pos[start:].
-func (sc *searchScratch) add(k int, local int32, sum float64, start int) {
+// add folds one query term's summed contribution to one document into the
+// accumulators.
+func (sc *searchScratch) add(local int32, sum float64) {
 	a := &sc.acc[local]
 	if a.matched == 0 {
 		sc.touched = append(sc.touched, local)
 	}
 	a.sum += sum
 	a.matched++
-	if sc.prox {
-		sc.runs[k] = append(sc.runs[k], proxRun{local, int32(start), int32(len(sc.pos))})
-	}
 }
 
-// fieldScoring is one field's scoring inputs within one source: its boost,
-// its norm column (nil when the source has none) and its BM25 average
-// length.
+// fieldScoring is one field's scoring inputs within one source: its boost
+// and its norm column (nil when the source has none).
 type fieldScoring struct {
-	boost  float64
-	norms  []float32
-	avgLen float64
-}
-
-// scoring carries one search's per-posting scoring parameters, with the
-// field table of the source being scored.
-type scoring struct {
-	bm25   bool
-	k1, b  float64
-	fields []fieldScoring
+	boost float64
+	norms []float32
 }
 
 // unknownField scores a field id past the source's field table: boost 1,
-// no norm, no average length — what snapshot.boost and the norm lookups
-// give such a field.
+// no norm — what snapshot.boost and the norm lookups give such a field.
 var unknownField = fieldScoring{boost: 1}
 
-// forSource fills the field table for a source with the given norm
-// columns.
-func (p *scoring) forSource(sn *snapshot, norms [][]float32, avgLen []float64) {
-	nf := max(len(sn.boostByFid), len(norms), len(avgLen))
-	p.fields = p.fields[:0]
-	for f := 0; f < nf; f++ {
-		fs := fieldScoring{boost: sn.boost(int8(f))}
-		if f < len(norms) {
-			fs.norms = norms[f]
-		}
-		if f < len(avgLen) {
-			fs.avgLen = avgLen[f]
-		}
-		p.fields = append(p.fields, fs)
-	}
-}
-
-// field returns the scoring inputs of a field id.
-func (p *scoring) field(f int8) *fieldScoring {
-	if int(f) < len(p.fields) {
-		return &p.fields[f]
+// field returns the scoring inputs of a field id in the current source.
+func (sc *searchScratch) field(f int8) *fieldScoring {
+	if int(f) < len(sc.fields) {
+		return &sc.fields[f]
 	}
 	return &unknownField
 }
@@ -230,29 +173,26 @@ func (fs *fieldScoring) norm(local int32) float64 {
 	return float64(fs.norms[local])
 }
 
-// addPostings accumulates query term k over the head's local-doc-sorted
+// addPostings accumulates one query term over the head's local-doc-sorted
 // postings list (one document's postings adjacent, in field-appearance
 // order). Each document's postings are summed in list
 // order before the sum enters the accumulator — the canonical grouping
 // Explain shares.
-func (sc *searchScratch) addPostings(ps []posting, k int, idf float64, p *scoring) {
-	cur, sum, start := int32(-1), 0.0, 0
+func (sc *searchScratch) addPostings(ps []posting, idf float64) {
+	cur, sum := int32(-1), 0.0
 	for i := range ps {
 		q := &ps[i]
 		if q.doc != cur {
 			if cur >= 0 {
-				sc.add(k, cur, sum, start)
+				sc.add(cur, sum)
 			}
-			cur, sum, start = q.doc, 0, len(sc.pos)
+			cur, sum = q.doc, 0
 		}
-		fs := p.field(q.field)
-		sum += contribution(fs.boost, fs.norm(q.doc), q.freq, idf, p.bm25, p.k1, p.b, fs.avgLen)
-		if sc.prox {
-			sc.pos = append(sc.pos, q.positions...)
-		}
+		fs := sc.field(q.field)
+		sum += contribution(fs.boost, fs.norm(q.doc), q.freq, idf)
 	}
 	if cur >= 0 {
-		sc.add(k, cur, sum, start)
+		sc.add(cur, sum)
 	}
 }
 
@@ -260,9 +200,9 @@ func (sc *searchScratch) addPostings(ps []posting, k int, idf float64, p *scorin
 // blocks in one streaming pass without materializing them (see
 // segment.decodeBlock for the layout). Single-byte varints, nearly every
 // doc delta, field and frequency, are read inline.
-func (sc *searchScratch) addBlocks(st *segTerm, k int, idf float64, p *scoring) {
+func (sc *searchScratch) addBlocks(st *segTerm, idf float64) {
 	data := st.data
-	cur, sum, start := int32(-1), 0.0, 0
+	cur, sum := int32(-1), 0.0
 	for bi := range st.blocks {
 		bm := &st.blocks[bi]
 		doc := bm.firstLocal
@@ -289,62 +229,17 @@ func (sc *searchScratch) addBlocks(st *segTerm, k int, idf float64, p *scoring) 
 			doc += int32(delta)
 			if doc != cur {
 				if cur >= 0 {
-					sc.add(k, cur, sum, start)
+					sc.add(cur, sum)
 				}
-				cur, sum, start = doc, 0, len(sc.pos)
+				cur, sum = doc, 0
 			}
-			fs := p.field(int8(field))
-			sum += contribution(fs.boost, fs.norm(doc), int32(freq), idf, p.bm25, p.k1, p.b, fs.avgLen)
-			if !sc.prox {
-				for ; freq > 0; freq-- {
-					for data[at] >= 0x80 {
-						at++
-					}
-					at++
-				}
-				continue
-			}
-			pos := int32(0)
-			for f := uint64(0); f < freq; f++ {
-				var d uint64
-				d, at = uvarintAt(data, at)
-				if f == 0 {
-					pos = int32(d)
-				} else {
-					pos += int32(d)
-				}
-				sc.pos = append(sc.pos, pos)
-			}
+			fs := sc.field(int8(field))
+			sum += contribution(fs.boost, fs.norm(doc), int32(freq), idf)
 		}
 	}
 	if cur >= 0 {
-		sc.add(k, cur, sum, start)
+		sc.add(cur, sum)
 	}
-}
-
-// proximity returns the proximity bonus of one document from its collected
-// position runs, 0 when fewer than two of its terms carry positions.
-func (sc *searchScratch) proximity(local int32, w float64) float64 {
-	lists := sc.lists[:0]
-	for _, runs := range sc.runs {
-		lo, hi := 0, len(runs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if runs[mid].local < local {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(runs) && runs[lo].local == local && runs[lo].end > runs[lo].start {
-			lists = append(lists, sc.pos[runs[lo].start:runs[lo].end])
-		}
-	}
-	sc.lists = lists
-	if dist := minSpanLists(lists); dist >= 0 {
-		return w / float64(1+dist)
-	}
-	return 0
 }
 
 // SearchTermsStats is SearchTerms returning the search's work counters.
@@ -387,13 +282,6 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 		defer hd.mu.RUnlock()
 	}
 
-	p := scoring{bm25: opts.BM25, fields: sc.fields}
-	p.k1, p.b = opts.bm25Params()
-	var avgLen []float64
-	if opts.BM25 {
-		avgLen = ix.avgFieldLens(sn, headOn, sc)
-	}
-
 	// Score only terms with live documents, each with its snapshot-wide IDF.
 	qterms := sc.qterms[:0]
 	for _, term := range uniq {
@@ -411,7 +299,7 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 			}
 		}
 		if df > 0 && src {
-			qterms = append(qterms, queryTerm{term, idfValue(float64(live), df, opts.BM25)})
+			qterms = append(qterms, queryTerm{term, idfValue(float64(live), df)})
 		}
 	}
 	sc.qterms = qterms
@@ -422,12 +310,6 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 	}
 
 	numTerms := len(uniq)
-	minMatch := max(opts.MinShouldMatch, 1)
-	sc.prox = opts.Proximity && numTerms > 1
-	w := opts.ProximityWeight
-	if w == 0 {
-		w = 0.1
-	}
 	coord := growFloats(sc.coord, numTerms+1)
 	for m := range coord {
 		coord[m] = float64(m) / float64(numTerms)
@@ -447,11 +329,8 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 			if ords != nil {
 				g = ords[local]
 			}
-			if m < minMatch || sn.dels.get(g) {
+			if sn.dels.get(g) {
 				continue
-			}
-			if sc.prox && m >= 2 {
-				s += sc.proximity(local, w)
 			}
 			if !opts.DisableCoord {
 				s *= coord[m]
@@ -465,30 +344,27 @@ func (ix *Index) SearchTermsStats(terms []string, n int, opts SearchOptions) ([]
 	}
 
 	for _, sg := range sn.segs {
-		sc.begin(sg.numDocs(), len(qterms))
-		p.forSource(sn, sg.norms, avgLen)
-		for k, qt := range qterms {
+		sc.begin(sn, sg.numDocs(), sg.norms)
+		for _, qt := range qterms {
 			st, ok := sg.terms[qt.term]
 			if !ok {
 				continue
 			}
-			sc.addBlocks(st, k, qt.idf, &p)
+			sc.addBlocks(st, qt.idf)
 			info.PostingsTouched += int(st.count)
 		}
 		collect(sg.docIDs, sg.docOrds, 0)
 	}
 	if headOn {
-		sc.begin(len(hd.docIDs), len(qterms))
-		p.forSource(sn, hd.norms, avgLen)
-		for k, qt := range qterms {
+		sc.begin(sn, len(hd.docIDs), hd.norms)
+		for _, qt := range qterms {
 			if e, ok := hd.terms[qt.term]; ok {
-				sc.addPostings(e.postings, k, qt.idf, &p)
+				sc.addPostings(e.postings, qt.idf)
 				info.PostingsTouched += len(e.postings)
 			}
 		}
 		collect(hd.docIDs, nil, hd.base)
 	}
-	sc.fields = p.fields
 	ix.publish(info)
 
 	// Drain the min-heap into descending order.
@@ -513,135 +389,17 @@ func (ix *Index) publish(info SearchInfo) {
 	ix.met.PostingsTouched.Add(uint64(info.PostingsTouched))
 }
 
-// bm25Params resolves the BM25 tuning parameters with their defaults.
-func (o SearchOptions) bm25Params() (k1, b float64) {
-	k1, b = o.K1, o.B
-	if k1 == 0 {
-		k1 = 1.2
-	}
-	if b == 0 {
-		b = 0.75
-	}
-	return k1, b
-}
-
-// avgFieldLens computes the per-field average token length over the
-// snapshot's live documents, recovered from the stored norms
-// (norm = 1/sqrt(len)). The segment aggregates are computed once per
-// snapshot (so a concurrent flush or merge can never bleed another
-// generation's averages into a running BM25 search); the head portion is
-// re-scanned per search — the head is small by construction. The result
-// lives in the search's scratch buffer.
-func (ix *Index) avgFieldLens(sn *snapshot, headOn bool, sc *searchScratch) []float64 {
-	segSum, segCnt := sn.segLens()
-	nf := len(sn.fieldNames)
-	if len(segSum) > nf {
-		nf = len(segSum)
-	}
-	avgLen := growFloats(sc.avgLen, nf)
-	for i := range avgLen {
-		avgLen[i] = 0
-	}
-	sc.avgLen = avgLen
-	hd := sn.hd
-	for f := 0; f < nf; f++ {
-		total, cnt := 0.0, int64(0)
-		if f < len(segSum) {
-			total, cnt = segSum[f], segCnt[f]
-		}
-		if headOn && f < len(hd.norms) {
-			for local, norm := range hd.norms[f] {
-				if norm > 0 && !hd.deleted[local] {
-					total += lenFromNorm(norm)
-					cnt++
-				}
-			}
-		}
-		if cnt > 0 {
-			avgLen[f] = total / float64(cnt)
-		}
-	}
-	return avgLen
-}
-
 // idfValue returns the inverse document frequency of a term with df live
-// postings among n live documents, in the classic or BM25 formulation.
-func idfValue(n float64, df int32, bm25 bool) float64 {
-	if bm25 {
-		return math.Log(1 + (n-float64(df)+0.5)/(float64(df)+0.5))
-	}
+// postings among n live documents.
+func idfValue(n float64, df int32) float64 {
 	return 1 + math.Log(n/float64(df+1))
 }
 
 // contribution scores one posting occurrence: the per-term, per-field score
 // fragment summed into a document's total by the scorer and itemized by
-// Explain. avgLen is the field's average length, only consulted under BM25.
-func contribution(boost, norm float64, freq int32, idf float64, bm25 bool, k1, b, avgLen float64) float64 {
-	if bm25 {
-		fieldLen := 0.0
-		if norm > 0 {
-			fieldLen = 1 / norm / norm
-		}
-		denomNorm := 1.0
-		if avgLen > 0 {
-			denomNorm = 1 - b + b*fieldLen/avgLen
-		}
-		f := float64(freq)
-		return boost * idf * f * (k1 + 1) / (f + k1*denomNorm)
-	}
+// Explain.
+func contribution(boost, norm float64, freq int32, idf float64) float64 {
 	return boost * math.Sqrt(float64(freq)) * idf * norm
-}
-
-// minSpanLists returns the smallest absolute distance between positions of
-// any two distinct lists, or -1 with fewer than two lists. Each list is a
-// concatenation of in-order per-field position runs; lists are sorted in
-// place when a multi-field merge left them unsorted, after which each pair
-// is scanned with a linear two-pointer merge instead of the quadratic
-// cross product.
-func minSpanLists(lists [][]int32) int32 {
-	for _, pos := range lists {
-		if !slices.IsSorted(pos) {
-			slices.Sort(pos)
-		}
-	}
-	best := int32(-1)
-	for i := 0; i < len(lists); i++ {
-		for j := i + 1; j < len(lists); j++ {
-			d := minSortedSpan(lists[i], lists[j])
-			if best < 0 || d < best {
-				best = d
-			}
-			if best == 0 {
-				return 0
-			}
-		}
-	}
-	return best
-}
-
-// minSortedSpan merges two sorted position lists, tracking the smallest
-// absolute difference — O(len(a)+len(b)).
-func minSortedSpan(a, b []int32) int32 {
-	i, j := 0, 0
-	best := int32(-1)
-	for i < len(a) && j < len(b) {
-		d := a[i] - b[j]
-		if d < 0 {
-			d = -d
-		}
-		if best < 0 || d < best {
-			best = d
-		}
-		if best == 0 {
-			return 0
-		}
-		if a[i] < b[j] {
-			i++
-		} else {
-			j++
-		}
-	}
-	return best
 }
 
 // less orders hits: lower score first (for the min-heap), ties broken by ID
@@ -753,21 +511,17 @@ type Explanation struct {
 	Total float64
 	// Coord is the coordination factor multiplied into Total (1 when
 	// SearchOptions.DisableCoord is set).
-	Coord float64
-	// Proximity is the proximity bonus included in the pre-coord sum (0
-	// unless SearchOptions.Proximity is set and two terms co-occur).
-	Proximity   float64
+	Coord       float64
 	PerTerm     map[string]float64
 	TermsHit    int
 	TermsInNeed int
 }
 
 // Explain recomputes the score of document id for the query under the same
-// options Search would use — per-term scoring (classic TF/IDF or BM25),
-// proximity bonus, coordination factor and minimum-match gate all share the
-// scorer's accumulation order, so Total equals the Hit.Score Search reports
-// for this document exactly. It returns nil when the document would not
-// match at all (including failing MinShouldMatch) or does not exist.
+// options Search would use — per-term scoring and the coordination factor
+// share the scorer's accumulation order, so Total equals the Hit.Score
+// Search reports for this document exactly. It returns nil when the
+// document matches no query term or does not exist.
 func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanation {
 	terms := DefaultAnalyzer(FieldElements, query)
 	uniq := make([]string, 0, len(terms))
@@ -821,15 +575,7 @@ func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanati
 		}
 	}
 
-	k1, b := opts.bm25Params()
-	var avgLen []float64
-	if opts.BM25 {
-		sc := scratchPool.Get().(*searchScratch)
-		avgLen = append([]float64(nil), ix.avgFieldLens(sn, headOn, sc)...)
-		sc.release()
-	}
 	ex := &Explanation{ID: id, PerTerm: make(map[string]float64), TermsInNeed: len(uniq)}
-	var positions [][]int32 // per matched term, this doc's positions
 	for _, term := range uniq {
 		df := int32(0)
 		for _, s := range sn.segs {
@@ -845,7 +591,7 @@ func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanati
 		if df <= 0 {
 			continue
 		}
-		idf := idfValue(float64(live), df, opts.BM25)
+		idf := idfValue(float64(live), df)
 		var ps []posting
 		if inHead {
 			if e, ok := hd.terms[term]; ok {
@@ -862,7 +608,6 @@ func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanati
 			continue
 		}
 		contrib := 0.0
-		var pos []int32
 		for _, p := range ps {
 			norm := 0.0
 			if inHead {
@@ -872,37 +617,14 @@ func (ix *Index) Explain(query string, id string, opts SearchOptions) *Explanati
 			} else {
 				norm = sg.norm(p.field, local)
 			}
-			al := 0.0
-			if int(p.field) < len(avgLen) {
-				al = avgLen[p.field]
-			}
-			contrib += contribution(sn.boost(p.field), norm, p.freq, idf, opts.BM25, k1, b, al)
-			if opts.Proximity {
-				pos = append(pos, p.positions...)
-			}
+			contrib += contribution(sn.boost(p.field), norm, p.freq, idf)
 		}
 		ex.PerTerm[term] = contrib
 		ex.Total += contrib
 		ex.TermsHit++
-		if len(pos) > 0 {
-			positions = append(positions, pos)
-		}
 	}
 	if ex.TermsHit == 0 {
 		return nil
-	}
-	if minMatch := opts.MinShouldMatch; minMatch > 1 && ex.TermsHit < minMatch {
-		return nil // Search drops this document entirely
-	}
-	if opts.Proximity && len(uniq) > 1 && ex.TermsHit > 1 {
-		w := opts.ProximityWeight
-		if w == 0 {
-			w = 0.1
-		}
-		if d := minSpanLists(positions); d >= 0 {
-			ex.Proximity = w / float64(1+d)
-			ex.Total += ex.Proximity
-		}
 	}
 	ex.Coord = 1
 	if !opts.DisableCoord {

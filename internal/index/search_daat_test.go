@@ -70,13 +70,6 @@ func randQuery(rng *rand.Rand, vocab []string) []string {
 var daatOptionGrid = []SearchOptions{
 	{},
 	{DisableCoord: true},
-	{BM25: true},
-	{BM25: true, K1: 0.9, B: 0.3},
-	{Proximity: true},
-	{Proximity: true, ProximityWeight: 0.5, DisableCoord: true},
-	{BM25: true, Proximity: true},
-	{MinShouldMatch: 2},
-	{BM25: true, MinShouldMatch: 3, Proximity: true},
 }
 
 // randTopoCorpus builds a corpus under a randomized segment topology:
@@ -226,8 +219,8 @@ func TestSearchMatchesExplainOracle(t *testing.T) {
 }
 
 // TestDeleteScoresMatchFreshIndex asserts Delete leaves no scoring residue:
-// df, idf, the BM25 average-length cache and the coarse scores all match an
-// index freshly built from the surviving documents (classic and BM25).
+// df, idf and the coarse scores all match an index freshly built from the
+// surviving documents.
 func TestDeleteScoresMatchFreshIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	docs, vocab := randDocs(rng, 60)
@@ -237,10 +230,6 @@ func TestDeleteScoresMatchFreshIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Populate the avgFieldLens cache pre-delete so the test catches a
-	// stale cache as well as stale df.
-	ix.SearchTerms([]string{vocab[0]}, 5, SearchOptions{BM25: true})
-
 	fresh := New()
 	for i, d := range docs {
 		if i%3 == 0 {
@@ -253,7 +242,7 @@ func TestDeleteScoresMatchFreshIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, opts := range []SearchOptions{{}, {BM25: true}, {BM25: true, Proximity: true}} {
+	for _, opts := range daatOptionGrid {
 		for q := 0; q < 10; q++ {
 			terms := randQuery(rng, vocab)
 			got := ix.SearchTerms(terms, 0, opts)
@@ -265,9 +254,9 @@ func TestDeleteScoresMatchFreshIndex(t *testing.T) {
 	}
 }
 
-// TestPersistV3RoundTrip asserts the segmented v3 format round-trips a
-// multi-segment index with tombstones: identical searches, df and live
-// count after Load.
+// TestPersistV3RoundTrip asserts the segmented file format (introduced as
+// v3, now v4) round-trips a multi-segment index with tombstones: identical
+// searches, df and live count after Load.
 func TestPersistV3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ix, vocab := randCorpus(t, rng, 150)
@@ -305,7 +294,7 @@ func TestPersistV3RoundTrip(t *testing.T) {
 	}
 	for q := 0; q < 10; q++ {
 		terms := randQuery(rng, vocab)
-		for _, opts := range []SearchOptions{{}, {BM25: true}, {Proximity: true}} {
+		for _, opts := range daatOptionGrid {
 			got := loaded.SearchTerms(terms, 10, opts)
 			want := ix.SearchTerms(terms, 10, opts)
 			if !reflect.DeepEqual(got, want) {
@@ -318,7 +307,7 @@ func TestPersistV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, live := loaded.docMap["fresh"]; !live {
-		t.Fatal("added doc missing after v3 load")
+		t.Fatal("added doc missing after load")
 	}
 }
 
@@ -378,9 +367,7 @@ func TestMergeAfterWhaleDeleteMatchesOracle(t *testing.T) {
 // TestSearchDuringMaintenanceHammer races searches against concurrent
 // adds, deletes, flushes and merges. Under -race this is the lock-audit
 // for the snapshot swap; in any mode it asserts searches stay internally
-// consistent (scores sorted, no tombstoned IDs) while topology churns,
-// and that per-snapshot BM25 field-length averages never mix generations
-// (a search never observes a torn avgFieldLens).
+// consistent (scores sorted, no tombstoned IDs) while topology churns.
 func TestSearchDuringMaintenanceHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	docs, vocab := randDocs(rng, 600)
@@ -437,8 +424,8 @@ func TestSearchDuringMaintenanceHammer(t *testing.T) {
 	// Settled: search still matches the Explain oracle on the final topology.
 	for q := 0; q < 10; q++ {
 		terms := randQuery(rng, vocab)
-		got, _ := ix.SearchTermsStats(terms, 10, SearchOptions{BM25: true})
-		want := explainOracle(ix, terms, 10, SearchOptions{BM25: true}, docIDs(len(docs)))
+		got, _ := ix.SearchTermsStats(terms, 10, SearchOptions{})
+		want := explainOracle(ix, terms, 10, SearchOptions{}, docIDs(len(docs)))
 		if !sameHits(got, want) {
 			t.Fatalf("post-hammer query %v: search %+v != oracle %+v", terms, got, want)
 		}
@@ -458,8 +445,8 @@ func TestSearchAllocsSteadyState(t *testing.T) {
 	if raceEnabled {
 		budget = 48 // race instrumentation allocates on its own behalf
 	}
-	for _, opts := range []SearchOptions{{}, {BM25: true}, {Proximity: true}} {
-		ix.SearchTerms(terms, 10, opts) // warm pool + avgLens cache
+	for _, opts := range daatOptionGrid {
+		ix.SearchTerms(terms, 10, opts) // warm pool
 		allocs := testing.AllocsPerRun(50, func() {
 			ix.SearchTerms(terms, 10, opts)
 		})

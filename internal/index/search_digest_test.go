@@ -11,10 +11,13 @@ import (
 )
 
 // rankingDigestWant is the SHA-256 of every SearchTermsStats result in
-// TestRankingDigestPinned, recorded from the block-max document-at-a-time
-// scorer the term-at-a-time one replaced. Any change to which documents
-// rank, their score bits, their match counts or their order changes it.
-const rankingDigestWant = "c93403197779f7236e46e402fb49becd69441591664bd2ab15fcbd4d7a4cbf3e"
+// TestRankingDigestPinned. It was recorded from the scorer that still
+// carried BM25 and a proximity bonus, over just the two option rows
+// daatOptionGrid keeps (the corpora and queries draw nothing from the
+// grid), so it pins the same rankings across the deletion. Any change to
+// which documents rank, their score bits, their match counts or their
+// order changes it.
+const rankingDigestWant = "a84c3e09ebc086f57e76747823b0d37788db574cd5b1d66638d6045bf0bfe688"
 
 // TestRankingDigestPinned pins the ranking bytes of phase 1 across scorer
 // rewrites: seeded randomized-topology corpora (head-only, many small

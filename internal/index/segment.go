@@ -13,7 +13,7 @@ import (
 // block. Blocks always end on a document boundary, so one document's
 // postings sit in one block (Explain decodes just that block); 64
 // documents keeps the block metadata overhead around 1% of the postings.
-// The block layout is part of the v3 file format
+// The block layout is part of the v4 file format
 // (TestSaveIndexBytesUnchanged pins its bytes).
 const blockDocs = 64
 
@@ -46,16 +46,6 @@ type segTerm struct {
 // liveDF is the term's live document frequency within this segment.
 func (st *segTerm) liveDF() int32 { return st.df - st.delDF.Load() }
 
-// lenFromNorm recovers a field's token length from its stored norm
-// (norm = float32(1/sqrt(len))), rounded back to the integer the norm was
-// built from. Rounding makes every length-sum aggregate an exact integer
-// (up to 2^53), so summation order can never change a BM25 average length
-// by an ulp — flushes, merges and deletes add and subtract the same lengths
-// in different orders and must agree with a fresh index bit for bit.
-func lenFromNorm(n float32) float64 {
-	return math.Round(1 / float64(n) / float64(n))
-}
-
 // segment is one immutable index segment: a doc-ordinal-sorted slice of
 // documents (docOrds maps local ordinal → global ordinal; spans of
 // distinct segments never overlap) with per-term blocked postings.
@@ -66,11 +56,7 @@ type segment struct {
 	docIDs  []string
 	docOrds []int32     // local → global ordinal, strictly ascending
 	norms   [][]float32 // global field id → per-local-doc norm column (nil if absent)
-	// lenSum/lenCnt are the per-field Σ token-length and document counts at
-	// build time, for the snapshot's BM25 average-length aggregates.
-	lenSum []float64
-	lenCnt []int64
-	terms  map[string]*segTerm
+	terms   map[string]*segTerm
 
 	// fwd is the forward index, built from the postings by the segment's
 	// first delete (see forwardIndex). Writer-owned: read and written
@@ -97,8 +83,8 @@ func (s *segment) countDeleted(d int32) {
 }
 
 // forwardIndex returns the segment's forward index, building it on first
-// use: one streaming pass over every term's document deltas (field,
-// frequency and position varints are skipped, nothing is materialized),
+// use: one streaming pass over every term's document deltas (field and
+// frequency varints are skipped, nothing is materialized),
 // then a counting sort by document. Terms are visited in sorted order, so
 // every document's ordinals come out ascending. Caller holds Index.wmu.
 func (s *segment) forwardIndex() *forward {
@@ -157,17 +143,7 @@ func (s *segment) appendDocs(dst []int32, st *segTerm) []int32 {
 				delta, at = uvarintAt(data, at)
 			}
 			doc += int32(delta)
-			for data[at] >= 0x80 { // field
-				at++
-			}
-			at++
-			freq := uint64(data[at])
-			if freq < 0x80 {
-				at++
-			} else {
-				freq, at = uvarintAt(data, at)
-			}
-			for ; freq > 0; freq-- { // positions
+			for k := 0; k < 2; k++ { // field, freq
 				for data[at] >= 0x80 {
 					at++
 				}
@@ -204,20 +180,6 @@ func (s *segment) norm(fid int8, local int32) float64 {
 	return float64(s.norms[fid][local])
 }
 
-// sumLens computes lenSum and lenCnt from the norm columns.
-func (s *segment) sumLens() {
-	s.lenSum = make([]float64, len(s.norms))
-	s.lenCnt = make([]int64, len(s.norms))
-	for f, col := range s.norms {
-		for _, n := range col {
-			if n > 0 {
-				s.lenSum[f] += lenFromNorm(n)
-				s.lenCnt[f]++
-			}
-		}
-	}
-}
-
 // newSegment builds an immutable segment from prepared per-document data
 // and per-term postings. postings use local doc ordinals, sorted by doc
 // (multi-field postings of one doc adjacent, in field-appearance order —
@@ -233,7 +195,6 @@ func newSegment(docIDs []string, docOrds []int32, norms [][]float32, postings ma
 		norms:   norms,
 		terms:   make(map[string]*segTerm, len(postings)),
 	}
-	s.sumLens()
 	for term, ps := range postings {
 		if len(ps) == 0 {
 			continue
@@ -263,45 +224,10 @@ func newSegment(docIDs []string, docOrds []int32, norms [][]float32, postings ma
 			encPrev = p.doc
 			st.data = binary.AppendUvarint(st.data, uint64(p.field))
 			st.data = binary.AppendUvarint(st.data, uint64(p.freq))
-			prev := int32(0)
-			for k, pos := range p.positions {
-				if k == 0 {
-					st.data = binary.AppendUvarint(st.data, uint64(pos))
-				} else {
-					st.data = binary.AppendUvarint(st.data, uint64(pos-prev))
-				}
-				prev = pos
-			}
 		}
 		s.terms[term] = st
 	}
 	return s
-}
-
-// decBlock is one decoded postings block, buffers reused across decodes.
-// locals/fields/freqs are per-posting; positions of posting i live in
-// posBuf[posOff[i]:posOff[i+1]].
-type decBlock struct {
-	locals []int32
-	fields []int8
-	freqs  []int32
-	posOff []int32
-	posBuf []int32
-}
-
-// resize presets the per-posting columns to exactly n entries for indexed
-// writes; position buffers start empty.
-func (d *decBlock) resize(n int) {
-	if cap(d.locals) < n {
-		d.locals = make([]int32, n)
-		d.fields = make([]int8, n)
-		d.freqs = make([]int32, n)
-	}
-	d.locals = d.locals[:n]
-	d.fields = d.fields[:n]
-	d.freqs = d.freqs[:n]
-	d.posOff = d.posOff[:0]
-	d.posBuf = d.posBuf[:0]
 }
 
 // uvarintAt decodes one uvarint at offset p, with a branch-light fast path
@@ -314,47 +240,24 @@ func uvarintAt(data []byte, p int) (uint64, int) {
 	return v, p + w
 }
 
-// decodeBlock decodes block bi of a term into dst. The stream
-// layout per posting is: uvarint local-doc delta (0 continues the same
-// document; the block's first posting is the block's firstLocal), uvarint
-// field, uvarint freq, then freq position varints (first absolute, then
-// deltas).
-func (s *segment) decodeBlock(st *segTerm, bi int, dst *decBlock) {
+// decodeBlock appends the postings of block bi of a term to dst. The
+// stream layout per posting is three uvarints: the local-doc delta (0
+// continues the same document; the block's first posting is the block's
+// firstLocal), the field and the frequency.
+func (s *segment) decodeBlock(st *segTerm, bi int, dst []posting) []posting {
 	bm := &st.blocks[bi]
-	n := int(bm.count)
-	dst.resize(n)
-	end := len(st.data)
-	if bi+1 < len(st.blocks) {
-		end = int(st.blocks[bi+1].off)
-	}
-	data := st.data[bm.off:end]
+	data := st.data
 	doc := bm.firstLocal
-	p := 0
-	for j := 0; j < n; j++ {
-		delta, np := uvarintAt(data, p)
-		p = np
+	at := int(bm.off)
+	for j := int32(0); j < bm.count; j++ {
+		var delta, field, freq uint64
+		delta, at = uvarintAt(data, at)
+		field, at = uvarintAt(data, at)
+		freq, at = uvarintAt(data, at)
 		doc += int32(delta)
-		field, np := uvarintAt(data, p)
-		p = np
-		freq, np := uvarintAt(data, p)
-		p = np
-		dst.locals[j] = doc
-		dst.fields[j] = int8(field)
-		dst.freqs[j] = int32(freq)
-		dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
-		pos := int32(0)
-		for k := uint64(0); k < freq; k++ {
-			d, np := uvarintAt(data, p)
-			p = np
-			if k == 0 {
-				pos = int32(d)
-			} else {
-				pos += int32(d)
-			}
-			dst.posBuf = append(dst.posBuf, pos)
-		}
+		dst = append(dst, posting{doc: doc, field: int8(field), freq: int32(freq)})
 	}
-	dst.posOff = append(dst.posOff, int32(len(dst.posBuf)))
+	return dst
 }
 
 // checkTerm verifies a term loaded from disk before anything decodes it:
@@ -416,13 +319,8 @@ func checkBlockData(data []byte, bm *blockMeta, nFields int) (int, error) {
 			return 0, fmt.Errorf("posting %d: field %d of %d", j, field, nFields)
 		}
 		freq, at = checkedUvarint(data, at)
-		if at < 0 || freq > uint64(len(data)-at) {
-			return 0, fmt.Errorf("posting %d: frequency %d past the block", j, freq)
-		}
-		for k := uint64(0); k < freq; k++ {
-			if _, at = checkedUvarint(data, at); at < 0 {
-				return 0, fmt.Errorf("posting %d: position %d cut", j, k)
-			}
+		if at < 0 || freq < 1 || freq > math.MaxInt32 {
+			return 0, fmt.Errorf("posting %d: frequency %d", j, freq)
 		}
 		if doc != last {
 			docs++
@@ -437,8 +335,8 @@ func checkBlockData(data []byte, bm *blockMeta, nFields int) (int, error) {
 
 // checkedUvarint decodes the uvarint at data[at:], returning the offset
 // past it, or -1 when it is cut or longer than the five bytes of a 32-bit
-// value: every value the writer encodes (document delta, field, frequency,
-// position delta) is a non-negative int32.
+// value: every value the writer encodes (document delta, field, frequency)
+// is a non-negative int32.
 func checkedUvarint(data []byte, at int) (uint64, int) {
 	var v uint64
 	for shift := 0; shift < 35 && at < len(data); shift += 7 {
@@ -460,19 +358,11 @@ func (s *segment) docPostings(st *segTerm, local int32) []posting {
 	if bi >= len(st.blocks) || st.blocks[bi].firstLocal > local {
 		return nil
 	}
-	var dec decBlock
-	s.decodeBlock(st, bi, &dec)
 	var out []posting
-	for i := range dec.locals {
-		if dec.locals[i] != local {
-			continue
+	for _, p := range s.decodeBlock(st, bi, nil) {
+		if p.doc == local {
+			out = append(out, p)
 		}
-		out = append(out, posting{
-			doc:       local,
-			field:     dec.fields[i],
-			freq:      dec.freqs[i],
-			positions: append([]int32(nil), dec.posBuf[dec.posOff[i]:dec.posOff[i+1]]...),
-		})
 	}
 	return out
 }
@@ -482,17 +372,8 @@ func (s *segment) docPostings(st *segTerm, local int32) []posting {
 // the search hot path).
 func (s *segment) materializeTerm(st *segTerm) []posting {
 	out := make([]posting, 0, st.count)
-	var dec decBlock
 	for bi := range st.blocks {
-		s.decodeBlock(st, bi, &dec)
-		for i := range dec.locals {
-			out = append(out, posting{
-				doc:       dec.locals[i],
-				field:     dec.fields[i],
-				freq:      dec.freqs[i],
-				positions: append([]int32(nil), dec.posBuf[dec.posOff[i]:dec.posOff[i+1]]...),
-			})
-		}
+		out = s.decodeBlock(st, bi, out)
 	}
 	return out
 }

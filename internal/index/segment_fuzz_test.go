@@ -9,20 +9,20 @@ import (
 
 // FuzzPostingsRoundTrip drives the delta+varint block encoder through
 // randomized postings lists — many docs, sparse and dense fields, freq
-// spikes, long position runs, block-boundary counts — and asserts the
+// spikes, block-boundary counts — and asserts the
 // decoded postings are identical to what went in, block metadata included:
 // the whole list (materializeTerm, the merge path) and each document's
 // postings (docPostings, the Explain path).
 // The fuzzer varies (seed, nDocs, maxFreq); the generator derives a valid
-// postings list (doc-sorted, len(positions) == freq, ascending positions)
-// from them, so every fuzz input is a structurally legal list and the
-// round-trip property is exact equality.
+// postings list (doc-sorted, field ids ascending within a document,
+// frequencies from 1 to maxFreq) from them, so every fuzz input is a
+// structurally legal list and the round-trip property is exact equality.
 func FuzzPostingsRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(3), uint16(4))
 	f.Add(int64(2), uint16(64), uint16(1))   // exactly one full block
 	f.Add(int64(3), uint16(65), uint16(2))   // one doc past the block boundary
 	f.Add(int64(4), uint16(300), uint16(9))  // multi-block
-	f.Add(int64(5), uint16(1), uint16(200))  // single doc, fat positions
+	f.Add(int64(5), uint16(1), uint16(200))  // single doc, multi-byte freqs
 	f.Add(int64(6), uint16(1000), uint16(3)) // many blocks, freq spread
 	f.Fuzz(func(t *testing.T, seed int64, nDocsRaw, maxFreqRaw uint16) {
 		rng := rand.New(rand.NewSource(seed))
@@ -57,13 +57,7 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 					continue
 				}
 				freq := 1 + rng.Int31n(maxFreq)
-				positions := make([]int32, freq)
-				pos := int32(rng.Intn(3))
-				for k := range positions {
-					positions[k] = pos
-					pos += 1 + int32(rng.Intn(7))
-				}
-				ps = append(ps, posting{doc: int32(d), field: int8(fid), freq: freq, positions: positions})
+				ps = append(ps, posting{doc: int32(d), field: int8(fid), freq: freq})
 			}
 		}
 		if len(ps) == 0 {
