@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -75,7 +76,7 @@ func TestSearchHandlerAllocs(t *testing.T) {
 			code, n = w.Code, strings.Count(w.Body.String(), `"score"`)
 		}
 		serve() // build the profiles, warm the pools and the route's series
-		allocs := testing.AllocsPerRun(50, serve)
+		allocs := warmAllocs(50, serve)
 		if code != http.StatusOK || n == 0 {
 			t.Fatalf("%s: status %d with %d results", tc.name, code, n)
 		}
@@ -84,6 +85,24 @@ func TestSearchHandlerAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs per search; want at most %v", tc.name, allocs, tc.ceiling+slack)
 		}
 	}
+}
+
+// warmAllocs is testing.AllocsPerRun(runs, f) for a request whose engine
+// draws its scratch from sync.Pools. Under the race detector, sync.Pool
+// drops a random quarter of the values put back, so an average over runs
+// counts a random number of scratch rebuilds (259–271 and 369–378 for the
+// two searches above over six race runs). There the count is the least
+// over single runs: a request whose scratch all came back warm, which is
+// the request the ceilings bound. See core's TestSearchAllocsSteadyStateEngine.
+func warmAllocs(runs int, f func()) float64 {
+	if !raceEnabled {
+		return testing.AllocsPerRun(runs, f)
+	}
+	least := math.Inf(1)
+	for range runs {
+		least = min(least, testing.AllocsPerRun(1, f))
+	}
+	return least
 }
 
 // TestVisualizationBodiesPinned pins the bytes of the GraphML and SVG
