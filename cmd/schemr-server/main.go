@@ -82,7 +82,6 @@ func main() {
 	metrics := flag.Bool("metrics", true, "serve Prometheus-format metrics at GET /metrics")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof at /debug/pprof/ and expvar at /debug/vars")
 	flushDocs := flag.Int("flush-docs", 0, "mutable-head docs before the index seals an immutable segment (0 = index default, negative disables auto-flush)")
-	mergeFactor := flag.Int("merge-factor", 0, "segment count that triggers a segment merge (0 = index default, 1 disables merging)")
 	replicaOf := flag.String("replica-of", "", "primary base URL to replicate from (e.g. http://primary:8080); serves read-only and streams the primary's WAL")
 	replicaPoll := flag.Duration("replica-poll", time.Second, "replication poll interval (with -replica-of)")
 	replicaKey := flag.String("replica-key", "", "API key the replica presents to an authenticated primary (with -replica-of)")
@@ -101,7 +100,6 @@ func main() {
 
 	var opts schemr.EngineOptions
 	opts.FlushDocs = *flushDocs
-	opts.MergeFactor = *mergeFactor
 	// Recover snapshot + WAL (a fresh directory starts empty) and keep the
 	// WAL attached so every accepted mutation is fsync-logged before it is
 	// acknowledged. The persisted index loads too — recovery is snapshot +
@@ -146,12 +144,7 @@ func main() {
 		ReplicationOpen:        *replicationOpen,
 		LearnInterval:          *learnInterval,
 		LearnAutoPromote:       *learnAutoPromote,
-		Checkpoint: func() error {
-			if err := sys.Repo.FlushUsage(); err != nil {
-				log.Printf("schemr-server: usage flush: %v", err)
-			}
-			return sys.Save(*data)
-		},
+		Checkpoint:             func() error { return sys.Save(*data) },
 	})
 	stop := srv.StartIndexer(*sync)
 	defer stop()

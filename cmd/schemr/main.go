@@ -283,7 +283,11 @@ func cmdDelete(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !sys.Repo.Delete(*id) {
+	ok, err := sys.Repo.Delete(*id)
+	if err != nil {
+		return err
+	}
+	if !ok {
 		return fmt.Errorf("no schema %q", *id)
 	}
 	if err := sys.Save(*data); err != nil {

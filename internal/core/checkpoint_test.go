@@ -37,8 +37,9 @@ func bulkSchema(i int) *model.Schema {
 // stalling writers and defeating the merge policy's amortization.
 func TestSaveIndexDoesNotCompact(t *testing.T) {
 	repo := repository.New()
-	// Tiny head, huge merge factor: segments accumulate and stay.
-	e := NewEngine(repo, Options{FlushDocs: 4, MergeFactor: 64})
+	// Tiny head, and fewer segments than the default merge fan-in:
+	// segments accumulate and stay.
+	e := NewEngine(repo, Options{FlushDocs: 4})
 	for i := 0; i < 24; i++ {
 		if _, err := repo.Put(bulkSchema(i)); err != nil {
 			t.Fatal(err)
@@ -61,7 +62,7 @@ func TestSaveIndexDoesNotCompact(t *testing.T) {
 	}
 
 	// And the saved artifact still round-trips.
-	e2 := NewEngine(repo, Options{FlushDocs: 4, MergeFactor: 64})
+	e2 := NewEngine(repo, Options{FlushDocs: 4})
 	if err := e2.LoadIndex(path); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestSaveIndexDoesNotCompact(t *testing.T) {
 // never misses a schema.
 func TestSaveIndexUnderConcurrentWrites(t *testing.T) {
 	repo := repository.New()
-	e := NewEngine(repo, Options{FlushDocs: 4, MergeFactor: 64})
+	e := NewEngine(repo, Options{FlushDocs: 4})
 	path := filepath.Join(t.TempDir(), "engine.idx")
 
 	var wg sync.WaitGroup
@@ -110,7 +111,7 @@ func TestSaveIndexUnderConcurrentWrites(t *testing.T) {
 
 	// Load the final checkpoint and catch up from its cursor: the result
 	// must cover the whole repository with no gaps.
-	e2 := NewEngine(repo, Options{FlushDocs: 4, MergeFactor: 64})
+	e2 := NewEngine(repo, Options{FlushDocs: 4})
 	if err := e2.LoadIndex(path); err != nil {
 		t.Fatal(err)
 	}

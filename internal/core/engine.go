@@ -75,10 +75,6 @@ type Options struct {
 	// into an immutable segment (index.WithFlushDocs). 0 keeps the index
 	// default; negative disables automatic flushing.
 	FlushDocs int
-	// MergeFactor is the segment-count fan-in that triggers background
-	// segment merging (index.WithMergeFactor). 0 keeps the index default;
-	// 1 disables merging.
-	MergeFactor int
 	// TrigramFallback addresses an architectural gap the paper inherits
 	// from Lucene: a schema whose every element is abbreviated shares no
 	// token with the query and never becomes a candidate, so the n-gram
@@ -405,9 +401,6 @@ func (e *Engine) newIndex() *index.Index {
 	}
 	if e.opts.FlushDocs != 0 {
 		opts = append(opts, index.WithFlushDocs(e.opts.FlushDocs))
-	}
-	if e.opts.MergeFactor != 0 {
-		opts = append(opts, index.WithMergeFactor(e.opts.MergeFactor))
 	}
 	return index.New(opts...)
 }

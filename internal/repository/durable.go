@@ -10,24 +10,23 @@ import (
 	"schemr/internal/obs"
 )
 
-// Durability model. A repository opened with Recover logs every mutation
-// to a write-ahead log before acknowledging it: Put, Delete, Tag and
-// AddComment append one fsynced record each, so once the call returns the
-// mutation survives kill -9. Usage counters (impressions, selections) are
-// deliberately weaker — they change on every search, and a search must
-// never wait on the disk — so they coalesce in memory and reach the WAL
-// as one batched record before any strongly-logged mutation, at
-// FlushUsage (the server's checkpoint loop), and at snapshot/close time.
-// A periodic Snapshot rewrites the full repository as a compacted log
-// (fsynced file and parent directory; see snapshot.go), truncates the WAL
-// and compacts the deleted map; recovery is snapshot + replay of records
-// the snapshot does not already cover, decided by each record's log
-// sequence number (LSN).
+// Durability model. A repository opened with Recover has one rule for
+// every mutation: it is logged to a write-ahead log and fsynced first,
+// then applied, or it is not applied and the call returns the error. Put,
+// Delete, Tag, AddComment, RecordSelection and the key and relevance-loop
+// mutations append one record each, so once the call returns the mutation
+// survives kill -9. A search writes nothing. A periodic Snapshot rewrites
+// the full repository as a compacted log (fsynced file and parent
+// directory; see snapshot.go), truncates the WAL and compacts the deleted
+// map; recovery is snapshot + replay of records the snapshot does not
+// already cover, decided by each record's log sequence number (LSN).
 
 // walRecord is one logged mutation. Op selects which fields are
 // meaningful. Records carry final state (the merged entry, the full tag
 // set, the completed comment) rather than operation arguments, so replay
 // is a verbatim install with no re-derivation of timestamps or merges.
+// A usage record is the one increment: replay applies each LSN once, so
+// adding its count is exact.
 type walRecord struct {
 	Op  string `json:"op"`
 	Lsn uint64 `json:"lsn,omitempty"` // 0 only inside snapshots
@@ -51,7 +50,9 @@ type walRecord struct {
 	// opComment: the appended comment, timestamp filled in.
 	Comment *Comment `json:"comment,omitempty"`
 
-	// opUsage: coalesced counter deltas since the last usage record.
+	// opUsage: selections to add, by ID. RecordSelection logs one ID with
+	// one selection; older logs batch several IDs per record and carry
+	// impression counts, which decode ignores.
 	Usage map[string]Usage `json:"usage,omitempty"`
 
 	// opKeyCreate: the stored key binding (the hash is in ID; plaintext
@@ -251,12 +252,10 @@ func (r *Repository) applyRecord(d *decoded) error {
 		e.Seq = rec.Seq
 		r.seq = rec.Seq
 	case opUsage:
-		// Deltas for IDs deleted later in the log target nothing; skip
-		// them, matching the in-memory semantics (the counters died with
-		// the entry).
+		// Older logs may hold deltas for IDs a later record deleted;
+		// they target nothing, as the counters died with the entry.
 		for id, u := range rec.Usage {
 			if e, ok := r.entries[id]; ok {
-				e.Usage.Impressions += u.Impressions
 				e.Usage.Selections += u.Selections
 			}
 		}
@@ -317,67 +316,14 @@ func (r *Repository) logRecord(rec *walRecord) error {
 	return nil
 }
 
-// logMutation flushes any coalesced usage deltas and then logs rec. The
-// flush keeps the log linear: a put that replaces an entry must not bake
-// pending deltas into its logged entry and then see them replayed again
-// from a later usage record.
-func (r *Repository) logMutation(rec *walRecord) error {
-	if r.wal == nil {
-		return nil
-	}
-	if err := r.flushUsageLocked(); err != nil {
-		return err
-	}
-	return r.logRecord(rec)
-}
-
-// noteUsage coalesces one counter delta for a later batched WAL record.
-// It never writes: the map holds at most one delta per live schema (a
-// delete flushes it first), so it needs no size trigger.
-func (r *Repository) noteUsage(id string, impressions, selections int) {
-	if r.wal == nil {
-		return
-	}
-	if r.pendingUsage == nil {
-		r.pendingUsage = make(map[string]Usage)
-	}
-	u := r.pendingUsage[id]
-	u.Impressions += impressions
-	u.Selections += selections
-	r.pendingUsage[id] = u
-}
-
-// flushUsageLocked writes the pending usage deltas as one batched WAL
-// record. Caller holds the write lock.
-func (r *Repository) flushUsageLocked() error {
-	if r.wal == nil || len(r.pendingUsage) == 0 {
-		return nil
-	}
-	rec := &walRecord{Op: opUsage, Usage: r.pendingUsage}
-	if err := r.logRecord(rec); err != nil {
-		return err
-	}
-	r.pendingUsage = nil
-	return nil
-}
-
-// FlushUsage forces the coalesced usage counters into the WAL now. The
-// server's checkpoint loop calls it so counters are at most one interval
-// from durability even between snapshots.
-func (r *Repository) FlushUsage() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.flushUsageLocked()
-}
-
 // Snapshot durably persists the full repository to path (fsynced temp
 // file, rename, parent-directory fsync), then truncates the WAL — its
 // records are all covered by the snapshot — and compacts the deleted map
 // by dropping tombstones with sequence <= compactBefore. Pass the change
 // feed cursor of the slowest persisted consumer (the engine's saved index
 // cursor); pass 0 to keep every tombstone. Mutations block for the
-// duration, which keeps the snapshot, the WAL truncation and the pending-
-// usage reset one atomic transition.
+// duration, which keeps the snapshot and the WAL truncation one atomic
+// transition.
 func (r *Repository) Snapshot(path string, compactBefore uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -391,9 +337,6 @@ func (r *Repository) Snapshot(path string, compactBefore uint64) error {
 		return err
 	}
 	if r.wal != nil {
-		// The snapshot covers everything, pending usage deltas included
-		// (they were already applied to the in-memory counters).
-		r.pendingUsage = nil
 		if err := r.wal.reset(); err != nil {
 			return err
 		}
@@ -405,19 +348,15 @@ func (r *Repository) Snapshot(path string, compactBefore uint64) error {
 	return nil
 }
 
-// Close flushes coalesced usage counters and closes the WAL. The
-// repository remains usable in memory but no longer logs. No-op without
-// an attached WAL.
+// Close closes the WAL. The repository remains usable in memory but no
+// longer logs. No-op without an attached WAL.
 func (r *Repository) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.wal == nil {
 		return nil
 	}
-	err := r.flushUsageLocked()
-	if cerr := r.wal.close(); err == nil {
-		err = cerr
-	}
+	err := r.wal.close()
 	r.wal = nil
 	return err
 }

@@ -76,7 +76,7 @@ func (r *Repository) AppendFeedback(events ...FeedbackEvent) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.logMutation(&walRecord{Op: opFeedback, Feedback: events}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opFeedback, Feedback: events}); err != nil {
 		return err
 	}
 	r.feedback = append(r.feedback, events...)
@@ -116,7 +116,7 @@ func (r *Repository) AddWeightSet(ws WeightSet) (uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ws.Version = r.weightVersion + 1
-	if err := r.logMutation(&walRecord{Op: opWeightSet, WeightSet: &ws}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opWeightSet, WeightSet: &ws}); err != nil {
 		return 0, err
 	}
 	r.weightVersion = ws.Version
@@ -140,7 +140,7 @@ func (r *Repository) PromoteWeights(version uint64) error {
 	if !found {
 		return fmt.Errorf("repository: no weight set version %d", version)
 	}
-	if err := r.logMutation(&walRecord{Op: opWeightPromote, WeightVersion: version}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opWeightPromote, WeightVersion: version}); err != nil {
 		return err
 	}
 	r.promotedVersion = version

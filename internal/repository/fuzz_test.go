@@ -10,8 +10,8 @@ import (
 // must return a repository or an error and never panic, and a repository
 // it does return must come back unchanged through Save and Open. Seeds in
 // testdata/fuzz/FuzzOpenSnapshot: a framed snapshot, a single-object JSON
-// one (which Open rejects), a truncated frame, a bad CRC and an oversized
-// length.
+// one (which Open rejects), a truncated frame, a bad CRC, an oversized
+// length, and usage_v1, a snapshot whose entries carry impression counts.
 func FuzzOpenSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "repository.json")
@@ -39,7 +39,8 @@ func FuzzOpenSnapshot(f *testing.F) {
 // FuzzRecoverWAL feeds arbitrary bytes to Recover as repository.wal. It
 // must never panic or fail, must cut the file back to exactly the prefix
 // it applied, and that prefix must recover cleanly to the same state.
-// Seeds in testdata/fuzz/FuzzRecoverWAL.
+// Seeds in testdata/fuzz/FuzzRecoverWAL; usage_v1 holds batched usage
+// records with impression counts.
 func FuzzRecoverWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -49,7 +49,7 @@ func (r *Repository) CreateKey(tn, name string) (string, error) {
 	entry := &KeyEntry{Tenant: tn, Name: name, CreatedAt: time.Now().UTC()}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.logMutation(&walRecord{Op: opKeyCreate, ID: hash, Key: entry}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opKeyCreate, ID: hash, Key: entry}); err != nil {
 		return "", err
 	}
 	r.keys[hash] = entry
@@ -64,7 +64,7 @@ func (r *Repository) RevokeKey(hash string) (bool, error) {
 	if _, ok := r.keys[hash]; !ok {
 		return false, nil
 	}
-	if err := r.logMutation(&walRecord{Op: opKeyRevoke, ID: hash}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opKeyRevoke, ID: hash}); err != nil {
 		return false, err
 	}
 	delete(r.keys, hash)

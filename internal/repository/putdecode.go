@@ -320,7 +320,6 @@ func (d *putDecoder) keepComments(dst *[]Comment) bool {
 func (d *putDecoder) usage(u *Usage) bool {
 	n := 0
 	return d.next('{') &&
-		(!d.field("impressions", &n) || d.int(&u.Impressions)) &&
 		(!d.field("selections", &n) || d.int(&u.Selections)) &&
 		d.next('}')
 }

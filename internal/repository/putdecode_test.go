@@ -175,11 +175,7 @@ func TestDecodePutCoversWrittenPuts(t *testing.T) {
 			if err := r.AddComment(id, Comment{Author: "zoë", Text: "schön", Rating: rng.Intn(6), At: at.Add(time.Duration(i) * time.Hour)}); err != nil {
 				t.Fatal(err)
 			}
-			r.RecordImpressions(id)
 			r.RecordSelection(id)
-		}
-		if err := r.FlushUsage(); err != nil {
-			t.Fatal(err)
 		}
 		walData, err := os.ReadFile(walPath)
 		if err != nil {

@@ -110,8 +110,7 @@ func (r *Repository) ExportState() ([]byte, uint64, error) {
 // repository untouched. The replica's own WAL (if attached) stays
 // attached; the caller should snapshot promptly so the local WAL is
 // truncated to records the installed state does not already cover.
-// Pending usage deltas and the retention ring are discarded: both
-// described the replaced state.
+// The retention ring is discarded: it described the replaced state.
 func (r *Repository) InstallState(data []byte) error {
 	fresh, err := readSnapshot(bufio.NewReader(bytes.NewReader(data)), int64(len(data)))
 	if err != nil {
@@ -120,7 +119,6 @@ func (r *Repository) InstallState(data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.state = fresh.state
-	r.pendingUsage = nil
 	r.recent = nil
 	return nil
 }

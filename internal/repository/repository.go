@@ -28,12 +28,11 @@ type Comment struct {
 	At     time.Time `json:"at"`
 }
 
-// Usage holds a schema's search interaction counters — the "usage
-// statistics" collaboration feature the paper plans: how often a schema
-// surfaced in results and how often a user drilled into it.
+// Usage holds a schema's usage statistics — the collaboration feature
+// the paper plans: how often a user drilled into the schema from a result
+// list. The popularity boost reads it.
 type Usage struct {
-	Impressions int `json:"impressions,omitempty"`
-	Selections  int `json:"selections,omitempty"`
+	Selections int `json:"selections,omitempty"`
 }
 
 // Entry is one stored schema plus its repository metadata, as Entry
@@ -90,11 +89,9 @@ type Repository struct {
 	mu sync.RWMutex
 	state
 
-	// Durability (nil/zero without Recover): the attached WAL, coalesced
-	// usage-counter deltas awaiting a batched WAL record, and metrics.
-	wal          *wal
-	pendingUsage map[string]Usage
-	met          *Metrics
+	// Durability (nil without Recover): the attached WAL and its metrics.
+	wal *wal
+	met *Metrics
 
 	// Replication: the ring of recently acknowledged WAL records a
 	// replica can stream (see replication.go). retainCap 0 means the
@@ -240,7 +237,7 @@ func (r *Repository) putLocked(tn string, s *model.Schema) (string, error) {
 		e.Usage = old.Usage
 		e.AddedAt = old.AddedAt
 	}
-	if err := r.logMutation(&walRecord{Op: opPut, Seq: seq, Entry: e, NextID: nextID, Tenant: tn}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opPut, Seq: seq, Entry: e, NextID: nextID, Tenant: tn}); err != nil {
 		return "", err
 	}
 	r.nextIDs[tn] = nextID
@@ -313,8 +310,8 @@ func (r *Repository) Stored(id string) (Header, []byte, bool) {
 }
 
 // Entry returns a copy of the full entry (schema + metadata) for id, or
-// nil. The metadata is copied under the read lock, because usage
-// counters, tags and comments change in place under the write lock; a
+// nil. The metadata is copied under the read lock, because the usage
+// counter, tags and comments change in place under the write lock; a
 // shallow copy is enough, since tags are replaced whole and comments only
 // appended. The schema is decoded into a private copy.
 func (r *Repository) Entry(id string) *Entry {
@@ -332,19 +329,19 @@ func (r *Repository) Entry(id string) *Entry {
 		Usage: c.Usage, AddedAt: c.AddedAt, Seq: c.Seq}
 }
 
-// Delete removes a schema. It reports whether anything was removed; on a
+// Delete removes a schema. It reports whether the schema existed; on a
 // durable repository a delete that cannot be logged is not applied and
-// reports false.
-func (r *Repository) Delete(id string) bool {
+// returns the error.
+func (r *Repository) Delete(id string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
 	if !ok {
-		return false
+		return false, nil
 	}
 	seq := r.seq + 1
-	if err := r.logMutation(&walRecord{Op: opDelete, Seq: seq, ID: id}); err != nil {
-		return false
+	if err := r.logRecord(&walRecord{Op: opDelete, Seq: seq, ID: id}); err != nil {
+		return false, err
 	}
 	delete(r.entries, id)
 	r.removed(id)
@@ -357,7 +354,7 @@ func (r *Repository) Delete(id string) bool {
 	}
 	r.seq = seq
 	r.deleted[id] = seq
-	return true
+	return true, nil
 }
 
 // IDs returns all schema IDs (every tenant) in insertion order.
@@ -412,13 +409,14 @@ func (r *Repository) decodeAll(keep func(id string) bool) []*model.Schema {
 }
 
 // Tag adds tags to a schema (deduplicated, sorted). It reports whether the
-// schema exists.
-func (r *Repository) Tag(id string, tags ...string) bool {
+// schema exists; a tag that cannot be logged is not applied and returns
+// the error.
+func (r *Repository) Tag(id string, tags ...string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
 	if !ok {
-		return false
+		return false, nil
 	}
 	set := make(map[string]bool, len(e.Tags)+len(tags))
 	for _, t := range e.Tags {
@@ -435,13 +433,13 @@ func (r *Repository) Tag(id string, tags ...string) bool {
 	}
 	sort.Strings(newTags)
 	seq := r.seq + 1
-	if err := r.logMutation(&walRecord{Op: opTag, Seq: seq, ID: id, Tags: newTags}); err != nil {
-		return false
+	if err := r.logRecord(&walRecord{Op: opTag, Seq: seq, ID: id, Tags: newTags}); err != nil {
+		return false, err
 	}
 	e.Tags = newTags
 	r.seq = seq
 	e.Seq = seq
-	return true
+	return true, nil
 }
 
 // ByTag returns the IDs of schemas carrying the tag (every tenant), in
@@ -495,7 +493,7 @@ func (r *Repository) AddComment(id string, c Comment) error {
 		c.At = now().UTC()
 	}
 	seq := r.seq + 1
-	if err := r.logMutation(&walRecord{Op: opComment, Seq: seq, ID: id, Comment: &c}); err != nil {
+	if err := r.logRecord(&walRecord{Op: opComment, Seq: seq, ID: id, Comment: &c}); err != nil {
 		return err
 	}
 	e.Comments = append(e.Comments, c)
@@ -526,37 +524,23 @@ func (r *Repository) Rating(id string) (avg float64, n int) {
 	return float64(sum) / float64(n), n
 }
 
-// RecordImpressions bumps the impression counter of each listed schema
-// (unknown IDs are ignored). Usage updates deliberately do not advance the
-// change feed: counters change on every search, and re-indexing for them
-// would be churn without benefit — the document index carries no usage.
-// On a durable repository the deltas coalesce into batched WAL records
-// rather than fsyncing per search (see durable.go): counters are durable
-// at flush and snapshot boundaries, not per increment.
-func (r *Repository) RecordImpressions(ids ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, id := range ids {
-		if e, ok := r.entries[id]; ok {
-			e.Usage.Impressions++
-			r.noteUsage(id, 1, 0)
-		}
-	}
-}
-
 // RecordSelection bumps the selection (click-through) counter. It reports
-// whether the schema exists. Durability is coalesced like
-// RecordImpressions.
-func (r *Repository) RecordSelection(id string) bool {
+// whether the schema exists; a selection that cannot be logged is not
+// counted and returns the error. Usage does not advance the change feed:
+// the document index carries no usage, so re-indexing for it would be
+// churn without benefit.
+func (r *Repository) RecordSelection(id string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[id]
 	if !ok {
-		return false
+		return false, nil
+	}
+	if err := r.logRecord(&walRecord{Op: opUsage, Usage: map[string]Usage{id: {Selections: 1}}}); err != nil {
+		return false, err
 	}
 	e.Usage.Selections++
-	r.noteUsage(id, 0, 1)
-	return true
+	return true, nil
 }
 
 // Usage returns a schema's interaction counters (zero for unknown IDs).

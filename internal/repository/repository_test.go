@@ -35,11 +35,11 @@ func TestPutGetDelete(t *testing.T) {
 	if r.Len() != 1 {
 		t.Errorf("Len = %d", r.Len())
 	}
-	if !r.Delete(id) {
-		t.Error("delete failed")
+	if ok, err := r.Delete(id); !ok || err != nil {
+		t.Errorf("delete: %v, %v", ok, err)
 	}
-	if r.Delete(id) {
-		t.Error("double delete should be false")
+	if ok, err := r.Delete(id); ok || err != nil {
+		t.Errorf("double delete: %v, %v; want false, nil", ok, err)
 	}
 	if r.Get(id) != nil || r.Len() != 0 {
 		t.Error("schema survived delete")
@@ -144,7 +144,9 @@ func TestTags(t *testing.T) {
 	r := New()
 	id1, _ := r.Put(sch("a", "x"))
 	id2, _ := r.Put(sch("b", "y"))
-	if !r.Tag(id1, "health", "clinic") || !r.Tag(id2, "health") {
+	ok1, _ := r.Tag(id1, "health", "clinic")
+	ok2, _ := r.Tag(id2, "health")
+	if !ok1 || !ok2 {
 		t.Fatal("tag failed")
 	}
 	r.Tag(id1, "health", "") // dup + empty ignored
@@ -157,8 +159,8 @@ func TestTags(t *testing.T) {
 	if got := r.ByTag("nope"); got != nil {
 		t.Errorf("ByTag(nope) = %v", got)
 	}
-	if r.Tag("missing", "t") {
-		t.Error("tagging a missing schema should be false")
+	if ok, err := r.Tag("missing", "t"); ok || err != nil {
+		t.Errorf("tagging a missing schema: %v, %v; want false, nil", ok, err)
 	}
 }
 
@@ -197,18 +199,16 @@ func TestUsageCounters(t *testing.T) {
 	id1, _ := r.Put(sch("a", "x"))
 	id2, _ := r.Put(sch("b", "y"))
 
-	r.RecordImpressions(id1, id2, "missing")
-	r.RecordImpressions(id1)
-	if !r.RecordSelection(id1) {
-		t.Fatal("selection failed")
+	if ok, err := r.RecordSelection(id1); !ok || err != nil {
+		t.Fatalf("selection: %v, %v", ok, err)
 	}
-	if r.RecordSelection("missing") {
-		t.Error("selection of missing schema should be false")
+	if ok, err := r.RecordSelection("missing"); ok || err != nil {
+		t.Errorf("selection of missing schema: %v, %v; want false, nil", ok, err)
 	}
-	if u := r.Usage(id1); u.Impressions != 2 || u.Selections != 1 {
+	if u := r.Usage(id1); u.Selections != 1 {
 		t.Errorf("usage(id1) = %+v", u)
 	}
-	if u := r.Usage(id2); u.Impressions != 1 || u.Selections != 0 {
+	if u := r.Usage(id2); u.Selections != 0 {
 		t.Errorf("usage(id2) = %+v", u)
 	}
 	if u := r.Usage("missing"); u != (Usage{}) {
@@ -216,7 +216,6 @@ func TestUsageCounters(t *testing.T) {
 	}
 	// Usage does not advance the change feed (no re-index churn).
 	before := r.Seq()
-	r.RecordImpressions(id1)
 	r.RecordSelection(id2)
 	if r.Seq() != before {
 		t.Error("usage recording advanced the change feed")
@@ -231,7 +230,7 @@ func TestUsageCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := r2.Usage(id1); u.Impressions != 3 || u.Selections != 1 {
+	if u := r2.Usage(id1); u.Selections != 1 {
 		t.Errorf("usage after reload = %+v", u)
 	}
 }
@@ -393,7 +392,7 @@ func TestConcurrentUse(t *testing.T) {
 }
 
 // TestEntryIsSafeBesideWriters reads Entry's counters, tags and comments
-// while RecordSelection, RecordImpressions, Tag and AddComment update the
+// while RecordSelection, Tag and AddComment update the
 // same entry; run under -race, reading the live entry after the lock is
 // released is a data race.
 func TestEntryIsSafeBesideWriters(t *testing.T) {
@@ -409,7 +408,6 @@ func TestEntryIsSafeBesideWriters(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			r.RecordSelection(id)
-			r.RecordImpressions(id)
 			r.Tag(id, fmt.Sprint("t", i))
 			if err := r.AddComment(id, Comment{Author: "a", Text: fmt.Sprint(i)}); err != nil {
 				t.Error(err)
@@ -420,7 +418,7 @@ func TestEntryIsSafeBesideWriters(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
 			e := r.Entry(id)
-			_ = e.Usage.Selections + e.Usage.Impressions
+			_ = e.Usage.Selections
 			for _, tag := range e.Tags {
 				_ = tag
 			}
@@ -430,7 +428,7 @@ func TestEntryIsSafeBesideWriters(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if e := r.Entry(id); e.Usage.Selections != n || e.Usage.Impressions != n || len(e.Tags) != n || len(e.Comments) != n {
+	if e := r.Entry(id); e.Usage.Selections != n || len(e.Tags) != n || len(e.Comments) != n {
 		t.Fatalf("after %d rounds: usage %+v, %d tags, %d comments", n, e.Usage, len(e.Tags), len(e.Comments))
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"schemr/internal/obs"
 )
 
 // TestRecoverEqualsLiveRandomized is the whole-store property test: seeded
@@ -51,9 +49,6 @@ func TestRecoverEqualsLiveRandomized(t *testing.T) {
 
 		// Snapshot + WAL tail.
 		randomOps(t, r, rng, 20+rng.Intn(40))
-		if err := r.FlushUsage(); err != nil {
-			t.Fatal(err)
-		}
 		want = dump(t, r)
 		got, stats = recoverAt(t, snap, walPath)
 		if d := dump(t, got); d != want || !stats.SnapshotLoaded {
@@ -187,38 +182,5 @@ func TestWALCorruptLengthDoesNotAllocate(t *testing.T) {
 	}
 	if !stats.TornTail || stats.TruncatedAt != 0 {
 		t.Errorf("stats = %+v, want a torn tail at 0", stats)
-	}
-}
-
-// Searches record impressions on every request; none of them may write
-// the WAL. The deltas wait for FlushUsage, which logs them as one record.
-func TestImpressionsNeverWrite(t *testing.T) {
-	dir := t.TempDir()
-	met := NewMetrics(obs.NewRegistry())
-	r, _, err := Recover(filepath.Join(dir, "repo.json"), filepath.Join(dir, "repo.wal"), met)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var ids []string
-	for i := 0; i < 10; i++ {
-		id, err := r.Put(sch("s", "a", string(rune('b'+i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	appends := met.Appends.Value()
-	for i := 0; i < 1000; i++ {
-		r.RecordImpressions(ids...)
-	}
-	if n := met.Appends.Value() - appends; n != 0 {
-		t.Fatalf("10 000 impressions appended %d WAL records", n)
-	}
-	if err := r.FlushUsage(); err != nil {
-		t.Fatal(err)
-	}
-	if n := met.Appends.Value() - appends; n != 1 {
-		t.Fatalf("FlushUsage appended %d WAL records, want 1", n)
 	}
 }

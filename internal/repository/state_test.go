@@ -89,7 +89,7 @@ func checkPrints(t *testing.T, r *Repository, complete bool) {
 
 // randomOps applies n seeded mutations across two tenants: fresh puts
 // (plain and deduplicating), replacing puts, deletes, tags, comments,
-// impressions and selections, API-key creation and revocation, feedback
+// selections, API-key creation and revocation, feedback
 // batches, and weight-set creation and promotion.
 func randomOps(t *testing.T, r *Repository, rng *rand.Rand, n int) {
 	t.Helper()
@@ -138,7 +138,9 @@ func randomOps(t *testing.T, r *Repository, rng *rand.Rand, n int) {
 				t.Fatal(err)
 			}
 		case op == 7:
-			r.RecordImpressions(pick(), pick(), "missing")
+			for _, id := range []string{pick(), pick(), "missing"} {
+				r.RecordSelection(id)
+			}
 		case op == 8:
 			r.RecordSelection(pick())
 		case op == 9:

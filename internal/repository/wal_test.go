@@ -1,6 +1,7 @@
 package repository
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,19 +39,17 @@ func TestRecoverRoundTripWithoutSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	idB, _ := r.Put(sch("orders", "sku", "qty"))
-	if !r.Tag(idA, "health", "demo") {
-		t.Fatal("tag failed")
+	if ok, err := r.Tag(idA, "health", "demo"); !ok || err != nil {
+		t.Fatalf("tag: %v, %v", ok, err)
 	}
 	if err := r.AddComment(idA, Comment{Author: "kc", Text: "nice", Rating: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Delete(idB) {
-		t.Fatal("delete failed")
+	if ok, err := r.Delete(idB); !ok || err != nil {
+		t.Fatalf("delete: %v, %v", ok, err)
 	}
-	r.RecordImpressions(idA)
-	r.RecordSelection(idA)
-	if err := r.FlushUsage(); err != nil {
-		t.Fatal(err)
+	if ok, err := r.RecordSelection(idA); !ok || err != nil {
+		t.Fatalf("select: %v, %v", ok, err)
 	}
 	want := dump(t, r)
 	// Crash simulation: no Close, no Save — the WAL is all there is.
@@ -66,7 +65,7 @@ func TestRecoverRoundTripWithoutSnapshot(t *testing.T) {
 	if d := dump(t, got); d != want {
 		t.Errorf("recovered state differs:\n got %s\nwant %s", d, want)
 	}
-	if u := got.Usage(idA); u.Impressions != 1 || u.Selections != 1 {
+	if u := got.Usage(idA); u.Selections != 1 {
 		t.Errorf("usage lost: %+v", u)
 	}
 	r.Close()
@@ -109,10 +108,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	ack()
 	r.AddComment(idB, Comment{Author: "a", Text: "hm", Rating: 2})
 	ack()
-	r.RecordImpressions(idA, idB)
-	if err := r.FlushUsage(); err != nil {
-		t.Fatal(err)
-	}
+	r.RecordSelection(idA)
 	ack()
 	r.Delete(idB)
 	ack()
@@ -237,16 +233,17 @@ func TestRecoverySkipsRecordsCoveredBySnapshot(t *testing.T) {
 	}
 }
 
-func TestUsageCoalescingFlushesBeforeStrongMutations(t *testing.T) {
+// TestSelectReplaceRecoverCountsOnce: a replace logs the merged entry,
+// counter included, after the selection's own record; recovery replays
+// both and must count the selection once.
+func TestSelectReplaceRecoverCountsOnce(t *testing.T) {
 	dir := t.TempDir()
 	snap, walPath := filepath.Join(dir, "repo.json"), filepath.Join(dir, "repo.wal")
 	r, _ := recoverAt(t, snap, walPath)
 	id, _ := r.Put(sch("a", "x"))
-	r.RecordImpressions(id)
-	r.RecordImpressions(id)
-	// The replace logs the merged entry (counters included); the pending
-	// deltas must be flushed before it, not after, or replay would add
-	// them twice.
+	if ok, err := r.RecordSelection(id); !ok || err != nil {
+		t.Fatalf("select: %v, %v", ok, err)
+	}
 	s2 := sch("a2", "x", "y")
 	s2.ID = id
 	if _, err := r.Put(s2); err != nil {
@@ -256,22 +253,21 @@ func TestUsageCoalescingFlushesBeforeStrongMutations(t *testing.T) {
 
 	got, _ := recoverAt(t, snap, walPath)
 	defer got.Close()
-	if u := got.Usage(id); u.Impressions != 2 {
-		t.Errorf("impressions = %d, want 2 (no double count)", u.Impressions)
+	if u := got.Usage(id); u.Selections != 1 {
+		t.Errorf("selections = %d, want 1 (no double count)", u.Selections)
 	}
 }
 
 func TestPutReplacePreservesUsage(t *testing.T) {
 	r := New()
 	id, _ := r.Put(sch("orders", "sku"))
-	r.RecordImpressions(id)
 	r.RecordSelection(id)
 	s2 := sch("orders-v2", "sku", "qty")
 	s2.ID = id
 	if _, err := r.Put(s2); err != nil {
 		t.Fatal(err)
 	}
-	if u := r.Usage(id); u.Impressions != 1 || u.Selections != 1 {
+	if u := r.Usage(id); u.Selections != 1 {
 		t.Errorf("usage zeroed on replace: %+v", u)
 	}
 }
@@ -349,4 +345,125 @@ func TestConcurrentPutDedupDurable(t *testing.T) {
 	if got.Len() != 9 { // 1 shared + 8 unique
 		t.Errorf("Len = %d, want 9", got.Len())
 	}
+}
+
+// TestMutationThatCannotBeLoggedFails closes the WAL's file under the
+// repository, so every append fails: Delete, Tag and RecordSelection must
+// return the error and apply nothing. The schema is still served, and a
+// repository recovered from the same files still holds it.
+func TestMutationThatCannotBeLoggedFails(t *testing.T) {
+	dir := t.TempDir()
+	snap, walPath := filepath.Join(dir, "repo.json"), filepath.Join(dir, "repo.wal")
+	r, _ := recoverAt(t, snap, walPath)
+	id, err := r.Put(sch("clinic", "patient", "height"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dump(t, r)
+	r.wal.f.Close()
+	if ok, err := r.Delete(id); ok || err == nil {
+		t.Errorf("Delete = %v, %v; want false and an error", ok, err)
+	}
+	if ok, err := r.Tag(id, "health"); ok || err == nil {
+		t.Errorf("Tag = %v, %v; want false and an error", ok, err)
+	}
+	if ok, err := r.RecordSelection(id); ok || err == nil {
+		t.Errorf("RecordSelection = %v, %v; want false and an error", ok, err)
+	}
+	if r.Get(id) == nil {
+		t.Fatal("a delete that was not logged removed the schema")
+	}
+	if d := dump(t, r); d != want {
+		t.Errorf("failed mutations changed the live state:\n got %s\nwant %s", d, want)
+	}
+
+	got, _ := recoverAt(t, snap, walPath)
+	defer got.Close()
+	if got.Get(id) == nil {
+		t.Fatal("recovered repository lost the schema")
+	}
+	if d := dump(t, got); d != want {
+		t.Errorf("recovered state:\n got %s\nwant %s", d, want)
+	}
+}
+
+// TestOldDataDirKeepsSelections recovers testdata/usage-v1, a data dir
+// written while searches counted impressions and usage deltas were
+// coalesced: its snapshot's entries carry impressions and selections, and
+// its WAL tail holds batched usage records, a replace and a delete each
+// logged while deltas were pending, a tag and a final flush. Recovery
+// must give the selections that writer counted, and a snapshot of the
+// recovered repository holds no impressions. The put decoder declines
+// the old entries that carry impressions, so encoding/json decodes them;
+// the rewritten snapshot's puts take the decoder's path again.
+func TestOldDataDirKeepsSelections(t *testing.T) {
+	dir := t.TempDir()
+	snap, walPath := filepath.Join(dir, "repository.json"), filepath.Join(dir, "repository.wal")
+	copyFile(t, filepath.Join("testdata", "usage-v1", "repository.json"), snap)
+	copyFile(t, filepath.Join("testdata", "usage-v1", "repository.wal"), walPath)
+	oldSnap, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, stats := recoverAt(t, snap, walPath)
+	defer r.Close()
+	if !stats.SnapshotLoaded || stats.Replayed != 7 || stats.TornTail {
+		t.Fatalf("stats = %+v, want the snapshot and 7 replayed records", stats)
+	}
+	want := map[string]int{"s000001": 3, "s000002": 3, "s000004": 2}
+	check := func(what string, r *Repository) {
+		t.Helper()
+		if ids := r.IDs(); len(ids) != len(want) {
+			t.Errorf("%s: ids %v, want %d", what, ids, len(want))
+		}
+		for id, n := range want {
+			if u := r.Usage(id); u.Selections != n {
+				t.Errorf("%s: %s selections = %d, want %d", what, id, u.Selections, n)
+			}
+		}
+		if r.Get("s000003") != nil {
+			t.Errorf("%s: deleted s000003 is served", what)
+		}
+		if s := r.Get("s000001"); s == nil || s.Name != "clinic-v2" {
+			t.Errorf("%s: s000001 = %v, want the replacement", what, s)
+		}
+		if e := r.Entry("s000002"); e == nil || len(e.Tags) != 1 {
+			t.Errorf("%s: s000002 lost its tag", what)
+		}
+	}
+	check("recovered", r)
+
+	if err := r.Snapshot(snap, 0); err != nil {
+		t.Fatal(err)
+	}
+	newSnap, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(newSnap, []byte("impressions")) {
+		t.Errorf("rewritten snapshot carries impressions:\n%s", newSnap)
+	}
+	declines := func(data []byte) (puts, declined int) {
+		for _, p := range frames(t, data) {
+			var rec walRecord
+			if !bytes.HasPrefix(p, []byte(`{"op":"put"`)) {
+				continue
+			}
+			puts++
+			if !new(putDecoder).decode(p, string(p), &rec) {
+				declined++
+			}
+		}
+		return puts, declined
+	}
+	if puts, declined := declines(oldSnap); declined != 4 || puts != 4 {
+		t.Errorf("old snapshot: decoder declined %d of %d puts, want all 4", declined, puts)
+	}
+	if puts, declined := declines(newSnap); declined != 0 || puts != 3 {
+		t.Errorf("rewritten snapshot: decoder declined %d of %d puts, want 0 of 3", declined, puts)
+	}
+	again, _ := recoverAt(t, snap, walPath)
+	defer again.Close()
+	check("rewritten", again)
 }

@@ -170,7 +170,7 @@ func (s *Server) writeJSONErr(w http.ResponseWriter, r *http.Request, e *apiErr)
 
 // v1Search decodes, validates and executes a search (GET query
 // parameters, a POST form or a POST JSON body) and answers one page of the
-// ranking. Every returned row is recorded as an impression.
+// ranking. A search writes nothing.
 func (s *Server) v1Search(w http.ResponseWriter, r *http.Request) {
 	req, aerr := decodeSearchRequest(w, r)
 	if aerr != nil {
@@ -204,10 +204,8 @@ func (s *Server) v1Search(w http.ResponseWriter, r *http.Request) {
 		TookMS:  float64(stats.Total().Microseconds()) / 1000,
 		Results: make([]ResultJSON, 0, len(results)),
 	}
-	ids := make([]string, len(results))
 	who := tenant.From(r.Context())
-	for i, res := range results {
-		ids[i] = res.ID
+	for _, res := range results {
 		rj := ResultJSON{
 			ID: displayID(who, res.ID), Score: res.Score, Name: res.Name,
 			Description: res.Description, Matches: res.NumMatches(),
@@ -228,11 +226,6 @@ func (s *Server) v1Search(w http.ResponseWriter, r *http.Request) {
 			DurationMS: float64(sp.Duration.Microseconds()) / 1000,
 			Attrs:      sp.Attrs,
 		})
-	}
-	// A read-only replica records no impressions: a locally logged usage
-	// record would claim the LSN the next replicated record needs.
-	if !s.cfg.ReadOnly {
-		s.engine.Repository().RecordImpressions(ids...)
 	}
 	s.writeJSON(w, r, http.StatusOK, data)
 }
@@ -362,7 +355,12 @@ func decodeImport(w http.ResponseWriter, r *http.Request) (*model.Schema, *apiEr
 }
 
 func (s *Server) v1Delete(w http.ResponseWriter, r *http.Request) {
-	if !s.engine.Repository().Delete(qualifiedID(r)) {
+	ok, err := s.engine.Repository().Delete(qualifiedID(r))
+	if err != nil {
+		s.writeJSONErr(w, r, internalErr(err))
+		return
+	}
+	if !ok {
 		s.writeJSONErr(w, r, notFound("no schema %q", r.PathValue("id")))
 		return
 	}
@@ -371,7 +369,12 @@ func (s *Server) v1Delete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v1Select(w http.ResponseWriter, r *http.Request) {
 	id := qualifiedID(r)
-	if !s.engine.Repository().RecordSelection(id) {
+	ok, err := s.engine.Repository().RecordSelection(id)
+	if err != nil {
+		s.writeJSONErr(w, r, internalErr(err))
+		return
+	}
+	if !ok {
 		s.writeJSONErr(w, r, notFound("no schema %q", r.PathValue("id")))
 		return
 	}

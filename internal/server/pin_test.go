@@ -22,7 +22,7 @@ import (
 // the shed gate and deadline, decode, the engine, the page's JSON encode —
 // on a warm engine. The recorder and request are built inside the
 // measured function, so their few allocations count too. The ceilings are
-// the counts measured over 60 runs: 231–232 (keywords) and 332–334
+// the counts measured over 30 runs: 230–231 (keywords) and 331–333
 // (fragment), the spread being the engine's scratch pools that a GC
 // empties mid-measurement, so each ceiling sits two above the highest
 // count seen. A change that raises them must say why; one
@@ -59,11 +59,11 @@ func TestSearchHandlerAllocs(t *testing.T) {
 		ceiling     float64
 	}{
 		{name: "GET keywords", method: http.MethodGet,
-			target: "/api/v1/search?q=order+date+total+customer", ceiling: 234},
+			target: "/api/v1/search?q=order+date+total+customer", ceiling: 233},
 		{name: "POST JSON fragment", method: http.MethodPost, target: "/api/v1/search",
 			contentType: "application/json",
 			body:        `{"q":"shipment","ddl":"CREATE TABLE product (id INT, name VARCHAR(32), price FLOAT, qty INT);"}`,
-			ceiling:     336},
+			ceiling:     335},
 	} {
 		var code, n int
 		serve := func() {

@@ -442,13 +442,13 @@ func TestListEndpoint(t *testing.T) {
 
 func TestUsageEndpoints(t *testing.T) {
 	ts, engine, ids := testServer(t)
-	// A search records impressions on returned results.
+	// A search counts nothing.
 	code, _, _ := get(t, ts.URL+"/api/v1/search?q=patient+height")
 	if code != 200 {
 		t.Fatal("search failed")
 	}
-	if u := engine.Repository().Usage(ids["clinic"]); u.Impressions != 1 {
-		t.Errorf("impressions = %+v", u)
+	if u := engine.Repository().Usage(ids["clinic"]); u != (repository.Usage{}) {
+		t.Errorf("usage after a search = %+v", u)
 	}
 	// A click-through records a selection.
 	code, body := postForm(t, ts.URL+"/api/v1/schema/"+ids["clinic"]+"/select", nil)

@@ -289,8 +289,8 @@ func TestOpenDurableCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Repo.Tag(id, "health") {
-		t.Fatal("tag failed")
+	if ok, err := sys.Repo.Tag(id, "health"); !ok || err != nil {
+		t.Fatalf("tag: %v, %v", ok, err)
 	}
 	// Crash simulation: no Save, no Close. The acknowledged import and tag
 	// exist only in the WAL.

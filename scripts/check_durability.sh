@@ -3,7 +3,8 @@
 # boot schemr-server on a fresh data directory, stream schema imports at it
 # while recording every id the server acknowledged (HTTP 200 received),
 # kill -9 the server mid-stream, restart it on the same directory, and fail
-# unless every acknowledged import survived recovery. A second phase proves
+# unless every acknowledged import survived recovery, and every schema
+# still counts at least the selections acknowledged for it. A second phase proves
 # the replication failover contract: a primary streams its WAL to a
 # read-only replica, the primary is kill -9'd mid-import-stream and
 # restarted, and the replica must catch up to every acknowledged import
@@ -59,12 +60,15 @@ boot_server
 # Stream imports; append each id to acked.txt ONLY after the 200 arrived.
 # The request in flight when the server dies gets no response and is
 # (correctly) not recorded — the contract covers acknowledged mutations.
-# The same stream also posts relevance-feedback events (one per import) and
-# records each acknowledged batch: feedback rides the same WAL, so the same
-# fsync-before-ack contract must hold for it.
+# The same stream also selects each imported schema (once, every third one
+# twice) and posts relevance-feedback events (one per import), recording
+# each acknowledged select and batch: both ride the same WAL, so the same
+# fsync-before-ack contract must hold for them.
 ACKED="$WORK/acked.txt"
+SEL_ACKED="$WORK/sel_acked.txt"
 FB_ACKED="$WORK/fb_acked.txt"
 : >"$ACKED"
+: >"$SEL_ACKED"
 : >"$FB_ACKED"
 (
     i=0
@@ -76,6 +80,12 @@ FB_ACKED="$WORK/fb_acked.txt"
             2>/dev/null)" || exit 0
         id="$(printf '%s' "$resp" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)"
         [ -n "$id" ] && printf '%s\n' "$id" >>"$ACKED"
+        for n in $(seq 1 $((1 + (i % 3 == 0)))); do
+            if [ -n "$id" ] && curl -fsS -X POST "http://$ADDR/api/v1/schema/$id/select" \
+                >/dev/null 2>&1; then
+                printf '%s\n' "$id" >>"$SEL_ACKED"
+            fi
+        done
         if [ -n "$id" ] && curl -fsS -X POST "http://$ADDR/api/v1/feedback" \
             -H 'Content-Type: application/json' \
             -d "{\"events\":[{\"query\":\"stream $i\",\"id\":\"$id\",\"rank\":1,\"selected\":true}]}" \
@@ -120,6 +130,22 @@ if [ "$MISSING" -gt 0 ]; then
     exit 1
 fi
 
+# Acknowledged selections survive: each schema counts at least as many as
+# were acknowledged for it (a select in flight at the kill may count too).
+SEL_N="$(wc -l <"$SEL_ACKED" | tr -d ' ')"
+SHORT=0
+while read -r want id; do
+    got="$(curl -fsS "http://$ADDR/api/v1/schema/$id" | grep -o '"selections":[0-9]*' | cut -d: -f2 || true)"
+    if [ "${got:-0}" -lt "$want" ]; then
+        echo "FAIL: schema $id counts ${got:-0} selections, $want were acknowledged" >&2
+        SHORT=$((SHORT + 1))
+    fi
+done < <(sort "$SEL_ACKED" | uniq -c)
+if [ "$SHORT" -gt 0 ]; then
+    echo "FAIL: $SHORT schemas lost acknowledged selections after kill -9." >&2
+    exit 1
+fi
+
 # Acknowledged feedback events survive too: the retained log must hold at
 # least as many events as batches were acked before the kill.
 FB_N="$(wc -l <"$FB_ACKED" | tr -d ' ')"
@@ -132,7 +158,7 @@ fi
 kill "$SERVER_PID" 2>/dev/null || true
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
-echo "OK: all $N acknowledged imports and $FB_N feedback events survived kill -9 + recovery."
+echo "OK: all $N acknowledged imports, $SEL_N selections and $FB_N feedback events survived kill -9 + recovery."
 
 # --- Phase 2: primary failover -----------------------------------------
 # A primary streams its WAL to a read-only replica. We kill -9 the
