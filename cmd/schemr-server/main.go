@@ -34,10 +34,9 @@
 // -learn-interval closes the relevance loop: click-throughs (and the
 // POST /api/v1/feedback batch route) are captured as durable WAL records,
 // a background trainer fits candidate matcher weights from them on the
-// given cadence, candidates shadow-score live searches (schemr_learn_*
-// metrics), and POST /api/v1/weights/promote — or -learn-auto-promote —
-// installs a candidate only when the evaluation gate shows no metric
-// regression.
+// given cadence and stores each as a versioned candidate (schemr_learn_*
+// metrics), and POST /api/v1/weights/promote installs a candidate only
+// when the evaluation gate shows no metric regression.
 //
 // Usage:
 //
@@ -48,7 +47,7 @@
 //	              [-auth -admin-key KEY] [-tenant-qps 25]
 //	              [-tenant-burst 50] [-tenant-inflight 8]
 //	              [-timeout 10s] [-max-inflight 64] [-slow 1s]
-//	              [-learn-interval 0] [-learn-auto-promote]
+//	              [-learn-interval 0]
 //	              [-metrics=true] [-pprof]
 package main
 
@@ -91,8 +90,7 @@ func main() {
 	tenantQPS := flag.Float64("tenant-qps", 25, "per-tenant sustained request rate before 429 (with -auth; non-positive disables)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant burst headroom above -tenant-qps (0 = 2x qps)")
 	tenantInflight := flag.Int("tenant-inflight", 8, "per-tenant concurrent request cap before 429 (with -auth; negative disables)")
-	learnInterval := flag.Duration("learn-interval", 0, "background relevance trainer interval: fit candidate matcher weights from accumulated feedback and shadow-score them (0 disables)")
-	learnAutoPromote := flag.Bool("learn-auto-promote", false, "with -learn-interval, promote each trained candidate automatically when the evaluation gate passes")
+	learnInterval := flag.Duration("learn-interval", 0, "background relevance trainer interval: fit candidate matcher weights from accumulated feedback and store them for gated promotion (0 disables)")
 	flag.Parse()
 	if *auth && *adminKey == "" {
 		log.Fatalf("schemr-server: -auth requires -admin-key (the bootstrap credential that mints tenant keys)")
@@ -143,7 +141,6 @@ func main() {
 		TenantInFlight:         *tenantInflight,
 		ReplicationOpen:        *replicationOpen,
 		LearnInterval:          *learnInterval,
-		LearnAutoPromote:       *learnAutoPromote,
 		Checkpoint:             func() error { return sys.Save(*data) },
 	})
 	stop := srv.StartIndexer(*sync)

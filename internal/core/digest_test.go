@@ -20,9 +20,9 @@ import (
 // pageDigestWant is the SHA-256 of every page in TestPageDigestPinned,
 // recorded from the allocating phase-2/3 matchers the per-worker scratch
 // kernels replaced. Any change to which schemas rank, in what order, with
-// which score, tightness or coverage bits, anchor or matched elements —
-// or to the shadow pass's deltas — changes it.
-const pageDigestWant = "7c8892294dd518e710cc627df29f99b20401170608f6f1bff1d9b1d23991ad04"
+// which score, tightness or coverage bits, anchor or matched elements
+// changes it.
+const pageDigestWant = "cc47f502e2df9d58e1424cda11dd06adaf3abf7470662e423d82d265215a19ee"
 
 // digestCorpus is a mixed seeded corpus: relational, hierarchical and
 // tangled schemas (disconnected parts, cycles, self-references, a
@@ -71,10 +71,9 @@ CREATE TABLE visit (id INT, patient INT, diagnosis TEXT);`},
 // TestPageDigestPinned pins the served pages of Engine.SearchWithStatsContext
 // across phase-2/3 rewrites: keyword and fragment queries over a seeded
 // corpus, under the default and the extended ensemble, with the popularity
-// boost on, with non-default tightness options, and with a shadow weight
-// set installed, hashed row by row — IDs, float64 bits of score,
-// tightness and coverage, the anchor, and every matched element's ref,
-// score bits, penalty bits and query index.
+// boost on, and with non-default tightness options, hashed row by row —
+// IDs, float64 bits of score, tightness and coverage, the anchor, and
+// every matched element's ref, score bits, penalty bits and query index.
 //
 // The digest is pinned on amd64 only, like TestRankingDigestPinned: other
 // architectures may fuse multiply-adds in the scoring arithmetic.
@@ -93,14 +92,11 @@ func TestPageDigestPinned(t *testing.T) {
 		name     string
 		opts     Options
 		extended bool
-		shadow   map[string]float64
 	}{
 		{name: "default"},
 		{name: "extended", extended: true},
 		{name: "popularity", opts: Options{PopularityBoost: 0.5}},
 		{name: "tightness", opts: Options{Tightness: tightness.Options{NearPenalty: 0.2, FarPenalty: 0.5, NearHops: 2, MatchThreshold: 0.3}}},
-		{name: "shadow", shadow: map[string]float64{"name": 2, "context": 1}},
-		{name: "extended-shadow", extended: true, shadow: map[string]float64{"name": 1, "context": 1, "exact": 3, "type": 0.5}},
 	}
 
 	h := sha256.New()
@@ -123,11 +119,6 @@ func TestPageDigestPinned(t *testing.T) {
 		if err := e.Reindex(); err != nil {
 			t.Fatal(err)
 		}
-		if v.shadow != nil {
-			if err := e.SetShadowWeights(1, v.shadow); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for _, in := range digestQueries {
 			q, err := query.Parse(in)
 			if err != nil {
@@ -140,8 +131,6 @@ func TestPageDigestPinned(t *testing.T) {
 			str(v.name)
 			put(uint64(len(page)))
 			put(uint64(stats.TotalRanked))
-			put(math.Float64bits(stats.ShadowScoreDelta))
-			put(uint64(stats.ShadowDisplaced))
 			for _, r := range page {
 				str(r.ID)
 				put(math.Float64bits(r.Score))

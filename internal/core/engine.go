@@ -160,16 +160,6 @@ type SearchStats struct {
 	PostingsSkipped  int
 	CandidatesPruned int
 	BlocksSkipped    int
-	// ShadowVersion, ShadowScoreDelta and ShadowDisplaced report the
-	// shadow-scoring pass over the served results: the candidate
-	// weight-set version scored against (0 = shadow off, no pass ran),
-	// the maximum absolute final-score difference between the candidate
-	// and serving weights, and how many served results would sit at a
-	// different rank under the candidate weights (same tie-break order).
-	// The served ranking itself is never affected.
-	ShadowVersion    uint64
-	ShadowScoreDelta float64
-	ShadowDisplaced  int
 	// PhaseExtract/PhaseMatch/PhaseTightness are the Figure 3 phase
 	// latencies.
 	PhaseExtract   time.Duration
@@ -199,16 +189,9 @@ type Engine struct {
 	idx     *index.Index
 	indexes map[string]*index.Index
 
-	mu       sync.RWMutex // guards ensemble (weights), shadow, cursor, idx and indexes
+	mu       sync.RWMutex // guards ensemble (weights), cursor, idx and indexes
 	ensemble *match.Ensemble
 	cursor   uint64 // repository change-feed position already indexed
-
-	// shadow is the candidate ensemble under evaluation (nil = none):
-	// searches recombine each served result's per-matcher matrices with it
-	// and log the score/rank deltas, while the served ranking stays on
-	// ensemble. shadowVersion is the candidate weight-set version.
-	shadow        *match.Ensemble
-	shadowVersion uint64
 
 	// scratch pools the phase-2/3 worker scratches (*scratch) across
 	// searches.
@@ -286,48 +269,12 @@ func (e *Engine) SetWeights(w map[string]float64) error {
 	return nil
 }
 
-// SetShadowWeights installs a candidate weight table for shadow scoring:
-// subsequent searches serve the current ranking but additionally recombine
-// each served result's per-matcher matrices under the candidate weights
-// and report the score/rank deltas (SearchStats, schemr_learn_* metrics).
-// version tags the deltas with the candidate weight-set version.
-func (e *Engine) SetShadowWeights(version uint64, w map[string]float64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	sh, err := e.ensemble.WithWeights(w)
-	if err != nil {
-		return err
-	}
-	e.shadow = sh
-	e.shadowVersion = version
-	return nil
-}
-
-// ClearShadowWeights stops shadow scoring.
-func (e *Engine) ClearShadowWeights() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.shadow = nil
-	e.shadowVersion = 0
-}
-
-// ShadowVersion returns the candidate weight-set version currently shadow
-// scoring (0 = none).
-func (e *Engine) ShadowVersion() uint64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.shadowVersion
-}
-
 // SetEnsemble replaces the matcher ensemble — the evaluation harness uses
-// this to run matcher ablations. Any shadow ensemble is cleared: it was
-// built over the replaced ensemble's matchers.
+// this to run matcher ablations.
 func (e *Engine) SetEnsemble(en *match.Ensemble) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ensemble = en
-	e.shadow = nil
-	e.shadowVersion = 0
 }
 
 // SchemaDocument flattens a schema into its index document: a title, a
@@ -801,16 +748,14 @@ func (e *Engine) SearchWithStatsContext(ctx context.Context, q *query.Query, lim
 	}
 	e.mu.RLock()
 	ensemble := e.ensemble
-	shadowEns, shadowVersion := e.shadow, e.shadowVersion
 	e.mu.RUnlock()
-	return e.searchWithEnsemble(ctx, q, limit, ensemble, shadowEns, shadowVersion)
+	return e.searchWithEnsemble(ctx, q, limit, ensemble)
 }
 
 // RankWith runs the full three-phase search scoring phases 2–3 with the
 // given weight table instead of the installed one (nil means the installed
 // weights) — the eval harness's gate probes candidate weight sets through
-// it without touching serving state. No search metrics are recorded and no
-// shadow pass runs.
+// it without touching serving state. No search metrics are recorded.
 func (e *Engine) RankWith(ctx context.Context, q *query.Query, limit int, w map[string]float64) ([]Result, error) {
 	e.mu.RLock()
 	ens := e.ensemble
@@ -822,14 +767,13 @@ func (e *Engine) RankWith(ctx context.Context, q *query.Query, limit int, w map[
 			return nil, err
 		}
 	}
-	res, _, err := e.searchWithEnsemble(ctx, q, limit, ens, nil, 0)
+	res, _, err := e.searchWithEnsemble(ctx, q, limit, ens)
 	return res, err
 }
 
 // searchWithEnsemble is the shared search body: phases 1–3 scored with the
-// given ensemble, plus (when shadowEns is non-nil) the shadow pass over
-// the served results.
-func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit int, ensemble, shadowEns *match.Ensemble, shadowVersion uint64) (_ []Result, stats SearchStats, err error) {
+// given ensemble.
+func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit int, ensemble *match.Ensemble) (_ []Result, stats SearchStats, err error) {
 	// The request context selects the namespace to search: the tenant's
 	// own index, or the default one for unauthenticated and admin
 	// callers. A tenant with no indexed documents yet has no index and
@@ -927,15 +871,11 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 		if entry == nil {
 			return // deleted between index snapshot and now
 		}
-		// Popularity is read once, before matching: the served score and
-		// the shadow pass both use this value, so a selection recorded
-		// meanwhile cannot make them disagree.
+		// Popularity is read once, before matching, so a selection
+		// recorded meanwhile cannot change this candidate's score.
 		c := candidate{hit: hits[i], entry: entry, pop: e.popularity(hits[i].ID)}
 		sc := scs[w]
 		m := ensemble.MatchInto(&sc.match, qa, entry.profile)
-		if shadowEns != nil {
-			c.mats = sc.match.CopyMatrices()
-		}
 		elements.Add(int64(len(m.Schema)))
 		matched := time.Now()
 		c.t = sc.keep(sc.tightness.Score(entry.profile, m, e.opts.Tightness))
@@ -960,9 +900,6 @@ func (e *Engine) searchWithEnsemble(ctx context.Context, q *query.Query, limit i
 	start = time.Now()
 	ranked := rankResults(cands, limit, &stats)
 	stats.PhaseTightness += time.Since(start)
-	if shadowEns != nil {
-		e.shadowScore(&scs[0].tightness, ranked, cands, qa, shadowEns, shadowVersion, &stats)
-	}
 	return ranked, stats, nil
 }
 

@@ -20,15 +20,6 @@ import (
 type engineMetrics struct {
 	reg *obs.Registry
 
-	// Shadow-scoring families (global: the candidate weight set under
-	// evaluation is a deployment property, not a tenant one). Searches
-	// that ran a shadow pass, the max |score delta| between candidate and
-	// serving weights over the served results, and how many served
-	// results the candidate weights would re-rank.
-	shadowSearches  *obs.Counter
-	shadowDelta     *obs.Histogram
-	shadowDisplaced *obs.Histogram
-
 	// tenants maps tenant metric label -> *tenantSearchMetrics.
 	tenants sync.Map
 }
@@ -47,17 +38,7 @@ type tenantSearchMetrics struct {
 
 // newEngineMetrics registers the engine metric families on reg.
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
-	m := &engineMetrics{
-		reg: reg,
-		shadowSearches: reg.Counter("schemr_learn_shadow_searches_total",
-			"Searches that additionally scored served results under a candidate weight set.", nil),
-		shadowDelta: reg.Histogram("schemr_learn_shadow_score_delta",
-			"Max absolute final-score difference between candidate and serving weights over one search's served results.",
-			[]float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1}, nil),
-		shadowDisplaced: reg.Histogram("schemr_learn_shadow_rank_displacement",
-			"Served results a candidate weight set would place at a different rank, per shadow-scored search.",
-			[]float64{0, 1, 2, 5, 10, 25}, nil),
-	}
+	m := &engineMetrics{reg: reg}
 	m.tenant("default") // eager: families render before the first search
 	return m
 }
@@ -107,11 +88,6 @@ func (m *engineMetrics) record(label string, stats SearchStats, err error) {
 	t.phaseTightness.ObserveDuration(stats.PhaseTightness)
 	t.candidates.Add(uint64(stats.Candidates))
 	t.elementsScored.Add(uint64(stats.ElementsScored))
-	if stats.ShadowVersion != 0 {
-		m.shadowSearches.Inc()
-		m.shadowDelta.Observe(stats.ShadowScoreDelta)
-		m.shadowDisplaced.Observe(float64(stats.ShadowDisplaced))
-	}
 }
 
 // traceSearch mirrors one search's phase stats into a request trace as

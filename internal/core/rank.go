@@ -16,14 +16,12 @@ import (
 // candidate is one phase-1 hit carried through phases 2 and 3: its
 // profile-cache entry, the popularity multiplier read before matching,
 // and the phase-3 scores. t.Matched lives in the arena of the worker
-// scratch that scored it. mats holds copies of the per-matcher matrices
-// for the shadow pass (nil when shadow scoring is off); otherwise no
-// matrix outlives the candidate's turn in its worker's scratch.
+// scratch that scored it; no matrix outlives the candidate's turn in its
+// worker's scratch.
 type candidate struct {
 	hit   index.Hit
 	entry *cached // nil: deleted before matching, or never dispatched
 	pop   float64
-	mats  []*match.Matrix
 	t     tightness.Result
 	cov   float64
 	final float64
@@ -74,9 +72,9 @@ func (sc *scratch) keep(t tightness.Result) tightness.Result {
 //
 //	final = tightness × coverage^exp × pop
 //
-// (the coverage factor is skipped when the exponent is negative). Serving,
-// the shadow pass and Explain all score through it, and their tightness
-// through one kernel, so they agree by construction.
+// (the coverage factor is skipped when the exponent is negative). Serving
+// and Explain both score through it, and their tightness through one
+// kernel, so they agree by construction.
 func (e *Engine) finalScore(t tightness.Result, m *match.Matrix, pop float64) (cov, final float64) {
 	cov = e.coverage(m)
 	final = t.Score
@@ -175,57 +173,4 @@ func rankResults(cands []candidate, limit int, stats *SearchStats) []Result {
 		results[i] = ranked[i].result()
 	}
 	return results
-}
-
-// shadowScore rescores the served results under the candidate (shadow)
-// weight table and records the deltas into stats. Per result it recombines
-// the retained per-matcher matrices with the shadow weights and runs
-// finalScore with the popularity the served score used, so candidate ==
-// serving weights yields exactly zero deltas. The served slice is never
-// reordered or rescored; only stats change.
-func (e *Engine) shadowScore(sc *tightness.Scratch, served []Result, cands []candidate, qa *match.QueryArtifacts, shadowEns *match.Ensemble, shadowVersion uint64, stats *SearchStats) {
-	stats.ShadowVersion = shadowVersion
-	if len(served) == 0 {
-		return
-	}
-	byID := make(map[string]*candidate, len(cands))
-	for i := range cands {
-		if c := &cands[i]; c.entry != nil {
-			byID[c.hit.ID] = c
-		}
-	}
-	shadowScores := make([]float64, len(served))
-	maxDelta := 0.0
-	for i, res := range served {
-		c := byID[res.ID]
-		p := c.entry.profile
-		m := shadowEns.CombineMatrices(qa.Elements(), p.Elements(), c.mats)
-		_, shadowScores[i] = e.finalScore(sc.Score(p, m, e.opts.Tightness), m, c.pop)
-		maxDelta = max(maxDelta, math.Abs(shadowScores[i]-res.Score))
-	}
-	// Rank displacement: order the served set by shadow score with the
-	// serving tie-breaks and count positions that moved. Equal scores keep
-	// the served order (stable sort), so identical weights displace nothing.
-	order := make([]int, len(served))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if shadowScores[ia] != shadowScores[ib] {
-			return shadowScores[ia] > shadowScores[ib]
-		}
-		if served[ia].Coarse != served[ib].Coarse {
-			return served[ia].Coarse > served[ib].Coarse
-		}
-		return served[ia].ID < served[ib].ID
-	})
-	displaced := 0
-	for pos, idx := range order {
-		if pos != idx {
-			displaced++
-		}
-	}
-	stats.ShadowScoreDelta = maxDelta
-	stats.ShadowDisplaced = displaced
 }

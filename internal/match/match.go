@@ -271,8 +271,8 @@ func (sc *Scratch) matrices() []*Matrix {
 }
 
 // CopyMatrices returns fresh copies of the per-matcher matrices of sc's
-// last match, in ensemble order — what CombineMatrices recombines under
-// another weight table once sc has moved on to the next candidate.
+// last match, in ensemble order, that stay valid after sc moves on to the
+// next candidate.
 func (sc *Scratch) CopyMatrices() []*Matrix {
 	mats := sc.matrices()
 	out := make([]*Matrix, len(mats))
@@ -283,20 +283,6 @@ func (sc *Scratch) CopyMatrices() []*Matrix {
 		}
 		out[i] = c
 	}
-	return out
-}
-
-// CombineMatrices merges per-matcher matrices (in ensemble order, as
-// Scratch.CopyMatrices returns them) with this ensemble's current weight
-// table, on fresh memory. Combined with WithWeights it is the
-// shadow-scoring primitive: one set of matcher evaluations, two
-// weightings, identical arithmetic to MatchInto.
-func (e *Ensemble) CombineMatrices(qe []query.Element, se []model.Element, mats []*Matrix) *Matrix {
-	if len(mats) != len(e.matchers) {
-		panic(fmt.Sprintf("match: CombineMatrices got %d matrices for %d matchers", len(mats), len(e.matchers)))
-	}
-	out := new(grid).reshape(qe, se)
-	combine(out, mats, e.weightsInto(nil))
 	return out
 }
 
@@ -312,8 +298,8 @@ func (e *Ensemble) weightsInto(w []float64) []float64 {
 // combine writes into dst the per-cell weighted average over the matchers
 // with an opinion, with mats and w aligned in ensemble order; a nil
 // matrix is a matcher with no opinion anywhere. Every combined matrix —
-// served, shadow, progressive — is this arithmetic, so their scores are
-// identical.
+// served, explained, the oracles' — is this arithmetic, so their scores
+// are identical.
 func combine(dst *Matrix, mats []*Matrix, w []float64) {
 	for qi, out := range dst.Scores {
 		for si := range out {

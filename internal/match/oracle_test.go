@@ -19,9 +19,11 @@ type oracle interface {
 }
 
 // Match runs every matcher's oracle and combines the similarity matrices
-// with the ensemble's weights.
+// with the ensemble's weights, on fresh memory.
 func (e *Ensemble) Match(q *query.Query, s *model.Schema) *Matrix {
-	return e.CombineMatrices(q.Elements(), s.Elements(), e.MatchMatrices(q, s))
+	out := new(grid).reshape(q.Elements(), s.Elements())
+	combine(out, e.MatchMatrices(q, s), e.weightsInto(nil))
+	return out
 }
 
 // MatchMatrices runs every matcher's oracle and returns the matrices in

@@ -21,6 +21,11 @@ import (
 // map; recovery is snapshot + replay of records the snapshot does not
 // already cover, decided by each record's log sequence number (LSN).
 
+// ErrUnavailable wraps every failure to log a mutation (encoding, write or
+// fsync): the mutation was not applied, and the fault is the storage's,
+// not the caller's input. Test for it with errors.Is.
+var ErrUnavailable = errors.New("repository unavailable")
+
 // walRecord is one logged mutation. Op selects which fields are
 // meaningful. Records carry final state (the merged entry, the full tag
 // set, the completed comment) rather than operation arguments, so replay
@@ -298,7 +303,8 @@ func (r *Repository) applyRecord(d *decoded) error {
 // logRecord marshals rec, assigns it the next LSN and appends it to the
 // WAL (fsynced). No-op without an attached WAL. Callers hold the write
 // lock and must apply the mutation only after logRecord returns nil —
-// nothing unlogged may become visible.
+// nothing unlogged may become visible. Every error it returns wraps
+// ErrUnavailable.
 func (r *Repository) logRecord(rec *walRecord) error {
 	if r.wal == nil {
 		return nil
@@ -306,10 +312,10 @@ func (r *Repository) logRecord(rec *walRecord) error {
 	rec.Lsn = r.lsn + 1
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("repository: wal encode: %w", err)
+		return fmt.Errorf("%w: wal encode: %w", ErrUnavailable, err)
 	}
 	if err := r.wal.append(append(payload, '\n')); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
 	}
 	r.lsn = rec.Lsn
 	r.retainLocked(rec.Lsn, payload)

@@ -37,8 +37,7 @@ type FeedbackEvent struct {
 
 // WeightSet is one versioned ensemble weight table. Versions are assigned
 // monotonically by AddWeightSet; the promoted version is tracked
-// separately so candidates can accumulate (and shadow-score) without
-// touching serving.
+// separately so candidates can accumulate without touching serving.
 type WeightSet struct {
 	Version   uint64             `json:"version"`
 	Weights   map[string]float64 `json:"weights"`

@@ -2,11 +2,14 @@ package repository
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"schemr/internal/model"
 )
 
 func recoverAt(t *testing.T, snapshotPath, walPath string) (*Repository, RecoveryStats) {
@@ -361,14 +364,20 @@ func TestMutationThatCannotBeLoggedFails(t *testing.T) {
 	}
 	want := dump(t, r)
 	r.wal.f.Close()
-	if ok, err := r.Delete(id); ok || err == nil {
-		t.Errorf("Delete = %v, %v; want false and an error", ok, err)
+	if ok, err := r.Delete(id); ok || !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Delete = %v, %v; want false and ErrUnavailable", ok, err)
 	}
-	if ok, err := r.Tag(id, "health"); ok || err == nil {
-		t.Errorf("Tag = %v, %v; want false and an error", ok, err)
+	if ok, err := r.Tag(id, "health"); ok || !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Tag = %v, %v; want false and ErrUnavailable", ok, err)
 	}
-	if ok, err := r.RecordSelection(id); ok || err == nil {
-		t.Errorf("RecordSelection = %v, %v; want false and an error", ok, err)
+	if ok, err := r.RecordSelection(id); ok || !errors.Is(err, ErrUnavailable) {
+		t.Errorf("RecordSelection = %v, %v; want false and ErrUnavailable", ok, err)
+	}
+	if _, err := r.Put(sch("lab", "sample", "volume")); !errors.Is(err, ErrUnavailable) {
+		t.Errorf("Put = %v; want ErrUnavailable", err)
+	}
+	if _, err := r.Put(&model.Schema{}); err == nil || errors.Is(err, ErrUnavailable) {
+		t.Errorf("invalid Put = %v; want a validation error", err)
 	}
 	if r.Get(id) == nil {
 		t.Fatal("a delete that was not logged removed the schema")

@@ -308,7 +308,7 @@ func (s *Server) v1Import(w http.ResponseWriter, r *http.Request) {
 	who := tenant.From(r.Context())
 	id, err := s.engine.Repository().PutTenant(who.ID, schema)
 	if err != nil {
-		s.writeJSONErr(w, r, badRequest("%v", err))
+		s.writeJSONErr(w, r, repoErr(err))
 		return
 	}
 	// The response shows the bare ID the client will use on every other

@@ -77,7 +77,12 @@ func TestSearchWritesNothing(t *testing.T) {
 // TestMutationThatCannotBeLoggedAnswers500 serves a repository whose WAL
 // is /dev/full, so every append fails with ENOSPC: a delete and a select
 // of a stored schema must answer 500 internal, not 404, and leave it
-// served.
+// served; an import and a weight proposal answer 500, not 400, while a
+// malformed import still answers 400; and a promotion that passes the gate
+// but cannot be logged answers 500 and leaves the serving weights alone.
+// The stored weight set {2,2} ranks exactly like the serving {1,1} (the
+// combine is a weighted mean), so the gate passes; the schema has the four
+// elements the gate's workload needs.
 func TestMutationThatCannotBeLoggedAnswers500(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full")
@@ -85,8 +90,11 @@ func TestMutationThatCannotBeLoggedAnswers500(t *testing.T) {
 	snap := filepath.Join(t.TempDir(), "repository.json")
 	mem := repository.New()
 	id, err := mem.Put(&model.Schema{Name: "clinic", Entities: []*model.Entity{{Name: "patient",
-		Attributes: []*model.Attribute{{Name: "id"}, {Name: "height"}}}}})
+		Attributes: []*model.Attribute{{Name: "id"}, {Name: "height"}, {Name: "gender"}}}}})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.AddWeightSet(repository.WeightSet{Weights: map[string]float64{"name": 2, "context": 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := mem.Save(snap); err != nil {
@@ -119,5 +127,21 @@ func TestMutationThatCannotBeLoggedAnswers500(t *testing.T) {
 	}
 	if u := repo.Usage(id); u.Selections != 0 {
 		t.Errorf("failed select counted: %+v", u)
+	}
+
+	code, body = postForm(t, ts.URL+"/api/v1/schemas", url.Values{"name": {"lab"}, "ddl": {"CREATE TABLE sample (id INT, patient INT);"}})
+	wantErrEnvelope(t, code, body, http.StatusInternalServerError, "internal")
+	code, body = postForm(t, ts.URL+"/api/v1/schemas", url.Values{"name": {"lab"}, "ddl": {"CREATE TABLE ("}})
+	wantErrEnvelope(t, code, body, http.StatusBadRequest, "bad_request")
+	code, body = postJSON(t, ts.URL+"/api/v1/weights", `{"weights":{"name":3,"context":1}}`)
+	wantErrEnvelope(t, code, body, http.StatusInternalServerError, "internal")
+
+	code, body = postJSON(t, ts.URL+"/api/v1/weights/promote", `{"version":1}`)
+	wantErrEnvelope(t, code, body, http.StatusInternalServerError, "internal")
+	if w := engine.Ensemble().Weights(); w["name"] != 1 || w["context"] != 1 {
+		t.Errorf("serving weights after the failed promotion: %v, want name 1, context 1", w)
+	}
+	if v := repo.PromotedVersion(); v != 0 {
+		t.Errorf("promoted version after the failed promotion: %d", v)
 	}
 }

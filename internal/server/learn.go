@@ -19,10 +19,11 @@ import (
 
 // The relevance loop (DESIGN.md §13): click-through feedback is captured
 // as durable WAL records, a background trainer periodically fits candidate
-// matcher weights from it, candidates shadow-score live searches, and a
-// metric gate decides promotion to serving. This file holds the serving
-// half — the feedback and weight-management routes, the trainer loop and
-// the promotion gate; the scoring half lives in internal/core.
+// matcher weights from it and stores each as a versioned weight set, and an
+// operator's promotion through a metric gate is the one way a stored set
+// starts serving. This file holds the feedback and weight-management
+// routes, the trainer loop and the promotion gate; the scoring half lives
+// in internal/core.
 
 const (
 	// learnMinSelected is how many selected (clicked) feedback events the
@@ -194,10 +195,8 @@ type WeightSetJSON struct {
 type WeightsJSON struct {
 	Serving         map[string]float64 `json:"serving"`
 	PromotedVersion uint64             `json:"promoted_version,omitempty"`
-	ShadowVersion   uint64             `json:"shadow_version,omitempty"`
 	LatestVersion   uint64             `json:"latest_version,omitempty"`
 	FeedbackEvents  int                `json:"feedback_events"`
-	AutoPromote     bool               `json:"auto_promote,omitempty"`
 	Sets            []WeightSetJSON    `json:"sets,omitempty"`
 }
 
@@ -213,10 +212,8 @@ func (s *Server) v1Weights(w http.ResponseWriter, r *http.Request) {
 	data := WeightsJSON{
 		Serving:         s.engine.Ensemble().Weights(),
 		PromotedVersion: repo.PromotedVersion(),
-		ShadowVersion:   s.engine.ShadowVersion(),
 		LatestVersion:   repo.WeightVersion(),
 		FeedbackEvents:  repo.FeedbackCount(),
-		AutoPromote:     s.cfg.LearnAutoPromote,
 	}
 	for _, ws := range repo.WeightSets() {
 		data.Sets = append(data.Sets, weightSetJSON(ws))
@@ -225,8 +222,8 @@ func (s *Server) v1Weights(w http.ResponseWriter, r *http.Request) {
 }
 
 // v1ProposeWeights stores an explicit candidate weight set (Source "api")
-// and starts shadow scoring it — the manual entry into the same versioned
-// pipeline the trainer feeds. Serving is untouched until promotion.
+// — the manual entry into the same versioned pipeline the trainer feeds.
+// Serving is untouched until promotion.
 func (s *Server) v1ProposeWeights(w http.ResponseWriter, r *http.Request) {
 	var in struct {
 		Weights map[string]float64 `json:"weights"`
@@ -246,11 +243,8 @@ func (s *Server) v1ProposeWeights(w http.ResponseWriter, r *http.Request) {
 		Weights: in.Weights, Source: "api",
 	})
 	if err != nil {
-		s.writeJSONErr(w, r, badRequest("%v", err))
+		s.writeJSONErr(w, r, repoErr(err))
 		return
-	}
-	if err := s.engine.SetShadowWeights(version, in.Weights); err != nil {
-		s.cfg.Logger.Printf("server: shadow weights v%d: %v", version, err)
 	}
 	s.learnMet.weightVersion.Set(int64(version))
 	ws, _ := s.engine.Repository().LatestWeightSet()
@@ -293,13 +287,12 @@ func (s *Server) v1PromoteWeights(w http.ResponseWriter, r *http.Request) {
 // --- background trainer ---
 
 // StartLearner launches the relevance loop's trainer: every interval it
-// fits candidate weights from the accumulated feedback, stores them as a
-// new versioned weight set and starts shadow scoring them (promotion stays
-// gated; Config.LearnAutoPromote runs the gate automatically). The
-// returned stop function halts it and is idempotent; the loop also stops
-// at shutdown. A non-positive interval — or a read-only replica, whose
-// local WAL writes would fork the replicated LSN sequence — makes it a
-// no-op.
+// fits candidate weights from the accumulated feedback and stores them as
+// a new versioned weight set; serving changes only when one is promoted
+// through the gate. The returned stop function halts it and is
+// idempotent; the loop also stops at shutdown. A non-positive interval —
+// or a read-only replica, whose local WAL writes would fork the
+// replicated LSN sequence — makes it a no-op.
 func (s *Server) StartLearner(interval time.Duration) (stop func()) {
 	if interval <= 0 || s.cfg.ReadOnly {
 		return func() {}
@@ -348,6 +341,7 @@ func weightsEqual(a, b map[string]float64) bool {
 // round is idempotent on an unchanged feedback log.
 func (s *Server) learnOnce() {
 	s.trainMu.Lock()
+	defer s.trainMu.Unlock()
 	repo := s.engine.Repository()
 	events := repo.Feedback()
 	selected := 0
@@ -357,47 +351,34 @@ func (s *Server) learnOnce() {
 		}
 	}
 	if selected < learnMinSelected {
-		s.trainMu.Unlock()
 		s.learnMet.rounds["skipped"].Inc()
 		return
 	}
 	w, n, err := s.engine.TrainFromFeedback(events, learnNegatives, learn.Options{Seed: learnSeed})
 	if err != nil {
-		s.trainMu.Unlock()
 		s.learnMet.rounds["error"].Inc()
 		s.cfg.Logger.Printf("server: learner: %v", err)
 		return
 	}
 	if last, ok := repo.LatestWeightSet(); ok && weightsEqual(last.Weights, w) {
-		s.trainMu.Unlock()
 		s.learnMet.rounds["skipped"].Inc()
 		return
 	}
 	version, err := repo.AddWeightSet(repository.WeightSet{Weights: w, Examples: n, Source: "trainer"})
 	if err != nil {
-		s.trainMu.Unlock()
 		s.learnMet.rounds["error"].Inc()
 		s.cfg.Logger.Printf("server: learner: store weight set: %v", err)
 		return
 	}
-	if err := s.engine.SetShadowWeights(version, w); err != nil {
-		s.cfg.Logger.Printf("server: learner: shadow weights v%d: %v", version, err)
-	}
 	s.learnMet.weightVersion.Set(int64(version))
 	s.learnMet.rounds["trained"].Inc()
-	s.trainMu.Unlock()
-	if s.cfg.LearnAutoPromote {
-		if aerr := s.promoteVersion(version); aerr != nil {
-			s.cfg.Logger.Printf("server: learner: auto-promote v%d: %s", version, aerr.msg)
-		}
-	}
 }
 
 // --- promotion gate ---
 
 // promoteVersion runs the evaluation gate for one stored weight set and,
-// if it passes, installs the set as the serving weights, records the
-// promotion durably, and retires it from shadow scoring.
+// if it passes, records the promotion durably and then installs the set as
+// the serving weights: a promotion that cannot be logged changes nothing.
 func (s *Server) promoteVersion(version uint64) *apiErr {
 	s.trainMu.Lock()
 	defer s.trainMu.Unlock()
@@ -423,14 +404,14 @@ func (s *Server) promoteVersion(version uint64) *apiErr {
 		return &apiErr{status: http.StatusConflict, code: "gate_failed",
 			msg: fmt.Sprintf("promotion gate failed: candidate v%d scored %v vs serving %v", version, cand, cur)}
 	}
-	if err := s.engine.SetWeights(ws.Weights); err != nil {
+	if _, err := s.engine.Ensemble().WithWeights(ws.Weights); err != nil {
 		return badRequest("%v", err)
 	}
 	if err := repo.PromoteWeights(version); err != nil {
 		return internalErr(err)
 	}
-	if s.engine.ShadowVersion() == version {
-		s.engine.ClearShadowWeights()
+	if err := s.engine.SetWeights(ws.Weights); err != nil {
+		return internalErr(err)
 	}
 	s.learnMet.promotions["promoted"].Inc()
 	return nil

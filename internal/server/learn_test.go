@@ -106,8 +106,9 @@ func TestSelectCapturesFeedback(t *testing.T) {
 }
 
 // TestV1WeightsLifecycle drives the manual half of the loop end to end:
-// inspect → propose (starts shadow scoring) → promote through the gate.
-// The candidate equals the serving weights, so the gate must pass.
+// inspect → propose (stored, not serving) → promote through the gate.
+// The candidate doubles the serving weights, which ranks identically (the
+// combine is a weighted mean), so the gate must pass.
 func TestV1WeightsLifecycle(t *testing.T) {
 	ts, engine, _ := testServer(t)
 	code, body, _ := get(t, ts.URL+"/api/v1/weights")
@@ -115,7 +116,7 @@ func TestV1WeightsLifecycle(t *testing.T) {
 		t.Fatalf("weights status %d: %s", code, body)
 	}
 	data := weightsData(t, body)
-	if data.LatestVersion != 0 || data.PromotedVersion != 0 || data.ShadowVersion != 0 {
+	if data.LatestVersion != 0 || data.PromotedVersion != 0 {
 		t.Fatalf("fresh state = %+v", data)
 	}
 	if data.Serving["name"] != 1 || data.Serving["context"] != 1 {
@@ -132,7 +133,7 @@ func TestV1WeightsLifecycle(t *testing.T) {
 		wantErrEnvelope(t, code, body, 400, "bad_request")
 	}
 
-	code, body = postJSON(t, ts.URL+"/api/v1/weights", `{"weights":{"name":1,"context":1}}`)
+	code, body = postJSON(t, ts.URL+"/api/v1/weights", `{"weights":{"name":2,"context":2}}`)
 	if code != 201 {
 		t.Fatalf("propose status %d: %s", code, body)
 	}
@@ -143,8 +144,13 @@ func TestV1WeightsLifecycle(t *testing.T) {
 	if ws.Version != 1 || ws.Source != "api" || ws.CreatedAt.IsZero() {
 		t.Fatalf("stored set = %+v", ws)
 	}
-	if v := engine.ShadowVersion(); v != 1 {
-		t.Fatalf("proposal did not start shadow scoring: version %d", v)
+	code, body, _ = get(t, ts.URL+"/api/v1/weights")
+	if code != 200 {
+		t.Fatalf("weights status %d: %s", code, body)
+	}
+	data = weightsData(t, body)
+	if data.LatestVersion != 1 || data.PromotedVersion != 0 || data.Serving["name"] != 1 || data.Serving["context"] != 1 {
+		t.Fatalf("after the proposal: %+v; want it stored, not serving", data)
 	}
 
 	code, body = postJSON(t, ts.URL+"/api/v1/weights/promote", `{}`)
@@ -155,14 +161,11 @@ func TestV1WeightsLifecycle(t *testing.T) {
 	if err := json.Unmarshal(envelope(t, body).Data, &promo); err != nil {
 		t.Fatal(err)
 	}
-	if !promo.Promoted || promo.Version != 1 {
+	if !promo.Promoted || promo.Version != 1 || promo.Serving["name"] != 2 || promo.Serving["context"] != 2 {
 		t.Fatalf("promotion ack = %+v", promo)
 	}
 	if repo := engine.Repository(); repo.PromotedVersion() != 1 {
 		t.Fatalf("promoted version = %d", repo.PromotedVersion())
-	}
-	if v := engine.ShadowVersion(); v != 0 {
-		t.Fatalf("promotion left shadow scoring on: version %d", v)
 	}
 	// Promoting a version that was never stored 404s.
 	code, body = postJSON(t, ts.URL+"/api/v1/weights/promote", `{"version":99}`)
@@ -193,12 +196,13 @@ func TestV1PromoteGateBlocksPoisoned(t *testing.T) {
 }
 
 // TestLearnOnceTrainsAndDedups drives one trainer round directly: enough
-// clicks produce a versioned candidate under shadow scoring, and an
+// clicks produce a stored, not serving, versioned candidate, and an
 // unchanged feedback log does not mint another version.
 func TestLearnOnceTrainsAndDedups(t *testing.T) {
 	_, engine, ids := testServer(t)
 	srv := NewWithConfig(engine, quietConfig())
 	repo := engine.Repository()
+	before := engine.Ensemble().Weights()
 
 	// Below the click threshold the round skips.
 	srv.learnOnce()
@@ -222,8 +226,11 @@ func TestLearnOnceTrainsAndDedups(t *testing.T) {
 	if !ok || ws.Source != "trainer" || ws.Examples == 0 {
 		t.Fatalf("trained set = %+v, %v", ws, ok)
 	}
-	if v := engine.ShadowVersion(); v != 1 {
-		t.Fatalf("trained candidate not shadow scoring: version %d", v)
+	if v := repo.PromotedVersion(); v != 0 {
+		t.Fatalf("trained candidate promoted: version %d", v)
+	}
+	if w := engine.Ensemble().Weights(); !weightsEqual(w, before) {
+		t.Fatalf("training changed the serving weights: %v, want %v", w, before)
 	}
 	// Same feedback, same seed → same weights → deduped, no new version.
 	srv.learnOnce()

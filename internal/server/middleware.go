@@ -87,14 +87,11 @@ type Config struct {
 	ReplicationOpen bool
 
 	// LearnInterval is the background trainer's cadence: every interval,
-	// accumulated feedback is fitted into a candidate weight set that
-	// shadow-scores live searches (see learn.go and DESIGN.md §13). 0 (the
-	// default) disables the trainer; StartLearner must still be called.
+	// accumulated feedback is fitted into a stored candidate weight set,
+	// which serves only once promoted through the gate (see learn.go and
+	// DESIGN.md §13). 0 (the default) disables the trainer; StartLearner
+	// must still be called.
 	LearnInterval time.Duration
-	// LearnAutoPromote runs the evaluation gate on every freshly trained
-	// candidate and promotes it to serving when the gate passes. Off by
-	// default: promotion is an operator action (POST /api/v1/weights/promote).
-	LearnAutoPromote bool
 }
 
 func (c *Config) defaults() {

@@ -26,7 +26,9 @@ import (
 // (fragment), the spread being the engine's scratch pools that a GC
 // empties mid-measurement, so each ceiling sits two above the highest
 // count seen. A change that raises them must say why; one
-// that lowers them should lower the ceiling.
+// that lowers them should lower the ceiling. The same ceilings hold after
+// a candidate weight set is proposed: a stored candidate costs a search
+// nothing.
 func TestSearchHandlerAllocs(t *testing.T) {
 	repo := repository.New()
 	put := func(s *model.Schema) {
@@ -50,7 +52,7 @@ func TestSearchHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		slack = 60 // race instrumentation allocates on its own behalf
 	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name        string
 		method      string
 		target      string
@@ -64,27 +66,38 @@ func TestSearchHandlerAllocs(t *testing.T) {
 			contentType: "application/json",
 			body:        `{"q":"shipment","ddl":"CREATE TABLE product (id INT, name VARCHAR(32), price FLOAT, qty INT);"}`,
 			ceiling:     335},
-	} {
-		var code, n int
-		serve := func() {
-			r := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
-			if tc.contentType != "" {
-				r.Header.Set("Content-Type", tc.contentType)
+	}
+	measure := func(stage string) {
+		for _, tc := range cases {
+			var code, n int
+			serve := func() {
+				r := httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body))
+				if tc.contentType != "" {
+					r.Header.Set("Content-Type", tc.contentType)
+				}
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, r)
+				code, n = w.Code, strings.Count(w.Body.String(), `"score"`)
 			}
-			w := httptest.NewRecorder()
-			srv.ServeHTTP(w, r)
-			code, n = w.Code, strings.Count(w.Body.String(), `"score"`)
-		}
-		serve() // build the profiles, warm the pools and the route's series
-		allocs := warmAllocs(50, serve)
-		if code != http.StatusOK || n == 0 {
-			t.Fatalf("%s: status %d with %d results", tc.name, code, n)
-		}
-		t.Logf("%s: %v allocs per search", tc.name, allocs)
-		if allocs > tc.ceiling+slack {
-			t.Errorf("%s: %v allocs per search; want at most %v", tc.name, allocs, tc.ceiling+slack)
+			serve() // build the profiles, warm the pools and the route's series
+			allocs := warmAllocs(50, serve)
+			if code != http.StatusOK || n == 0 {
+				t.Fatalf("%s%s: status %d with %d results", stage, tc.name, code, n)
+			}
+			t.Logf("%s%s: %v allocs per search", stage, tc.name, allocs)
+			if allocs > tc.ceiling+slack {
+				t.Errorf("%s%s: %v allocs per search; want at most %v", stage, tc.name, allocs, tc.ceiling+slack)
+			}
 		}
 	}
+	measure("")
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/weights",
+		strings.NewReader(`{"weights":{"name":2,"context":1}}`)))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("propose: status %d: %s", w.Code, w.Body)
+	}
+	measure("after a proposal: ")
 }
 
 // warmAllocs is testing.AllocsPerRun(runs, f) for a request whose engine

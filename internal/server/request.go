@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"schemr/internal/query"
+	"schemr/internal/repository"
 )
 
 // apiErr is an API error: a status, a stable machine-readable code, and a
@@ -34,6 +35,16 @@ func notFound(format string, args ...any) *apiErr {
 
 func internalErr(err error) *apiErr {
 	return &apiErr{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
+}
+
+// repoErr maps a failed repository mutation onto an API error: a write
+// that could not be logged is the server's fault (500); any other error
+// is the request's (400).
+func repoErr(err error) *apiErr {
+	if errors.Is(err, repository.ErrUnavailable) {
+		return internalErr(err)
+	}
+	return badRequest("%v", err)
 }
 
 // searchAPIErr maps engine search failures onto API errors: a fired

@@ -108,9 +108,9 @@ func NewWithConfig(engine *core.Engine, cfg Config) *Server {
 	s.handle("GET /api/v1/codebook", s.deadlined(s.v1Codebook))
 
 	// Relevance loop (see learn.go): durable click-through feedback,
-	// versioned candidate weight sets with shadow scoring, and the gated
-	// promotion path. Feedback and weight mutations are WAL-logged, so a
-	// read-only replica rejects them with 403 like any other write.
+	// versioned candidate weight sets, and the gated promotion path.
+	// Feedback and weight mutations are WAL-logged, so a read-only replica
+	// rejects them with 403 like any other write.
 	s.handle("POST /api/v1/feedback", s.readOnly(s.deadlined(s.v1Feedback)))
 	s.handle("GET /api/v1/weights", s.deadlined(s.v1Weights))
 	s.handle("POST /api/v1/weights", s.readOnly(s.weightsGuard(s.deadlined(s.v1ProposeWeights))))

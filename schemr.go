@@ -132,7 +132,7 @@ type RecoveryStats struct {
 // snapshot, a compacted log of framed records) plus schemas.idx under dir,
 // with any repository.wal replayed on top (so mutations a crashed server
 // acknowledged but never snapshotted are recovered). A snapshot in the
-// older single-object JSON format is rewritten as a compacted log. The
+// older single-object JSON format is refused ("unsupported snapshot"). The
 // WAL stays attached: subsequent mutations are logged and fsynced before
 // they are acknowledged. A missing or unreadable index is rebuilt from the
 // repository; a loaded index is synced forward from its saved change-feed
@@ -197,25 +197,14 @@ func openSystem(dir string, opts EngineOptions) (*System, RecoveryStats, error) 
 }
 
 // SyncWeights aligns the engine with the repository's durable weight
-// state: the promoted weight set (if any) becomes the serving weights, and
-// the newest candidate beyond it resumes shadow scoring. Recovery and
-// replica catch-up call it so learned weights survive restarts and reach
-// replicas. Weight sets naming matchers absent from the configured
-// ensemble are skipped — the weights belong to the deployment that trained
-// them.
+// state: the promoted weight set (if any) becomes the serving weights.
+// Recovery and replica catch-up call it so learned weights survive
+// restarts and reach replicas. A weight set naming matchers absent from
+// the configured ensemble is skipped — the weights belong to the
+// deployment that trained them.
 func (s *System) SyncWeights() {
 	if ws, ok := s.Repo.PromotedWeights(); ok {
-		if err := s.Engine.SetWeights(ws.Weights); err == nil {
-			// Promoted weights are serving; retire a matching shadow.
-			if s.Engine.ShadowVersion() == ws.Version {
-				s.Engine.ClearShadowWeights()
-			}
-		}
-	}
-	if ws, ok := s.Repo.LatestWeightSet(); ok && ws.Version > s.Repo.PromotedVersion() {
-		if s.Engine.ShadowVersion() != ws.Version {
-			_ = s.Engine.SetShadowWeights(ws.Version, ws.Weights)
-		}
+		_ = s.Engine.SetWeights(ws.Weights)
 	}
 }
 
@@ -240,9 +229,9 @@ func (s *System) Save(dir string) error {
 	return s.Repo.Snapshot(filepath.Join(dir, repoFile), cursor)
 }
 
-// Close flushes coalesced usage counters to the write-ahead log and
-// detaches it. Call after the final Save when shutting a durable system
-// down; a system without a WAL ignores it.
+// Close closes the write-ahead log; every mutation was already logged
+// when it returned. Call after the final Save when shutting a durable
+// system down; a system without a WAL ignores it.
 func (s *System) Close() error {
 	return s.Repo.Close()
 }

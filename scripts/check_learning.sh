@@ -2,9 +2,9 @@
 # check_learning.sh — prove the relevance loop end to end against a live
 # server: synthetic click-throughs are captured durably, the background
 # trainer (-learn-interval) fits them into a versioned candidate weight set
-# that shows up on GET /api/v1/weights and in the schemr_learn_* metrics,
-# the evaluation gate blocks a poisoned candidate, and a benign candidate
-# promotes to serving. Run from the repository root:
+# that shows up on GET /api/v1/weights and in the schemr_learn_* metrics
+# while the serving weights stay as they were, the evaluation gate blocks a
+# poisoned candidate, and a benign candidate promotes to serving. Run from the repository root:
 #
 #   ./scripts/check_learning.sh
 #
@@ -43,6 +43,13 @@ json_field() {
     v="$(grep -o "\"$2\":[0-9]*" "$1" | head -1 | cut -d: -f2 || true)"
     echo "${v:-0}"
 }
+
+# serving FILE — the serving weight table of a GET /api/v1/weights body.
+serving() {
+    grep -o '"serving":{[^}]*}' "$1" || true
+}
+curl -fsS "http://$ADDR/api/v1/weights" >"$WORK/weights0.json"
+SERVING="$(serving "$WORK/weights0.json")"
 
 # A small corpus: the relevant schema plus distractors.
 import() {
@@ -100,18 +107,19 @@ if [ "$TRAINED" -ne 1 ]; then
     tail -20 "$WORK/server.log" >&2
     exit 1
 fi
-SHADOW="$(json_field "$WORK/weights.json" shadow_version)"
-if [ "${SHADOW:-0}" -lt 1 ]; then
-    echo "FAIL: trained candidate is not shadow scoring" >&2
+# A trained candidate is stored, not serving: only a gated promotion
+# changes the serving weights.
+if [ "$(json_field "$WORK/weights.json" promoted_version)" != "0" ] ||
+    [ -z "$SERVING" ] || [ "$(serving "$WORK/weights.json")" != "$SERVING" ]; then
+    echo "FAIL: training changed what serves (want promoted_version 0 and serving $SERVING)" >&2
     cat "$WORK/weights.json" >&2
     exit 1
 fi
 
-# Shadow scoring runs on live searches and shows up in the metrics.
-curl -fsS "http://$ADDR/api/v1/search?q=patient+height+gender" >/dev/null
+# The loop's families show up in the metrics.
 curl -fsS "http://$ADDR/metrics" >"$WORK/metrics.txt"
 for fam in schemr_feedback_events_total schemr_learn_rounds_total \
-    schemr_learn_weight_version schemr_learn_shadow_searches_total; do
+    schemr_learn_weight_version; do
     if ! grep -q "^$fam" "$WORK/metrics.txt"; then
         echo "FAIL: metric family $fam missing from /metrics" >&2
         exit 1
@@ -164,4 +172,4 @@ if [ "${PROMOTED:-0}" != "$BENIGN" ]; then
     exit 1
 fi
 
-echo "OK: $EVENTS clicks trained candidate v$LATEST (shadow-scored), gate blocked poisoned v$POISONED, promoted benign v$BENIGN."
+echo "OK: $EVENTS clicks trained candidate v$LATEST (stored, not serving), gate blocked poisoned v$POISONED, promoted benign v$BENIGN."
