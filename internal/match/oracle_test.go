@@ -180,6 +180,25 @@ func (sm *SynonymMatcher) Match(q *query.Query, s *model.Schema) *Matrix {
 	return m
 }
 
+// wordSets returns the synonym-set indexes touched by a name's words (and
+// by the whole normalized name, for entries like "emailaddress").
+func (sm *SynonymMatcher) wordSets(name string) map[int]bool {
+	var out map[int]bool
+	add := func(w string) {
+		if idx, ok := sm.setOf[w]; ok {
+			if out == nil {
+				out = map[int]bool{}
+			}
+			out[idx] = true
+		}
+	}
+	for _, w := range text.Tokenize(name) {
+		add(w)
+	}
+	add(text.Normalize(name))
+	return out
+}
+
 // Match scores the concept overlap of attribute pairs (and keywords) that
 // each carry a concept; every other cell is NotApplicable.
 func (cm *ConceptMatcher) Match(q *query.Query, s *model.Schema) *Matrix {

@@ -102,6 +102,30 @@ func TestSynonymMatcherCustomTable(t *testing.T) {
 	}
 }
 
+// TestSynonymWordsKeyedByElement: birth_date and birthdate share a
+// normalized name, and so a name-dictionary entry, but not their words:
+// the first touches the date and dob sets, the second only dob. Words are
+// kept per element, so the profile kernel tells the two apart, as the
+// oracle does.
+func TestSynonymWordsKeyedByElement(t *testing.T) {
+	sm := NewSynonymMatcher()
+	q := mustQuery(t, query.Input{Keywords: "day"})
+	s := &model.Schema{Name: "s", Entities: []*model.Entity{
+		{Name: "person", Attributes: []*model.Attribute{{Name: "birth_date"}, {Name: "birthdate"}}},
+	}}
+	for name, m := range map[string]*Matrix{
+		"kernel": freshMatch(sm, NewQueryArtifacts(q), NewProfile(s)),
+		"oracle": sm.Match(q, s),
+	} {
+		if got := cell(m, "day", "person.birth_date"); got != 0.5 {
+			t.Errorf("%s: day ↔ birth_date = %v, want 0.5", name, got)
+		}
+		if got := cell(m, "day", "person.birthdate"); got != 0 {
+			t.Errorf("%s: day ↔ birthdate = %v, want 0", name, got)
+		}
+	}
+}
+
 func TestAssignment(t *testing.T) {
 	q := mustQuery(t, query.Input{Keywords: "height gender diagnosis"})
 	s := clinicCandidate()
