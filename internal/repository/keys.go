@@ -56,12 +56,13 @@ func (r *Repository) CreateKey(tn, name string) (string, error) {
 	return plaintext, nil
 }
 
-// RevokeKey durably removes the key with the given hash. Reports whether
-// the hash was known; revoking an unknown hash logs nothing.
-func (r *Repository) RevokeKey(hash string) (bool, error) {
+// RevokeKey durably removes tenant tn's key with the given hash. Reports
+// whether tn has such a key; revoking an unknown hash, or another
+// tenant's key, logs nothing.
+func (r *Repository) RevokeKey(tn, hash string) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.keys[hash]; !ok {
+	if e, ok := r.keys[hash]; !ok || e.Tenant != tn {
 		return false, nil
 	}
 	if err := r.logRecord(&walRecord{Op: opKeyRevoke, ID: hash}); err != nil {

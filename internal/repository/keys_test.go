@@ -31,10 +31,16 @@ func TestKeyLifecycle(t *testing.T) {
 	if len(keys) != 1 || keys[0].Hash != tenant.HashKey(k1) || keys[0].Name != "ci" {
 		t.Fatalf("Keys = %+v", keys)
 	}
-	if got, err := r.RevokeKey(keys[0].Hash); err != nil || !got {
+	if got, err := r.RevokeKey("globex", keys[0].Hash); err != nil || got {
+		t.Fatalf("RevokeKey through another tenant = %v,%v", got, err)
+	}
+	if _, ok := r.LookupKey(k1); !ok {
+		t.Fatal("key revoked through another tenant")
+	}
+	if got, err := r.RevokeKey("acme", keys[0].Hash); err != nil || !got {
 		t.Fatalf("RevokeKey = %v,%v", got, err)
 	}
-	if got, _ := r.RevokeKey(keys[0].Hash); got {
+	if got, _ := r.RevokeKey("acme", keys[0].Hash); got {
 		t.Error("double revoke reported true")
 	}
 	if _, ok := r.LookupKey(k1); ok {
@@ -56,7 +62,7 @@ func TestKeysDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RevokeKey(tenant.HashKey(k2)); err != nil {
+	if _, err := r.RevokeKey("globex", tenant.HashKey(k2)); err != nil {
 		t.Fatal(err)
 	}
 	// No clean close: recovery is WAL replay alone.

@@ -146,7 +146,7 @@ func randomOps(t *testing.T, r *Repository, rng *rand.Rand, n int) {
 		case op == 9:
 			ktn := []string{"acme", "globex"}[rng.Intn(2)]
 			if keys := r.Keys(ktn); len(keys) > 0 && rng.Intn(3) == 0 {
-				if _, err := r.RevokeKey(keys[rng.Intn(len(keys))].Hash); err != nil {
+				if _, err := r.RevokeKey(ktn, keys[rng.Intn(len(keys))].Hash); err != nil {
 					t.Fatal(err)
 				}
 			} else if _, err := r.CreateKey(ktn, fmt.Sprint("k", i)); err != nil {

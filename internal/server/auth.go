@@ -237,18 +237,19 @@ func (s *Server) v1ListKeys(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, out)
 }
 
-// v1RevokeKey revokes one key by hash. DELETE
+// v1RevokeKey revokes one of the path tenant's keys by hash. DELETE
 // /api/v1/tenants/{id}/keys/{hash}. Takes effect on the next request —
-// lookups always consult the live key store.
+// lookups always consult the live key store. Another tenant's hash is a
+// 404, like an unknown one, and logs nothing.
 func (s *Server) v1RevokeKey(w http.ResponseWriter, r *http.Request) {
-	hash := r.PathValue("hash")
-	ok, err := s.engine.Repository().RevokeKey(hash)
+	tn, hash := r.PathValue("id"), r.PathValue("hash")
+	ok, err := s.engine.Repository().RevokeKey(tn, hash)
 	if err != nil {
 		s.writeJSONErr(w, r, internalErr(err))
 		return
 	}
 	if !ok {
-		s.writeJSONErr(w, r, notFound("no key with hash %q", hash))
+		s.writeJSONErr(w, r, notFound("tenant %q has no key with hash %q", tn, hash))
 		return
 	}
 	s.writeJSON(w, r, http.StatusOK, RevokedJSON{Hash: hash, Revoked: true})

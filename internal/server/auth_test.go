@@ -292,7 +292,17 @@ func TestKeyRevocationImmediate(t *testing.T) {
 		t.Fatalf("fresh key rejected: status %d: %s", code, body)
 	}
 
-	code, body, _ := reqAs(t, "DELETE", ts.URL+"/api/v1/tenants/acme/keys/"+hash, testAdminKey, "", "")
+	// A key cannot be revoked through another tenant's path: 404, and the
+	// key keeps working.
+	code, body, _ := reqAs(t, "DELETE", ts.URL+"/api/v1/tenants/globex/keys/"+hash, testAdminKey, "", "")
+	if code != 404 {
+		t.Fatalf("revoke through another tenant: status %d, want 404: %s", code, body)
+	}
+	if code, body, _ := reqAs(t, "GET", ts.URL+"/api/v1/stats", key, "", ""); code != 200 {
+		t.Fatalf("key revoked through another tenant's path: status %d: %s", code, body)
+	}
+
+	code, body, _ = reqAs(t, "DELETE", ts.URL+"/api/v1/tenants/acme/keys/"+hash, testAdminKey, "", "")
 	if code != 200 {
 		t.Fatalf("revoke: status %d: %s", code, body)
 	}
