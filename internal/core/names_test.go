@@ -9,6 +9,7 @@ import (
 	"schemr/internal/match"
 	"schemr/internal/model"
 	"schemr/internal/query"
+	"schemr/internal/repository"
 )
 
 // selectingMatcher is a do-nothing matcher (no cell applies, so no score
@@ -94,16 +95,35 @@ func churnSchema(slot, gen int) *model.Schema {
 
 // TestSearchHammerWhileSchemasChurn runs parallel searches while schemas
 // are put, replaced, deleted and synced, so name interning (lazy profile
-// builds on several search goroutines), memo fill and profile eviction all
-// overlap. Meaningful under -race; once the churn stops, the incrementally
-// synced engine must still equal the reference ranking over a freshly
-// reindexed copy of the surviving corpus.
+// builds on several search goroutines), memo fill, the profiles' lazy
+// concepts and words and profile eviction all overlap. It runs under the
+// default ensemble and under all six matchers, whose concept and synonym
+// kernels fill a shared profile's lazy facts from several workers.
+// Meaningful under -race; once the churn stops, the incrementally synced
+// engine must still equal the reference ranking over a freshly reindexed
+// copy of the surviving corpus, whose profiles are built afresh.
 func TestSearchHammerWhileSchemasChurn(t *testing.T) {
-	repo := rankCorpus(t, 5, 120)
-	e := NewEngine(repo, Options{Parallelism: 4})
-	if err := e.Reindex(); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		six  bool
+	}{{name: "default"}, {name: "six", six: true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			repo := rankCorpus(t, 5, 120)
+			e := NewEngine(repo, Options{Parallelism: 4})
+			if tc.six {
+				e.SetEnsemble(sixMatchers(t))
+			}
+			if err := e.Reindex(); err != nil {
+				t.Fatal(err)
+			}
+			hammerWhileChurning(t, repo, e)
+		})
 	}
+}
+
+// hammerWhileChurning is TestSearchHammerWhileSchemasChurn over one
+// engine.
+func hammerWhileChurning(t *testing.T, repo *repository.Repository, e *Engine) {
 	queries := []*query.Query{
 		mustQ(t, query.Input{Keywords: "patient height gender diagnosis",
 			DDL: "CREATE TABLE patient (height FLOAT, gender VARCHAR(8)); CREATE TABLE visit (patient INT, diagnosis VARCHAR(32));"}),
@@ -153,7 +173,7 @@ func TestSearchHammerWhileSchemasChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := top(referenceRank(t, fresh, fresh.Ensemble(), q), 10); !reflect.DeepEqual(got, want) {
+		if want := top(referenceRank(t, fresh, e.Ensemble(), q), 10); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d after churn: engine differs from the reference over a fresh index\ngot:  %+v\nwant: %+v", qi, got, want)
 		}
 	}
