@@ -460,14 +460,6 @@ func (s *System) ConfigureEnsemble(cfg MatcherConfig) error {
 	return nil
 }
 
-// EnableCodebook extends the matcher ensemble with the codebook concept
-// matcher: attributes that carry the same semantic data type (unit,
-// date/time, geographic location, money, identifier, …) match even with
-// zero lexical overlap. Shorthand for ConfigureEnsemble(Concept).
-func (s *System) EnableCodebook() error {
-	return s.ConfigureEnsemble(MatcherConfig{Concept: true})
-}
-
 // Concepts returns the codebook annotation of a schema: element ref string
 // → detected concept names. Attributes without a concept are absent.
 func Concepts(schema *Schema) map[string][]string {

@@ -185,7 +185,7 @@ func TestFacadeCodebook(t *testing.T) {
 		t.Fatal("empty profile")
 	}
 
-	if err := sys.EnableCodebook(); err != nil {
+	if err := sys.ConfigureEnsemble(MatcherConfig{Concept: true}); err != nil {
 		t.Fatal(err)
 	}
 	// With the concept matcher on, a wingspan fragment finds the aviary
