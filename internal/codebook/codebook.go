@@ -14,8 +14,9 @@
 package codebook
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"schemr/internal/model"
@@ -101,10 +102,6 @@ var rules = []rule{
 // name like "delivery date cost" can legitimately carry two.
 func Detect(name, declaredType string) []Concept {
 	words := text.Tokenize(name)
-	wordSet := make(map[string]bool, len(words))
-	for _, w := range words {
-		wordSet[w] = true
-	}
 	last := ""
 	if len(words) > 0 {
 		last = words[len(words)-1]
@@ -120,40 +117,12 @@ func Detect(name, declaredType string) []Concept {
 		baseType = fields[0]
 	}
 
-	seen := map[Concept]bool{}
+	// Each rule names a different concept, so none is added twice.
 	var out []Concept
-	add := func(c Concept) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
 	for _, r := range rules {
-		matched := false
-		for _, tok := range r.tokens {
-			if wordSet[tok] {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			for _, suf := range r.suffixes {
-				if last == suf {
-					matched = true
-					break
-				}
-			}
-		}
-		if !matched {
-			for _, t := range r.types {
-				if baseType == t {
-					matched = true
-					break
-				}
-			}
-		}
-		if matched {
-			add(r.concept)
+		if slices.ContainsFunc(words, func(w string) bool { return slices.Contains(r.tokens, w) }) ||
+			slices.Contains(r.suffixes, last) || slices.Contains(r.types, baseType) {
+			out = append(out, r.concept)
 		}
 	}
 	return out
@@ -217,25 +186,15 @@ func ProfileCorpus(schemas []*model.Schema) []Profile {
 		if counts[c] == 0 {
 			continue
 		}
-		p := Profile{Concept: c, Count: counts[c]}
-		type nc struct {
-			name string
-			n    int
+		byName := names[c]
+		top := make([]string, 0, len(byName))
+		for n := range byName {
+			top = append(top, n)
 		}
-		var ncs []nc
-		for n, k := range names[c] {
-			ncs = append(ncs, nc{n, k})
-		}
-		sort.Slice(ncs, func(i, j int) bool {
-			if ncs[i].n != ncs[j].n {
-				return ncs[i].n > ncs[j].n
-			}
-			return ncs[i].name < ncs[j].name
+		slices.SortFunc(top, func(a, b string) int {
+			return cmp.Or(cmp.Compare(byName[b], byName[a]), strings.Compare(a, b))
 		})
-		for i := 0; i < len(ncs) && i < 5; i++ {
-			p.TopNames = append(p.TopNames, ncs[i].name)
-		}
-		out = append(out, p)
+		out = append(out, Profile{Concept: c, Count: counts[c], TopNames: top[:min(len(top), 5)]})
 	}
 	return out
 }

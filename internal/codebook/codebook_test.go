@@ -107,3 +107,16 @@ func TestProfileCorpus(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// TestRulesNameDistinctConcepts: Detect adds each matching rule's concept
+// without checking for repeats, which holds only while every rule names a
+// different concept.
+func TestRulesNameDistinctConcepts(t *testing.T) {
+	seen := map[Concept]bool{}
+	for _, r := range rules {
+		if seen[r.concept] {
+			t.Errorf("concept %q has two rules", r.concept)
+		}
+		seen[r.concept] = true
+	}
+}

@@ -71,6 +71,7 @@ func contextSetsWith(g *model.EntityGraph, s *model.Schema) map[model.ElementRef
 // termSets holds one term set per element as indices into a name list,
 // flat: set i is ids[off[i]:off[i+1]]. framed[i] marks an attribute
 // scored from its entity's frame, whose set is not kept (see Frames).
+// The synonym kernel keeps synonym-set indexes in one, without framed.
 type termSets struct {
 	off    []int32
 	ids    []int32

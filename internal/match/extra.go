@@ -122,16 +122,25 @@ func queryTypeClasses(q *query.Query, qe []query.Element) []typeClass {
 	qClass := make([]typeClass, len(qe))
 	for i, el := range qe {
 		qClass[i] = classUnknown
-		if !el.IsKeyword() && el.Kind == model.KindAttribute {
-			frag := q.Fragments[el.Fragment]
-			if ent := frag.Entity(el.Ref.Entity); ent != nil {
-				if a := ent.Attribute(el.Ref.Attribute); a != nil && a.Type != "" {
-					qClass[i] = classify(a.Type)
-				}
-			}
+		if t := declaredType(q, el); t != "" {
+			qClass[i] = classify(t)
 		}
 	}
 	return qClass
+}
+
+// declaredType returns the declared type of a fragment attribute, or ""
+// for any other query element.
+func declaredType(q *query.Query, el query.Element) string {
+	if el.IsKeyword() || el.Kind != model.KindAttribute {
+		return ""
+	}
+	if ent := q.Fragments[el.Fragment].Entity(el.Ref.Entity); ent != nil {
+		if a := ent.Attribute(el.Ref.Attribute); a != nil {
+			return a.Type
+		}
+	}
+	return ""
 }
 
 // schemaTypeClasses computes the coarse type class of each schema element.
